@@ -24,7 +24,7 @@ from .dyadic import is_infinite, odd_part
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
 from .groups import ALL_POSITIVE
-from .ktheory import SixTermInvariant, invariant_of
+from .ktheory import DerivedScalars, SixTermInvariant, invariant_of
 from .ordered import is_k_lexicographic
 
 FULL = "Full"
@@ -66,19 +66,21 @@ def is_stenotic(spec: FamilySpec) -> bool:
     return True
 
 
-def decide_fullness(spec: FamilySpec) -> FullnessVerdict:
-    """Fullness verdicts for the stabilized and unstabilized extensions.
+def decide_fullness(invariant: SixTermInvariant, scalars: DerivedScalars) -> FullnessVerdict:
+    """Fullness verdicts for the stabilized and unstabilized extensions,
+    from the member's invariant and scalars (as :func:`invariant_of` returns
+    them).
 
     The stabilized extension is full exactly when the invariant passes the
     combined ordering test.  The unstabilized one is full whenever m != 0
-    (the algebra is not AF), and when m = 0 with divergent alpha (the ideal
-    is then stable, so the two notions coincide).  For m = 0 with finite
-    alpha the ideal is not stable and the even K-theory cannot decide the
-    unstabilized question, so it is reported unknown rather than guessed.
+    (the algebra is not AF, i.e. the case is not AF-AF), and when m = 0 with
+    divergent alpha (the ideal is then stable, so the two notions coincide).
+    For m = 0 with finite alpha the ideal is not stable and the even
+    K-theory cannot decide the unstabilized question, so it is reported
+    unknown rather than guessed.
     """
-    invariant, scalars = invariant_of(spec)
     k_lex = is_k_lexicographic(invariant)
-    if spec.m != 0:
+    if invariant.case_tag != "AF-AF":
         unstabilized = FULL
     elif is_infinite(scalars.alpha):
         unstabilized = FULL
@@ -276,34 +278,6 @@ def stable_class_partition(modulus: int) -> list[int]:
     """Class representative per weight in [0, modulus): stable isomorphism
     by honest unit-and-doubling enumeration (no gcd shortcut)."""
     return _union_find_classes(modulus, with_units=True)
-
-
-def stable_gcd_partition(modulus: int) -> list[int]:
-    """Class key per weight from the gcd route."""
-    m_odd = odd_part(modulus)
-    return [gcd(n, m_odd) for n in range(modulus)]
-
-
-def partitions_agree(p: list[int], q: list[int]) -> bool:
-    """Whether two labelings induce the same partition."""
-    fwd: dict[int, int] = {}
-    back: dict[int, int] = {}
-    for a, b in zip(p, q):
-        if fwd.setdefault(a, b) != b:
-            return False
-        if back.setdefault(b, a) != a:
-            return False
-    return True
-
-
-def stable_partition_disagreements(max_modulus: int) -> list[int]:
-    """Moduli up to max_modulus where the enumeration and gcd routes induce
-    different stable partitions (expected empty)."""
-    bad = []
-    for modulus in range(1, max_modulus + 1):
-        if not partitions_agree(stable_class_partition(modulus), stable_gcd_partition(modulus)):
-            bad.append(modulus)
-    return bad
 
 
 def class_counts(m: int) -> tuple[int, int]:

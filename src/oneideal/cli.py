@@ -7,13 +7,16 @@ JSON object matching the input schema
 ``compare``) compactly as ``m=8,n=[1,0,3],tail=constant:2``.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
-validation error, 3 = internal consistency failure.
+validation error, 3 = internal consistency failure (the stable-isomorphism
+routes disagree, or the truncation shown by ``invariant`` contradicts the
+closed-form torsion order).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import classify
@@ -76,6 +79,10 @@ def _spec_from_compact(text: str) -> FamilySpec:
         if not sep:
             raise ValueError(f"expected key=value in {text!r}")
         key = key.strip()
+        if key not in ("m", "n", "tail"):
+            raise ValueError(f"unknown key {key!r} in spec {text!r} (want m, n, tail)")
+        if key in fields:
+            raise ValueError(f"key {key!r} repeated in spec {text!r}")
         if rest.startswith("["):
             value, _, rest = rest[1:].partition("]")
             rest = rest.lstrip(",")
@@ -88,78 +95,69 @@ def _spec_from_compact(text: str) -> FamilySpec:
     return validate_family(_parse_m(fields["m"]), _parse_n(fields["n"]), tail)
 
 
-def _emit(report: Report, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.to_text())
-
-
-def _cmd_invariant(args) -> int:
+def _cmd_invariant(args) -> Report:
     spec = _spec_from_flags(args)
     invariant, scalars = invariant_of(spec)
     truncation = None
     if spec.has_finite_loops:
+        stable_depth = stable_oracle_depth(spec)
         depth = args.depth if args.depth is not None else max(
-            len(spec.prefix) + 3, stable_oracle_depth(spec)
+            len(spec.prefix) + 3, stable_depth
         )
         free_rank, torsion = truncated_k0(spec, depth)
         truncation = (depth, free_rank, tuple(torsion))
+        # past saturation the truncation is an independent check on x
+        x = scalars.x
+        if depth >= stable_depth and truncation[1:] != (1, (x,) if x > 1 else ()):
+            raise InternalConsistencyError(
+                f"truncation at depth {depth} has free rank {free_rank} and torsion "
+                f"{list(torsion)}, but the closed-form torsion order is {x}"
+            )
     elif args.depth is not None:
         raise ValueError("--depth applies only when 1 < m < infinity")
-    report = Report(
+    return Report(
         command="invariant",
         inputs=(spec,),
         scalars=scalars,
         invariant=invariant,
         truncation=truncation,
     )
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_fullness(args) -> int:
+def _cmd_fullness(args) -> Report:
     spec = _spec_from_flags(args)
     invariant, scalars = invariant_of(spec)
-    verdict = classify.decide_fullness(spec)
-    report = Report(
+    return Report(
         command="fullness",
         inputs=(spec,),
         scalars=scalars,
         invariant=invariant,
-        fullness=verdict,
+        fullness=classify.decide_fullness(invariant, scalars),
     )
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Report:
     spec_a = _spec_from_compact(args.a)
     spec_b = _spec_from_compact(args.b)
     decide = classify.exact_iso if args.mode == "exact" else classify.stable_iso
-    verdict = decide(spec_a, spec_b)
-    report = Report(
+    return Report(
         command="compare",
         inputs=(spec_a, spec_b),
-        comparison=verdict,
+        comparison=decide(spec_a, spec_b),
         compare_mode=args.mode,
     )
-    _emit(report, args.format)
-    return 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> Report:
     if args.max_m < 2:
         raise ValueError("--max-m must be at least 2")
     table = tuple(classify.divergence_table(args.max_m))
     smallest = next((m for m, e, s in table if e != s), None)
-    report = Report(
+    return Report(
         command="scan",
         scan=ScanResult(smallest_divergent_m=smallest, table=table),
         scan_limit=args.max_m,
     )
-    _emit(report, args.format)
-    return 0
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -210,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        report = args.func(args)
     except FamilyValidationError as err:
         print(f"error [{err.code}]: {err.message}", file=sys.stderr)
         return 2
@@ -223,6 +221,17 @@ def main(argv: list[str] | None = None) -> int:
     except (OneIdealError, ValueError, KeyError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    try:
+        if args.format == "json":
+            print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        else:
+            print(report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (e.g. `| head`); the verdict was computed.
+        # Point stdout at devnull so the final flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
 
 
 if __name__ == "__main__":

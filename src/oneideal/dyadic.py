@@ -115,17 +115,3 @@ def odd_part(n: int) -> int:
     if n <= 0:
         raise ValueError("odd_part requires a positive integer")
     return n >> two_adic_valuation(n)
-
-
-def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Dyadic:
-    """Some dyadic rational in the open interval (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    gap = hi - lo
-    e = 0
-    while Fraction(1, 1 << e) >= gap:
-        e += 1
-    num = math.floor(lo * (1 << e)) + 1
-    d = Dyadic(num, e)
-    assert lo < d.to_fraction() < hi
-    return d

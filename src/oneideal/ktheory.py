@@ -3,17 +3,15 @@
 For every family member the odd K-groups vanish and the even part sits in a
 short exact sequence whose outer terms are the dyadic line and either Z (no
 loops / infinitely many loops) or Z/(m-1) (finitely many loops m > 1).  In
-the finite-loop regime the middle group picks up a torsion summand Z/x whose
-order is computed here twice over:
+the finite-loop regime the middle group picks up a torsion summand Z/x of
+order x = 2^v2(m-1) * gcd(M, N) (M the largest odd factor of m-1, N the
+weight), which :func:`torsion_order` evaluates in closed form.
 
-* operationally, as the stable torsion of the cokernel of the truncated
-  presentation (the defining route), and
-* by the closed form 2^v2(m-1) * gcd(M, N), which the test-suite oracle
-  validates against the operational route before it is trusted.
-
-Truncation at chain depth d presents the torsion as gcd(2^(d-k) * N, m-1),
-so the value saturates exactly when d - k exceeds v2(m-1) - v2(N); the
-stable depth used by :func:`torsion_order` accounts for that.
+The defining route is the cokernel of the truncated presentation:
+truncation at chain depth d presents the torsion as gcd(2^(d-k) * N, m-1),
+which saturates once d - k reaches v2(m-1).  :func:`truncated_k0` reads that
+cokernel off a Smith form at any depth, and :func:`stable_oracle_depth` is a
+depth past saturation, where the truncation must show exactly Z/x.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .dyadic import ExtendedRational, is_infinite, odd_part, two_adic_valuation
-from .errors import InternalConsistencyError, RegimeError
+from .errors import RegimeError
 from .exactlinalg import cokernel_invariants
 from .family import FamilySpec, alpha_of, truncated_presentation, weight_of
 from .groups import (
@@ -94,9 +92,9 @@ class DerivedScalars:
 def truncated_k0(spec: FamilySpec, depth: int) -> tuple[int, list[int]]:
     """Free rank and torsion of the depth-truncated even K-group.
 
-    Independent oracle route: builds the relation matrix and reads the
-    cokernel off its Smith form.  The free rank is 1 at every depth >= k
-    (one chain generator survives truncation).
+    Builds the relation matrix and reads the cokernel off its Smith form,
+    independently of the closed form in :func:`torsion_order`.  The free
+    rank is 1 at every depth >= k (one chain generator survives truncation).
     """
     return cokernel_invariants(truncated_presentation(spec, depth))
 
@@ -115,34 +113,7 @@ def stable_oracle_depth(spec: FamilySpec) -> int:
 
 
 def torsion_order(spec: FamilySpec) -> int:
-    """Order x of the torsion summand of the middle group (1 <= x).
-
-    Defined operationally: the truncation oracle is run at the stable depth
-    and re-run one level deeper; the two must agree.
-    """
-    depth = stable_oracle_depth(spec)
-    first = truncated_k0(spec, depth)
-    second = truncated_k0(spec, depth + 1)
-    for free_rank, torsion in (first, second):
-        if free_rank != 1 or len(torsion) > 1:
-            raise InternalConsistencyError(
-                f"unexpected truncated K0 shape (free rank {free_rank}, torsion {torsion})"
-            )
-    if first[1] != second[1]:
-        # unreachable by the saturation bound; kept as a loud guard
-        raise InternalConsistencyError(
-            f"torsion not stable at depths {depth}, {depth + 1}"
-        )
-    return first[1][0] if first[1] else 1
-
-
-def torsion_order_formula(spec: FamilySpec) -> int:
-    """Closed form 2^v2(m-1) * gcd(M, N) for the middle torsion order.
-
-    Derived, not assumed: the test suite checks it against
-    :func:`torsion_order` (the oracle route) across a randomized corpus
-    before anything downstream relies on it.
-    """
+    """Order x = 2^v2(m-1) * gcd(M, N) of the middle torsion summand (1 <= x)."""
     if not spec.has_finite_loops:
         raise RegimeError("torsion order requires 1 < m < infinity")
     _, n_weight = weight_of(spec)

@@ -10,14 +10,12 @@ a and a' are order-isomorphic iff a' lies in 2^Z * a + Z[1/2] (infinity only
 matching infinity).  Every isomorphism of the underlying group restricts to
 x -> 2^k x on the divisible summand (the free quotient admits no nonzero map
 from it) and so has the triangular shape (x, n) -> (2^k x + b n, n) once cone
-preservation fixes the signs.  :func:`find_order_isomorphism` searches that
-family directly and is used by the tests as an independent check on the
-criterion.
+preservation fixes the signs; the test suite searches that family directly
+as an independent check on the criterion.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .dyadic import ExtendedRational, is_infinite, odd_part
@@ -178,74 +176,3 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
         seen.add(r)
         r = (2 * r) % m0
     return False
-
-
-def _slice_contains(alpha: ExtendedRational, x: Fraction, n: int) -> bool:
-    if n > 0:
-        return True if is_infinite(alpha) else x > -n * alpha
-    if n == 0:
-        return x >= 0
-    return False
-
-
-def _boundary_probes(alpha: ExtendedRational, n: int, precision: int) -> list[Fraction]:
-    if is_infinite(alpha):
-        return [Fraction(-(1 << 20)), Fraction(-1), Fraction(0), Fraction(1)]
-    scale = 1 << precision
-    base = math.floor(-n * alpha * scale)
-    return [Fraction(base + d, scale) for d in (-1, 0, 1, 2)]
-
-
-def _candidate_consistent(
-    a: ExtendedRational, b: ExtendedRational, k: int, shift: Fraction, precision: int
-) -> bool:
-    pow2 = Fraction(2) ** k
-    for n in (1, 2):
-        for x in _boundary_probes(a, n, precision):
-            if _slice_contains(a, x, n) != _slice_contains(b, pow2 * x + shift * n, n):
-                return False
-        for x in _boundary_probes(b, n, precision):
-            if _slice_contains(b, x, n) != _slice_contains(a, (x - shift * n) / pow2, n):
-                return False
-    for x in (Fraction(-1), Fraction(0), Fraction(1, 2)):
-        if _slice_contains(a, x, 0) != _slice_contains(b, pow2 * x, 0):
-            return False
-    return True
-
-
-def find_order_isomorphism(
-    a: ExtendedRational,
-    b: ExtendedRational,
-    k_bound: int = 8,
-    exp_bound: int = 8,
-    num_bound: int = 64,
-) -> tuple[int, Fraction] | None:
-    """Bounded search for a cone map (x, n) -> (2^k x + shift * n, n) taking
-    the alpha cone of ``a`` onto that of ``b``.
-
-    Candidates range over |k| <= k_bound and dyadic shifts with exponent at
-    most exp_bound and numerator at most num_bound in absolute value.  Each
-    candidate is tested on probe points straddling both cone boundaries at a
-    precision fine enough that every wrong candidate in the search box is
-    rejected.  Returns the first witness found, or None when the whole box
-    fails.  Independent of :func:`alpha_cones_isomorphic` by construction.
-    """
-
-    def den_bits(v) -> int:
-        return 1 if is_infinite(v) else Fraction(v).denominator.bit_length()
-
-    precision = den_bits(a) + den_bits(b) + k_bound + exp_bound + 2
-
-    shifts: list[Fraction] = [Fraction(t) for t in range(-num_bound, num_bound + 1)]
-    for e in range(1, exp_bound + 1):
-        for t in range(-num_bound, num_bound + 1):
-            if t % 2:
-                shifts.append(Fraction(t, 1 << e))
-    shifts.sort(key=lambda s: (abs(s), s.denominator))
-
-    ks = sorted(range(-k_bound, k_bound + 1), key=abs)
-    for k in ks:
-        for shift in shifts:
-            if _candidate_consistent(a, b, k, shift, precision):
-                return k, shift
-    return None

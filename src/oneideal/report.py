@@ -57,10 +57,6 @@ def _m_str(m) -> str:
     return "inf" if is_infinite(m) else str(m)
 
 
-def _parse_m(v: str):
-    return INF if v == "inf" else int(v)
-
-
 def spec_to_json(spec: FamilySpec) -> dict:
     tail: dict = {"kind": spec.tail.kind}
     if spec.tail.c is not None:
@@ -68,11 +64,38 @@ def spec_to_json(spec: FamilySpec) -> dict:
     return {"m": _m_str(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
 
 
-def spec_from_json(d: dict) -> FamilySpec:
-    tail_d = d.get("tail", {"kind": "zero"})
+def _json_int(v, what: str) -> int:
+    """A JSON integer (not a bool) or a string of decimal digits."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str) and v.isascii() and v.isdigit():
+        return int(v)
+    raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
+
+
+def _json_object(v, what: str, keys: set[str]) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be a JSON object, got {v!r}")
+    unknown = sorted(set(v) - keys)
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return v
+
+
+def spec_from_json(d) -> FamilySpec:
+    """Parse the input schema strictly: every integer is a JSON integer or a
+    decimal string ("inf" also for m); nothing else is coerced."""
+    d = _json_object(d, "family spec", {"m", "n", "tail"})
+    if "m" not in d or "n" not in d:
+        raise ValueError("family spec needs at least m and n")
+    m = INF if d["m"] == "inf" else _json_int(d["m"], "m")
+    if not isinstance(d["n"], list):
+        raise ValueError(f"n must be a JSON list, got {d['n']!r}")
+    prefix = tuple(_json_int(n, "each entry of n") for n in d["n"])
+    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind", "c"})
     c = tail_d.get("c")
-    tail = TailSpec(tail_d["kind"], int(c) if c is not None else None)
-    return FamilySpec(_parse_m(str(d["m"])), tuple(int(n) for n in d["n"]), tail)
+    tail = TailSpec(tail_d.get("kind"), None if c is None else _json_int(c, "tail c"))
+    return FamilySpec(m, prefix, tail)
 
 
 def _cone_to_json(cone: ConeDescriptor) -> dict:
@@ -353,9 +376,10 @@ class Report:
                 lines.append(f"witness: l={w.l} l'={w.l_prime} unit={w.unit}")
         if self.scan is not None:
             lines.append("m  exact-classes  stable-classes")
+            width = max([3] + [len(str(m)) + 1 for m, _, _ in self.scan.table])
             for m, e, s in self.scan.table:
                 marker = "  <- diverges" if e != s else ""
-                lines.append(f"{m:<3}{e:<15}{s}{marker}")
+                lines.append(f"{m:<{width}}{e:<15}{s}{marker}")
             lines.append(f"smallest divergent m: {self.scan.smallest_divergent_m}")
         lines.append(f"version: {self.version}")
         return "\n".join(lines)

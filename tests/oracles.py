@@ -1,0 +1,174 @@
+"""Independent reference routes that the test suite checks the library against.
+
+None of these is on a production path: each one re-derives, by a slower or
+more literal route, a quantity the library computes in closed form.
+
+* :func:`truncation_torsion_order` - the middle torsion order read off the
+  Smith form of the truncated presentation at two consecutive stable depths;
+* :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
+* :func:`stable_gcd_partition`, :func:`partitions_agree`,
+  :func:`stable_partition_disagreements` - whole-modulus comparison of the
+  unit-enumeration and gcd stable partitions;
+* :func:`dyadic_strictly_between` - a dyadic witness inside an interval.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from math import gcd
+
+from oneideal import Dyadic, FamilySpec, InternalConsistencyError, is_infinite, odd_part
+from oneideal.classify import stable_class_partition
+from oneideal.dyadic import ExtendedRational
+from oneideal.ktheory import stable_oracle_depth, truncated_k0
+
+# --------------------------------------------------------------------------
+# torsion order via the truncation Smith form
+
+
+def truncation_torsion_order(spec: FamilySpec) -> int:
+    """Order x of the torsion summand of the middle group (1 <= x).
+
+    Defined operationally: the truncation oracle is run at the stable depth
+    and re-run one level deeper; the two must agree.
+    """
+    depth = stable_oracle_depth(spec)
+    first = truncated_k0(spec, depth)
+    second = truncated_k0(spec, depth + 1)
+    for free_rank, torsion in (first, second):
+        if free_rank != 1 or len(torsion) > 1:
+            raise InternalConsistencyError(
+                f"unexpected truncated K0 shape (free rank {free_rank}, torsion {torsion})"
+            )
+    if first[1] != second[1]:
+        # unreachable by the saturation bound; kept as a loud guard
+        raise InternalConsistencyError(
+            f"torsion not stable at depths {depth}, {depth + 1}"
+        )
+    return first[1][0] if first[1] else 1
+
+
+# --------------------------------------------------------------------------
+# alpha-cone order isomorphism by bounded map search
+
+
+def _slice_contains(alpha: ExtendedRational, x: Fraction, n: int) -> bool:
+    if n > 0:
+        return True if is_infinite(alpha) else x > -n * alpha
+    if n == 0:
+        return x >= 0
+    return False
+
+
+def _boundary_probes(alpha: ExtendedRational, n: int, precision: int) -> list[Fraction]:
+    if is_infinite(alpha):
+        return [Fraction(-(1 << 20)), Fraction(-1), Fraction(0), Fraction(1)]
+    scale = 1 << precision
+    base = math.floor(-n * alpha * scale)
+    return [Fraction(base + d, scale) for d in (-1, 0, 1, 2)]
+
+
+def _candidate_consistent(
+    a: ExtendedRational, b: ExtendedRational, k: int, shift: Fraction, precision: int
+) -> bool:
+    pow2 = Fraction(2) ** k
+    for n in (1, 2):
+        for x in _boundary_probes(a, n, precision):
+            if _slice_contains(a, x, n) != _slice_contains(b, pow2 * x + shift * n, n):
+                return False
+        for x in _boundary_probes(b, n, precision):
+            if _slice_contains(b, x, n) != _slice_contains(a, (x - shift * n) / pow2, n):
+                return False
+    for x in (Fraction(-1), Fraction(0), Fraction(1, 2)):
+        if _slice_contains(a, x, 0) != _slice_contains(b, pow2 * x, 0):
+            return False
+    return True
+
+
+def find_order_isomorphism(
+    a: ExtendedRational,
+    b: ExtendedRational,
+    k_bound: int = 8,
+    exp_bound: int = 8,
+    num_bound: int = 64,
+) -> tuple[int, Fraction] | None:
+    """Bounded search for a cone map (x, n) -> (2^k x + shift * n, n) taking
+    the alpha cone of ``a`` onto that of ``b``.
+
+    Candidates range over |k| <= k_bound and dyadic shifts with exponent at
+    most exp_bound and numerator at most num_bound in absolute value.  Each
+    candidate is tested on probe points straddling both cone boundaries at a
+    precision fine enough that every wrong candidate in the search box is
+    rejected.  Returns the first witness found, or None when the whole box
+    fails.  Independent of :func:`alpha_cones_isomorphic` by construction.
+    """
+
+    def den_bits(v) -> int:
+        return 1 if is_infinite(v) else Fraction(v).denominator.bit_length()
+
+    precision = den_bits(a) + den_bits(b) + k_bound + exp_bound + 2
+
+    shifts: list[Fraction] = [Fraction(t) for t in range(-num_bound, num_bound + 1)]
+    for e in range(1, exp_bound + 1):
+        for t in range(-num_bound, num_bound + 1):
+            if t % 2:
+                shifts.append(Fraction(t, 1 << e))
+    shifts.sort(key=lambda s: (abs(s), s.denominator))
+
+    ks = sorted(range(-k_bound, k_bound + 1), key=abs)
+    for k in ks:
+        for shift in shifts:
+            if _candidate_consistent(a, b, k, shift, precision):
+                return k, shift
+    return None
+
+
+# --------------------------------------------------------------------------
+# whole-modulus stable partitions
+
+
+def stable_gcd_partition(modulus: int) -> list[int]:
+    """Class key per weight from the gcd route."""
+    m_odd = odd_part(modulus)
+    return [gcd(n, m_odd) for n in range(modulus)]
+
+
+def partitions_agree(p: list[int], q: list[int]) -> bool:
+    """Whether two labelings induce the same partition."""
+    fwd: dict[int, int] = {}
+    back: dict[int, int] = {}
+    for a, b in zip(p, q):
+        if fwd.setdefault(a, b) != b:
+            return False
+        if back.setdefault(b, a) != a:
+            return False
+    return True
+
+
+def stable_partition_disagreements(max_modulus: int) -> list[int]:
+    """Moduli up to max_modulus where the enumeration and gcd routes induce
+    different stable partitions (expected empty)."""
+    bad = []
+    for modulus in range(1, max_modulus + 1):
+        if not partitions_agree(stable_class_partition(modulus), stable_gcd_partition(modulus)):
+            bad.append(modulus)
+    return bad
+
+
+# --------------------------------------------------------------------------
+# dyadic rationals
+
+
+def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Dyadic:
+    """Some dyadic rational in the open interval (lo, hi)."""
+    if not lo < hi:
+        raise ValueError("empty interval")
+    gap = hi - lo
+    e = 0
+    while Fraction(1, 1 << e) >= gap:
+        e += 1
+    num = math.floor(lo * (1 << e)) + 1
+    d = Dyadic(num, e)
+    assert lo < d.to_fraction() < hi
+    return d

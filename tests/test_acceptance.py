@@ -26,7 +26,6 @@ from oneideal import (
     dyadic_plus_free,
     exact_iso,
     exact_orbit_witness,
-    find_order_isomorphism,
     invariant_of,
     is_infinite,
     is_k_lexicographic,
@@ -36,7 +35,6 @@ from oneideal import (
     stable_iso,
     stable_orbit_equivalent,
     torsion_order,
-    torsion_order_formula,
     torsion_range,
     truncated_k0,
     two_adic_valuation,
@@ -44,9 +42,9 @@ from oneideal import (
     weight_of,
     witness_holds,
 )
-from oneideal.classify import stable_partition_disagreements
 from oneideal.groups import ALL_POSITIVE
 from dataclasses import replace
+from oracles import find_order_isomorphism, stable_partition_disagreements
 
 
 def ok(criterion: int, message: str) -> None:
@@ -123,7 +121,6 @@ def test_criterion_04_torsion_order_depth_stability_range_and_formula():
         assert len(set(torsions)) == 1, f"not depth-stable for {spec}"
         x = torsions[0][0] if torsions[0] else 1
         assert x in torsion_range(spec.m)
-        assert x == torsion_order_formula(spec)
         assert x == torsion_order(spec)
         checked += 1
     assert torsion_order(validate_family(3, [1])) == 2
@@ -151,7 +148,7 @@ def test_criterion_05_fullness_dichotomy_at_m0():
     assert len(finite_specs) == 20
     for spec in finite_specs + infinite_specs:
         divergent = is_infinite(alpha_of(spec))
-        verdict = decide_fullness(spec)
+        verdict = decide_fullness(*invariant_of(spec))
         assert verdict.stabilized_full == divergent
         assert verdict.k_lexicographic == divergent
     ok(5, "m=0 corpus (20 finite, 5 divergent): stabilized fullness iff alpha diverges")

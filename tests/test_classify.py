@@ -30,13 +30,8 @@ from oneideal import (
     validate_family,
     witness_holds,
 )
-from oneideal.classify import (
-    exact_class_partition,
-    partitions_agree,
-    stable_class_partition,
-    stable_gcd_partition,
-    stable_partition_disagreements,
-)
+from oneideal.classify import exact_class_partition, stable_class_partition
+from oracles import partitions_agree, stable_gcd_partition, stable_partition_disagreements
 
 
 def spec_mn(m, n):
@@ -50,7 +45,7 @@ def test_stenotic_always():
 
 
 def test_fullness_m8():
-    v = decide_fullness(spec_mn(8, 1))
+    v = decide_fullness(*invariant_of(spec_mn(8, 1)))
     assert (v.stenotic, v.k_lexicographic, v.stabilized_full, v.unstabilized) == (
         True,
         True,
@@ -60,7 +55,7 @@ def test_fullness_m8():
 
 
 def test_fullness_m0_finite_alpha():
-    v = decide_fullness(spec_mn(0, 2))
+    v = decide_fullness(*invariant_of(spec_mn(0, 2)))
     assert (v.stenotic, v.k_lexicographic, v.stabilized_full, v.unstabilized) == (
         True,
         False,
@@ -70,7 +65,7 @@ def test_fullness_m0_finite_alpha():
 
 
 def test_fullness_m0_divergent_alpha():
-    v = decide_fullness(validate_family(0, [1], doubling_tail(1)))
+    v = decide_fullness(*invariant_of(validate_family(0, [1], doubling_tail(1))))
     assert (v.k_lexicographic, v.stabilized_full, v.unstabilized) == (True, True, FULL)
 
 

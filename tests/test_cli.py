@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -196,3 +198,106 @@ def test_text_and_json_carry_same_values(capsys):
     _, text, _ = run(capsys, "invariant", "--m", "0", "--n", "1,1")
     assert "alpha=3/4" in text
     assert "alpha-cone(3/4)" in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--spec", '{"m": 8, "n": "13"}'),
+        ("invariant", "--spec", '{"m": 8, "n": [1.7]}'),
+        ("invariant", "--spec", '{"m": 8, "n": [true]}'),
+        ("invariant", "--spec", '{"m": 8.0, "n": [1]}'),
+        ("invariant", "--spec", '{"m": "08x", "n": [1]}'),
+        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": 2.5}}'),
+        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": "zero"}'),
+        ("invariant", "--spec", '{"m": 8, "n": [1], "junk": 3}'),
+        ("invariant", "--spec", "[1,2]"),
+        ("fullness", "--spec", '"m=8,n=1"'),
+        ("compare", "--a", '{"m": 8, "n": [" 1"]}', "--b", "m=8,n=1", "--mode", "exact"),
+        ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
+        ("compare", "--a", "m=8,m=9,n=3", "--b", "m=9,n=3", "--mode", "exact"),
+        ("compare", "--a", "[1,2]", "--b", "m=8,n=1", "--mode", "exact"),
+    ],
+)
+def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error") and "Traceback" not in err
+
+
+def test_scan_text_columns_stay_apart_past_m_100(capsys):
+    code, out, _ = run(capsys, "scan", "--max-m", "120")
+    assert code == 0
+    _, data, _ = run_json(capsys, "scan", "--max-m", "120")
+    lines = out.splitlines()
+    start = lines.index("m  exact-classes  stable-classes") + 1
+    rows = data["verdict"]["table"]
+    assert len(rows) == 119
+    for line, row in zip(lines[start:], rows):
+        assert line.split()[:3] == [row["m"], row["exactClasses"], row["stableClasses"]]
+
+
+def test_closed_reader_pipe_is_not_an_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oneideal", "scan", "--max-m", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # before the command writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def _smith_forms(capsys, monkeypatch, *argv):
+    import oneideal.ktheory
+
+    calls = []
+    cokernel_invariants = oneideal.ktheory.cokernel_invariants
+
+    def counted(matrix):
+        calls.append(matrix)
+        return cokernel_invariants(matrix)
+
+    monkeypatch.setattr(oneideal.ktheory, "cokernel_invariants", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("invariant", "--m", "9", "--n", "1,0,3"), 1),
+        (("invariant", "--m", "9", "--n", "1", "--format", "json"), 1),
+        (("fullness", "--m", "9", "--n", "1,0,3"), 0),
+        (("invariant", "--m", "0", "--n", "2"), 0),
+        (("invariant", "--m", "inf", "--n", "2"), 0),
+        (("fullness", "--m", "0", "--n", "2"), 0),
+        (("fullness", "--m", "inf", "--n", "2"), 0),
+        (("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"), 0),
+        (("scan", "--max-m", "12"), 0),
+    ],
+)
+def test_smith_forms_per_command(capsys, monkeypatch, argv, expected):
+    assert _smith_forms(capsys, monkeypatch, *argv) == expected
+
+
+def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):
+    import oneideal.ktheory
+
+    monkeypatch.setattr(oneideal.ktheory, "torsion_order", lambda spec: 4)
+    code, out, err = run(capsys, "invariant", "--m", "9", "--n", "1")
+    assert code == 3
+    assert out == ""
+    assert "[InternalConsistency]" in err
+
+
+def test_truncation_below_the_stable_depth_is_not_checked(capsys):
+    # m = 9, k = 1: the stable depth is 5, and depth 3 still shows Z/4 < Z/8
+    code, out, _ = run(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "3")
+    assert code == 0
+    assert "x=8" in out
+    assert "truncation oracle: depth=3 free rank=1 torsion=[4]" in out

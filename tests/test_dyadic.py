@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oneideal import Dyadic, odd_part, two_adic_valuation
-from oneideal.dyadic import dyadic_strictly_between
+from oracles import dyadic_strictly_between
 
 dyadics = st.builds(
     Dyadic,

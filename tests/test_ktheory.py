@@ -13,13 +13,13 @@ from oneideal import (
     invariant_of,
     stable_oracle_depth,
     torsion_order,
-    torsion_order_formula,
     torsion_range,
     truncated_k0,
     validate_family,
     weight_of,
 )
 from oneideal.groups import ALL_POSITIVE, ALPHA_CONE
+from oracles import truncation_torsion_order
 
 
 def test_torsion_order_anchors():
@@ -79,7 +79,7 @@ def test_torsion_matches_formula_and_range_randomized():
             continue
         x = torsion_order(spec)
         assert x in torsion_range(m)
-        assert x == torsion_order_formula(spec)
+        assert x == truncation_torsion_order(spec)
 
 
 def test_stable_oracle_depth_bound():

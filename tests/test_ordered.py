@@ -19,7 +19,6 @@ from oneideal import (
     cyclic_mod,
     dyadic_line,
     dyadic_plus_free,
-    find_order_isomorphism,
     free_z,
     invariant_of,
     is_k_lexicographic,
@@ -32,6 +31,7 @@ from oneideal import (
     doubling_tail,
 )
 from oneideal.groups import LEXICOGRAPHIC_CONE
+from oracles import find_order_isomorphism
 
 
 def alpha_pg(a):
