@@ -9,18 +9,19 @@ it.
 Isomorphism within a fixed finite loop count m is governed by congruences on
 the weight N modulo m-1: exact isomorphism is a shared value in the
 multiplicative two-power orbits, stable isomorphism additionally allows a
-unit factor.  The stable verdict is always computed twice (orbit/unit
-enumeration, and gcd against the largest odd factor of m-1) and the two
-routes must agree.
+unit factor.  Witnesses and class counts come from number theory, never
+from enumerating all residues or units modulo m-1; each stable verdict is
+checked against the gcd with the largest odd factor of m-1, and each stable
+witness by re-substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm, prod
 
-from .dyadic import is_infinite, odd_part
+from .dyadic import is_infinite, odd_part, two_adic_valuation
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
 from .groups import ALL_POSITIVE
@@ -137,7 +138,8 @@ def two_power_residues(modulus: int, n: int) -> set[int]:
 
 
 def units_mod(modulus: int) -> list[int]:
-    """Invertible residues, ascending (for modulus 1 this is [1] ~ [0])."""
+    """Invertible residues, ascending (for modulus 1 this is [1] ~ [0]);
+    only the enumerating test oracles use this and :func:`_unit_multiples`."""
     return [u for u in range(1, modulus + 1) if gcd(u, modulus) == 1]
 
 
@@ -147,39 +149,45 @@ def _unit_multiples(modulus: int, r: int) -> frozenset[int]:
 
 
 def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
-    """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b."""
-    cycle_a = residue_cycle(modulus, n_a)
-    cycle_b = residue_cycle(modulus, n_b)
-    for total in range(len(cycle_a) + len(cycle_b) - 1):
-        for la in range(min(total, len(cycle_a) - 1) + 1):
-            lb = total - la
-            if lb >= len(cycle_b):
-                continue
-            if cycle_a[la] == cycle_b[lb]:
-                return IsoWitness(l=la, l_prime=lb, unit=1)
-    return None
+    """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b,
+    by one walk along the orbit of n_a against an index of the orbit of n_b."""
+    index = {r: lb for lb, r in enumerate(residue_cycle(modulus, n_b))}
+    meets = [(la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index]
+    if not meets:
+        return None
+    total, la = min(meets)
+    return IsoWitness(l=la, l_prime=total - la, unit=1)
 
 
 def stable_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
-    """Smallest witness (l, l', u) with u a unit and 2^l n_a == u 2^l' n_b."""
-    cycle_a = residue_cycle(modulus, n_a)
-    cycle_b = residue_cycle(modulus, n_b)
-    for total in range(len(cycle_a) + len(cycle_b) - 1):
-        for la in range(min(total, len(cycle_a) - 1) + 1):
-            lb = total - la
-            if lb >= len(cycle_b):
-                continue
-            ra, rb = cycle_a[la], cycle_b[lb]
-            if ra in _unit_multiples(modulus, rb):
-                for u in units_mod(modulus):
-                    if (u * rb - ra) % modulus == 0:
-                        return IsoWitness(l=la, l_prime=lb, unit=u)
-    return None
+    """Smallest witness (l, l', u) with u a unit and 2^l n_a == u 2^l' n_b.
+
+    Up to units, doubling only raises the two-adic valuation of a residue,
+    capped at v = v2(modulus), so the cheapest exponents align the capped
+    valuations.  Then r_a = u r_b for a unit u iff r_a and r_b have the same
+    gcd g with the modulus; the solutions u are one class modulo modulus/g,
+    and the witness is its smallest unit.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    v = two_adic_valuation(modulus)
+    alpha, beta = (min(v, two_adic_valuation(n % modulus or modulus)) for n in (n_a, n_b))
+    l, l_prime = max(0, beta - alpha), max(0, alpha - beta)
+    r_a, r_b = (n_a << l) % modulus, (n_b << l_prime) % modulus
+    g = gcd(r_b, modulus)
+    if gcd(r_a, modulus) != g:
+        return None
+    step = modulus // g
+    u = (r_a // g) * pow(r_b // g, -1, step) % step or step
+    while gcd(u, modulus) != 1:
+        u += step
+    return IsoWitness(l=l, l_prime=l_prime, unit=u)
 
 
 def witness_holds(modulus: int, n_a: int, n_b: int, w: IsoWitness) -> bool:
-    """Re-substitution check of a witness congruence."""
-    return ((1 << w.l) * n_a - w.unit * (1 << w.l_prime) * n_b) % modulus == 0
+    """Re-substitution check: u is a unit and 2^l n_a == u 2^l' n_b mod modulus."""
+    unit = gcd(w.unit, modulus) == 1
+    return unit and ((1 << w.l) * n_a - w.unit * (1 << w.l_prime) * n_b) % modulus == 0
 
 
 def stable_gcd_equivalent(modulus: int, n_a: int, n_b: int) -> bool:
@@ -189,16 +197,17 @@ def stable_gcd_equivalent(modulus: int, n_a: int, n_b: int) -> bool:
 
 
 def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> tuple[bool, IsoWitness | None]:
-    """Stable equivalence, decided by enumeration and cross-checked by gcd."""
+    """Stable equivalence by the constructed witness, cross-checked by the
+    gcd route and by re-substituting the witness."""
     witness = stable_orbit_witness(modulus, n_a, n_b)
-    by_enumeration = witness is not None
     by_gcd = stable_gcd_equivalent(modulus, n_a, n_b)
-    if by_enumeration != by_gcd:
+    holds = witness is None or witness_holds(modulus, n_a, n_b, witness)
+    if (witness is not None) != by_gcd or not holds:
         raise InternalConsistencyError(
             f"stable-isomorphism routes disagree at modulus {modulus}, "
-            f"weights {n_a}, {n_b}: enumeration {by_enumeration}, gcd {by_gcd}"
+            f"weights {n_a}, {n_b}: witness {witness}, gcd {by_gcd}"
         )
-    return by_enumeration, witness
+    return by_gcd, witness
 
 
 # --------------------------------------------------------------------------
@@ -243,50 +252,43 @@ def stable_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
 # whole-modulus class structure
 
 
-def _union_find_classes(modulus: int, with_units: bool) -> list[int]:
-    parent = list(range(modulus))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    units = units_mod(modulus) if with_units else ()
-    for n in range(modulus):
-        union(n, (2 * n) % modulus)
-        for u in units:
-            union(n, (u * n) % modulus)
-    return [find(n) for n in range(modulus)]
-
-
-def exact_class_partition(modulus: int) -> list[int]:
-    """Class representative per weight in [0, modulus): exact isomorphism.
-
-    Two weights are exactly isomorphic iff their forward two-power orbits
-    meet, which is the weak connectivity of n -> 2n on Z/modulus.
-    """
-    return _union_find_classes(modulus, with_units=False)
-
-
-def stable_class_partition(modulus: int) -> list[int]:
-    """Class representative per weight in [0, modulus): stable isomorphism
-    by honest unit-and-doubling enumeration (no gcd shortcut)."""
-    return _union_find_classes(modulus, with_units=True)
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of n >= 1 by trial division."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def class_counts(m: int) -> tuple[int, int]:
     """(number of exact classes, number of stable classes) of weights
-    [0, m-2] at loop count m."""
-    modulus = m - 1
-    exact = len(set(exact_class_partition(modulus)))
-    stable = len(set(stable_class_partition(modulus)))
-    return exact, stable
+    [0, m-2] at loop count m.
+
+    With M the odd part of m-1, stable classes are the d(M) values of
+    gcd(N, M).  Each exact class (weak component of n -> 2n) holds one
+    cycle of doubling on the multiples of 2^v2(m-1), a copy of Z/M, so they
+    are the cyclotomic cosets of 2 mod M: sum over d | M of phi(d)/ord_d(2).
+    """
+    divisors: list[dict[int, int]] = [{}]
+    for p, e in _factorize(odd_part(m - 1)).items():
+        divisors = [{**f, p: k} if k else f for f in divisors for k in range(e + 1)]
+    exact = 0
+    for f in divisors:
+        d = prod(p**k for p, k in f.items())
+        parts = [p ** (k - 1) * (p - 1) for p, k in f.items()]
+        # ord_d(2) divides Carmichael's lambda(d); strip the primes 2 does not need
+        order = lcm(*parts)
+        for q in _factorize(order):
+            while order % q == 0 and pow(2, order // q, d) == 1:
+                order //= q
+        exact += prod(parts) // order
+    return exact, len(divisors)
 
 
 def divergence_table(limit_m: int) -> list[tuple[int, int, int]]:

@@ -29,13 +29,18 @@ from .errors import (
 )
 from .family import FamilySpec, TailSpec, validate_family
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
-from .report import Report, ScanResult, spec_from_json
+from .report import Report, ScanResult, spec_from_json, strict_int
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"repeated key in JSON object with keys {keys}")
+    return dict(pairs)
 
 
 def _parse_m(text: str):
-    if text.strip().lower() == "inf":
-        return INF
-    return int(text)
+    return INF if text == "inf" else strict_int(text, "m")
 
 
 def _parse_tail(text: str) -> TailSpec:
@@ -48,20 +53,19 @@ def _parse_tail(text: str) -> TailSpec:
     if kind in ("constant", "doubling"):
         if not c:
             raise ValueError(f"{kind} tail needs a parameter, e.g. {kind}:2")
-        return TailSpec(kind, int(c))
+        return TailSpec(kind, strict_int(c, "tail c"))
     raise ValueError(f"unknown tail {text!r} (want zero, constant:<c> or doubling:<c>)")
 
 
 def _parse_n(text: str) -> tuple[int, ...]:
-    text = text.strip()
     if not text:
         return ()
-    return tuple(int(part) for part in text.split(","))
+    return tuple(strict_int(part, "each entry of n") for part in text.split(","))
 
 
 def _spec_from_flags(args) -> FamilySpec:
     if args.spec is not None:
-        return spec_from_json(json.loads(args.spec))
+        return spec_from_json(json.loads(args.spec, object_pairs_hook=_unique_keys))
     if args.m is None or args.n is None:
         raise ValueError("provide --m and --n (or --spec with a JSON object)")
     return validate_family(_parse_m(args.m), _parse_n(args.n), _parse_tail(args.tail))
@@ -71,7 +75,7 @@ def _spec_from_compact(text: str) -> FamilySpec:
     """Parse ``m=8,n=[1,0,3],tail=constant:2`` (or a JSON object)."""
     text = text.strip()
     if text.startswith("{"):
-        return spec_from_json(json.loads(text))
+        return spec_from_json(json.loads(text, object_pairs_hook=_unique_keys))
     fields: dict[str, str] = {}
     rest = text
     while rest:
@@ -84,7 +88,9 @@ def _spec_from_compact(text: str) -> FamilySpec:
         if key in fields:
             raise ValueError(f"key {key!r} repeated in spec {text!r}")
         if rest.startswith("["):
-            value, _, rest = rest[1:].partition("]")
+            value, closed, rest = rest[1:].partition("]")
+            if not closed:
+                raise ValueError(f"unclosed '[' in spec {text!r}")
             rest = rest.lstrip(",")
         else:
             value, _, rest = rest.partition(",")
@@ -149,14 +155,15 @@ def _cmd_compare(args) -> Report:
 
 
 def _cmd_scan(args) -> Report:
-    if args.max_m < 2:
+    max_m = strict_int(args.max_m, "--max-m")
+    if max_m < 2:
         raise ValueError("--max-m must be at least 2")
-    table = tuple(classify.divergence_table(args.max_m))
+    table = tuple(classify.divergence_table(max_m))
     smallest = next((m for m, e, s in table if e != s), None)
     return Report(
         command="scan",
         scan=ScanResult(smallest_divergent_m=smallest, table=table),
-        scan_limit=args.max_m,
+        scan_limit=max_m,
     )
 
 
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_scan = sub.add_parser("scan", help="tabulate class counts and find divergence")
-    p_scan.add_argument("--max-m", type=int, required=True)
+    p_scan.add_argument("--max-m", required=True)
     p_scan.set_defaults(func=_cmd_scan)
 
     for p in (p_inv, p_full, p_cmp, p_scan):

@@ -64,7 +64,7 @@ def spec_to_json(spec: FamilySpec) -> dict:
     return {"m": _m_str(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
 
 
-def _json_int(v, what: str) -> int:
+def strict_int(v, what: str) -> int:
     """A JSON integer (not a bool) or a string of decimal digits."""
     if isinstance(v, int) and not isinstance(v, bool):
         return v
@@ -88,13 +88,13 @@ def spec_from_json(d) -> FamilySpec:
     d = _json_object(d, "family spec", {"m", "n", "tail"})
     if "m" not in d or "n" not in d:
         raise ValueError("family spec needs at least m and n")
-    m = INF if d["m"] == "inf" else _json_int(d["m"], "m")
+    m = INF if d["m"] == "inf" else strict_int(d["m"], "m")
     if not isinstance(d["n"], list):
         raise ValueError(f"n must be a JSON list, got {d['n']!r}")
-    prefix = tuple(_json_int(n, "each entry of n") for n in d["n"])
+    prefix = tuple(strict_int(n, "each entry of n") for n in d["n"])
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind", "c"})
     c = tail_d.get("c")
-    tail = TailSpec(tail_d.get("kind"), None if c is None else _json_int(c, "tail c"))
+    tail = TailSpec(tail_d.get("kind"), None if c is None else strict_int(c, "tail c"))
     return FamilySpec(m, prefix, tail)
 
 

@@ -6,6 +6,11 @@ more literal route, a quantity the library computes in closed form.
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
+* :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
+  minimal witnesses by a pair scan over both two-power orbits (and, for the
+  stable one, over every unit);
+* :func:`exact_class_partition`, :func:`stable_class_partition` - class
+  representatives by union-find over every residue (and every unit);
 * :func:`stable_gcd_partition`, :func:`partitions_agree`,
   :func:`stable_partition_disagreements` - whole-modulus comparison of the
   unit-enumeration and gcd stable partitions;
@@ -19,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from oneideal import Dyadic, FamilySpec, InternalConsistencyError, is_infinite, odd_part
-from oneideal.classify import stable_class_partition
+from oneideal.classify import IsoWitness, _unit_multiples, residue_cycle, units_mod
 from oneideal.dyadic import ExtendedRational
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
@@ -122,6 +127,79 @@ def find_order_isomorphism(
             if _candidate_consistent(a, b, k, shift, precision):
                 return k, shift
     return None
+
+
+# --------------------------------------------------------------------------
+# congruence layer by enumeration: pair scans over both orbits, union-find
+# over every residue (and every unit)
+
+
+def enumerated_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
+    """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b."""
+    cycle_a = residue_cycle(modulus, n_a)
+    cycle_b = residue_cycle(modulus, n_b)
+    for total in range(len(cycle_a) + len(cycle_b) - 1):
+        for la in range(min(total, len(cycle_a) - 1) + 1):
+            lb = total - la
+            if lb >= len(cycle_b):
+                continue
+            if cycle_a[la] == cycle_b[lb]:
+                return IsoWitness(l=la, l_prime=lb, unit=1)
+    return None
+
+
+def enumerated_stable_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
+    """Smallest witness (l, l', u) with u a unit and 2^l n_a == u 2^l' n_b."""
+    cycle_a = residue_cycle(modulus, n_a)
+    cycle_b = residue_cycle(modulus, n_b)
+    for total in range(len(cycle_a) + len(cycle_b) - 1):
+        for la in range(min(total, len(cycle_a) - 1) + 1):
+            lb = total - la
+            if lb >= len(cycle_b):
+                continue
+            ra, rb = cycle_a[la], cycle_b[lb]
+            if ra in _unit_multiples(modulus, rb):
+                for u in units_mod(modulus):
+                    if (u * rb - ra) % modulus == 0:
+                        return IsoWitness(l=la, l_prime=lb, unit=u)
+    return None
+
+
+def _union_find_classes(modulus: int, with_units: bool) -> list[int]:
+    parent = list(range(modulus))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    units = units_mod(modulus) if with_units else ()
+    for n in range(modulus):
+        union(n, (2 * n) % modulus)
+        for u in units:
+            union(n, (u * n) % modulus)
+    return [find(n) for n in range(modulus)]
+
+
+def exact_class_partition(modulus: int) -> list[int]:
+    """Class representative per weight in [0, modulus): exact isomorphism.
+
+    Two weights are exactly isomorphic iff their forward two-power orbits
+    meet, which is the weak connectivity of n -> 2n on Z/modulus.
+    """
+    return _union_find_classes(modulus, with_units=False)
+
+
+def stable_class_partition(modulus: int) -> list[int]:
+    """Class representative per weight in [0, modulus): stable isomorphism
+    by honest unit-and-doubling enumeration (no gcd shortcut)."""
+    return _union_find_classes(modulus, with_units=True)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from oneideal import (
     FULL,
     INF,
     UNKNOWN,
+    InternalConsistencyError,
+    IsoWitness,
     OutOfScopeComparison,
     PreorderedGroup,
     alpha_cone,
@@ -25,13 +27,21 @@ from oneideal import (
     stable_gcd_equivalent,
     stable_iso,
     stable_orbit_equivalent,
+    stable_orbit_witness,
     torsion_order,
     two_power_residues,
     validate_family,
     witness_holds,
 )
-from oneideal.classify import exact_class_partition, stable_class_partition
-from oracles import partitions_agree, stable_gcd_partition, stable_partition_disagreements
+from oracles import (
+    enumerated_exact_witness,
+    enumerated_stable_witness,
+    exact_class_partition,
+    partitions_agree,
+    stable_class_partition,
+    stable_gcd_partition,
+    stable_partition_disagreements,
+)
 
 
 def spec_mn(m, n):
@@ -203,6 +213,43 @@ def test_divergence_and_class_counts():
     table = divergence_table(10)
     assert table[0] == (2, 1, 1)
     assert [row for row in table if row[0] == 8][0] == (8, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "route, oracle",
+    [
+        (exact_orbit_witness, enumerated_exact_witness),
+        (stable_orbit_witness, enumerated_stable_witness),
+    ],
+)
+def test_witnesses_match_the_enumerated_oracles(route, oracle):
+    for modulus in range(1, 130):
+        weights = range(modulus + 3)
+        for a in weights:
+            for b in weights:
+                assert route(modulus, a, b) == oracle(modulus, a, b), (modulus, a, b)
+
+
+def test_class_counts_match_union_find():
+    for m in range(2, 300):
+        exact = len(set(exact_class_partition(m - 1)))
+        stable = len(set(stable_class_partition(m - 1)))
+        assert class_counts(m) == (exact, stable), m
+
+
+@pytest.mark.parametrize(
+    "modulus, n_a, n_b, bad",
+    [
+        (7, 1, 3, IsoWitness(0, 0, 3)),  # 1 != 3 * 3 mod 7
+        (6, 2, 2, IsoWitness(0, 0, 4)),  # 2 == 4 * 2 mod 6, but 4 is no unit
+    ],
+)
+def test_stable_witness_is_resubstituted(monkeypatch, modulus, n_a, n_b, bad):
+    import oneideal.classify
+
+    monkeypatch.setattr(oneideal.classify, "stable_orbit_witness", lambda *args: bad)
+    with pytest.raises(InternalConsistencyError):
+        stable_orbit_equivalent(modulus, n_a, n_b)
 
 
 def test_permanence_check():

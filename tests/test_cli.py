@@ -217,6 +217,18 @@ def test_text_and_json_carry_same_values(capsys):
         ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
         ("compare", "--a", "m=8,m=9,n=3", "--b", "m=9,n=3", "--mode", "exact"),
         ("compare", "--a", "[1,2]", "--b", "m=8,n=1", "--mode", "exact"),
+        ("invariant", "--spec", '{"m": 8, "m": 9, "n": [1]}'),
+        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "zero", "kind": "zero"}}'),
+        ("compare", "--a", '{"m": 8, "n": [1], "n": [2]}', "--b", "m=8,n=1", "--mode", "exact"),
+        ("invariant", "--m", "8", "--n", " +1,1_0"),
+        ("invariant", "--m", "8", "--n", "1, 2"),
+        ("invariant", "--m", "+8", "--n", "1"),
+        ("invariant", "--m", " inf", "--n", "1"),
+        ("invariant", "--m", "0", "--n", "1", "--tail", "constant:1_0"),
+        ("compare", "--a", "m=8,n=1_0", "--b", "m=8,n=1", "--mode", "exact"),
+        ("scan", "--max-m", "1_0"),
+        ("scan", "--max-m", " 10"),
+        ("compare", "--a", "m=8,n=[1,2", "--b", "m=8,n=1", "--mode", "exact"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
@@ -224,6 +236,27 @@ def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error") and "Traceback" not in err
+
+
+def test_congruence_routes_enumerate_no_units(capsys, monkeypatch):
+    from oneideal import classify
+
+    def refuse(*args):
+        raise AssertionError("the congruence layer enumerated the units")
+
+    monkeypatch.setattr(classify, "units_mod", refuse)
+    monkeypatch.setattr(classify, "_unit_multiples", refuse)
+    # m - 1 = 262143 = 3^3 * 7 * 19 * 73
+    for n_b, isomorphic in (("5", True), ("3", False)):
+        code, data, _ = run_json(
+            capsys, "compare", "--a", "m=262144,n=1", "--b", f"m=262144,n={n_b}", "--mode", "stable"
+        )
+        assert code == 0
+        assert data["verdict"]["isomorphic"] is isomorphic
+    code, data, _ = run_json(capsys, "scan", "--max-m", "400")
+    assert code == 0
+    assert data["verdict"]["smallestDivergentM"] == "8"
+    assert len(data["verdict"]["table"]) == 399
 
 
 def test_scan_text_columns_stay_apart_past_m_100(capsys):
