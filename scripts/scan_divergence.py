@@ -8,19 +8,23 @@ reports the smallest divergent m.
 
 import argparse
 
-from oneideal import divergence_table, smallest_divergence
+from oneideal import divergence_table
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-m", type=int, default=40)
     args = parser.parse_args()
+    if args.max_m < 2:
+        parser.error("--max-m must be at least 2")
 
+    rows = divergence_table(args.max_m)
     print(f"{'m':>4}  {'exact':>6}  {'stable':>6}")
-    for m, exact, stable in divergence_table(args.max_m):
+    for m, exact, stable in rows:
         mark = "  <-- diverges" if exact != stable else ""
         print(f"{m:>4}  {exact:>6}  {stable:>6}{mark}")
-    print(f"\nsmallest divergent m: {smallest_divergence(args.max_m)}")
+    smallest = next((m for m, exact, stable in rows if exact != stable), None)
+    print(f"\nsmallest divergent m: {smallest}")
 
 
 if __name__ == "__main__":

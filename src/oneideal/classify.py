@@ -10,7 +10,8 @@ Isomorphism within a fixed finite loop count m is governed by congruences on
 the weight N modulo m-1: exact isomorphism is a shared value in the
 multiplicative two-power orbits, stable isomorphism additionally allows a
 unit factor.  Witnesses and class counts come from number theory, never
-from enumerating all residues or units modulo m-1; each stable verdict is
+from enumerating all residues or units modulo m-1; the orbit walk and the
+factorisation they use live in :mod:`.dyadic`.  Each stable verdict is
 checked against the gcd with the largest odd factor of m-1, and each stable
 witness by re-substitution.
 """
@@ -21,11 +22,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .dyadic import is_infinite, odd_part, two_adic_valuation
+from .dyadic import factorize, is_infinite, odd_part, residue_cycle, two_adic_valuation
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
 from .groups import ALL_POSITIVE
-from .ktheory import DerivedScalars, SixTermInvariant, invariant_of
+# unused here, but perfbench resolves invariant_of in this module to trace it
+from .ktheory import DerivedScalars, SixTermInvariant, invariant_of  # noqa: F401
 from .ordered import is_k_lexicographic
 
 FULL = "Full"
@@ -56,17 +58,6 @@ class IsoVerdict:
     reason: str | None = None
 
 
-def is_stenotic(spec: FamilySpec) -> bool:
-    """Every ideal comparable with the distinguished one.
-
-    The family has a single nontrivial ideal, so the ideal lattice is linear
-    and the extension is stenotic for every member; a validated spec is all
-    that is required.
-    """
-    assert isinstance(spec, FamilySpec)
-    return True
-
-
 def decide_fullness(invariant: SixTermInvariant, scalars: DerivedScalars) -> FullnessVerdict:
     """Fullness verdicts for the stabilized and unstabilized extensions,
     from the member's invariant and scalars (as :func:`invariant_of` returns
@@ -78,7 +69,8 @@ def decide_fullness(invariant: SixTermInvariant, scalars: DerivedScalars) -> Ful
     divergent alpha (the ideal is then stable, so the two notions coincide).
     For m = 0 with finite alpha the ideal is not stable and the even
     K-theory cannot decide the unstabilized question, so it is reported
-    unknown rather than guessed.
+    unknown rather than guessed.  Every member is stenotic: the family has a
+    single nontrivial ideal, so its ideal lattice is linear.
     """
     k_lex = is_k_lexicographic(invariant)
     if invariant.case_tag != "AF-AF":
@@ -111,30 +103,6 @@ def permanence_check(candidate: SixTermInvariant) -> bool:
 
 # --------------------------------------------------------------------------
 # congruence layer: two-power orbits and unit orbits modulo m-1
-
-
-def residue_cycle(modulus: int, n: int) -> list[int]:
-    """First occurrences of 2^l * n mod modulus, for l = 0, 1, ... in order.
-
-    The sequence is eventually periodic (pre-period at most v2(modulus),
-    period the multiplicative order of 2 modulo the odd part), so collecting
-    until the first repeat enumerates the whole orbit.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    out: list[int] = []
-    seen: set[int] = set()
-    r = n % modulus
-    while r not in seen:
-        out.append(r)
-        seen.add(r)
-        r = (2 * r) % modulus
-    return out
-
-
-def two_power_residues(modulus: int, n: int) -> set[int]:
-    """The set {2^l * n mod modulus : l >= 0}."""
-    return set(residue_cycle(modulus, n))
 
 
 def units_mod(modulus: int) -> list[int]:
@@ -215,12 +183,8 @@ def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> tuple[bool, Iso
 
 
 def _comparable_weights(a: FamilySpec, b: FamilySpec) -> tuple[int, int, int] | IsoVerdict:
-    for spec in (a, b):
-        if not spec.has_finite_loops:
-            raise OutOfScopeComparison(
-                "isomorphism comparison is defined for 1 < m < infinity only",
-                invariants=(invariant_of(a), invariant_of(b)),
-            )
+    if not (a.has_finite_loops and b.has_finite_loops):
+        raise OutOfScopeComparison("isomorphism comparison is defined for 1 < m < infinity only")
     if a.m != b.m:
         return IsoVerdict(isomorphic=False, reason="m mismatch")
     _, n_a = weight_of(a)
@@ -252,20 +216,6 @@ def stable_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
 # whole-modulus class structure
 
 
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of n >= 1 by trial division."""
-    factors: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
 def class_counts(m: int) -> tuple[int, int]:
     """(number of exact classes, number of stable classes) of weights
     [0, m-2] at loop count m.
@@ -276,7 +226,7 @@ def class_counts(m: int) -> tuple[int, int]:
     are the cyclotomic cosets of 2 mod M: sum over d | M of phi(d)/ord_d(2).
     """
     divisors: list[dict[int, int]] = [{}]
-    for p, e in _factorize(odd_part(m - 1)).items():
+    for p, e in factorize(odd_part(m - 1)).items():
         divisors = [{**f, p: k} if k else f for f in divisors for k in range(e + 1)]
     exact = 0
     for f in divisors:
@@ -284,7 +234,7 @@ def class_counts(m: int) -> tuple[int, int]:
         parts = [p ** (k - 1) * (p - 1) for p, k in f.items()]
         # ord_d(2) divides Carmichael's lambda(d); strip the primes 2 does not need
         order = lcm(*parts)
-        for q in _factorize(order):
+        for q in factorize(order):
             while order % q == 0 and pow(2, order // q, d) == 1:
                 order //= q
         exact += prod(parts) // order

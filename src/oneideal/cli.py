@@ -107,9 +107,9 @@ def _cmd_invariant(args) -> Report:
     truncation = None
     if spec.has_finite_loops:
         stable_depth = stable_oracle_depth(spec)
-        depth = args.depth if args.depth is not None else max(
-            len(spec.prefix) + 3, stable_depth
-        )
+        depth = max(len(spec.prefix) + 3, stable_depth)
+        if args.depth is not None:
+            depth = strict_int(args.depth, "--depth")
         free_rank, torsion = truncated_k0(spec, depth)
         truncation = (depth, free_rank, tuple(torsion))
         # past saturation the truncation is an independent check on x
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariant", help="compute the six-term invariant")
     _add_spec_flags(p_inv)
-    p_inv.add_argument("--depth", type=int, help="truncation oracle depth override")
+    p_inv.add_argument("--depth", help="truncation oracle depth override")
     p_inv.set_defaults(func=_cmd_invariant)
 
     p_full = sub.add_parser("fullness", help="decide fullness of the extension")

@@ -36,15 +36,7 @@ class NotDeterminedError(OneIdealError):
 
 
 class OutOfScopeComparison(OneIdealError):
-    """Isomorphism comparison requested outside the finite-loop regime.
-
-    Carries the computed invariants of both inputs so callers can still
-    report them.
-    """
-
-    def __init__(self, message: str, invariants=None):
-        super().__init__(message)
-        self.invariants = invariants
+    """Isomorphism comparison requested outside the finite-loop regime."""
 
 
 class InternalConsistencyError(OneIdealError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Dyadic, ExtendedRational, is_infinite
+from .dyadic import Dyadic, ExtendedRational, format_extended, is_infinite
 from .errors import ConeShapeError
 
 # --------------------------------------------------------------------------
@@ -156,8 +156,7 @@ class ConeDescriptor:
         if self.tag == ALL_POSITIVE:
             return "all-positive (full class)" if self.with_full_class else "all-positive"
         if self.tag == ALPHA_CONE:
-            a = "inf" if is_infinite(self.alpha) else str(Fraction(self.alpha))
-            return f"alpha-cone({a})"
+            return f"alpha-cone({format_extended(self.alpha)})"
         if self.tag == STANDARD_DYADIC_CONE:
             return "standard dyadic cone"
         if self.tag == STANDARD_INTEGER_CONE:

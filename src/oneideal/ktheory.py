@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .dyadic import ExtendedRational, is_infinite, odd_part, two_adic_valuation
+from .dyadic import ExtendedRational, factorize, is_infinite, odd_part, two_adic_valuation
 from .errors import RegimeError
 from .exactlinalg import cokernel_invariants
 from .family import FamilySpec, alpha_of, truncated_presentation, weight_of
@@ -126,11 +126,10 @@ def torsion_range(m: int) -> set[int]:
     the exact two-part of m-1 times any divisor of its odd part."""
     if is_infinite(m) or m < 2:
         raise RegimeError("torsion range requires 1 < m < infinity")
-    b = m - 1
-    two_part = 1 << two_adic_valuation(b)
-    m_odd = odd_part(b)
-    divisors = {d for d in range(1, m_odd + 1) if m_odd % d == 0}
-    return {two_part * d for d in divisors}
+    values = [1 << two_adic_valuation(m - 1)]
+    for p, e in factorize(odd_part(m - 1)).items():
+        values = [v * p**k for v in values for k in range(e + 1)]
+    return set(values)
 
 
 def invariant_of(spec: FamilySpec) -> tuple[SixTermInvariant, DerivedScalars]:

@@ -11,14 +11,15 @@ matching infinity).  Every isomorphism of the underlying group restricts to
 x -> 2^k x on the divisible summand (the free quotient admits no nonzero map
 from it) and so has the triangular shape (x, n) -> (2^k x + b n, n) once cone
 preservation fixes the signs; the test suite searches that family directly
-as an independent check on the criterion.
+as an independent check on the criterion.  Its power-of-two condition is
+decided by :func:`.dyadic.residue_cycle`, the exact witness's orbit walk.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import ExtendedRational, is_infinite, odd_part
+from .dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
 from .errors import ConeShapeError, NotDeterminedError, UnsupportedConeCombination
 from .groups import (
     ALL_POSITIVE,
@@ -156,8 +157,9 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
 
     Concretely: write each parameter with reduced denominator 2^s * M0 (M0
     odd); the odd parts must agree, and the numerators must differ by a
-    power of two modulo M0.  Cost is the multiplicative order of 2 modulo
-    M0, fine for desk-scale denominators.
+    power of two modulo M0 (always so when M0 = 1, both being dyadic).  Cost
+    is the multiplicative order of 2 modulo M0, fine for desk-scale
+    denominators.
     """
     if is_infinite(a) or is_infinite(b):
         return is_infinite(a) and is_infinite(b)
@@ -165,14 +167,4 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
     m0 = odd_part(fa.denominator)
     if m0 != odd_part(fb.denominator):
         return False
-    if m0 == 1:
-        return True  # both dyadic; translation by a dyadic matches them
-    target = fa.numerator % m0
-    r = fb.numerator % m0
-    seen = set()
-    while r not in seen:
-        if r == target:
-            return True
-        seen.add(r)
-        r = (2 * r) % m0
-    return False
+    return fa.numerator % m0 in residue_cycle(m0, fb.numerator)

@@ -4,7 +4,9 @@ Every integer in the JSON form is emitted as a decimal string so consumers
 without big-integer support cannot silently lose precision.  Rationals are
 emitted as "p/q" strings and infinity as "inf".  ``Report.from_json_dict``
 is the exact inverse of ``Report.to_json_dict``: parsing an emitted report
-re-yields the original values.
+re-yields the original values.  It is as strict as the input schema: every
+integer is read by :func:`strict_int`, and a rational only as "inf", "p" or
+"p/q" in decimal digits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness
-from .dyadic import INF, is_infinite
+from .dyadic import INF, format_extended
 from .family import FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
@@ -33,35 +35,28 @@ def _int_str(v: int | None) -> str | None:
     return None if v is None else str(v)
 
 
-def _parse_int(v: str | None) -> int | None:
-    return None if v is None else int(v)
+def _optional_int(v, what: str) -> int | None:
+    return None if v is None else strict_int(v, what)
 
 
-def _rational_str(v) -> str | None:
-    if v is None:
-        return None
-    if is_infinite(v):
-        return "inf"
-    return str(Fraction(v))
-
-
-def _parse_rational(v: str | None):
-    if v is None:
-        return None
+def _parse_rational(v, what: str):
+    """"inf", or "p" or "p/q" with p and q > 0 strings of decimal digits."""
     if v == "inf":
         return INF
-    return Fraction(v)
-
-
-def _m_str(m) -> str:
-    return "inf" if is_infinite(m) else str(m)
+    if not isinstance(v, str):
+        raise ValueError(f"{what} must be a string \"inf\", \"p\" or \"p/q\", got {v!r}")
+    p, slash, q = v.partition("/")
+    den = strict_int(q, what) if slash else 1
+    if den == 0:
+        raise ValueError(f"{what} has a zero denominator: {v!r}")
+    return Fraction(strict_int(p, what), den)
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
     tail: dict = {"kind": spec.tail.kind}
     if spec.tail.c is not None:
         tail["c"] = str(spec.tail.c)
-    return {"m": _m_str(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
+    return {"m": format_extended(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
 
 
 def strict_int(v, what: str) -> int:
@@ -103,7 +98,7 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
     if cone.tag == ALL_POSITIVE:
         out["withFullClass"] = cone.with_full_class
     elif cone.tag == ALPHA_CONE:
-        out["alpha"] = _rational_str(cone.alpha)
+        out["alpha"] = format_extended(cone.alpha)
     elif cone.tag == LEXICOGRAPHIC_CONE:
         out["parts"] = [_cone_to_json(p) for p in cone.parts]
     return out
@@ -114,7 +109,7 @@ def _cone_from_json(d: dict) -> ConeDescriptor:
     if tag == ALL_POSITIVE:
         return ConeDescriptor(tag, with_full_class=d["withFullClass"])
     if tag == ALPHA_CONE:
-        return ConeDescriptor(tag, alpha=_parse_rational(d["alpha"]))
+        return ConeDescriptor(tag, alpha=_parse_rational(d["alpha"], "cone alpha"))
     if tag == LEXICOGRAPHIC_CONE:
         return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in d["parts"]))
     return ConeDescriptor(tag)
@@ -132,8 +127,8 @@ def _group_to_json(group: GroupDescriptor) -> dict:
 def _group_from_json(d: dict) -> GroupDescriptor:
     return GroupDescriptor(
         d["tag"],
-        torsion_order=_parse_int(d.get("torsion")),
-        modulus=_parse_int(d.get("modulus")),
+        torsion_order=_optional_int(d.get("torsion"), "group torsion"),
+        modulus=_optional_int(d.get("modulus"), "group modulus"),
     )
 
 
@@ -167,7 +162,7 @@ def invariant_from_json(d: dict) -> SixTermInvariant:
 
 def scalars_to_json(s: DerivedScalars) -> dict:
     return {
-        "alpha": _rational_str(s.alpha),
+        "alpha": format_extended(s.alpha),
         "k": _int_str(s.k),
         "N": _int_str(s.n_weight),
         "x": _int_str(s.x),
@@ -177,11 +172,11 @@ def scalars_to_json(s: DerivedScalars) -> dict:
 
 def scalars_from_json(d: dict) -> DerivedScalars:
     return DerivedScalars(
-        alpha=_parse_rational(d["alpha"]),
-        k=_parse_int(d["k"]),
-        n_weight=_parse_int(d["N"]),
-        x=_parse_int(d["x"]),
-        m_odd=_parse_int(d["M"]),
+        alpha=_parse_rational(d["alpha"], "alpha"),
+        k=_optional_int(d["k"], "k"),
+        n_weight=_optional_int(d["N"], "N"),
+        x=_optional_int(d["x"], "x"),
+        m_odd=_optional_int(d["M"], "M"),
     )
 
 
@@ -266,7 +261,7 @@ class Report:
         scan_limit = None
         for entry in d["inputs"]:
             if "maxM" in entry:
-                scan_limit = int(entry["maxM"])
+                scan_limit = strict_int(entry["maxM"], "maxM")
             else:
                 specs.append(spec_from_json(entry))
         scalars = scalars_from_json(d["scalars"]) if d.get("scalars") else None
@@ -277,9 +272,9 @@ class Report:
             trunc = d["invariant"].get("truncation")
             if trunc:
                 truncation = (
-                    int(trunc["depth"]),
-                    int(trunc["freeRank"]),
-                    tuple(int(t) for t in trunc["torsion"]),
+                    strict_int(trunc["depth"], "truncation depth"),
+                    strict_int(trunc["freeRank"], "truncation free rank"),
+                    tuple(strict_int(t, "truncation torsion") for t in trunc["torsion"]),
                 )
         fullness = None
         comparison = None
@@ -298,7 +293,7 @@ class Report:
             witness = None
             if d.get("witness") is not None:
                 w = d["witness"]
-                witness = IsoWitness(l=int(w["l"]), l_prime=int(w["lPrime"]), unit=int(w["unit"]))
+                witness = IsoWitness(*(strict_int(w[k], k) for k in ("l", "lPrime", "unit")))
             comparison = IsoVerdict(
                 isomorphic=verdict["isomorphic"],
                 witness=witness,
@@ -306,9 +301,11 @@ class Report:
             )
         elif command == "scan" and verdict is not None:
             scan = ScanResult(
-                smallest_divergent_m=_parse_int(verdict["smallestDivergentM"]),
+                smallest_divergent_m=_optional_int(
+                    verdict["smallestDivergentM"], "smallestDivergentM"
+                ),
                 table=tuple(
-                    (int(r["m"]), int(r["exactClasses"]), int(r["stableClasses"]))
+                    tuple(strict_int(r[k], k) for k in ("m", "exactClasses", "stableClasses"))
                     for r in verdict["table"]
                 ),
             )
@@ -333,14 +330,14 @@ class Report:
         for spec in self.inputs:
             tail = spec.tail.kind if spec.tail.c is None else f"{spec.tail.kind}:{spec.tail.c}"
             n = ",".join(str(v) for v in spec.prefix)
-            lines.append(f"input: m={_m_str(spec.m)} n=[{n}] tail={tail}")
+            lines.append(f"input: m={format_extended(spec.m)} n=[{n}] tail={tail}")
         if self.scan_limit is not None:
             lines.append(f"input: max-m={self.scan_limit}")
         if self.scalars is not None:
             s = self.scalars
             lines.append(
                 "scalars: alpha={} k={} N={} x={} M={}".format(
-                    _rational_str(s.alpha), s.k, s.n_weight, s.x, s.m_odd
+                    format_extended(s.alpha), s.k, s.n_weight, s.x, s.m_odd
                 )
             )
         if self.invariant is not None:

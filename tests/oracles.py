@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd
 
 from oneideal import Dyadic, FamilySpec, InternalConsistencyError, is_infinite, odd_part
-from oneideal.classify import IsoWitness, _unit_multiples, residue_cycle, units_mod
-from oneideal.dyadic import ExtendedRational
+from oneideal.classify import IsoWitness, _unit_multiples, units_mod
+from oneideal.dyadic import ExtendedRational, residue_cycle
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from oneideal import (
     exact_iso,
     exact_orbit_witness,
     invariant_of,
-    is_stenotic,
     pad_prefix,
     permanence_check,
     smallest_divergence,
@@ -29,10 +28,10 @@ from oneideal import (
     stable_orbit_equivalent,
     stable_orbit_witness,
     torsion_order,
-    two_power_residues,
     validate_family,
     witness_holds,
 )
+from oneideal.dyadic import residue_cycle
 from oracles import (
     enumerated_exact_witness,
     enumerated_stable_witness,
@@ -46,12 +45,6 @@ from oracles import (
 
 def spec_mn(m, n):
     return validate_family(m, [n])
-
-
-def test_stenotic_always():
-    assert is_stenotic(spec_mn(8, 1))
-    assert is_stenotic(spec_mn(0, 2))
-    assert is_stenotic(validate_family(INF, [1]))
 
 
 def test_fullness_m8():
@@ -80,9 +73,9 @@ def test_fullness_m0_divergent_alpha():
 
 
 def test_two_power_residues_examples():
-    assert two_power_residues(7, 1) == {1, 2, 4}
-    assert two_power_residues(7, 3) == {3, 6, 5}
-    assert two_power_residues(1, 5) == {0}
+    assert set(residue_cycle(7, 1)) == {1, 2, 4}
+    assert set(residue_cycle(7, 3)) == {3, 6, 5}
+    assert set(residue_cycle(1, 5)) == {0}
 
 
 def test_exact_iso_examples():
@@ -117,9 +110,8 @@ def test_stable_iso_examples():
 
 
 def test_out_of_scope_regimes_raise():
-    with pytest.raises(OutOfScopeComparison) as err:
+    with pytest.raises(OutOfScopeComparison):
         exact_iso(spec_mn(0, 2), spec_mn(0, 2))
-    assert err.value.invariants is not None
     with pytest.raises(OutOfScopeComparison):
         stable_iso(validate_family(INF, [1]), validate_family(INF, [1]))
 

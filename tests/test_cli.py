@@ -167,6 +167,50 @@ def test_json_report_round_trips(capsys, argv):
     assert Report.from_json_dict(report.to_json_dict()) == report
 
 
+INVARIANT_M9 = ("invariant", "--m", "9", "--n", "1")
+INVARIANT_M0 = ("invariant", "--m", "0", "--n", "1,1")
+COMPARE_STABLE = ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable")
+SCAN_12 = ("scan", "--max-m", "12")
+
+
+@pytest.mark.parametrize(
+    "argv, path, value",
+    [
+        (INVARIANT_M9, ("scalars", "k"), " +1"),
+        (INVARIANT_M9, ("scalars", "N"), "+1"),
+        (INVARIANT_M9, ("scalars", "x"), "8 "),
+        (INVARIANT_M9, ("scalars", "M"), True),
+        (INVARIANT_M9, ("invariant", "truncation", "depth"), "1_0"),
+        (INVARIANT_M9, ("invariant", "truncation", "freeRank"), "-1"),
+        (INVARIANT_M9, ("invariant", "truncation", "torsion", 0), "+8"),
+        (INVARIANT_M9, ("invariant", "middle", "group", "torsion"), "+8"),
+        (INVARIANT_M9, ("invariant", "quotient", "group", "modulus"), " 8"),
+        (INVARIANT_M0, ("scalars", "alpha"), " 1/2"),
+        (INVARIANT_M0, ("scalars", "alpha"), "+1/2"),
+        (INVARIANT_M0, ("scalars", "alpha"), "1_0/2"),
+        (INVARIANT_M0, ("scalars", "alpha"), "1/0"),
+        (INVARIANT_M0, ("scalars", "alpha"), "0.75"),
+        (INVARIANT_M0, ("scalars", "alpha"), 0.75),
+        (INVARIANT_M0, ("scalars", "alpha"), None),
+        (INVARIANT_M0, ("invariant", "middle", "cone", "alpha"), "3/4 "),
+        (COMPARE_STABLE, ("witness", "unit"), "+5"),
+        (COMPARE_STABLE, ("witness", "l"), " 0"),
+        (SCAN_12, ("inputs", 0, "maxM"), "1_2"),
+        (SCAN_12, ("verdict", "smallestDivergentM"), "+8"),
+        (SCAN_12, ("verdict", "table", 0, "exactClasses"), " 1"),
+    ],
+)
+def test_tampered_report_is_rejected(capsys, argv, path, value):
+    code, data, _ = run_json(capsys, *argv)
+    assert code == 0
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValueError):
+        Report.from_json_dict(data)
+
+
 def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     from oneideal import InternalConsistencyError
     from oneideal import cli as cli_module
@@ -229,6 +273,8 @@ def test_text_and_json_carry_same_values(capsys):
         ("scan", "--max-m", "1_0"),
         ("scan", "--max-m", " 10"),
         ("compare", "--a", "m=8,n=[1,2", "--b", "m=8,n=1", "--mode", "exact"),
+        ("invariant", "--m", "8", "--n", "1", "--depth", " 1_0"),
+        ("invariant", "--m", "8", "--n", "1", "--depth", "+3"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):

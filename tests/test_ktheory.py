@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,21 @@ def test_torsion_range_examples():
         torsion_range(1)
     with pytest.raises(RegimeError):
         torsion_range(INF)
+
+
+def test_torsion_range_matches_divisor_enumeration():
+    for m in range(2, 2000):
+        two_part = (m - 1) & -(m - 1)
+        odd = (m - 1) // two_part
+        assert torsion_range(m) == {two_part * d for d in range(1, odd + 1) if odd % d == 0}
+
+
+def test_torsion_range_factors_a_large_odd_part_quickly():
+    # a divisor scan up to the odd part would take hours here
+    p, q = 1000003, 1000033
+    start = time.perf_counter()
+    assert torsion_range(2 * p * q + 1) == {2, 2 * p, 2 * q, 2 * p * q}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_truncated_k0_examples():
