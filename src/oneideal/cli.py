@@ -4,7 +4,10 @@ Subcommands: ``invariant``, ``fullness``, ``compare``, ``scan``.  Family
 members are given either as flags (``--m 8 --n 1,0,3 --tail zero``), as a
 JSON object matching the input schema
 ``{"m": 8 | "inf", "n": [..], "tail": {"kind": ..., "c": ...}}``, or (for
-``compare``) compactly as ``m=8,n=[1,0,3],tail=constant:2``.
+``compare``) compactly as ``m=8,n=[1,0,3],tail=constant:2``.  The flag
+and compact forms are rewritten, values verbatim (no stripping, no case
+folding), into that schema object, so :func:`.report.spec_from_json` is
+the one reader of every form.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
 validation error, 3 = internal consistency failure (the stable-isomorphism
@@ -20,14 +23,14 @@ import os
 import sys
 
 from . import classify
-from .dyadic import INF
 from .errors import (
     FamilyValidationError,
     InternalConsistencyError,
     OneIdealError,
     OutOfScopeComparison,
 )
-from .family import FamilySpec, TailSpec, validate_family
+# validate_family is unused here, but perfbench resolves it in this module to trace it
+from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
 from .report import Report, ScanResult, spec_from_json, strict_int
 
@@ -39,28 +42,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
-def _parse_m(text: str):
-    return INF if text == "inf" else strict_int(text, "m")
-
-
-def _parse_tail(text: str) -> TailSpec:
-    kind, _, c = text.partition(":")
-    kind = kind.strip().lower()
-    if kind == "zero":
-        if c:
-            raise ValueError("zero tail takes no parameter")
-        return TailSpec("zero")
-    if kind in ("constant", "doubling"):
-        if not c:
-            raise ValueError(f"{kind} tail needs a parameter, e.g. {kind}:2")
-        return TailSpec(kind, strict_int(c, "tail c"))
-    raise ValueError(f"unknown tail {text!r} (want zero, constant:<c> or doubling:<c>)")
-
-
-def _parse_n(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    return tuple(strict_int(part, "each entry of n") for part in text.split(","))
+def _schema_object(m: str, n: str, tail: str) -> dict:
+    """The input-schema object for flag or compact-form text, values verbatim."""
+    kind, colon, c = tail.partition(":")
+    tail_d = {"kind": kind, "c": c} if colon else {"kind": kind}
+    return {"m": m, "n": n.split(",") if n else [], "tail": tail_d}
 
 
 def _spec_from_flags(args) -> FamilySpec:
@@ -68,13 +54,12 @@ def _spec_from_flags(args) -> FamilySpec:
         return spec_from_json(json.loads(args.spec, object_pairs_hook=_unique_keys))
     if args.m is None or args.n is None:
         raise ValueError("provide --m and --n (or --spec with a JSON object)")
-    return validate_family(_parse_m(args.m), _parse_n(args.n), _parse_tail(args.tail))
+    return spec_from_json(_schema_object(args.m, args.n, args.tail))
 
 
 def _spec_from_compact(text: str) -> FamilySpec:
     """Parse ``m=8,n=[1,0,3],tail=constant:2`` (or a JSON object)."""
-    text = text.strip()
-    if text.startswith("{"):
+    if text.lstrip().startswith("{"):
         return spec_from_json(json.loads(text, object_pairs_hook=_unique_keys))
     fields: dict[str, str] = {}
     rest = text
@@ -82,7 +67,6 @@ def _spec_from_compact(text: str) -> FamilySpec:
         key, sep, rest = rest.partition("=")
         if not sep:
             raise ValueError(f"expected key=value in {text!r}")
-        key = key.strip()
         if key not in ("m", "n", "tail"):
             raise ValueError(f"unknown key {key!r} in spec {text!r} (want m, n, tail)")
         if key in fields:
@@ -91,14 +75,13 @@ def _spec_from_compact(text: str) -> FamilySpec:
             value, closed, rest = rest[1:].partition("]")
             if not closed:
                 raise ValueError(f"unclosed '[' in spec {text!r}")
-            rest = rest.lstrip(",")
+            rest = rest.removeprefix(",")
         else:
             value, _, rest = rest.partition(",")
-        fields[key] = value.strip()
+        fields[key] = value
     if "m" not in fields or "n" not in fields:
         raise ValueError(f"spec {text!r} needs at least m= and n=")
-    tail = _parse_tail(fields.get("tail", "zero"))
-    return validate_family(_parse_m(fields["m"]), _parse_n(fields["n"]), tail)
+    return spec_from_json(_schema_object(fields["m"], fields["n"], fields.get("tail", "zero")))
 
 
 def _cmd_invariant(args) -> Report:

@@ -3,17 +3,17 @@
 The leaf module every layer imports, so it owns what several layers need:
 the two-power orbit walk, prime factorisation and extended-value text.
 
-A :class:`Dyadic` is stored canonically: either the exponent is 0 or the
-numerator is odd, so equality is plain field equality.  Extended rationals
-(a :class:`~fractions.Fraction` or ``math.inf``) appear wherever a quantity
-may diverge; ``math.inf`` compares correctly against exact fractions.
+A dyadic rational (an element of Z[1/2]) is a :class:`~fractions.Fraction`
+whose denominator is a power of two; there is no separate type for it.
+Extended rationals (a ``Fraction`` or ``math.inf``) appear wherever a
+quantity may diverge; ``math.inf`` compares correctly against exact
+fractions.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
 
 INF = math.inf
 
@@ -28,87 +28,6 @@ def is_infinite(value) -> bool:
 def format_extended(value) -> str:
     """"inf" for infinity, else the exact value as "p/q" (or "p" when whole)."""
     return "inf" if is_infinite(value) else str(Fraction(value))
-
-
-@total_ordering
-class Dyadic:
-    """Exact dyadic rational numerator / 2**exponent in canonical form."""
-
-    __slots__ = ("numerator", "exponent")
-
-    def __init__(self, numerator: int, exponent: int = 0):
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        numerator = int(numerator)
-        if numerator == 0:
-            exponent = 0
-        else:
-            while exponent > 0 and numerator % 2 == 0:
-                numerator //= 2
-                exponent -= 1
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Dyadic is immutable")
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Dyadic":
-        den = q.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{q} is not a dyadic rational")
-        return cls(q.numerator, exp)
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.exponent)
-
-    def __add__(self, other: "Dyadic") -> "Dyadic":
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator << (e - self.exponent)) + (
-            other.numerator << (e - other.exponent)
-        )
-        return Dyadic(num, e)
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.numerator, self.exponent)
-
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic(self.numerator * other.numerator, self.exponent + other.exponent)
-
-    def shift(self, k: int) -> "Dyadic":
-        """Multiply by 2**k (k may be negative)."""
-        if k >= 0:
-            return Dyadic(self.numerator << k, self.exponent)
-        return Dyadic(self.numerator, self.exponent - k)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Dyadic):
-            return (self.numerator, self.exponent) == (other.numerator, other.exponent)
-        if isinstance(other, (int, Fraction)):
-            return self.to_fraction() == other
-        return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        if isinstance(other, Dyadic):
-            other = other.to_fraction()
-        return self.to_fraction() < other
-
-    def __hash__(self):
-        return hash(self.to_fraction())
-
-    def __repr__(self):
-        if self.exponent == 0:
-            return f"Dyadic({self.numerator})"
-        return f"Dyadic({self.numerator}/2^{self.exponent})"
-
-    def __str__(self):
-        if self.exponent == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{1 << self.exponent}"
 
 
 def two_adic_valuation(n: int) -> int:

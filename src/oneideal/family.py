@@ -91,17 +91,6 @@ class FamilySpec:
     def has_finite_loops(self) -> bool:
         return not is_infinite(self.m) and self.m > 1
 
-    def multiplicity(self, i: int) -> int:
-        """n_i for 1-based chain index i."""
-        k = len(self.prefix)
-        if i <= k:
-            return self.prefix[i - 1]
-        if self.tail.kind == "zero":
-            return 0
-        if self.tail.kind == "constant":
-            return self.tail.c
-        return self.tail.c << (i - k)  # doubling
-
 
 def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
     """Build a :class:`FamilySpec`, raising :class:`FamilyValidationError`.

@@ -4,6 +4,8 @@ The groups showing up in the six-term invariant are drawn from a short list
 (dyadic line, dyadic plus a free or torsion summand, Z, a finite cyclic
 group, 0), and their positive cones likewise.  Cones are symbolic: membership
 and equality are decided by case analysis, never by enumerating elements.
+A group element (:class:`ConeElement`) carries its Z[1/2] part as a
+``Fraction`` with a power-of-two denominator.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import Dyadic, ExtendedRational, format_extended, is_infinite
+from .dyadic import ExtendedRational, format_extended, is_infinite
 from .errors import ConeShapeError
 
 # --------------------------------------------------------------------------
@@ -214,17 +216,23 @@ class PreorderedGroup:
 class ConeElement:
     """Group element written as a dyadic part and an integer part.
 
-    The parts are read according to the group tag; a part that the group does
-    not have must be zero.
+    The dyadic part is a :class:`~fractions.Fraction` (or an int) whose
+    denominator is a power of two.  The parts are read according to the group
+    tag; a part that the group does not have must be zero.
     """
 
-    dyadic_part: Dyadic = Dyadic(0)
+    dyadic_part: Fraction = Fraction(0)
     int_part: int = 0
+
+    def __post_init__(self) -> None:
+        den = self.dyadic_part.denominator
+        if den & (den - 1):
+            raise ValueError(f"{self.dyadic_part} is not a dyadic rational")
 
     def check_shape(self, group: GroupDescriptor) -> None:
         if group.tag == DYADIC_LINE and self.int_part != 0:
             raise ConeShapeError("dyadic line has no integer component")
-        if group.tag in (FREE_Z, CYCLIC_MOD) and self.dyadic_part != Dyadic(0):
+        if group.tag in (FREE_Z, CYCLIC_MOD) and self.dyadic_part != 0:
             raise ConeShapeError(f"{group.tag} has no dyadic component")
-        if group.tag == TRIVIAL and (self.int_part != 0 or self.dyadic_part != Dyadic(0)):
+        if group.tag == TRIVIAL and (self.int_part != 0 or self.dyadic_part != 0):
             raise ConeShapeError("trivial group has only the zero element")

@@ -42,16 +42,15 @@ def cone_contains(pg: PreorderedGroup, element: ConeElement) -> bool:
     if cone.tag == ALL_POSITIVE:
         return True
     if cone.tag == STANDARD_DYADIC_CONE:
-        return element.dyadic_part.numerator >= 0
+        return element.dyadic_part >= 0
     if cone.tag == STANDARD_INTEGER_CONE:
         return element.int_part >= 0
     if cone.tag == ALPHA_CONE:
         n = element.int_part
-        x = element.dyadic_part.to_fraction()
         if n > 0:
-            return True if is_infinite(cone.alpha) else x > -n * cone.alpha
+            return True if is_infinite(cone.alpha) else element.dyadic_part > -n * cone.alpha
         if n == 0:
-            return x >= 0
+            return element.dyadic_part >= 0
         return False
     # lexicographic: strictly positive quotient part, or ideal-positive kernel
     ideal_cone, quotient_cone = cone.parts
@@ -60,7 +59,7 @@ def cone_contains(pg: PreorderedGroup, element: ConeElement) -> bool:
         if ideal_cone.tag == ALL_POSITIVE:
             return True
         if ideal_cone.tag == STANDARD_DYADIC_CONE:
-            return element.dyadic_part.numerator >= 0
+            return element.dyadic_part >= 0
         raise ConeShapeError(f"unsupported ideal part {ideal_cone.tag} in lexicographic cone")
     if quotient_cone.tag in (STANDARD_INTEGER_CONE, ALL_POSITIVE):
         # either way the nonzero image must be a positive quotient class

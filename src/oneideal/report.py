@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness
+from .classify import FULL, UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness
 from .dyadic import INF, format_extended
 from .family import FamilySpec, TailSpec
 from .groups import (
@@ -68,6 +68,20 @@ def strict_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
+def _field(d, key: str, *kinds: type, choices: tuple = ()):
+    """``d[key]`` (None when absent) of the JSON object ``d``.  Given
+    ``kinds``, its exact type must be one of them (so a bool is no int);
+    given ``choices``, it must be one of them.  Else ValueError."""
+    if type(d) is not dict:
+        raise ValueError(f"expected a JSON object with key {key!r}, got {d!r}")
+    v = d.get(key)
+    if kinds and type(v) not in kinds:
+        raise ValueError(f"{key} must be a JSON {'/'.join(k.__name__ for k in kinds)}, got {v!r}")
+    if choices and v not in choices:
+        raise ValueError(f"{key} must be one of {choices}, got {v!r}")
+    return v
+
+
 def _json_object(v, what: str, keys: set[str]) -> dict:
     if not isinstance(v, dict):
         raise ValueError(f"{what} must be a JSON object, got {v!r}")
@@ -84,12 +98,9 @@ def spec_from_json(d) -> FamilySpec:
     if "m" not in d or "n" not in d:
         raise ValueError("family spec needs at least m and n")
     m = INF if d["m"] == "inf" else strict_int(d["m"], "m")
-    if not isinstance(d["n"], list):
-        raise ValueError(f"n must be a JSON list, got {d['n']!r}")
-    prefix = tuple(strict_int(n, "each entry of n") for n in d["n"])
+    prefix = tuple(strict_int(n, "each entry of n") for n in _field(d, "n", list))
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind", "c"})
-    c = tail_d.get("c")
-    tail = TailSpec(tail_d.get("kind"), None if c is None else strict_int(c, "tail c"))
+    tail = TailSpec(tail_d.get("kind"), _optional_int(tail_d.get("c"), "tail c"))
     return FamilySpec(m, prefix, tail)
 
 
@@ -105,13 +116,14 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
 
 
 def _cone_from_json(d: dict) -> ConeDescriptor:
-    tag = d["tag"]
+    tag = _field(d, "tag", str)
     if tag == ALL_POSITIVE:
-        return ConeDescriptor(tag, with_full_class=d["withFullClass"])
+        return ConeDescriptor(tag, with_full_class=_field(d, "withFullClass", bool))
     if tag == ALPHA_CONE:
-        return ConeDescriptor(tag, alpha=_parse_rational(d["alpha"], "cone alpha"))
+        return ConeDescriptor(tag, alpha=_parse_rational(d.get("alpha"), "cone alpha"))
     if tag == LEXICOGRAPHIC_CONE:
-        return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in d["parts"]))
+        parts = _field(d, "parts", list)
+        return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in parts))
     return ConeDescriptor(tag)
 
 
@@ -125,11 +137,13 @@ def _group_to_json(group: GroupDescriptor) -> dict:
 
 
 def _group_from_json(d: dict) -> GroupDescriptor:
-    return GroupDescriptor(
-        d["tag"],
+    group = GroupDescriptor(
+        _field(d, "tag", str),
         torsion_order=_optional_int(d.get("torsion"), "group torsion"),
         modulus=_optional_int(d.get("modulus"), "group modulus"),
     )
+    _field(d, "symbol", choices=(group.render(),))
+    return group
 
 
 def _pg_to_json(pg: PreorderedGroup) -> dict:
@@ -137,7 +151,7 @@ def _pg_to_json(pg: PreorderedGroup) -> dict:
 
 
 def _pg_from_json(d: dict) -> PreorderedGroup:
-    return PreorderedGroup(_group_from_json(d["group"]), _cone_from_json(d["cone"]))
+    return PreorderedGroup(_group_from_json(_field(d, "group")), _cone_from_json(d.get("cone")))
 
 
 def invariant_to_json(inv: SixTermInvariant) -> dict:
@@ -152,11 +166,11 @@ def invariant_to_json(inv: SixTermInvariant) -> dict:
 
 def invariant_from_json(d: dict) -> SixTermInvariant:
     return SixTermInvariant(
-        ideal=_pg_from_json(d["ideal"]),
-        middle=_pg_from_json(d["middle"]),
-        quotient=_pg_from_json(d["quotient"]),
-        index_map_zero=d["indexMapZero"],
-        case_tag=d["caseTag"],
+        ideal=_pg_from_json(_field(d, "ideal")),
+        middle=_pg_from_json(d.get("middle")),
+        quotient=_pg_from_json(d.get("quotient")),
+        index_map_zero=_field(d, "indexMapZero", bool),
+        case_tag=_field(d, "caseTag", str),
     )
 
 
@@ -172,11 +186,11 @@ def scalars_to_json(s: DerivedScalars) -> dict:
 
 def scalars_from_json(d: dict) -> DerivedScalars:
     return DerivedScalars(
-        alpha=_parse_rational(d["alpha"], "alpha"),
-        k=_optional_int(d["k"], "k"),
-        n_weight=_optional_int(d["N"], "N"),
-        x=_optional_int(d["x"], "x"),
-        m_odd=_optional_int(d["M"], "M"),
+        alpha=_parse_rational(_field(d, "alpha"), "alpha"),
+        k=_optional_int(d.get("k"), "k"),
+        n_weight=_optional_int(d.get("N"), "N"),
+        x=_optional_int(d.get("x"), "x"),
+        m_odd=_optional_int(d.get("M"), "M"),
     )
 
 
@@ -256,25 +270,27 @@ class Report:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Report":
-        command = d["command"]
+        command = _field(d, "command", choices=("invariant", "fullness", "compare", "scan"))
         specs = []
         scan_limit = None
-        for entry in d["inputs"]:
-            if "maxM" in entry:
-                scan_limit = strict_int(entry["maxM"], "maxM")
-            else:
+        for entry in _field(d, "inputs", list):
+            if _field(entry, "maxM") is None:
                 specs.append(spec_from_json(entry))
-        scalars = scalars_from_json(d["scalars"]) if d.get("scalars") else None
+            else:
+                scan_limit = strict_int(entry["maxM"], "maxM")
+        scalars = None if d.get("scalars") is None else scalars_from_json(d["scalars"])
         invariant = None
         truncation = None
-        if d.get("invariant"):
+        if d.get("invariant") is not None:
             invariant = invariant_from_json(d["invariant"])
             trunc = d["invariant"].get("truncation")
-            if trunc:
+            if trunc is not None:
                 truncation = (
-                    strict_int(trunc["depth"], "truncation depth"),
-                    strict_int(trunc["freeRank"], "truncation free rank"),
-                    tuple(strict_int(t, "truncation torsion") for t in trunc["torsion"]),
+                    strict_int(_field(trunc, "depth"), "truncation depth"),
+                    strict_int(trunc.get("freeRank"), "truncation free rank"),
+                    tuple(
+                        strict_int(t, "truncation torsion") for t in _field(trunc, "torsion", list)
+                    ),
                 )
         fullness = None
         comparison = None
@@ -283,31 +299,31 @@ class Report:
         verdict = d.get("verdict")
         if command == "fullness" and verdict is not None:
             fullness = FullnessVerdict(
-                stenotic=verdict["stenotic"],
-                k_lexicographic=verdict["kLexicographic"],
-                stabilized_full=verdict["stabilizedFull"],
-                unstabilized=verdict["unstabilized"],
+                stenotic=_field(verdict, "stenotic", bool),
+                k_lexicographic=_field(verdict, "kLexicographic", bool),
+                stabilized_full=_field(verdict, "stabilizedFull", bool),
+                unstabilized=_field(verdict, "unstabilized", choices=(FULL, UNKNOWN)),
             )
+            note = UNKNOWN_NOTE if fullness.unstabilized == UNKNOWN else None
+            _field(verdict, "note", choices=(note,))
         elif command == "compare" and verdict is not None:
-            compare_mode = verdict["mode"]
-            witness = None
-            if d.get("witness") is not None:
-                w = d["witness"]
-                witness = IsoWitness(*(strict_int(w[k], k) for k in ("l", "lPrime", "unit")))
+            compare_mode = _field(verdict, "mode", choices=("exact", "stable"))
+            w = d.get("witness")
+            if w is not None:
+                w = IsoWitness(*(strict_int(_field(w, k), k) for k in ("l", "lPrime", "unit")))
             comparison = IsoVerdict(
-                isomorphic=verdict["isomorphic"],
-                witness=witness,
-                reason=verdict.get("reason"),
+                isomorphic=_field(verdict, "isomorphic", bool),
+                witness=w,
+                reason=_field(verdict, "reason", str, type(None)),
             )
         elif command == "scan" and verdict is not None:
+            rows = _field(verdict, "table", list)
+            keys = ("m", "exactClasses", "stableClasses")
             scan = ScanResult(
                 smallest_divergent_m=_optional_int(
-                    verdict["smallestDivergentM"], "smallestDivergentM"
+                    verdict.get("smallestDivergentM"), "smallestDivergentM"
                 ),
-                table=tuple(
-                    tuple(strict_int(r[k], k) for k in ("m", "exactClasses", "stableClasses"))
-                    for r in verdict["table"]
-                ),
+                table=tuple(tuple(strict_int(_field(r, k), k) for k in keys) for r in rows),
             )
         return cls(
             command=command,
@@ -320,7 +336,7 @@ class Report:
             scan=scan,
             truncation=truncation,
             scan_limit=scan_limit,
-            version=d["version"],
+            version=_field(d, "version", str),
         )
 
     # -- text ---------------------------------------------------------------

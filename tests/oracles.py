@@ -9,6 +9,9 @@ more literal route, a quantity the library computes in closed form.
 * :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
   minimal witnesses by a pair scan over both two-power orbits (and, for the
   stable one, over every unit);
+* :func:`exact_witness_table`, :func:`stable_witness_table` - the minimal
+  witness of every residue pair of one modulus at once, by a backward
+  breadth-first search over residue pairs;
 * :func:`exact_class_partition`, :func:`stable_class_partition` - class
   representatives by union-find over every residue (and every unit);
 * :func:`stable_gcd_partition`, :func:`partitions_agree`,
@@ -23,7 +26,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from oneideal import Dyadic, FamilySpec, InternalConsistencyError, is_infinite, odd_part
+from oneideal import FamilySpec, InternalConsistencyError, is_infinite, odd_part
 from oneideal.classify import IsoWitness, _unit_multiples, units_mod
 from oneideal.dyadic import ExtendedRational, residue_cycle
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
@@ -165,6 +168,64 @@ def enumerated_stable_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | 
     return None
 
 
+def _pair_search(modulus: int, seeds: list[tuple[int, int]]) -> list[list[tuple[int, int] | None]]:
+    """For every residue pair (a, b), the smallest (by l + l', then l)
+    exponents with (2^l a, 2^l' b) in ``seeds``, or None if there are none.
+
+    A backward breadth-first search from the seeds over the pair graph, whose
+    edges double one coordinate, gives l + l'; a second pass in order of
+    distance takes the smallest l over the shortest paths.
+    """
+    halves: list[list[int]] = [[] for _ in range(modulus)]
+    for r in range(modulus):
+        halves[2 * r % modulus].append(r)
+    dist = {pair: 0 for pair in seeds}
+    order = list(dist)
+    for a, b in order:  # grows while it is walked: breadth-first order
+        for pair in [(h, b) for h in halves[a]] + [(a, h) for h in halves[b]]:
+            if pair not in dist:
+                dist[pair] = dist[(a, b)] + 1
+                order.append(pair)
+    table: list[list[tuple[int, int] | None]] = [[None] * modulus for _ in range(modulus)]
+    for a, b in order:  # by distance, so every next pair on a shortest path is done
+        d = dist[(a, b)]
+        ls = [0] if d == 0 else []
+        if dist.get((2 * a % modulus, b)) == d - 1:  # double a: l grows by one
+            ls.append(table[2 * a % modulus][b][0] + 1)
+        if dist.get((a, 2 * b % modulus)) == d - 1:  # double b: l' grows by one
+            ls.append(table[a][2 * b % modulus][0])
+        table[a][b] = (min(ls), d - min(ls))
+    return table
+
+
+def exact_witness_table(modulus: int) -> list[list[IsoWitness | None]]:
+    """``table[a][b]`` is the minimal exact witness for residues a, b."""
+    seeds = [(r, r) for r in range(modulus)]
+    return [
+        [None if t is None else IsoWitness(l=t[0], l_prime=t[1], unit=1) for t in row]
+        for row in _pair_search(modulus, seeds)
+    ]
+
+
+def stable_witness_table(modulus: int) -> list[list[IsoWitness | None]]:
+    """``table[a][b]`` is the minimal stable witness for residues a, b: the
+    pair search seeded by every pair (u b, b) with u a unit, then the
+    smallest such u at the pair the exponents reach."""
+    smallest_unit: dict[tuple[int, int], int] = {}
+    for u in units_mod(modulus):  # ascending, so the first unit to reach a pair is the smallest
+        for b in range(modulus):
+            smallest_unit.setdefault((u * b % modulus, b), u)
+    table = _pair_search(modulus, list(smallest_unit))
+    out: list[list[IsoWitness | None]] = [[None] * modulus for _ in range(modulus)]
+    for a in range(modulus):
+        for b in range(modulus):
+            if table[a][b] is not None:
+                l, l_prime = table[a][b]
+                end = (a * pow(2, l, modulus) % modulus, b * pow(2, l_prime, modulus) % modulus)
+                out[a][b] = IsoWitness(l=l, l_prime=l_prime, unit=smallest_unit[end])
+    return out
+
+
 def _union_find_classes(modulus: int, with_units: bool) -> list[int]:
     parent = list(range(modulus))
 
@@ -238,15 +299,14 @@ def stable_partition_disagreements(max_modulus: int) -> list[int]:
 # dyadic rationals
 
 
-def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Dyadic:
-    """Some dyadic rational in the open interval (lo, hi)."""
+def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Some dyadic rational (a power-of-two denominator) in the open interval (lo, hi)."""
     if not lo < hi:
         raise ValueError("empty interval")
     gap = hi - lo
     e = 0
     while Fraction(1, 1 << e) >= gap:
         e += 1
-    num = math.floor(lo * (1 << e)) + 1
-    d = Dyadic(num, e)
-    assert lo < d.to_fraction() < hi
+    d = Fraction(math.floor(lo * (1 << e)) + 1, 1 << e)
+    assert lo < d < hi
     return d

@@ -36,10 +36,12 @@ from oracles import (
     enumerated_exact_witness,
     enumerated_stable_witness,
     exact_class_partition,
+    exact_witness_table,
     partitions_agree,
     stable_class_partition,
     stable_gcd_partition,
     stable_partition_disagreements,
+    stable_witness_table,
 )
 
 
@@ -208,18 +210,30 @@ def test_divergence_and_class_counts():
 
 
 @pytest.mark.parametrize(
-    "route, oracle",
+    "route, oracle, table",
     [
-        (exact_orbit_witness, enumerated_exact_witness),
-        (stable_orbit_witness, enumerated_stable_witness),
+        pytest.param(
+            exact_orbit_witness, enumerated_exact_witness, exact_witness_table,
+            id="exact_orbit_witness-enumerated_exact_witness",
+        ),
+        pytest.param(
+            stable_orbit_witness, enumerated_stable_witness, stable_witness_table,
+            id="stable_orbit_witness-enumerated_stable_witness",
+        ),
     ],
 )
-def test_witnesses_match_the_enumerated_oracles(route, oracle):
+def test_witnesses_match_the_enumerated_oracles(route, oracle, table):
+    # one whole-modulus table per modulus; the pair scan, quadratic in the
+    # orbit length, checks the table where it is cheap
     for modulus in range(1, 130):
+        witnesses = table(modulus)
         weights = range(modulus + 3)
         for a in weights:
             for b in weights:
-                assert route(modulus, a, b) == oracle(modulus, a, b), (modulus, a, b)
+                expected = witnesses[a % modulus][b % modulus]
+                assert route(modulus, a, b) == expected, (modulus, a, b)
+                if modulus <= 40:
+                    assert oracle(modulus, a, b) == expected, (modulus, a, b)
 
 
 def test_class_counts_match_union_find():

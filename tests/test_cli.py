@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from oneideal import INF, FamilySpec, TailSpec
 from oneideal.cli import main
-from oneideal.report import Report, UNKNOWN_NOTE
+from oneideal.report import Report, UNKNOWN_NOTE, spec_from_json, spec_to_json
 
 
 def run(capsys, *argv):
@@ -171,6 +176,8 @@ INVARIANT_M9 = ("invariant", "--m", "9", "--n", "1")
 INVARIANT_M0 = ("invariant", "--m", "0", "--n", "1,1")
 COMPARE_STABLE = ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable")
 SCAN_12 = ("scan", "--max-m", "12")
+FULLNESS_M0 = ("fullness", "--m", "0", "--n", "2")
+MISSING = object()  # deletes the key instead of setting it
 
 
 @pytest.mark.parametrize(
@@ -198,6 +205,20 @@ SCAN_12 = ("scan", "--max-m", "12")
         (SCAN_12, ("inputs", 0, "maxM"), "1_2"),
         (SCAN_12, ("verdict", "smallestDivergentM"), "+8"),
         (SCAN_12, ("verdict", "table", 0, "exactClasses"), " 1"),
+        (COMPARE_STABLE, ("verdict", "isomorphic"), "no"),
+        (FULLNESS_M0, ("verdict", "stenotic"), "yes"),
+        (INVARIANT_M9, ("invariant", "indexMapZero"), 1),
+        (INVARIANT_M9, ("invariant", "middle", "cone", "withFullClass"), "x"),
+        (COMPARE_STABLE, ("verdict", "mode"), "bogus"),
+        (COMPARE_STABLE, ("command",), "bogus"),
+        (FULLNESS_M0, ("verdict", "unstabilized"), "Maybe"),
+        (COMPARE_STABLE, ("verdict", "reason"), 7),
+        (INVARIANT_M9, ("version",), 3),
+        (INVARIANT_M9, ("invariant", "quotient", "group", "symbol"), "Z/99"),
+        (FULLNESS_M0, ("verdict", "note"), "K-theory decides"),
+        (INVARIANT_M9, ("inputs",), 5),
+        (COMPARE_STABLE, ("witness",), [1, 2, 3]),
+        (INVARIANT_M9, ("command",), MISSING),
     ],
 )
 def test_tampered_report_is_rejected(capsys, argv, path, value):
@@ -206,7 +227,10 @@ def test_tampered_report_is_rejected(capsys, argv, path, value):
     target = data
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is MISSING:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     with pytest.raises(ValueError):
         Report.from_json_dict(data)
 
@@ -275,6 +299,11 @@ def test_text_and_json_carry_same_values(capsys):
         ("compare", "--a", "m=8,n=[1,2", "--b", "m=8,n=1", "--mode", "exact"),
         ("invariant", "--m", "8", "--n", "1", "--depth", " 1_0"),
         ("invariant", "--m", "8", "--n", "1", "--depth", "+3"),
+        ("invariant", "--m", "0", "--n", "1", "--tail", "ZERO"),
+        ("invariant", "--m", "0", "--n", "1", "--tail", " Constant:2"),
+        ("invariant", "--m", "8", "--n", "1", "--tail", "zero:"),
+        ("compare", "--a", " m = 8 , n=1", "--b", "m=8,n=1", "--mode", "exact"),
+        ("compare", "--a", "n=[1],,m=8", "--b", "m=8,n=1", "--mode", "exact"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
@@ -380,3 +409,45 @@ def test_truncation_below_the_stable_depth_is_not_checked(capsys):
     assert code == 0
     assert "x=8" in out
     assert "truncation oracle: depth=3 free rank=1 torsion=[4]" in out
+
+
+# Valid members with bounded work per query: m <= 10^4, at most 12 prefix entries.
+@st.composite
+def family_specs(draw):
+    m = draw(st.one_of(st.sampled_from([0, INF]), st.integers(min_value=2, max_value=10**4)))
+    prefix = tuple(draw(st.lists(st.integers(min_value=0, max_value=10**4), max_size=12)))
+    kinds = ["zero"] if 1 < m < INF else ["zero", "constant", "doubling"]
+    kind = draw(st.sampled_from(kinds))
+    c = None if kind == "zero" else draw(st.integers(min_value=1, max_value=10**4))
+    assume(kind != "zero" or any(prefix))
+    return FamilySpec(m, prefix, TailSpec(kind, c))
+
+
+def run_captured(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(family_specs())
+def test_spec_json_round_trips(spec):
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
+@given(family_specs(), st.sampled_from(["text", "json"]))
+def test_flag_compact_and_json_forms_read_alike(spec, fmt):
+    d = spec_to_json(spec)
+    tail = d["tail"]["kind"] + (":" + d["tail"]["c"] if "c" in d["tail"] else "")
+    n = ",".join(d["n"])
+    flags = ("--m", d["m"], "--n", n, "--tail", tail)
+    spec_json = json.dumps(d)
+    compact = f"m={d['m']},n=[{n}],tail={tail}"
+    invariant = run_captured("invariant", *flags, "--format", fmt)
+    assert invariant[0] == 0
+    assert run_captured("invariant", "--spec", spec_json, "--format", fmt) == invariant
+    compare = run_captured("compare", "--a", compact, "--b", compact, "--mode", "exact",
+                           "--format", fmt)
+    assert compare[0] == (0 if spec.has_finite_loops else 2)
+    assert run_captured("compare", "--a", spec_json, "--b", spec_json, "--mode", "exact",
+                        "--format", fmt) == compare

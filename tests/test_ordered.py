@@ -8,7 +8,6 @@ from oneideal import (
     INF,
     ConeElement,
     ConeShapeError,
-    Dyadic,
     NotDeterminedError,
     PreorderedGroup,
     UnsupportedConeCombination,
@@ -39,7 +38,7 @@ def alpha_pg(a):
 
 
 def elem(num, exp, n):
-    return ConeElement(Dyadic(num, exp), n)
+    return ConeElement(Fraction(num, 1 << exp), n)
 
 
 def test_alpha_cone_membership_examples():
@@ -60,28 +59,36 @@ def test_alpha_cone_infinite():
 
 def test_all_positive_contains_everything():
     pg = PreorderedGroup(cyclic_mod(7), all_positive(with_full_class=True))
-    assert cone_contains(pg, ConeElement(Dyadic(0), -3))
-    assert cone_contains(pg, ConeElement(Dyadic(0), 5))
+    assert cone_contains(pg, ConeElement(Fraction(0), -3))
+    assert cone_contains(pg, ConeElement(Fraction(0), 5))
 
 
 def test_standard_cones():
     dy = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
-    assert cone_contains(dy, ConeElement(Dyadic(3, 4), 0))
-    assert not cone_contains(dy, ConeElement(Dyadic(-3, 4), 0))
+    assert cone_contains(dy, ConeElement(Fraction(3, 16), 0))
+    assert not cone_contains(dy, ConeElement(Fraction(-3, 16), 0))
     zz = PreorderedGroup(free_z(), standard_integer_cone())
-    assert cone_contains(zz, ConeElement(Dyadic(0), 0))
-    assert not cone_contains(zz, ConeElement(Dyadic(0), -1))
+    assert cone_contains(zz, ConeElement(Fraction(0), 0))
+    assert not cone_contains(zz, ConeElement(Fraction(0), -1))
 
 
 def test_shape_mismatch_raises():
     dy = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
     with pytest.raises(ConeShapeError):
-        cone_contains(dy, ConeElement(Dyadic(1), 2))
+        cone_contains(dy, ConeElement(Fraction(1), 2))
     zz = PreorderedGroup(free_z(), standard_integer_cone())
     with pytest.raises(ConeShapeError):
-        cone_contains(zz, ConeElement(Dyadic(1, 1), 0))
+        cone_contains(zz, ConeElement(Fraction(1, 2), 0))
     with pytest.raises(ConeShapeError):
         PreorderedGroup(free_z(), alpha_cone(1))
+
+
+def test_cone_element_rejects_a_non_dyadic_part():
+    with pytest.raises(ValueError):
+        ConeElement(Fraction(1, 3), 0)
+    with pytest.raises(ValueError):
+        ConeElement(Fraction(5, 24), 1)
+    assert ConeElement(Fraction(5, 8), 1).dyadic_part == Fraction(5, 8)
 
 
 @given(
@@ -93,7 +100,7 @@ def test_shape_mismatch_raises():
 def test_alpha_membership_matches_direct_inequality(a, num, exp, n):
     pg = alpha_pg(a)
     e = elem(num, exp, n)
-    x = e.dyadic_part.to_fraction()
+    x = e.dyadic_part
     expected = (n > 0 and x > -n * a) or (n == 0 and x >= 0)
     assert cone_contains(pg, e) == expected
 
