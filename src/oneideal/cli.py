@@ -10,9 +10,10 @@ folding), into that schema object, so :func:`.report.spec_from_json` is
 the one reader of every form.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
-validation error, 3 = internal consistency failure (the stable-isomorphism
-routes disagree, or the truncation shown by ``invariant`` contradicts the
-closed-form torsion order).
+validation error, or a truncation deeper than
+``ktheory.MAX_TRUNCATION_DEPTH`` (``WorkLimit``), 3 = internal consistency
+failure (the stable-isomorphism routes disagree, or the truncation shown by
+``invariant`` contradicts the closed-form torsion order).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import (
     InternalConsistencyError,
     OneIdealError,
     OutOfScopeComparison,
+    WorkLimitError,
 )
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
@@ -204,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OutOfScopeComparison as err:
         print(f"error [OutOfScope]: {err}", file=sys.stderr)
+        return 2
+    except WorkLimitError as err:
+        print(f"error [WorkLimit]: {err}", file=sys.stderr)
         return 2
     except InternalConsistencyError as err:
         print(f"error [InternalConsistency]: {err}", file=sys.stderr)

@@ -39,5 +39,9 @@ class OutOfScopeComparison(OneIdealError):
     """Isomorphism comparison requested outside the finite-loop regime."""
 
 
+class WorkLimitError(OneIdealError):
+    """The request would exceed a documented bound on work or memory."""
+
+
 class InternalConsistencyError(OneIdealError):
     """Two independent computation routes disagreed; signals a bug."""

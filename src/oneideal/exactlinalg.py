@@ -1,14 +1,22 @@
 """Exact integer linear algebra: Smith normal form and cokernel invariants.
 
 Everything here runs on plain Python integers, so entries may grow without
-bound and results are always exact.  The pivoting strategy is
-smallest-nonzero-absolute-value with alternating row/column reduction, which
-is simple and fast enough for matrices at desk scale (a few hundred rows).
+bound and results are always exact.  :func:`smith_normal_form` is dense: it
+pivots on the smallest nonzero absolute value with alternating row/column
+reduction and builds both transforms, at cubic cost in the matrix size.
+:func:`cokernel_invariants` first eliminates unit pivots on a sparse copy
+of the matrix (the preprocessing of Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", 2001) and
+hands only the leftover core to :func:`smith_normal_form`.  On a truncated
+presentation, whose chain columns each carry a unit, that costs one pass
+over the dense entries plus a number of steps linear in the depth.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 
 
 @dataclass(frozen=True)
@@ -71,32 +79,6 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
-
-    def determinant(self) -> int:
-        """Exact determinant via fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_lists()
-        sign = 1
-        prev = 1
-        for t in range(n - 1):
-            if a[t][t] == 0:
-                for i in range(t + 1, n):
-                    if a[i][t] != 0:
-                        a[t], a[i] = a[i], a[t]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-                a[i][t] = 0
-            prev = a[t][t]
-        return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -234,9 +216,55 @@ def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
 
     Returns ``(free_rank, torsion)`` where torsion lists the invariant
     factors larger than 1 in divisibility order.
+
+    A ±1 entry at (r, c) contributes the invariant factor 1: subtracting
+    multiples of column c clears row r from every other column, after which
+    row r and column c split off as a unit block and are dropped.  Pivots
+    are taken while any ±1 entry is left; the Smith form of what remains
+    gives the other factors.
     """
-    snf = smith_normal_form(m)
+    cols: dict[int, dict[int, int]] = {}  # column -> {row: nonzero entry}
+    in_row: dict[int, set[int]] = defaultdict(set)  # row -> columns with an entry there
+    entries = m.entries
+    for index in compress(range(len(entries)), entries):
+        i, j = divmod(index, m.cols)
+        cols.setdefault(j, {})[i] = entries[index]
+        in_row[i].add(j)
+    rows_left = m.rows
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for c in range(m.cols):
+            col = cols.get(c)
+            r = next((i for i, v in col.items() if v in (1, -1)), None) if col else None
+            if r is None:
+                continue
+            unit = col.pop(r)
+            del cols[c]
+            for i in col:
+                in_row[i].discard(c)
+            rest = in_row.pop(r)
+            rest.discard(c)
+            for j in rest:
+                target = cols[j]
+                q = target.pop(r) * unit
+                for i, v in col.items():
+                    w = target.get(i, 0) - q * v
+                    if w:
+                        target[i] = w
+                        in_row[i].add(j)
+                    elif i in target:
+                        del target[i]
+                        in_row[i].discard(j)
+                if not target:
+                    del cols[j]
+            rows_left -= 1
+            pivoted = True
+    core_rows = {i: t for t, i in enumerate(i for i, js in in_row.items() if js)}
+    core = [0] * (len(core_rows) * len(cols))
+    for t, col in enumerate(cols.values()):
+        for i, v in col.items():
+            core[core_rows[i] * len(cols) + t] = v
+    snf = smith_normal_form(IntMatrix(len(core_rows), len(cols), tuple(core)))
     nonzero = snf.invariant_factors()
-    free_rank = m.rows - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return free_rank, torsion
+    return rows_left - len(nonzero), [d for d in nonzero if d > 1]

@@ -162,11 +162,11 @@ def truncated_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
     if depth < k:
         raise RegimeError(f"depth {depth} is below the prefix length {k}")
     rows, cols = depth + 1, depth
-    entries = [[0] * cols for _ in range(rows)]
+    entries = [0] * (rows * cols)
     for j in range(depth - 1):
-        entries[j][j] = 1
-        entries[j + 1][j] = -2
-    for i in range(depth):
-        entries[i][cols - 1] = spec.prefix[i] if i < k else 0
-    entries[rows - 1][cols - 1] = spec.m - 1
-    return IntMatrix.from_rows(entries)
+        entries[j * cols + j] = 1
+        entries[(j + 1) * cols + j] = -2
+    for i, n in enumerate(spec.prefix):
+        entries[i * cols + cols - 1] = n
+    entries[rows * cols - 1] = spec.m - 1
+    return IntMatrix(rows, cols, tuple(entries))

@@ -147,8 +147,12 @@ class ConeDescriptor:
             raise ValueError("alpha cone needs its parameter")
         if self.tag != ALPHA_CONE and self.alpha is not None:
             raise ValueError("alpha only applies to the alpha cone")
-        if self.tag == LEXICOGRAPHIC_CONE and self.parts is None:
-            raise ValueError("lexicographic cone needs its two parts")
+        if self.tag == LEXICOGRAPHIC_CONE and not (
+            type(self.parts) is tuple
+            and len(self.parts) == 2
+            and all(isinstance(p, ConeDescriptor) for p in self.parts)
+        ):
+            raise ValueError("lexicographic cone needs a pair of cone descriptors as its parts")
         if self.tag != LEXICOGRAPHIC_CONE and self.parts is not None:
             raise ValueError("parts only apply to the lexicographic cone")
         if self.with_full_class and self.tag != ALL_POSITIVE:

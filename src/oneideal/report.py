@@ -6,7 +6,8 @@ emitted as "p/q" strings and infinity as "inf".  ``Report.from_json_dict``
 is the exact inverse of ``Report.to_json_dict``: parsing an emitted report
 re-yields the original values.  It is as strict as the input schema: every
 integer is read by :func:`strict_int`, and a rational only as "inf", "p" or
-"p/q" in decimal digits.
+"p/q" in decimal digits.  Every object must hold each key the writer always
+emits and no key the writer never emits.
 """
 
 from __future__ import annotations
@@ -82,24 +83,27 @@ def _field(d, key: str, *kinds: type, choices: tuple = ()):
     return v
 
 
-def _json_object(v, what: str, keys: set[str]) -> dict:
+def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
+    """``v`` as a JSON object with every key in ``keys`` and besides them
+    only keys in ``optional``; else ValueError."""
     if not isinstance(v, dict):
         raise ValueError(f"{what} must be a JSON object, got {v!r}")
-    unknown = sorted(set(v) - keys)
+    unknown = sorted(set(v) - keys - optional)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
+    missing = sorted(keys - set(v))
+    if missing:
+        raise ValueError(f"{what} is missing keys {missing}")
     return v
 
 
 def spec_from_json(d) -> FamilySpec:
     """Parse the input schema strictly: every integer is a JSON integer or a
     decimal string ("inf" also for m); nothing else is coerced."""
-    d = _json_object(d, "family spec", {"m", "n", "tail"})
-    if "m" not in d or "n" not in d:
-        raise ValueError("family spec needs at least m and n")
+    d = _json_object(d, "family spec", {"m", "n"}, {"tail"})
     m = INF if d["m"] == "inf" else strict_int(d["m"], "m")
     prefix = tuple(strict_int(n, "each entry of n") for n in _field(d, "n", list))
-    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind", "c"})
+    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
     tail = TailSpec(tail_d.get("kind"), _optional_int(tail_d.get("c"), "tail c"))
     return FamilySpec(m, prefix, tail)
 
@@ -115,8 +119,16 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
     return out
 
 
+_CONE_KEYS = {
+    ALL_POSITIVE: {"tag", "withFullClass"},
+    ALPHA_CONE: {"tag", "alpha"},
+    LEXICOGRAPHIC_CONE: {"tag", "parts"},
+}
+
+
 def _cone_from_json(d: dict) -> ConeDescriptor:
     tag = _field(d, "tag", str)
+    _json_object(d, "cone", _CONE_KEYS.get(tag, {"tag"}))
     if tag == ALL_POSITIVE:
         return ConeDescriptor(tag, with_full_class=_field(d, "withFullClass", bool))
     if tag == ALPHA_CONE:
@@ -137,6 +149,7 @@ def _group_to_json(group: GroupDescriptor) -> dict:
 
 
 def _group_from_json(d: dict) -> GroupDescriptor:
+    _json_object(d, "group", {"tag", "symbol"}, {"torsion", "modulus"})
     group = GroupDescriptor(
         _field(d, "tag", str),
         torsion_order=_optional_int(d.get("torsion"), "group torsion"),
@@ -151,6 +164,7 @@ def _pg_to_json(pg: PreorderedGroup) -> dict:
 
 
 def _pg_from_json(d: dict) -> PreorderedGroup:
+    _json_object(d, "preordered group", {"group", "cone"})
     return PreorderedGroup(_group_from_json(_field(d, "group")), _cone_from_json(d.get("cone")))
 
 
@@ -165,6 +179,9 @@ def invariant_to_json(inv: SixTermInvariant) -> dict:
 
 
 def invariant_from_json(d: dict) -> SixTermInvariant:
+    _json_object(
+        d, "invariant", {"ideal", "middle", "quotient", "caseTag", "indexMapZero"}, {"truncation"}
+    )
     return SixTermInvariant(
         ideal=_pg_from_json(_field(d, "ideal")),
         middle=_pg_from_json(d.get("middle")),
@@ -185,6 +202,7 @@ def scalars_to_json(s: DerivedScalars) -> dict:
 
 
 def scalars_from_json(d: dict) -> DerivedScalars:
+    _json_object(d, "scalars", {"alpha", "k", "N", "x", "M"})
     return DerivedScalars(
         alpha=_parse_rational(_field(d, "alpha"), "alpha"),
         k=_optional_int(d.get("k"), "k"),
@@ -270,21 +288,24 @@ class Report:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Report":
+        top = {"command", "inputs", "scalars", "invariant", "verdict", "witness", "version"}
+        _json_object(d, "report", top)
         command = _field(d, "command", choices=("invariant", "fullness", "compare", "scan"))
         specs = []
         scan_limit = None
         for entry in _field(d, "inputs", list):
             if _field(entry, "maxM") is None:
-                specs.append(spec_from_json(entry))
+                specs.append(spec_from_json(_json_object(entry, "input", {"m", "n", "tail"})))
             else:
-                scan_limit = strict_int(entry["maxM"], "maxM")
-        scalars = None if d.get("scalars") is None else scalars_from_json(d["scalars"])
+                scan_limit = strict_int(_json_object(entry, "input", {"maxM"})["maxM"], "maxM")
+        scalars = None if d["scalars"] is None else scalars_from_json(d["scalars"])
         invariant = None
         truncation = None
-        if d.get("invariant") is not None:
+        if d["invariant"] is not None:
             invariant = invariant_from_json(d["invariant"])
             trunc = d["invariant"].get("truncation")
             if trunc is not None:
+                _json_object(trunc, "truncation", {"depth", "freeRank", "torsion"})
                 truncation = (
                     strict_int(_field(trunc, "depth"), "truncation depth"),
                     strict_int(trunc.get("freeRank"), "truncation free rank"),
@@ -296,8 +317,10 @@ class Report:
         comparison = None
         compare_mode = None
         scan = None
-        verdict = d.get("verdict")
+        verdict = d["verdict"]
         if command == "fullness" and verdict is not None:
+            keys = {"stenotic", "kLexicographic", "stabilizedFull", "unstabilized"}
+            _json_object(verdict, "verdict", keys, {"note"})
             fullness = FullnessVerdict(
                 stenotic=_field(verdict, "stenotic", bool),
                 k_lexicographic=_field(verdict, "kLexicographic", bool),
@@ -307,24 +330,33 @@ class Report:
             note = UNKNOWN_NOTE if fullness.unstabilized == UNKNOWN else None
             _field(verdict, "note", choices=(note,))
         elif command == "compare" and verdict is not None:
+            _json_object(verdict, "verdict", {"mode", "isomorphic"}, {"reason"})
             compare_mode = _field(verdict, "mode", choices=("exact", "stable"))
-            w = d.get("witness")
+            w = d["witness"]
             if w is not None:
-                w = IsoWitness(*(strict_int(_field(w, k), k) for k in ("l", "lPrime", "unit")))
+                _json_object(w, "witness", {"l", "lPrime", "unit"})
+                w = IsoWitness(*(strict_int(w[k], k) for k in ("l", "lPrime", "unit")))
             comparison = IsoVerdict(
                 isomorphic=_field(verdict, "isomorphic", bool),
                 witness=w,
                 reason=_field(verdict, "reason", str, type(None)),
             )
         elif command == "scan" and verdict is not None:
-            rows = _field(verdict, "table", list)
+            _json_object(verdict, "verdict", {"smallestDivergentM", "table"})
             keys = ("m", "exactClasses", "stableClasses")
+            rows = _field(verdict, "table", list)
+            for r in rows:
+                _json_object(r, "table row", set(keys))
             scan = ScanResult(
                 smallest_divergent_m=_optional_int(
-                    verdict.get("smallestDivergentM"), "smallestDivergentM"
+                    verdict["smallestDivergentM"], "smallestDivergentM"
                 ),
-                table=tuple(tuple(strict_int(_field(r, k), k) for k in keys) for r in rows),
+                table=tuple(tuple(strict_int(r[k], k) for k in keys) for r in rows),
             )
+        elif verdict is not None:
+            raise ValueError(f"an invariant report has no verdict, got {verdict!r}")
+        if d["witness"] is not None and comparison is None:
+            raise ValueError(f"only a compare verdict has a witness, got {d['witness']!r}")
         return cls(
             command=command,
             inputs=tuple(specs),

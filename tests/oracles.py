@@ -3,6 +3,9 @@
 None of these is on a production path: each one re-derives, by a slower or
 more literal route, a quantity the library computes in closed form.
 
+* :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
+  form of the whole matrix, without eliminating unit pivots first;
+* :func:`determinant` - an exact determinant by Bareiss elimination;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
@@ -26,10 +29,61 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from oneideal import FamilySpec, InternalConsistencyError, is_infinite, odd_part
+from oneideal import (
+    FamilySpec,
+    IntMatrix,
+    InternalConsistencyError,
+    is_infinite,
+    odd_part,
+    smith_normal_form,
+)
 from oneideal.classify import IsoWitness, _unit_multiples, units_mod
 from oneideal.dyadic import ExtendedRational, residue_cycle
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
+
+# --------------------------------------------------------------------------
+# dense Smith form routes
+
+
+def dense_cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
+    """Invariant factors of Z^rows / (column span of ``m``).
+
+    Returns ``(free_rank, torsion)`` where torsion lists the invariant
+    factors larger than 1 in divisibility order.
+    """
+    snf = smith_normal_form(m)
+    nonzero = snf.invariant_factors()
+    free_rank = m.rows - len(nonzero)
+    torsion = [d for d in nonzero if d > 1]
+    return free_rank, torsion
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant requires a square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.to_lists()
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    a[t], a[i] = a[i], a[t]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+            a[i][t] = 0
+        prev = a[t][t]
+    return sign * a[n - 1][n - 1]
+
 
 # --------------------------------------------------------------------------
 # torsion order via the truncation Smith form

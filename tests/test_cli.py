@@ -219,6 +219,15 @@ MISSING = object()  # deletes the key instead of setting it
         (INVARIANT_M9, ("inputs",), 5),
         (COMPARE_STABLE, ("witness",), [1, 2, 3]),
         (INVARIANT_M9, ("command",), MISSING),
+        (INVARIANT_M9, ("invariant", "middle", "cone"), {"tag": "Lexicographic", "parts": []}),
+        (INVARIANT_M9, ("scalars", "k"), MISSING),
+        (INVARIANT_M9, ("junk",), "1"),
+        (INVARIANT_M9, ("witness",), {"l": "0", "lPrime": "0", "unit": "1"}),
+        (INVARIANT_M9, ("verdict",), {"mode": "stable", "isomorphic": True}),
+        (INVARIANT_M9, ("invariant", "middle", "cone", "alpha"), "1"),
+        (INVARIANT_M9, ("inputs", 0, "tail"), MISSING),
+        (COMPARE_STABLE, ("verdict", "junk"), True),
+        (SCAN_12, ("verdict", "table", 0, "junk"), "1"),
     ],
 )
 def test_tampered_report_is_rejected(capsys, argv, path, value):
@@ -391,6 +400,38 @@ def _smith_forms(capsys, monkeypatch, *argv):
 )
 def test_smith_forms_per_command(capsys, monkeypatch, argv, expected):
     assert _smith_forms(capsys, monkeypatch, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--m", "9", "--n", "1", "--depth", "100000"),
+        ("invariant", "--m", "9", "--n", "1", "--depth", "2049"),
+        ("invariant", "--m", "9", "--n", ",".join(["1"] * 2046)),  # default depth k + 3
+        ("invariant", "--m", str(2**2047 + 1), "--n", "1"),  # default depth k + v2(m-1) + 1
+    ],
+)
+def test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix(
+    capsys, monkeypatch, argv
+):
+    import oneideal.family
+    import oneideal.ktheory
+
+    def refuse(spec, depth):
+        raise AssertionError(f"built a depth-{depth} presentation")
+
+    monkeypatch.setattr(oneideal.ktheory, "truncated_presentation", refuse)
+    monkeypatch.setattr(oneideal.family, "truncated_presentation", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error [WorkLimit]: truncation depth ")
+    assert err.rstrip().endswith(f"exceeds the limit {oneideal.ktheory.MAX_TRUNCATION_DEPTH}")
+
+
+def test_truncation_at_the_depth_limit_is_computed(capsys):
+    code, data, _ = run_json(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "2048")
+    assert code == 0
+    assert data["invariant"]["truncation"] == {"depth": "2048", "freeRank": "1", "torsion": ["8"]}
 
 
 def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):

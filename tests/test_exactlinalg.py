@@ -2,14 +2,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oneideal import IntMatrix, cokernel_invariants, smith_normal_form
+from oneideal import (
+    FamilyValidationError,
+    IntMatrix,
+    cokernel_invariants,
+    smith_normal_form,
+    stable_oracle_depth,
+    truncated_presentation,
+    validate_family,
+)
+from oracles import dense_cokernel_invariants, determinant
 
 
 def snf_contract_holds(m: IntMatrix) -> None:
     snf = smith_normal_form(m)
     assert snf.U @ m @ snf.V == snf.S
-    assert abs(snf.U.determinant()) == 1
-    assert abs(snf.V.determinant()) == 1
+    assert abs(determinant(snf.U)) == 1
+    assert abs(determinant(snf.V)) == 1
     diag = snf.S.diagonal()
     # off-diagonal zero
     for i in range(snf.S.rows):
@@ -127,3 +136,60 @@ def test_cokernel_invariant_under_column_permutation_and_zero_columns(rows, cols
 
     padded = IntMatrix.from_rows([list(m.row(i)) + [0, 0] for i in range(rows)])
     assert cokernel_invariants(padded) == base
+
+
+# a third of the entries are units, so elimination fires and its column
+# updates fill in entries that were zero
+entries_biased_to_units = st.one_of(
+    st.sampled_from((1, -1)), st.just(0), st.integers(min_value=-20, max_value=20)
+)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 1], [1, 1]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 10]],
+        [[2, 1], [1, 2]],
+        [[-1, 0, 5], [0, 0, 0], [3, 0, 7]],
+    ],
+)
+def test_cokernel_matches_the_dense_smith_form_on_fixed_cases(rows):
+    m = IntMatrix.from_rows(rows)
+    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
+
+
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.data(),
+)
+def test_cokernel_matches_the_dense_smith_form(rows, cols, data):
+    entries = data.draw(
+        st.lists(entries_biased_to_units, min_size=rows * cols, max_size=rows * cols)
+    )
+    zero_rows = data.draw(st.sets(st.integers(min_value=0, max_value=5), max_size=2))
+    zero_cols = data.draw(st.sets(st.integers(min_value=0, max_value=5), max_size=2))
+    entries = [
+        0 if t // cols in zero_rows or t % cols in zero_cols else v
+        for t, v in enumerate(entries)
+    ]
+    m = IntMatrix(rows, cols, tuple(entries))
+    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
+
+
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=49),
+    st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=8),
+    st.integers(min_value=-4, max_value=3),
+)
+def test_cokernel_matches_the_dense_smith_form_on_truncations(v, odd, prefix, offset):
+    """At, below and past the stable depth, with m - 1 = 2^v * odd."""
+    try:
+        spec = validate_family(((2 * odd + 1) << v) + 1, prefix)
+    except FamilyValidationError:
+        return
+    depth = max(len(prefix), stable_oracle_depth(spec) + offset)
+    m = truncated_presentation(spec, depth)
+    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
