@@ -8,7 +8,7 @@ reports the smallest divergent m.
 
 import argparse
 
-from oneideal import divergence_table
+from oneideal import ScanResult, divergence_table
 
 
 def main() -> None:
@@ -18,13 +18,12 @@ def main() -> None:
     if args.max_m < 2:
         parser.error("--max-m must be at least 2")
 
-    rows = divergence_table(args.max_m)
+    scan = ScanResult(tuple(divergence_table(args.max_m)))
     print(f"{'m':>4}  {'exact':>6}  {'stable':>6}")
-    for m, exact, stable in rows:
+    for m, exact, stable in scan.table:
         mark = "  <-- diverges" if exact != stable else ""
         print(f"{m:>4}  {exact:>6}  {stable:>6}{mark}")
-    smallest = next((m for m, exact, stable in rows if exact != stable), None)
-    print(f"\nsmallest divergent m: {smallest}")
+    print(f"\nsmallest divergent m: {scan.smallest_divergent_m}")
 
 
 if __name__ == "__main__":

@@ -41,6 +41,20 @@ class FullnessVerdict:
     stabilized_full: bool
     unstabilized: str  # FULL or UNKNOWN
 
+    def __post_init__(self) -> None:
+        if self.unstabilized not in (FULL, UNKNOWN):
+            raise ValueError(f"unknown unstabilized verdict {self.unstabilized!r}")
+
+
+@dataclass(frozen=True)
+class ScanResult:
+    table: tuple[tuple[int, int, int], ...]  # (m, exact classes, stable classes)
+
+    @property
+    def smallest_divergent_m(self) -> int | None:
+        """Smallest m whose exact and stable class counts differ, or None."""
+        return next((m for m, exact, stable in self.table if exact != stable), None)
+
 
 @dataclass(frozen=True)
 class IsoWitness:
@@ -251,7 +265,4 @@ def smallest_divergence(limit_m: int) -> int | None:
     differ, or None when they agree throughout."""
     if limit_m < 2:
         raise ValueError("limit must be at least 2")
-    for m, exact, stable in divergence_table(limit_m):
-        if exact != stable:
-            return m
-    return None
+    return ScanResult(tuple(divergence_table(limit_m))).smallest_divergent_m

@@ -10,8 +10,9 @@ folding), into that schema object, so :func:`.report.spec_from_json` is
 the one reader of every form.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
-validation error, or a truncation deeper than
-``ktheory.MAX_TRUNCATION_DEPTH`` (``WorkLimit``), 3 = internal consistency
+validation error, or (``WorkLimit``) an input past
+``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS`` or a
+truncation deeper than ``ktheory.MAX_TRUNCATION_DEPTH``, 3 = internal consistency
 failure (the stable-isomorphism routes disagree, or the truncation shown by
 ``invariant`` contradicts the closed-form torsion order).
 """
@@ -34,7 +35,7 @@ from .errors import (
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
-from .report import Report, ScanResult, spec_from_json, strict_int
+from .report import Report, spec_from_json, strict_int
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -42,6 +43,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     if len(set(keys)) != len(keys):
         raise ValueError(f"repeated key in JSON object with keys {keys}")
     return dict(pairs)
+
+
+# Decodes a JSON spec.  Its integers stay digit strings, so that
+# spec_from_json applies its digit limit to them, even past Python's own.
+_SPEC_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_int=str)
 
 
 def _schema_object(m: str, n: str, tail: str) -> dict:
@@ -53,7 +59,7 @@ def _schema_object(m: str, n: str, tail: str) -> dict:
 
 def _spec_from_flags(args) -> FamilySpec:
     if args.spec is not None:
-        return spec_from_json(json.loads(args.spec, object_pairs_hook=_unique_keys))
+        return spec_from_json(_SPEC_JSON.decode(args.spec))
     if args.m is None or args.n is None:
         raise ValueError("provide --m and --n (or --spec with a JSON object)")
     return spec_from_json(_schema_object(args.m, args.n, args.tail))
@@ -62,7 +68,7 @@ def _spec_from_flags(args) -> FamilySpec:
 def _spec_from_compact(text: str) -> FamilySpec:
     """Parse ``m=8,n=[1,0,3],tail=constant:2`` (or a JSON object)."""
     if text.lstrip().startswith("{"):
-        return spec_from_json(json.loads(text, object_pairs_hook=_unique_keys))
+        return spec_from_json(_SPEC_JSON.decode(text))
     fields: dict[str, str] = {}
     rest = text
     while rest:
@@ -143,11 +149,9 @@ def _cmd_scan(args) -> Report:
     max_m = strict_int(args.max_m, "--max-m")
     if max_m < 2:
         raise ValueError("--max-m must be at least 2")
-    table = tuple(classify.divergence_table(max_m))
-    smallest = next((m for m, e, s in table if e != s), None)
     return Report(
         command="scan",
-        scan=ScanResult(smallest_divergent_m=smallest, table=table),
+        scan=classify.ScanResult(tuple(classify.divergence_table(max_m))),
         scan_limit=max_m,
     )
 

@@ -118,19 +118,24 @@ def pad_prefix(spec: FamilySpec, zeros: int = 1) -> FamilySpec:
     return FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)
 
 
+def _horner_weight(prefix: tuple[int, ...]) -> int:
+    """N = sum(n_i * 2^(k-i)) over a length-k prefix, in one Horner pass."""
+    n_weight = 0
+    for n in prefix:
+        n_weight = 2 * n_weight + n
+    return n_weight
+
+
 def alpha_of(spec: FamilySpec) -> ExtendedRational:
     """The exact value of sum(n_i / 2^i), or infinity for a doubling tail.
 
-    A constant tail contributes c / 2^k beyond a length-k prefix; a doubling
-    tail contributes a constant per term, so the sum diverges.
+    Over a length-k prefix the sum is N / 2^k with N the weight; a constant
+    tail c adds c / 2^k, and a doubling tail a constant per term, so the sum
+    diverges.
     """
     if spec.tail.kind == "doubling":
         return INF
-    k = len(spec.prefix)
-    total = sum(Fraction(n, 1 << (i + 1)) for i, n in enumerate(spec.prefix))
-    if spec.tail.kind == "constant":
-        total += Fraction(spec.tail.c, 1 << k)
-    return total
+    return Fraction(_horner_weight(spec.prefix) + (spec.tail.c or 0), 1 << len(spec.prefix))
 
 
 def weight_of(spec: FamilySpec) -> tuple[int, int]:
@@ -141,11 +146,7 @@ def weight_of(spec: FamilySpec) -> tuple[int, int]:
     """
     if spec.tail.kind != "zero":
         raise RegimeError("weight data (k, N) requires a zero tail")
-    k = len(spec.prefix)
-    n_weight = 0
-    for n in spec.prefix:
-        n_weight = 2 * n_weight + n
-    return k, n_weight
+    return len(spec.prefix), _horner_weight(spec.prefix)
 
 
 def truncated_presentation(spec: FamilySpec, depth: int) -> IntMatrix:

@@ -2,21 +2,24 @@
 
 Every integer in the JSON form is emitted as a decimal string so consumers
 without big-integer support cannot silently lose precision.  Rationals are
-emitted as "p/q" strings and infinity as "inf".  ``Report.from_json_dict``
-is the exact inverse of ``Report.to_json_dict``: parsing an emitted report
-re-yields the original values.  It is as strict as the input schema: every
-integer is read by :func:`strict_int`, and a rational only as "inf", "p" or
-"p/q" in decimal digits.  Every object must hold each key the writer always
-emits and no key the writer never emits.
+emitted as "p/q" strings and infinity as "inf".  The writer alone defines
+the format: ``Report.from_json_dict`` accepts a dict iff reading it and
+re-emitting it gives it back exactly, and raises ``ValueError`` otherwise.
+
+Family specs, which users also write by hand, are read by
+:func:`spec_from_json`, with explicit checks and messages and within the
+input-size limits :data:`MAX_PREFIX_LENGTH` and :data:`MAX_INTEGER_DIGITS`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import FULL, UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness
-from .dyadic import INF, format_extended
+from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness, ScanResult
+from .dyadic import INF, ExtendedRational, format_extended
+from .errors import OneIdealError, WorkLimitError
 from .family import FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
@@ -31,26 +34,16 @@ from .version import __version__
 
 UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
 
+# The largest input :func:`spec_from_json` reads, for every spec form.  The
+# weight N and alpha = (N + c) / 2^k then have at most 1000 + 10000 log10(2)
+# < 4012 digits, so every integer a report shows stays below Python's default
+# 4,300-digit limit on int-to-str conversion.
+MAX_PREFIX_LENGTH = 10_000
+MAX_INTEGER_DIGITS = 1_000
+
 
 def _int_str(v: int | None) -> str | None:
     return None if v is None else str(v)
-
-
-def _optional_int(v, what: str) -> int | None:
-    return None if v is None else strict_int(v, what)
-
-
-def _parse_rational(v, what: str):
-    """"inf", or "p" or "p/q" with p and q > 0 strings of decimal digits."""
-    if v == "inf":
-        return INF
-    if not isinstance(v, str):
-        raise ValueError(f"{what} must be a string \"inf\", \"p\" or \"p/q\", got {v!r}")
-    p, slash, q = v.partition("/")
-    den = strict_int(q, what) if slash else 1
-    if den == 0:
-        raise ValueError(f"{what} has a zero denominator: {v!r}")
-    return Fraction(strict_int(p, what), den)
 
 
 def spec_to_json(spec: FamilySpec) -> dict:
@@ -69,18 +62,14 @@ def strict_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
-def _field(d, key: str, *kinds: type, choices: tuple = ()):
-    """``d[key]`` (None when absent) of the JSON object ``d``.  Given
-    ``kinds``, its exact type must be one of them (so a bool is no int);
-    given ``choices``, it must be one of them.  Else ValueError."""
-    if type(d) is not dict:
-        raise ValueError(f"expected a JSON object with key {key!r}, got {d!r}")
-    v = d.get(key)
-    if kinds and type(v) not in kinds:
-        raise ValueError(f"{key} must be a JSON {'/'.join(k.__name__ for k in kinds)}, got {v!r}")
-    if choices and v not in choices:
-        raise ValueError(f"{key} must be one of {choices}, got {v!r}")
-    return v
+def _limited_int(v, what: str) -> int:
+    """:func:`strict_int`, past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError."""
+    digits = len(v) if isinstance(v, str) else len(str(strict_int(v, what)))
+    if digits > MAX_INTEGER_DIGITS:
+        raise WorkLimitError(
+            f"{what} has {digits} digits, more than the limit {MAX_INTEGER_DIGITS}"
+        )
+    return strict_int(v, what)
 
 
 def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
@@ -99,13 +88,36 @@ def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset())
 
 def spec_from_json(d) -> FamilySpec:
     """Parse the input schema strictly: every integer is a JSON integer or a
-    decimal string ("inf" also for m); nothing else is coerced."""
+    decimal string ("inf" also for m); nothing else is coerced.  A prefix
+    longer than :data:`MAX_PREFIX_LENGTH`, or an integer with more than
+    :data:`MAX_INTEGER_DIGITS` digits, raises :class:`WorkLimitError`."""
     d = _json_object(d, "family spec", {"m", "n"}, {"tail"})
-    m = INF if d["m"] == "inf" else strict_int(d["m"], "m")
-    prefix = tuple(strict_int(n, "each entry of n") for n in _field(d, "n", list))
+    m = INF if d["m"] == "inf" else _limited_int(d["m"], "m")
+    ns = d["n"]
+    if type(ns) is not list:
+        raise ValueError(f"n must be a JSON list, got {ns!r}")
+    if len(ns) > MAX_PREFIX_LENGTH:
+        raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
+    prefix = tuple(_limited_int(n, "each entry of n") for n in ns)
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
-    tail = TailSpec(tail_d.get("kind"), _optional_int(tail_d.get("c"), "tail c"))
+    c = tail_d.get("c")
+    tail = TailSpec(tail_d.get("kind"), None if c is None else _limited_int(c, "tail c"))
     return FamilySpec(m, prefix, tail)
+
+
+# Report readers: each reads a value back into the type the writer emits it
+# from and leaves every other check to re-emission.  They only index JSON
+# values, so a wrong shape raises KeyError or TypeError, never AttributeError.
+
+
+def _int(v) -> int | None:
+    return None if v is None else strict_int(v, "a report integer")
+
+
+def _rational(v) -> ExtendedRational:
+    """"inf", "p" or "p/q" in decimal digits (str() makes any other JSON
+    value fail as a non-digit part)."""
+    return INF if v == "inf" else Fraction(*(_int(p) for p in str(v).split("/")))
 
 
 def _cone_to_json(cone: ConeDescriptor) -> dict:
@@ -119,23 +131,14 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
     return out
 
 
-_CONE_KEYS = {
-    ALL_POSITIVE: {"tag", "withFullClass"},
-    ALPHA_CONE: {"tag", "alpha"},
-    LEXICOGRAPHIC_CONE: {"tag", "parts"},
-}
-
-
-def _cone_from_json(d: dict) -> ConeDescriptor:
-    tag = _field(d, "tag", str)
-    _json_object(d, "cone", _CONE_KEYS.get(tag, {"tag"}))
+def _cone_from_json(d) -> ConeDescriptor:
+    tag = str(d["tag"])
     if tag == ALL_POSITIVE:
-        return ConeDescriptor(tag, with_full_class=_field(d, "withFullClass", bool))
+        return ConeDescriptor(tag, with_full_class=d["withFullClass"] is True)
     if tag == ALPHA_CONE:
-        return ConeDescriptor(tag, alpha=_parse_rational(d.get("alpha"), "cone alpha"))
+        return ConeDescriptor(tag, alpha=_rational(d["alpha"]))
     if tag == LEXICOGRAPHIC_CONE:
-        parts = _field(d, "parts", list)
-        return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in parts))
+        return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in d["parts"]))
     return ConeDescriptor(tag)
 
 
@@ -148,24 +151,17 @@ def _group_to_json(group: GroupDescriptor) -> dict:
     return out
 
 
-def _group_from_json(d: dict) -> GroupDescriptor:
-    _json_object(d, "group", {"tag", "symbol"}, {"torsion", "modulus"})
-    group = GroupDescriptor(
-        _field(d, "tag", str),
-        torsion_order=_optional_int(d.get("torsion"), "group torsion"),
-        modulus=_optional_int(d.get("modulus"), "group modulus"),
-    )
-    _field(d, "symbol", choices=(group.render(),))
-    return group
+def _group_from_json(d) -> GroupDescriptor:
+    optional = (_int(d[k]) if k in d else None for k in ("torsion", "modulus"))
+    return GroupDescriptor(str(d["tag"]), *optional)
 
 
 def _pg_to_json(pg: PreorderedGroup) -> dict:
     return {"group": _group_to_json(pg.group), "cone": _cone_to_json(pg.cone)}
 
 
-def _pg_from_json(d: dict) -> PreorderedGroup:
-    _json_object(d, "preordered group", {"group", "cone"})
-    return PreorderedGroup(_group_from_json(_field(d, "group")), _cone_from_json(d.get("cone")))
+def _pg_from_json(d) -> PreorderedGroup:
+    return PreorderedGroup(_group_from_json(d["group"]), _cone_from_json(d["cone"]))
 
 
 def invariant_to_json(inv: SixTermInvariant) -> dict:
@@ -178,17 +174,9 @@ def invariant_to_json(inv: SixTermInvariant) -> dict:
     }
 
 
-def invariant_from_json(d: dict) -> SixTermInvariant:
-    _json_object(
-        d, "invariant", {"ideal", "middle", "quotient", "caseTag", "indexMapZero"}, {"truncation"}
-    )
-    return SixTermInvariant(
-        ideal=_pg_from_json(_field(d, "ideal")),
-        middle=_pg_from_json(d.get("middle")),
-        quotient=_pg_from_json(d.get("quotient")),
-        index_map_zero=_field(d, "indexMapZero", bool),
-        case_tag=_field(d, "caseTag", str),
-    )
+def invariant_from_json(d) -> SixTermInvariant:
+    groups = (_pg_from_json(d[k]) for k in ("ideal", "middle", "quotient"))
+    return SixTermInvariant(*groups, d["indexMapZero"] is True, str(d["caseTag"]))
 
 
 def scalars_to_json(s: DerivedScalars) -> dict:
@@ -201,21 +189,36 @@ def scalars_to_json(s: DerivedScalars) -> dict:
     }
 
 
-def scalars_from_json(d: dict) -> DerivedScalars:
-    _json_object(d, "scalars", {"alpha", "k", "N", "x", "M"})
-    return DerivedScalars(
-        alpha=_parse_rational(_field(d, "alpha"), "alpha"),
-        k=_optional_int(d.get("k"), "k"),
-        n_weight=_optional_int(d.get("N"), "N"),
-        x=_optional_int(d.get("x"), "x"),
-        m_odd=_optional_int(d.get("M"), "M"),
-    )
+def scalars_from_json(d) -> DerivedScalars:
+    return DerivedScalars(_rational(d["alpha"]), *(_int(d[k]) for k in ("k", "N", "x", "M")))
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    smallest_divergent_m: int | None
-    table: tuple[tuple[int, int, int], ...]  # (m, exact classes, stable classes)
+def _verdict_from_json(v, witness) -> dict:
+    """The report fields that a verdict and witness set, the verdict told
+    apart by its keys."""
+    if v is None:
+        return {}
+    if "table" in v:
+        keys = ("m", "exactClasses", "stableClasses")
+        return {"scan": ScanResult(tuple(tuple(_int(r[k]) for k in keys) for r in v["table"]))}
+    if "mode" in v:
+        if witness is not None:
+            witness = IsoWitness(*(_int(witness[k]) for k in ("l", "lPrime", "unit")))
+        reason = str(v["reason"]) if "reason" in v else None
+        verdict = IsoVerdict(v["isomorphic"] is True, witness, reason)
+        return {"comparison": verdict, "compare_mode": str(v["mode"])}
+    keys = ("stenotic", "kLexicographic", "stabilizedFull")
+    return {"fullness": FullnessVerdict(*(v[k] is True for k in keys), str(v["unstabilized"]))}
+
+
+# What each command's report holds: how many family members it reads, and
+# which optional sections it sets.  Only `invariant` may add a truncation.
+_SHAPES = {
+    "invariant": (1, {"scalars", "invariant"}),
+    "fullness": (1, {"scalars", "invariant", "fullness"}),
+    "compare": (2, {"comparison", "compare_mode"}),
+    "scan": (0, {"scan", "scan_limit"}),
+}
 
 
 @dataclass(frozen=True)
@@ -233,6 +236,19 @@ class Report:
     truncation: tuple[int, int, tuple[int, ...]] | None = None  # (depth, free rank, torsion)
     scan_limit: int | None = None
     version: str = __version__
+
+    def __post_init__(self) -> None:
+        sections = {k for k, v in vars(self).items() if v is not None}
+        sections -= {"command", "inputs", "truncation", "version"}
+        if _SHAPES.get(self.command) != (len(self.inputs), sections):
+            raise ValueError(
+                f"a {self.command!r} report cannot have {len(self.inputs)} inputs and "
+                f"the sections {sorted(sections)}"
+            )
+        if self.truncation is not None and self.command != "invariant":
+            raise ValueError(f"a {self.command!r} report has no truncation")
+        if self.compare_mode not in (None, "exact", "stable"):
+            raise ValueError(f"unknown compare mode {self.compare_mode!r}")
 
     # -- JSON ---------------------------------------------------------------
 
@@ -287,89 +303,37 @@ class Report:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "Report":
-        top = {"command", "inputs", "scalars", "invariant", "verdict", "witness", "version"}
-        _json_object(d, "report", top)
-        command = _field(d, "command", choices=("invariant", "fullness", "compare", "scan"))
-        specs = []
-        scan_limit = None
-        for entry in _field(d, "inputs", list):
-            if _field(entry, "maxM") is None:
-                specs.append(spec_from_json(_json_object(entry, "input", {"m", "n", "tail"})))
-            else:
-                scan_limit = strict_int(_json_object(entry, "input", {"maxM"})["maxM"], "maxM")
-        scalars = None if d["scalars"] is None else scalars_from_json(d["scalars"])
-        invariant = None
-        truncation = None
-        if d["invariant"] is not None:
-            invariant = invariant_from_json(d["invariant"])
-            trunc = d["invariant"].get("truncation")
-            if trunc is not None:
-                _json_object(trunc, "truncation", {"depth", "freeRank", "torsion"})
-                truncation = (
-                    strict_int(_field(trunc, "depth"), "truncation depth"),
-                    strict_int(trunc.get("freeRank"), "truncation free rank"),
-                    tuple(
-                        strict_int(t, "truncation torsion") for t in _field(trunc, "torsion", list)
-                    ),
-                )
-        fullness = None
-        comparison = None
-        compare_mode = None
-        scan = None
-        verdict = d["verdict"]
-        if command == "fullness" and verdict is not None:
-            keys = {"stenotic", "kLexicographic", "stabilizedFull", "unstabilized"}
-            _json_object(verdict, "verdict", keys, {"note"})
-            fullness = FullnessVerdict(
-                stenotic=_field(verdict, "stenotic", bool),
-                k_lexicographic=_field(verdict, "kLexicographic", bool),
-                stabilized_full=_field(verdict, "stabilizedFull", bool),
-                unstabilized=_field(verdict, "unstabilized", choices=(FULL, UNKNOWN)),
-            )
-            note = UNKNOWN_NOTE if fullness.unstabilized == UNKNOWN else None
-            _field(verdict, "note", choices=(note,))
-        elif command == "compare" and verdict is not None:
-            _json_object(verdict, "verdict", {"mode", "isomorphic"}, {"reason"})
-            compare_mode = _field(verdict, "mode", choices=("exact", "stable"))
-            w = d["witness"]
-            if w is not None:
-                _json_object(w, "witness", {"l", "lPrime", "unit"})
-                w = IsoWitness(*(strict_int(w[k], k) for k in ("l", "lPrime", "unit")))
-            comparison = IsoVerdict(
-                isomorphic=_field(verdict, "isomorphic", bool),
-                witness=w,
-                reason=_field(verdict, "reason", str, type(None)),
-            )
-        elif command == "scan" and verdict is not None:
-            _json_object(verdict, "verdict", {"smallestDivergentM", "table"})
-            keys = ("m", "exactClasses", "stableClasses")
-            rows = _field(verdict, "table", list)
-            for r in rows:
-                _json_object(r, "table row", set(keys))
-            scan = ScanResult(
-                smallest_divergent_m=_optional_int(
-                    verdict["smallestDivergentM"], "smallestDivergentM"
+    def from_json_dict(cls, d) -> "Report":
+        """The report that :meth:`to_json_dict` turns into exactly ``d``;
+        ValueError when there is none."""
+        try:
+            specs, scan_limit = [], None
+            for entry in d["inputs"]:
+                if "maxM" in entry:
+                    scan_limit = _int(entry["maxM"])
+                else:
+                    specs.append(spec_from_json(entry))
+            inv = d["invariant"]
+            t = inv["truncation"] if inv is not None and "truncation" in inv else None
+            report = cls(
+                str(d["command"]),
+                tuple(specs),
+                None if d["scalars"] is None else scalars_from_json(d["scalars"]),
+                None if inv is None else invariant_from_json(inv),
+                **_verdict_from_json(d["verdict"], d["witness"]),
+                truncation=None if t is None else (
+                    _int(t["depth"]), _int(t["freeRank"]), tuple(_int(x) for x in t["torsion"])
                 ),
-                table=tuple(tuple(strict_int(r[k], k) for k in keys) for r in rows),
+                scan_limit=scan_limit,
+                version=str(d["version"]),
             )
-        elif verdict is not None:
-            raise ValueError(f"an invariant report has no verdict, got {verdict!r}")
-        if d["witness"] is not None and comparison is None:
-            raise ValueError(f"only a compare verdict has a witness, got {d['witness']!r}")
-        return cls(
-            command=command,
-            inputs=tuple(specs),
-            scalars=scalars,
-            invariant=invariant,
-            fullness=fullness,
-            comparison=comparison,
-            compare_mode=compare_mode,
-            scan=scan,
-            truncation=truncation,
-            scan_limit=scan_limit,
-            version=_field(d, "version", str),
-        )
+            emitted = json.dumps(report.to_json_dict(), sort_keys=True)
+            same = emitted == json.dumps(d, sort_keys=True)
+        except (KeyError, TypeError, ZeroDivisionError, OneIdealError) as err:
+            raise ValueError(f"not a report this program writes: {err!r}") from err
+        if not same:
+            raise ValueError("not a report this program writes: it does not re-emit as given")
+        return report
 
     # -- text ---------------------------------------------------------------
 

@@ -6,6 +6,7 @@ more literal route, a quantity the library computes in closed form.
 * :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
   form of the whole matrix, without eliminating unit pivots first;
 * :func:`determinant` - an exact determinant by Bareiss elimination;
+* :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
@@ -83,6 +84,22 @@ def determinant(m: IntMatrix) -> int:
             a[i][t] = 0
         prev = a[t][t]
     return sign * a[n - 1][n - 1]
+
+
+# --------------------------------------------------------------------------
+# alpha by summing the series
+
+
+def summed_alpha(spec: FamilySpec) -> ExtendedRational:
+    """sum(n_i / 2^i) over the prefix plus c / 2^k for a constant tail, as
+    exact fractions term by term; infinity for a doubling tail."""
+    if spec.tail.kind == "doubling":
+        return math.inf
+    k = len(spec.prefix)
+    total = sum(Fraction(n, 1 << (i + 1)) for i, n in enumerate(spec.prefix))
+    if spec.tail.kind == "constant":
+        total += Fraction(spec.tail.c, 1 << k)
+    return total
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,24 @@
 import contextlib
+import functools
 import io
 import json
 import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneideal import INF, FamilySpec, TailSpec
 from oneideal.cli import main
-from oneideal.report import Report, UNKNOWN_NOTE, spec_from_json, spec_to_json
+from oneideal.report import (
+    MAX_INTEGER_DIGITS,
+    MAX_PREFIX_LENGTH,
+    Report,
+    UNKNOWN_NOTE,
+    spec_from_json,
+    spec_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -177,6 +185,7 @@ INVARIANT_M0 = ("invariant", "--m", "0", "--n", "1,1")
 COMPARE_STABLE = ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable")
 SCAN_12 = ("scan", "--max-m", "12")
 FULLNESS_M0 = ("fullness", "--m", "0", "--n", "2")
+FULLNESS_M9 = ("fullness", "--m", "9", "--n", "1")
 MISSING = object()  # deletes the key instead of setting it
 
 
@@ -228,6 +237,19 @@ MISSING = object()  # deletes the key instead of setting it
         (INVARIANT_M9, ("inputs", 0, "tail"), MISSING),
         (COMPARE_STABLE, ("verdict", "junk"), True),
         (SCAN_12, ("verdict", "table", 0, "junk"), "1"),
+        (FULLNESS_M0, ("verdict",), None),
+        # an empty path sets several top-level keys at once
+        (SCAN_12, (), {"command": "invariant", "scalars": None, "invariant": None,
+                       "verdict": None}),
+        (FULLNESS_M9, ("invariant", "truncation"), {"depth": "5", "freeRank": "1",
+                                                    "torsion": ["8"]}),
+        (INVARIANT_M9, ("inputs", 0, "m"), "1"),
+        (INVARIANT_M9, ("inputs", 0, "n"), ["0"]),
+        # report integers are read only as the writer emits them
+        (INVARIANT_M9, ("scalars", "k"), 1),
+        (SCAN_12, ("verdict", "smallestDivergentM"), "9"),
+        # without a note, only the verdict type rejects an unknown value
+        (FULLNESS_M9, ("verdict", "unstabilized"), "Maybe"),
     ],
 )
 def test_tampered_report_is_rejected(capsys, argv, path, value):
@@ -236,12 +258,75 @@ def test_tampered_report_is_rejected(capsys, argv, path, value):
     target = data
     for key in path[:-1]:
         target = target[key]
-    if value is MISSING:
+    if not path:
+        data.update(value)
+    elif value is MISSING:
         del target[path[-1]]
     else:
         target[path[-1]] = value
     with pytest.raises(ValueError):
         Report.from_json_dict(data)
+
+
+# One emitted report per command and section shape.
+READER_ARGV = (
+    INVARIANT_M9,
+    ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
+    ("invariant", "--m", "inf", "--n", "1", "--tail", "doubling:1"),
+    FULLNESS_M0,
+    FULLNESS_M9,
+    COMPARE_STABLE,
+    ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "exact"),
+    SCAN_12,
+)
+JSON_VALUES = (
+    0, 1, -1, 2**70, True, False, None, "1", "+1", "-1", " 1", "1 ", "01", "1_0", "1/0",
+    "0/1", "1/2", "inf", "", "x", "Full", "Unknown", "exact", "AllPositive", [], ["1"], [{}],
+    {}, {"tag": "AllPositive", "withFullClass": True}, 0.5,
+)
+JSON_KEYS = (
+    "junk", "tag", "torsion", "modulus", "alpha", "withFullClass", "parts", "truncation",
+    "note", "reason", "maxM", "c", "witness",
+)
+
+
+@functools.cache
+def _emitted(argv):
+    code, out, _ = run_captured(*argv, "--format", "json")
+    assert code == 0
+    return out
+
+
+def _containers(v, path=()):
+    """Paths to every JSON object and list in ``v``, the root included."""
+    if isinstance(v, (dict, list)):
+        yield path
+        for key, child in (v.items() if isinstance(v, dict) else enumerate(v)):
+            yield from _containers(child, path + (key,))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from(READER_ARGV), st.data())
+def test_reader_rejects_or_re_emits_any_single_key_mutation(argv, data):
+    d = json.loads(_emitted(argv))
+    target = d
+    for key in data.draw(st.sampled_from(list(_containers(d)))):
+        target = target[key]
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    mutation = data.draw(st.sampled_from(["delete", "replace", "add"] if keys else ["add"]))
+    if mutation == "add" and isinstance(target, list):
+        target.append(data.draw(st.sampled_from(JSON_VALUES)))
+    elif mutation == "add":
+        target[data.draw(st.sampled_from(JSON_KEYS))] = data.draw(st.sampled_from(JSON_VALUES))
+    elif mutation == "delete":
+        del target[data.draw(st.sampled_from(keys))]
+    else:
+        target[data.draw(st.sampled_from(keys))] = data.draw(st.sampled_from(JSON_VALUES))
+    try:
+        report = Report.from_json_dict(d)
+    except ValueError:
+        return
+    assert json.dumps(report.to_json_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
 
 
 def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
@@ -432,6 +517,66 @@ def test_truncation_at_the_depth_limit_is_computed(capsys):
     code, data, _ = run_json(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "2048")
     assert code == 0
     assert data["invariant"]["truncation"] == {"depth": "2048", "freeRank": "1", "torsion": ["8"]}
+
+
+LONG_PREFIX = ",".join(["1"] * (MAX_PREFIX_LENGTH + 1))
+LONG_INT = "1" + "0" * MAX_INTEGER_DIGITS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--m", "0", "--n", LONG_PREFIX),
+        ("invariant", "--m", "inf", "--n", LONG_PREFIX, "--tail", "constant:1"),
+        ("invariant", "--m", "9", "--n", LONG_PREFIX),
+        ("fullness", "--m", "0", "--n", LONG_PREFIX),
+        ("fullness", "--m", "9", "--n", LONG_PREFIX),
+        ("invariant", "--spec", json.dumps({"m": "inf", "n": [1] * (MAX_PREFIX_LENGTH + 1)})),
+        ("compare", "--a", f"m=9,n=[{LONG_PREFIX}]", "--b", "m=9,n=1", "--mode", "exact"),
+        ("invariant", "--m", LONG_INT, "--n", "1"),
+        ("invariant", "--m", "0", "--n", f"1,{LONG_INT}"),
+        ("fullness", "--m", "inf", "--n", "1", "--tail", f"doubling:{LONG_INT}"),
+        ("fullness", "--spec", f'{{"m": {LONG_INT}, "n": [1]}}'),
+        # past Python's own 4,300-digit limit on converting a JSON integer
+        ("invariant", "--spec", f'{{"m": 0, "n": [{"9" * 5000}]}}'),
+        ("compare", "--a", "m=9,n=1", "--b", f'{{"m": 9, "n": [{LONG_INT}]}}', "--mode", "stable"),
+        ("compare", "--a", f"m={LONG_INT},n=1", "--b", "m=9,n=1", "--mode", "stable"),
+    ],
+)
+def test_input_past_the_size_limits_exits_2_before_any_arithmetic(capsys, monkeypatch, argv):
+    import oneideal.classify
+    import oneideal.family
+    import oneideal.ktheory
+
+    def refuse(spec):
+        raise AssertionError("computed with an input past the size limits")
+
+    for module in (oneideal.family, oneideal.ktheory, oneideal.classify):
+        monkeypatch.setattr(module, "weight_of", refuse)
+    for module in (oneideal.family, oneideal.ktheory):
+        monkeypatch.setattr(module, "alpha_of", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error [WorkLimit]: ") and "more than the limit" in err
+
+
+# The largest input, with the largest integers a report shows: alpha's numerator
+# N + c and, at finite m, m - 1 itself.
+LARGEST_PREFIX = ",".join(["9" * MAX_INTEGER_DIGITS] * MAX_PREFIX_LENGTH)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--m", "0", "--n", LARGEST_PREFIX, "--tail",
+         f"constant:{'9' * MAX_INTEGER_DIGITS}", "--format", "text"),
+        ("fullness", "--m", "9" * MAX_INTEGER_DIGITS, "--n", LARGEST_PREFIX, "--format", "json"),
+    ],
+)
+def test_the_largest_accepted_input_renders(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("command: " if "text" in argv else "{")
 
 
 def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneideal import (
     INF,
+    FamilySpec,
     FamilyValidationError,
     RegimeError,
     TailSpec,
@@ -19,6 +20,7 @@ from oneideal import (
     validate_family,
     weight_of,
 )
+from oracles import summed_alpha
 
 prefixes = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
 
@@ -66,6 +68,21 @@ def test_alpha_examples():
     # constant tail beyond a length-k prefix contributes c / 2^k
     assert alpha_of(validate_family(0, [1], constant_tail(3))) == Fraction(1, 2) + Fraction(3, 2)
     assert alpha_of(validate_family(0, [], constant_tail(1))) == 1
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    st.sampled_from([0, INF, 2, 9, 2**61]),
+    st.lists(st.integers(min_value=0, max_value=2**40), max_size=40),
+    st.sampled_from(["zero", "constant", "doubling"]),
+    st.integers(min_value=1, max_value=2**40),
+)
+def test_alpha_matches_the_summed_series(m, prefix, kind, c):
+    if 1 < m < INF:
+        kind = "zero"  # the only tail with a finite multiplicity sum
+    assume(kind != "zero" or any(prefix))
+    spec = FamilySpec(m, tuple(prefix), TailSpec(kind, None if kind == "zero" else c))
+    assert alpha_of(spec) == summed_alpha(spec)
 
 
 def test_weight_examples():
