@@ -9,6 +9,7 @@ reports the smallest divergent m.
 import argparse
 
 from oneideal import ScanResult, divergence_table
+from oneideal.report import MAX_SCAN_M
 
 
 def main() -> None:
@@ -17,6 +18,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.max_m < 2:
         parser.error("--max-m must be at least 2")
+    if args.max_m > MAX_SCAN_M:
+        parser.error(f"--max-m must be at most {MAX_SCAN_M}")
 
     scan = ScanResult(tuple(divergence_table(args.max_m)))
     print(f"{'m':>4}  {'exact':>6}  {'stable':>6}")

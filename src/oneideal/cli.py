@@ -9,10 +9,14 @@ and compact forms are rewritten, values verbatim (no stripping, no case
 folding), into that schema object, so :func:`.report.spec_from_json` is
 the one reader of every form.
 
+The argument parser is built once per process, on the first query, and
+every later call of :func:`main` reuses it.
+
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
 validation error, or (``WorkLimit``) an input past
-``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS`` or a
-truncation deeper than ``ktheory.MAX_TRUNCATION_DEPTH``, 3 = internal consistency
+``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS``, a
+truncation deeper than ``ktheory.MAX_TRUNCATION_DEPTH`` or a
+``scan --max-m`` above ``report.MAX_SCAN_M``, 3 = internal consistency
 failure (the stable-isomorphism routes disagree, or the truncation shown by
 ``invariant`` contradicts the closed-form torsion order).
 """
@@ -20,6 +24,7 @@ failure (the stable-isomorphism routes disagree, or the truncation shown by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +40,7 @@ from .errors import (
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
-from .report import Report, spec_from_json, strict_int
+from .report import MAX_SCAN_M, Report, spec_from_json, strict_int
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -149,6 +154,8 @@ def _cmd_scan(args) -> Report:
     max_m = strict_int(args.max_m, "--max-m")
     if max_m < 2:
         raise ValueError("--max-m must be at least 2")
+    if max_m > MAX_SCAN_M:
+        raise WorkLimitError(f"--max-m is {max_m}, more than the limit {MAX_SCAN_M}")
     return Report(
         command="scan",
         scan=classify.ScanResult(tuple(classify.divergence_table(max_m))),
@@ -167,7 +174,12 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", help="JSON family object instead of --m/--n/--tail")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call.
+
+    Every caller gets the same object, so callers must not mutate it (add
+    arguments, set defaults); :func:`main` only calls ``parse_args``."""
     parser = argparse.ArgumentParser(
         prog="oneideal",
         description="Ordered K-theory invariants and classification for the "

@@ -40,6 +40,8 @@ UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
 # 4,300-digit limit on int-to-str conversion.
 MAX_PREFIX_LENGTH = 10_000
 MAX_INTEGER_DIGITS = 1_000
+# The largest ``scan --max-m``: one class-count row per m up to it.
+MAX_SCAN_M = 100_000
 
 
 def _int_str(v: int | None) -> str | None:
@@ -100,8 +102,8 @@ def spec_from_json(d) -> FamilySpec:
         raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
     prefix = tuple(_limited_int(n, "each entry of n") for n in ns)
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
-    c = tail_d.get("c")
-    tail = TailSpec(tail_d.get("kind"), None if c is None else _limited_int(c, "tail c"))
+    c = _limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
+    tail = TailSpec(tail_d.get("kind"), c)
     return FamilySpec(m, prefix, tail)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import functools
 import io
@@ -14,6 +15,7 @@ from oneideal.cli import main
 from oneideal.report import (
     MAX_INTEGER_DIGITS,
     MAX_PREFIX_LENGTH,
+    MAX_SCAN_M,
     Report,
     UNKNOWN_NOTE,
     spec_from_json,
@@ -398,6 +400,8 @@ def test_text_and_json_carry_same_values(capsys):
         ("invariant", "--m", "8", "--n", "1", "--tail", "zero:"),
         ("compare", "--a", " m = 8 , n=1", "--b", "m=8,n=1", "--mode", "exact"),
         ("compare", "--a", "n=[1],,m=8", "--b", "m=8,n=1", "--mode", "exact"),
+        ("invariant", "--spec", '{"m": 8, "n": [1], "tail": {"kind": "zero", "c": null}}'),
+        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": null}}'),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
@@ -438,6 +442,19 @@ def test_scan_text_columns_stay_apart_past_m_100(capsys):
     assert len(rows) == 119
     for line, row in zip(lines[start:], rows):
         assert line.split()[:3] == [row["m"], row["exactClasses"], row["stableClasses"]]
+
+
+@pytest.mark.parametrize("max_m", [str(MAX_SCAN_M + 1), "1" + "0" * 29])
+def test_scan_past_the_limit_exits_2_before_any_class_count(capsys, monkeypatch, max_m):
+    import oneideal.classify
+
+    def refuse(m):
+        raise AssertionError(f"counted the classes at m = {m}")
+
+    monkeypatch.setattr(oneideal.classify, "class_counts", refuse)
+    code, out, err = run(capsys, "scan", "--max-m", max_m)
+    assert (code, out) == (2, "")
+    assert err == f"error [WorkLimit]: --max-m is {max_m}, more than the limit {MAX_SCAN_M}\n"
 
 
 def test_closed_reader_pipe_is_not_an_error():
@@ -637,3 +654,56 @@ def test_flag_compact_and_json_forms_read_alike(spec, fmt):
     assert compare[0] == (0 if spec.has_finite_loops else 2)
     assert run_captured("compare", "--a", spec_json, "--b", spec_json, "--mode", "exact",
                         "--format", fmt) == compare
+
+
+def run_exiting(capsys, *argv):
+    """:func:`run`, with argparse's own exits (usage errors, ``--help``) as exit codes."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSER_ARGV = (
+    ("invariant", "--m", "9", "--n", "1,2"),
+    ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1", "--format", "json"),
+    ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
+    ("scan", "--max-m", "12"),
+    ("compare", "--a", "m=8,n=1", "--mode", "exact"),
+    ("--help",),
+)
+
+
+def test_queries_reuse_one_parser(capsys, monkeypatch):
+    expected = [run_exiting(capsys, *argv) for argv in PARSER_ARGV]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2, 0]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a second argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert [run_exiting(capsys, *argv) for argv in PARSER_ARGV] == expected
+
+
+def test_no_state_is_carried_between_queries(capsys, monkeypatch):
+    # the same help and usage width in this process and in the fresh ones
+    monkeypatch.setenv("COLUMNS", "80")
+    spec = ("--m", "17", "--n", "1")
+    sequence = (
+        ("invariant", *spec, "--depth", "5"),
+        ("invariant", *spec),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact", "--format", "json"),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "bogus"),
+        ("fullness", *spec),
+        ("scan", "--max-m", "12"),
+        ("scan", "--max-m", "12", "--format", "json"),
+    )
+    in_process = [run_exiting(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 0, 0]
+    assert in_process[0] != in_process[1]
+    for argv, seen in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "oneideal", *argv],
+                               capture_output=True, text=True, timeout=60)
+        assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv
