@@ -11,7 +11,10 @@ the weight N modulo m-1: exact isomorphism is a shared value in the
 multiplicative two-power orbits, stable isomorphism additionally allows a
 unit factor.  Witnesses and class counts come from number theory, never
 from enumerating all residues or units modulo m-1; the orbit walk and the
-factorisation they use live in :mod:`.dyadic`.  Each stable verdict is
+factorisation they use live in :mod:`.dyadic`.  :func:`class_counts` is the
+closed form for one m, from one trial-division factorisation;
+:func:`divergence_table` (what ``scan`` prints) computes every row up to a
+limit from one smallest-prime-factor sieve instead.  Each stable verdict is
 checked against the gcd with the largest odd factor of m-1, and each stable
 witness by re-substitution.
 """
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .dyadic import factorize, is_infinite, odd_part, residue_cycle, two_adic_valuation
 from .errors import InternalConsistencyError, OutOfScopeComparison
@@ -238,6 +241,8 @@ def class_counts(m: int) -> tuple[int, int]:
     gcd(N, M).  Each exact class (weak component of n -> 2n) holds one
     cycle of doubling on the multiples of 2^v2(m-1), a copy of Z/M, so they
     are the cyclotomic cosets of 2 mod M: sum over d | M of phi(d)/ord_d(2).
+    One trial-division factorisation of M; :func:`divergence_table` gives
+    the same counts for every m up to a limit at once.
     """
     divisors: list[dict[int, int]] = [{}]
     for p, e in factorize(odd_part(m - 1)).items():
@@ -256,8 +261,56 @@ def class_counts(m: int) -> tuple[int, int]:
 
 
 def divergence_table(limit_m: int) -> list[tuple[int, int, int]]:
-    """Rows (m, exact classes, stable classes) for m in [2, limit_m]."""
-    return [(m, *class_counts(m)) for m in range(2, limit_m + 1)]
+    """Rows (m, exact classes, stable classes) for m in [2, limit_m], the
+    values of :func:`class_counts` for every row from one sieve.
+
+    A smallest-prime-factor list over [0, limit_m - 1] gives phi(d) and
+    ord_d(2) for every odd d by multiplicativity: with p the smallest prime
+    of d and q = d / p, ord_p(2) divides p - 1, which the same list
+    factorises; if p divides q, ord_d(2) is ord_q(2) or p times it, and one
+    power decides which; otherwise the coprime orders combine by lcm.  Then
+    phi(d)/ord_d(2) is added to the exact count, and 1 to the stable count,
+    of every odd multiple of d, and row m reads the counts at the odd part
+    of m - 1.
+    """
+    top = limit_m - 1
+    if top < 1:
+        return []
+    spf = list(range(top + 1))
+    # descending, so that the smallest prime factor of each entry writes last
+    for p in range(isqrt(top), 1, -1):
+        spf[p * p :: p] = [p] * len(range(p * p, top + 1, p))
+    phi = [1] * (top + 1)
+    order = [1] * (top + 1)
+    # d = 1 adds one coset and one divisor to every entry
+    exact = [1] * (top + 1)
+    stable = [1] * (top + 1)
+    for d in range(3, top + 1, 2):
+        p = spf[d]
+        q = d // p
+        if q == 1:
+            phi[d] = o = rest = p - 1
+            while rest > 1:
+                r = spf[rest]
+                while rest % r == 0:
+                    rest //= r
+                while o % r == 0 and pow(2, o // r, p) == 1:
+                    o //= r
+            order[d] = o
+        elif q % p == 0:
+            phi[d] = phi[q] * p
+            order[d] = order[q] if pow(2, order[q], d) == 1 else order[q] * p
+        else:
+            phi[d] = phi[p] * phi[q]
+            order[d] = lcm(order[p], order[q])
+        cosets = phi[d] // order[d]
+        for multiple in range(d, top + 1, 2 * d):
+            exact[multiple] += cosets
+            stable[multiple] += 1
+    for even in range(2, top + 1, 2):
+        exact[even] = exact[even // 2]
+        stable[even] = stable[even // 2]
+    return list(zip(range(2, limit_m + 1), exact[1:], stable[1:]))
 
 
 def smallest_divergence(limit_m: int) -> int | None:

@@ -14,11 +14,13 @@ every later call of :func:`main` reuses it.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
 validation error, or (``WorkLimit``) an input past
-``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS``, a
-truncation deeper than ``ktheory.MAX_TRUNCATION_DEPTH`` or a
-``scan --max-m`` above ``report.MAX_SCAN_M``, 3 = internal consistency
-failure (the stable-isomorphism routes disagree, or the truncation shown by
-``invariant`` contradicts the closed-form torsion order).
+``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS`` (``--depth``
+and ``--max-m`` included), a truncation deeper than
+``ktheory.MAX_TRUNCATION_DEPTH`` or a ``scan --max-m`` above
+``report.MAX_SCAN_M``, 3 = internal consistency failure (the
+stable-isomorphism routes disagree, the truncation shown by ``invariant``
+contradicts the closed-form torsion order, or a ``scan`` row counts fewer
+exact than stable classes).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
-from .report import MAX_SCAN_M, Report, spec_from_json, strict_int
+from .report import MAX_SCAN_M, Report, limited_int, spec_from_json
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -99,13 +101,15 @@ def _spec_from_compact(text: str) -> FamilySpec:
 
 def _cmd_invariant(args) -> Report:
     spec = _spec_from_flags(args)
+    if args.depth is not None and not spec.has_finite_loops:
+        raise ValueError("--depth applies only when 1 < m < infinity")
+    depth = None if args.depth is None else limited_int(args.depth, "--depth")
     invariant, scalars = invariant_of(spec)
     truncation = None
     if spec.has_finite_loops:
         stable_depth = stable_oracle_depth(spec)
-        depth = max(len(spec.prefix) + 3, stable_depth)
-        if args.depth is not None:
-            depth = strict_int(args.depth, "--depth")
+        if depth is None:
+            depth = max(len(spec.prefix) + 3, stable_depth)
         free_rank, torsion = truncated_k0(spec, depth)
         truncation = (depth, free_rank, tuple(torsion))
         # past saturation the truncation is an independent check on x
@@ -115,8 +119,6 @@ def _cmd_invariant(args) -> Report:
                 f"truncation at depth {depth} has free rank {free_rank} and torsion "
                 f"{list(torsion)}, but the closed-form torsion order is {x}"
             )
-    elif args.depth is not None:
-        raise ValueError("--depth applies only when 1 < m < infinity")
     return Report(
         command="invariant",
         inputs=(spec,),
@@ -151,16 +153,19 @@ def _cmd_compare(args) -> Report:
 
 
 def _cmd_scan(args) -> Report:
-    max_m = strict_int(args.max_m, "--max-m")
+    max_m = limited_int(args.max_m, "--max-m")
     if max_m < 2:
         raise ValueError("--max-m must be at least 2")
     if max_m > MAX_SCAN_M:
         raise WorkLimitError(f"--max-m is {max_m}, more than the limit {MAX_SCAN_M}")
-    return Report(
-        command="scan",
-        scan=classify.ScanResult(tuple(classify.divergence_table(max_m))),
-        scan_limit=max_m,
-    )
+    table = tuple(classify.divergence_table(max_m))
+    # every stable class is a union of exact classes
+    for m, exact, stable in table:
+        if exact < stable:
+            raise InternalConsistencyError(
+                f"at m = {m} the scan counts {exact} exact classes but {stable} stable ones"
+            )
+    return Report(command="scan", scan=classify.ScanResult(table), scan_limit=max_m)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:

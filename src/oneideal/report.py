@@ -64,7 +64,7 @@ def strict_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
-def _limited_int(v, what: str) -> int:
+def limited_int(v, what: str) -> int:
     """:func:`strict_int`, past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError."""
     digits = len(v) if isinstance(v, str) else len(str(strict_int(v, what)))
     if digits > MAX_INTEGER_DIGITS:
@@ -94,15 +94,15 @@ def spec_from_json(d) -> FamilySpec:
     longer than :data:`MAX_PREFIX_LENGTH`, or an integer with more than
     :data:`MAX_INTEGER_DIGITS` digits, raises :class:`WorkLimitError`."""
     d = _json_object(d, "family spec", {"m", "n"}, {"tail"})
-    m = INF if d["m"] == "inf" else _limited_int(d["m"], "m")
+    m = INF if d["m"] == "inf" else limited_int(d["m"], "m")
     ns = d["n"]
     if type(ns) is not list:
         raise ValueError(f"n must be a JSON list, got {ns!r}")
     if len(ns) > MAX_PREFIX_LENGTH:
         raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
-    prefix = tuple(_limited_int(n, "each entry of n") for n in ns)
+    prefix = tuple(limited_int(n, "each entry of n") for n in ns)
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
-    c = _limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
+    c = limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
     tail = TailSpec(tail_d.get("kind"), c)
     return FamilySpec(m, prefix, tail)
 

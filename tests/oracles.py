@@ -18,6 +18,8 @@ more literal route, a quantity the library computes in closed form.
   breadth-first search over residue pairs;
 * :func:`exact_class_partition`, :func:`stable_class_partition` - class
   representatives by union-find over every residue (and every unit);
+* :func:`burnside_exact_class_count` - the number of exact classes by
+  Burnside's lemma, counting the residues each power of two fixes;
 * :func:`stable_gcd_partition`, :func:`partitions_agree`,
   :func:`stable_partition_disagreements` - whole-modulus comparison of the
   unit-enumeration and gcd stable partitions;
@@ -332,6 +334,25 @@ def stable_class_partition(modulus: int) -> list[int]:
     """Class representative per weight in [0, modulus): stable isomorphism
     by honest unit-and-doubling enumeration (no gcd shortcut)."""
     return _union_find_classes(modulus, with_units=True)
+
+
+def burnside_exact_class_count(m: int) -> int:
+    """Number of exact classes of the weights at loop count m, by Burnside.
+
+    They are the orbits of doubling on Z/M, M the odd part of m-1.  Doubling
+    generates a group of order o = ord_M(2), and 2^j fixes gcd(2^j - 1, M)
+    residues, so there are (1/o) sum_{j<o} gcd(2^j - 1, M) orbits; no
+    divisor of M, Euler phi or order of 2 modulo a divisor is involved.
+    """
+    modulus = odd_part(m - 1)
+    one = 1 % modulus
+    power, fixed, order = one, 0, 0
+    while True:
+        fixed += gcd(power - 1, modulus)
+        order += 1
+        power = 2 * power % modulus
+        if power == one:
+            return fixed // order
 
 
 # --------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from oneideal import (
 )
 from oneideal.dyadic import residue_cycle
 from oracles import (
+    burnside_exact_class_count,
     enumerated_exact_witness,
     enumerated_stable_witness,
     exact_class_partition,
@@ -207,6 +208,15 @@ def test_divergence_and_class_counts():
     table = divergence_table(10)
     assert table[0] == (2, 1, 1)
     assert [row for row in table if row[0] == 8][0] == (8, 3, 2)
+    # the sieve against the closed form, row by row; m - 1 = 9 needs the
+    # order of 2 lifted from 3 (ord 2) to 9 (ord 6)
+    for limit in (0, 1, 2, 3, 4, 9, 28, 3000):
+        assert divergence_table(limit) == [(m, *class_counts(m)) for m in range(2, limit + 1)]
+
+
+def test_divergence_table_matches_the_burnside_count():
+    for m, exact, _ in divergence_table(3000):
+        assert exact == burnside_exact_class_count(m), m
 
 
 @pytest.mark.parametrize(
@@ -237,10 +247,12 @@ def test_witnesses_match_the_enumerated_oracles(route, oracle, table):
 
 
 def test_class_counts_match_union_find():
+    table = divergence_table(299)
     for m in range(2, 300):
         exact = len(set(exact_class_partition(m - 1)))
         stable = len(set(stable_class_partition(m - 1)))
         assert class_counts(m) == (exact, stable), m
+        assert table[m - 2] == (m, exact, stable)
 
 
 @pytest.mark.parametrize(

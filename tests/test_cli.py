@@ -448,13 +448,36 @@ def test_scan_text_columns_stay_apart_past_m_100(capsys):
 def test_scan_past_the_limit_exits_2_before_any_class_count(capsys, monkeypatch, max_m):
     import oneideal.classify
 
-    def refuse(m):
-        raise AssertionError(f"counted the classes at m = {m}")
+    def refuse(limit_m):
+        raise AssertionError(f"counted the classes up to m = {limit_m}")
 
-    monkeypatch.setattr(oneideal.classify, "class_counts", refuse)
+    monkeypatch.setattr(oneideal.classify, "divergence_table", refuse)
     code, out, err = run(capsys, "scan", "--max-m", max_m)
     assert (code, out) == (2, "")
     assert err == f"error [WorkLimit]: --max-m is {max_m}, more than the limit {MAX_SCAN_M}\n"
+
+
+def test_scan_at_the_limit_is_computed(capsys):
+    from oneideal import class_counts
+
+    code, data, _ = run_json(capsys, "scan", "--max-m", str(MAX_SCAN_M))
+    assert code == 0
+    rows = data["verdict"]["table"]
+    assert len(rows) == MAX_SCAN_M - 1
+    for row in rows[::997]:
+        m = int(row["m"])
+        assert (int(row["exactClasses"]), int(row["stableClasses"])) == class_counts(m), m
+
+
+def test_scan_row_with_fewer_exact_than_stable_classes_exits_3(capsys, monkeypatch):
+    import oneideal.classify
+
+    # m = 8 has 3 exact and 2 stable classes; swapped, a stable class would
+    # not be a union of exact classes
+    monkeypatch.setattr(oneideal.classify, "divergence_table", lambda limit_m: [(8, 2, 3)])
+    code, out, err = run(capsys, "scan", "--max-m", "8")
+    assert (code, out) == (3, "")
+    assert err.startswith("error [InternalConsistency]: at m = 8 ")
 
 
 def test_closed_reader_pipe_is_not_an_error():
@@ -558,6 +581,10 @@ LONG_INT = "1" + "0" * MAX_INTEGER_DIGITS
         ("invariant", "--spec", f'{{"m": 0, "n": [{"9" * 5000}]}}'),
         ("compare", "--a", "m=9,n=1", "--b", f'{{"m": 9, "n": [{LONG_INT}]}}', "--mode", "stable"),
         ("compare", "--a", f"m={LONG_INT},n=1", "--b", "m=9,n=1", "--mode", "stable"),
+        ("scan", "--max-m", LONG_INT),
+        ("scan", "--max-m", "0" * 4999 + "5"),
+        ("invariant", "--m", "9", "--n", "1", "--depth", LONG_INT),
+        ("invariant", "--m", "9", "--n", "1", "--depth", "9" * 5000),
     ],
 )
 def test_input_past_the_size_limits_exits_2_before_any_arithmetic(capsys, monkeypatch, argv):
@@ -565,13 +592,14 @@ def test_input_past_the_size_limits_exits_2_before_any_arithmetic(capsys, monkey
     import oneideal.family
     import oneideal.ktheory
 
-    def refuse(spec):
+    def refuse(*args):
         raise AssertionError("computed with an input past the size limits")
 
     for module in (oneideal.family, oneideal.ktheory, oneideal.classify):
         monkeypatch.setattr(module, "weight_of", refuse)
     for module in (oneideal.family, oneideal.ktheory):
         monkeypatch.setattr(module, "alpha_of", refuse)
+    monkeypatch.setattr(oneideal.classify, "divergence_table", refuse)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error [WorkLimit]: ") and "more than the limit" in err
