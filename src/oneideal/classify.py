@@ -137,11 +137,9 @@ def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b,
     by one walk along the orbit of n_a against an index of the orbit of n_b."""
     index = {r: lb for lb, r in enumerate(residue_cycle(modulus, n_b))}
-    meets = [(la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index]
-    if not meets:
-        return None
-    total, la = min(meets)
-    return IsoWitness(l=la, l_prime=total - la, unit=1)
+    meets = ((la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index)
+    total, la = min(meets, default=(None, None))
+    return None if total is None else IsoWitness(l=la, l_prime=total - la, unit=1)
 
 
 def stable_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
@@ -311,11 +309,3 @@ def divergence_table(limit_m: int) -> list[tuple[int, int, int]]:
         exact[even] = exact[even // 2]
         stable[even] = stable[even // 2]
     return list(zip(range(2, limit_m + 1), exact[1:], stable[1:]))
-
-
-def smallest_divergence(limit_m: int) -> int | None:
-    """Smallest m in [2, limit_m] where stable and exact classification
-    differ, or None when they agree throughout."""
-    if limit_m < 2:
-        raise ValueError("limit must be at least 2")
-    return ScanResult(tuple(divergence_table(limit_m))).smallest_divergent_m

@@ -16,8 +16,9 @@ Exit codes: 0 = computed (negative verdicts included), 2 = input or
 validation error, or (``WorkLimit``) an input past
 ``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS`` (``--depth``
 and ``--max-m`` included), a truncation deeper than
-``ktheory.MAX_TRUNCATION_DEPTH`` or a ``scan --max-m`` above
-``report.MAX_SCAN_M``, 3 = internal consistency failure (the
+``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
+``report.MAX_SCAN_M`` or an exact ``compare`` whose orbit walk would hold
+more than ``dyadic.MAX_ORBIT_BITS`` bits, 3 = internal consistency failure (the
 stable-isomorphism routes disagree, the truncation shown by ``invariant``
 contradicts the closed-form torsion order, or a ``scan`` row counts fewer
 exact than stable classes).
@@ -99,11 +100,17 @@ def _spec_from_compact(text: str) -> FamilySpec:
     return spec_from_json(_schema_object(fields["m"], fields["n"], fields.get("tail", "zero")))
 
 
-def _cmd_invariant(args) -> Report:
-    spec = _spec_from_flags(args)
-    if args.depth is not None and not spec.has_finite_loops:
+# One function per command, of plain values: main calls them with the
+# values argparse read, and Report.from_json_dict with those a report holds.
+
+
+def invariant_report(spec: FamilySpec, depth=None) -> Report:
+    """The ``invariant`` report of ``spec``, with the truncation at ``depth``
+    (an integer or decimal digits, as ``--depth`` takes it) or by default
+    past saturation."""
+    if depth is not None and not spec.has_finite_loops:
         raise ValueError("--depth applies only when 1 < m < infinity")
-    depth = None if args.depth is None else limited_int(args.depth, "--depth")
+    depth = None if depth is None else limited_int(depth, "--depth")
     invariant, scalars = invariant_of(spec)
     truncation = None
     if spec.has_finite_loops:
@@ -128,8 +135,7 @@ def _cmd_invariant(args) -> Report:
     )
 
 
-def _cmd_fullness(args) -> Report:
-    spec = _spec_from_flags(args)
+def fullness_report(spec: FamilySpec) -> Report:
     invariant, scalars = invariant_of(spec)
     return Report(
         command="fullness",
@@ -140,20 +146,20 @@ def _cmd_fullness(args) -> Report:
     )
 
 
-def _cmd_compare(args) -> Report:
-    spec_a = _spec_from_compact(args.a)
-    spec_b = _spec_from_compact(args.b)
-    decide = classify.exact_iso if args.mode == "exact" else classify.stable_iso
+def compare_report(spec_a: FamilySpec, spec_b: FamilySpec, mode: str) -> Report:
+    decide = {"exact": classify.exact_iso, "stable": classify.stable_iso}[mode]
     return Report(
         command="compare",
         inputs=(spec_a, spec_b),
         comparison=decide(spec_a, spec_b),
-        compare_mode=args.mode,
+        compare_mode=mode,
     )
 
 
-def _cmd_scan(args) -> Report:
-    max_m = limited_int(args.max_m, "--max-m")
+def scan_report(max_m) -> Report:
+    """The ``scan`` report up to ``max_m`` (an integer or decimal digits, as
+    ``--max-m`` takes it)."""
+    max_m = limited_int(max_m, "--max-m")
     if max_m < 2:
         raise ValueError("--max-m must be at least 2")
     if max_m > MAX_SCAN_M:
@@ -195,21 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariant", help="compute the six-term invariant")
     _add_spec_flags(p_inv)
     p_inv.add_argument("--depth", help="truncation oracle depth override")
-    p_inv.set_defaults(func=_cmd_invariant)
+    p_inv.set_defaults(func=lambda args: invariant_report(_spec_from_flags(args), args.depth))
 
     p_full = sub.add_parser("fullness", help="decide fullness of the extension")
     _add_spec_flags(p_full)
-    p_full.set_defaults(func=_cmd_fullness)
+    p_full.set_defaults(func=lambda args: fullness_report(_spec_from_flags(args)))
 
     p_cmp = sub.add_parser("compare", help="decide exact or stable isomorphism")
     p_cmp.add_argument("--a", required=True, help="first member, e.g. m=8,n=1")
     p_cmp.add_argument("--b", required=True, help="second member, e.g. m=8,n=3")
     p_cmp.add_argument("--mode", choices=("exact", "stable"), required=True)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(
+        func=lambda args: compare_report(
+            _spec_from_compact(args.a), _spec_from_compact(args.b), args.mode
+        )
+    )
 
     p_scan = sub.add_parser("scan", help="tabulate class counts and find divergence")
     p_scan.add_argument("--max-m", required=True)
-    p_scan.set_defaults(func=_cmd_scan)
+    p_scan.set_defaults(func=lambda args: scan_report(args.max_m))
 
     for p in (p_inv, p_full, p_cmp, p_scan):
         p.add_argument("--format", choices=("text", "json"), default="text")

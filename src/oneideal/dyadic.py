@@ -1,7 +1,8 @@
 """Dyadic rationals, extended rationals, and the number theory of doubling.
 
-The leaf module every layer imports, so it owns what several layers need:
-the two-power orbit walk, prime factorisation and extended-value text.
+The module every layer imports (it imports only the errors), so it owns
+what several layers need: the two-power orbit walk, bounded by
+:data:`MAX_ORBIT_BITS`, prime factorisation and extended-value text.
 
 A dyadic rational (an element of Z[1/2]) is a :class:`~fractions.Fraction`
 whose denominator is a power of two; there is no separate type for it.
@@ -15,7 +16,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import WorkLimitError
+
 INF = math.inf
+
+# The most a two-power orbit walk holds: its length times the bit length of
+# the modulus.  That admits every orbit of a 20-bit modulus (m - 1 = 1000003,
+# about 1.2 s and 220 MB for an exact `compare`, Python 3.11, 2-core x86) and
+# about 10,000 residues of a 1000-digit one.
+MAX_ORBIT_BITS = 1 << 25
 
 # A finite exact value or +infinity.
 ExtendedRational = Fraction | float
@@ -49,18 +58,26 @@ def residue_cycle(modulus: int, n: int) -> list[int]:
 
     The sequence is eventually periodic (pre-period at most v2(modulus),
     period the multiplicative order of 2 modulo the odd part), so collecting
-    until the first repeat enumerates the whole orbit.
+    until the first repeat enumerates the whole orbit.  An orbit longer than
+    :data:`MAX_ORBIT_BITS` // bit length of the modulus raises
+    :class:`WorkLimitError` once the walk passes that length.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
+    limit = MAX_ORBIT_BITS // modulus.bit_length()
     out: list[int] = []
     seen: set[int] = set()
     r = n % modulus
-    while r not in seen:
+    for _ in range(limit + 1):
+        if r in seen:
+            return out
         out.append(r)
         seen.add(r)
         r = (2 * r) % modulus
-    return out
+    raise WorkLimitError(
+        f"a two-power orbit modulo a {modulus.bit_length()}-bit modulus has more than "
+        f"{limit} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
+    )
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -101,18 +101,6 @@ def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
     return FamilySpec(m, tuple(prefix), tail)
 
 
-def trim_trailing_zeros(spec: FamilySpec) -> FamilySpec:
-    """Canonical form with trailing zero multiplicities removed from the prefix.
-
-    Kept separate from validation: weight data is taken at the literal prefix
-    length, and the classification must be invariant under zero padding.
-    """
-    prefix = list(spec.prefix)
-    while prefix and prefix[-1] == 0:
-        prefix.pop()
-    return FamilySpec(spec.m, tuple(prefix), spec.tail)
-
-
 def pad_prefix(spec: FamilySpec, zeros: int = 1) -> FamilySpec:
     """Append zero multiplicities; doubles the weight N once per zero."""
     return FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)

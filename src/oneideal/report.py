@@ -2,9 +2,11 @@
 
 Every integer in the JSON form is emitted as a decimal string so consumers
 without big-integer support cannot silently lose precision.  Rationals are
-emitted as "p/q" strings and infinity as "inf".  The writer alone defines
-the format: ``Report.from_json_dict`` accepts a dict iff reading it and
-re-emitting it gives it back exactly, and raises ``ValueError`` otherwise.
+emitted as "p/q" strings and infinity as "inf".  Every value in a report
+follows from its inputs, so ``Report.from_json_dict`` reads only those (the
+family specs, the compare mode, the truncation depth, the scan limit),
+recomputes the report with the command line's own code, and accepts the
+dict iff that report emits exactly it; otherwise it raises ``ValueError``.
 
 Family specs, which users also write by hand, are read by
 :func:`spec_from_json`, with explicit checks and messages and within the
@@ -14,12 +16,11 @@ input-size limits :data:`MAX_PREFIX_LENGTH` and :data:`MAX_INTEGER_DIGITS`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
-from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, IsoWitness, ScanResult
-from .dyadic import INF, ExtendedRational, format_extended
-from .errors import OneIdealError, WorkLimitError
+from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, ScanResult
+from .dyadic import INF, format_extended
+from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
@@ -107,21 +108,6 @@ def spec_from_json(d) -> FamilySpec:
     return FamilySpec(m, prefix, tail)
 
 
-# Report readers: each reads a value back into the type the writer emits it
-# from and leaves every other check to re-emission.  They only index JSON
-# values, so a wrong shape raises KeyError or TypeError, never AttributeError.
-
-
-def _int(v) -> int | None:
-    return None if v is None else strict_int(v, "a report integer")
-
-
-def _rational(v) -> ExtendedRational:
-    """"inf", "p" or "p/q" in decimal digits (str() makes any other JSON
-    value fail as a non-digit part)."""
-    return INF if v == "inf" else Fraction(*(_int(p) for p in str(v).split("/")))
-
-
 def _cone_to_json(cone: ConeDescriptor) -> dict:
     out: dict = {"tag": cone.tag}
     if cone.tag == ALL_POSITIVE:
@@ -133,17 +119,6 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
     return out
 
 
-def _cone_from_json(d) -> ConeDescriptor:
-    tag = str(d["tag"])
-    if tag == ALL_POSITIVE:
-        return ConeDescriptor(tag, with_full_class=d["withFullClass"] is True)
-    if tag == ALPHA_CONE:
-        return ConeDescriptor(tag, alpha=_rational(d["alpha"]))
-    if tag == LEXICOGRAPHIC_CONE:
-        return ConeDescriptor(tag, parts=tuple(_cone_from_json(p) for p in d["parts"]))
-    return ConeDescriptor(tag)
-
-
 def _group_to_json(group: GroupDescriptor) -> dict:
     out: dict = {"tag": group.tag, "symbol": group.render()}
     if group.torsion_order is not None:
@@ -153,17 +128,8 @@ def _group_to_json(group: GroupDescriptor) -> dict:
     return out
 
 
-def _group_from_json(d) -> GroupDescriptor:
-    optional = (_int(d[k]) if k in d else None for k in ("torsion", "modulus"))
-    return GroupDescriptor(str(d["tag"]), *optional)
-
-
 def _pg_to_json(pg: PreorderedGroup) -> dict:
     return {"group": _group_to_json(pg.group), "cone": _cone_to_json(pg.cone)}
-
-
-def _pg_from_json(d) -> PreorderedGroup:
-    return PreorderedGroup(_group_from_json(d["group"]), _cone_from_json(d["cone"]))
 
 
 def invariant_to_json(inv: SixTermInvariant) -> dict:
@@ -176,11 +142,6 @@ def invariant_to_json(inv: SixTermInvariant) -> dict:
     }
 
 
-def invariant_from_json(d) -> SixTermInvariant:
-    groups = (_pg_from_json(d[k]) for k in ("ideal", "middle", "quotient"))
-    return SixTermInvariant(*groups, d["indexMapZero"] is True, str(d["caseTag"]))
-
-
 def scalars_to_json(s: DerivedScalars) -> dict:
     return {
         "alpha": format_extended(s.alpha),
@@ -191,41 +152,10 @@ def scalars_to_json(s: DerivedScalars) -> dict:
     }
 
 
-def scalars_from_json(d) -> DerivedScalars:
-    return DerivedScalars(_rational(d["alpha"]), *(_int(d[k]) for k in ("k", "N", "x", "M")))
-
-
-def _verdict_from_json(v, witness) -> dict:
-    """The report fields that a verdict and witness set, the verdict told
-    apart by its keys."""
-    if v is None:
-        return {}
-    if "table" in v:
-        keys = ("m", "exactClasses", "stableClasses")
-        return {"scan": ScanResult(tuple(tuple(_int(r[k]) for k in keys) for r in v["table"]))}
-    if "mode" in v:
-        if witness is not None:
-            witness = IsoWitness(*(_int(witness[k]) for k in ("l", "lPrime", "unit")))
-        reason = str(v["reason"]) if "reason" in v else None
-        verdict = IsoVerdict(v["isomorphic"] is True, witness, reason)
-        return {"comparison": verdict, "compare_mode": str(v["mode"])}
-    keys = ("stenotic", "kLexicographic", "stabilizedFull")
-    return {"fullness": FullnessVerdict(*(v[k] is True for k in keys), str(v["unstabilized"]))}
-
-
-# What each command's report holds: how many family members it reads, and
-# which optional sections it sets.  Only `invariant` may add a truncation.
-_SHAPES = {
-    "invariant": (1, {"scalars", "invariant"}),
-    "fullness": (1, {"scalars", "invariant", "fullness"}),
-    "compare": (2, {"comparison", "compare_mode"}),
-    "scan": (0, {"scan", "scan_limit"}),
-}
-
-
 @dataclass(frozen=True)
 class Report:
-    """Everything a command computed, ready for rendering."""
+    """Everything a command computed, ready for rendering; the report
+    functions in :mod:`.cli` build one per command."""
 
     command: str
     inputs: tuple[FamilySpec, ...] = ()
@@ -238,19 +168,6 @@ class Report:
     truncation: tuple[int, int, tuple[int, ...]] | None = None  # (depth, free rank, torsion)
     scan_limit: int | None = None
     version: str = __version__
-
-    def __post_init__(self) -> None:
-        sections = {k for k, v in vars(self).items() if v is not None}
-        sections -= {"command", "inputs", "truncation", "version"}
-        if _SHAPES.get(self.command) != (len(self.inputs), sections):
-            raise ValueError(
-                f"a {self.command!r} report cannot have {len(self.inputs)} inputs and "
-                f"the sections {sorted(sections)}"
-            )
-        if self.truncation is not None and self.command != "invariant":
-            raise ValueError(f"a {self.command!r} report has no truncation")
-        if self.compare_mode not in (None, "exact", "stable"):
-            raise ValueError(f"unknown compare mode {self.compare_mode!r}")
 
     # -- JSON ---------------------------------------------------------------
 
@@ -306,35 +223,40 @@ class Report:
 
     @classmethod
     def from_json_dict(cls, d) -> "Report":
-        """The report that :meth:`to_json_dict` turns into exactly ``d``;
-        ValueError when there is none."""
+        """The report that the command line computes from the inputs ``d``
+        names (specs, compare mode, truncation depth, scan limit), under its
+        work limits, if it emits exactly ``d``; else ValueError.  An
+        :class:`InternalConsistencyError` from recomputing propagates."""
+        from . import cli  # imported here, because cli imports this module
+
         try:
-            specs, scan_limit = [], None
-            for entry in d["inputs"]:
-                if "maxM" in entry:
-                    scan_limit = _int(entry["maxM"])
-                else:
-                    specs.append(spec_from_json(entry))
-            inv = d["invariant"]
-            t = inv["truncation"] if inv is not None and "truncation" in inv else None
-            report = cls(
-                str(d["command"]),
-                tuple(specs),
-                None if d["scalars"] is None else scalars_from_json(d["scalars"]),
-                None if inv is None else invariant_from_json(inv),
-                **_verdict_from_json(d["verdict"], d["witness"]),
-                truncation=None if t is None else (
-                    _int(t["depth"]), _int(t["freeRank"]), tuple(_int(x) for x in t["torsion"])
-                ),
-                scan_limit=scan_limit,
-                version=str(d["version"]),
-            )
+            command, inputs = d["command"], d["inputs"]
+            specs = () if command == "scan" else tuple(spec_from_json(e) for e in inputs)
+            if command == "invariant":
+                (spec,) = specs
+                inv = d["invariant"]
+                t = inv["truncation"] if isinstance(inv, dict) and "truncation" in inv else None
+                report = cli.invariant_report(spec, None if t is None else t["depth"])
+            elif command == "fullness":
+                (spec,) = specs
+                report = cli.fullness_report(spec)
+            elif command == "compare":
+                spec_a, spec_b = specs
+                report = cli.compare_report(spec_a, spec_b, d["verdict"]["mode"])
+            elif command == "scan":
+                (entry,) = inputs
+                report = cli.scan_report(entry["maxM"])
+            else:
+                raise ValueError(f"unknown command {command!r}")
+            report = replace(report, version=str(d["version"]))
             emitted = json.dumps(report.to_json_dict(), sort_keys=True)
             same = emitted == json.dumps(d, sort_keys=True)
-        except (KeyError, TypeError, ZeroDivisionError, OneIdealError) as err:
+        except InternalConsistencyError:
+            raise
+        except (KeyError, TypeError, OneIdealError) as err:
             raise ValueError(f"not a report this program writes: {err!r}") from err
         if not same:
-            raise ValueError("not a report this program writes: it does not re-emit as given")
+            raise ValueError("not a report this program writes: its inputs give another report")
         return report
 
     # -- text ---------------------------------------------------------------

@@ -11,6 +11,7 @@ from oneideal import (
     IsoWitness,
     OutOfScopeComparison,
     PreorderedGroup,
+    ScanResult,
     alpha_cone,
     class_counts,
     decide_fullness,
@@ -22,7 +23,6 @@ from oneideal import (
     invariant_of,
     pad_prefix,
     permanence_check,
-    smallest_divergence,
     stable_gcd_equivalent,
     stable_iso,
     stable_orbit_equivalent,
@@ -200,11 +200,8 @@ def test_partitions_agree_helper():
 def test_divergence_and_class_counts():
     assert class_counts(8) == (3, 2)
     assert class_counts(7) == (2, 2)
-    assert smallest_divergence(20) == 8
-    assert smallest_divergence(7) is None
-    assert smallest_divergence(2) is None
-    with pytest.raises(ValueError):
-        smallest_divergence(1)
+    for limit, smallest in ((20, 8), (7, None), (2, None)):
+        assert ScanResult(tuple(divergence_table(limit))).smallest_divergent_m == smallest
     table = divergence_table(10)
     assert table[0] == (2, 1, 1)
     assert [row for row in table if row[0] == 8][0] == (8, 3, 2)

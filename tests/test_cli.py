@@ -3,13 +3,17 @@ import contextlib
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oneideal
 from oneideal import INF, FamilySpec, TailSpec
 from oneideal.cli import main
 from oneideal.report import (
@@ -21,6 +25,9 @@ from oneideal.report import (
     spec_from_json,
     spec_to_json,
 )
+
+# A fresh interpreter imports the package from where this one found it.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
 
 
 def run(capsys, *argv):
@@ -172,6 +179,11 @@ def test_scan_divergence(capsys):
         ("fullness", "--m", "0", "--n", "2"),
         ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
         ("scan", "--max-m", "12"),
+        # below saturation, so the reader must take the depth from the report
+        ("invariant", "--m", "9", "--n", "1", "--depth", "3"),
+        ("invariant", "--m", "inf", "--n", "1", "--tail", "doubling:1"),
+        ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "exact"),
+        ("scan", "--max-m", "2"),
     ],
 )
 def test_json_report_round_trips(capsys, argv):
@@ -185,10 +197,12 @@ def test_json_report_round_trips(capsys, argv):
 INVARIANT_M9 = ("invariant", "--m", "9", "--n", "1")
 INVARIANT_M0 = ("invariant", "--m", "0", "--n", "1,1")
 COMPARE_STABLE = ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable")
+COMPARE_EXACT = ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact")
 SCAN_12 = ("scan", "--max-m", "12")
 FULLNESS_M0 = ("fullness", "--m", "0", "--n", "2")
 FULLNESS_M9 = ("fullness", "--m", "9", "--n", "1")
 MISSING = object()  # deletes the key instead of setting it
+EDITS = object()  # sets every path in the value, a dict of path -> value
 
 
 @pytest.mark.parametrize(
@@ -252,27 +266,60 @@ MISSING = object()  # deletes the key instead of setting it
         (SCAN_12, ("verdict", "smallestDivergentM"), "9"),
         # without a note, only the verdict type rejects an unknown value
         (FULLNESS_M9, ("verdict", "unstabilized"), "Maybe"),
+        # reports that re-emit as given, but that no inputs make this program write
+        (INVARIANT_M9, EDITS, {
+            ("scalars", "x"): "4",
+            ("invariant", "middle", "group", "torsion"): "4",
+            ("invariant", "middle", "group", "symbol"): "Z[1/2] (+) Z/4",
+            ("invariant", "truncation", "torsion", 0): "4",
+        }),
+        (INVARIANT_M9, ("inputs", 0, "n"), ["3"]),
+        # 12 = 5 mod 7 also re-substitutes, but the minimal unit is 5
+        (COMPARE_STABLE, ("witness", "unit"), "12"),
+        (COMPARE_EXACT, (), {"verdict": {"mode": "exact", "isomorphic": True},
+                             "witness": {"l": "0", "lPrime": "0", "unit": "1"}}),
+        # the row of m = 12, past the smallest divergent m
+        (SCAN_12, ("verdict", "table", 10, "exactClasses"), "3"),
+        (FULLNESS_M0, ("verdict", "stabilizedFull"), True),
+        # a wrong number of inputs
+        (INVARIANT_M9, ("inputs",), [{"m": "9", "n": ["1"], "tail": {"kind": "zero"}}] * 2),
+        (COMPARE_STABLE, ("inputs",), [{"m": "8", "n": ["1"], "tail": {"kind": "zero"}}]),
+        (SCAN_12, ("inputs",), []),
     ],
 )
 def test_tampered_report_is_rejected(capsys, argv, path, value):
     code, data, _ = run_json(capsys, *argv)
     assert code == 0
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    if not path:
-        data.update(value)
-    elif value is MISSING:
-        del target[path[-1]]
-    else:
-        target[path[-1]] = value
+    edits = value.items() if path is EDITS else [(path, value)]
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        if not path:
+            data.update(value)
+        elif value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
     with pytest.raises(ValueError):
+        Report.from_json_dict(data)
+
+
+def test_reader_propagates_an_internal_consistency_failure(capsys, monkeypatch):
+    import oneideal.ktheory
+    from oneideal import InternalConsistencyError
+
+    code, data, _ = run_json(capsys, *INVARIANT_M9)
+    assert code == 0
+    monkeypatch.setattr(oneideal.ktheory, "torsion_order", lambda spec: 4)
+    with pytest.raises(InternalConsistencyError):
         Report.from_json_dict(data)
 
 
 # One emitted report per command and section shape.
 READER_ARGV = (
     INVARIANT_M9,
+    ("invariant", "--m", "9", "--n", "1", "--depth", "3"),
     ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
     ("invariant", "--m", "inf", "--n", "1", "--tail", "doubling:1"),
     FULLNESS_M0,
@@ -280,6 +327,7 @@ READER_ARGV = (
     COMPARE_STABLE,
     ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "exact"),
     SCAN_12,
+    ("scan", "--max-m", "2"),
 )
 JSON_VALUES = (
     0, 1, -1, 2**70, True, False, None, "1", "+1", "-1", " 1", "1 ", "01", "1_0", "1/0",
@@ -491,6 +539,49 @@ def test_closed_reader_pipe_is_not_an_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+# Runs main(argv) in a fresh interpreter, then prints its peak RSS in KiB.  The
+# address space is capped at 1 GiB, so a walk without a budget fails early.
+PEAK_RSS_PROBE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from oneideal.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def _exact_compare_in_a_subprocess(m):
+    argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("m", [10**30 + 58, 10**999 + 2], ids=["31 digits", "1000 digits"])
+def test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory(m):
+    proc, seconds = _exact_compare_in_a_subprocess(m)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error [WorkLimit]: a two-power orbit modulo ")
+    assert seconds < 5
+    assert int(proc.stdout) < 300 * 1024  # peak RSS in KiB
+
+
+def test_an_orbit_of_a_million_residues_is_walked():
+    # m - 1 = 1000003 is prime and 2 has order 1000002 modulo it
+    proc, _ = _exact_compare_in_a_subprocess(1000004)
+    assert proc.returncode == 0, proc.stderr
+    assert "witness: l=254277 l'=0 unit=1" in proc.stdout
+
+
+def test_importing_the_package_leaves_the_cli_unimported():
+    probe = "import sys, oneideal; print('oneideal.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=SUBPROCESS_ENV)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def _smith_forms(capsys, monkeypatch, *argv):

@@ -15,7 +15,6 @@ from oneideal import (
     constant_tail,
     doubling_tail,
     pad_prefix,
-    trim_trailing_zeros,
     truncated_presentation,
     validate_family,
     weight_of,
@@ -113,12 +112,6 @@ def test_padding_preserves_alpha(prefix):
     except FamilyValidationError:
         return
     assert alpha_of(pad_prefix(spec)) == alpha_of(spec)
-
-
-def test_trim_trailing_zeros():
-    spec = validate_family(5, [1, 0, 3, 0, 0])
-    assert trim_trailing_zeros(spec).prefix == (1, 0, 3)
-    assert trim_trailing_zeros(validate_family(5, [2])).prefix == (2,)
 
 
 def test_presentation_direct_transcription():
