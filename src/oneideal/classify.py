@@ -169,6 +169,8 @@ def stable_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
 
 def witness_holds(modulus: int, n_a: int, n_b: int, w: IsoWitness) -> bool:
     """Re-substitution check: u is a unit and 2^l n_a == u 2^l' n_b mod modulus."""
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     unit = gcd(w.unit, modulus) == 1
     return unit and ((1 << w.l) * n_a - w.unit * (1 << w.l_prime) * n_b) % modulus == 0
 

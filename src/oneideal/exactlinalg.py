@@ -1,9 +1,12 @@
 """Exact integer linear algebra: Smith normal form and cokernel invariants.
 
 Everything here runs on plain Python integers, so entries may grow without
-bound and results are always exact.  :func:`smith_normal_form` is dense: it
-pivots on the smallest nonzero absolute value with alternating row/column
-reduction and builds both transforms, at cubic cost in the matrix size.
+bound and results are always exact.  :func:`smith_normal_form` is dense and
+builds both transforms.  It runs one round loop per diagonal position: move
+the smallest nonzero entry left to the pivot, reduce the pivot's column and
+row by it, and repeat while a remainder is left or the pivot fails to divide
+a later entry.  Each round is one pass over the matrix, and each repeat
+leaves an entry smaller than the pivot, so the pivots shrink until it ends.
 :func:`cokernel_invariants` first eliminates unit pivots on a sparse copy
 of the matrix (the preprocessing of Dumas, Saunders and Villard, "On
 efficient sparse integer matrix Smith normal form computations", 2001) and
@@ -37,12 +40,17 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]] | tuple) -> "IntMatrix":
+        """The matrix with these rows; every entry must be an int, not a bool."""
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(v) for r in rows for v in r))
+        entries = tuple(v for r in rows for v in r)
+        for v in entries:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"matrix entries must be integers, got {v!r}")
+        return cls(nrows, ncols, entries)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -92,118 +100,53 @@ class SmithForm:
         return tuple(d for d in self.S.diagonal() if d != 0)
 
 
-def _smallest_pivot(a: list[list[int]], start: int, rows: int, cols: int):
-    best = None
-    best_pos = None
-    for i in range(start, rows):
-        ai = a[i]
-        for j in range(start, cols):
-            v = ai[j]
-            if v != 0 and (best is None or abs(v) < best):
-                best = abs(v)
-                best_pos = (i, j)
-                if best == 1:
-                    return best_pos
-    return best_pos
-
-
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Diagonalize ``m`` over the integers by unimodular row/column operations.
 
-    Total on all integer matrices, including empty ones.  Signs of det(U) and
-    det(V) are not normalized; only |det| = 1 is guaranteed.
+    Works on the block matrix [[M, I], [I, 0]]: an operation on its top rows
+    carries U along in the right block, one on its left columns carries V
+    along in the bottom block.  Total on all integer matrices, including
+    empty ones.  Signs of det(U) and det(V) are not normalized; only
+    |det| = 1 is guaranteed.
     """
     rows, cols = m.rows, m.cols
-    a = m.to_lists()
-    u = IntMatrix.identity(rows).to_lists()
-    v = IntMatrix.identity(cols).to_lists()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, q):
-        # row[dst] -= q * row[src]
-        if q:
-            asrc, adst = a[src], a[dst]
-            for c in range(cols):
-                adst[c] -= q * asrc[c]
-            usrc, udst = u[src], u[dst]
-            for c in range(rows):
-                udst[c] -= q * usrc[c]
-
-    def add_col(src, dst, q):
-        # col[dst] -= q * col[src]
-        if q:
-            for r in a:
-                r[dst] -= q * r[src]
-            for r in v:
-                r[dst] -= q * r[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pos = _smallest_pivot(a, t, rows, cols)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
+    a = [list(m.row(i)) + [int(i == j) for j in range(rows)] for i in range(rows)]
+    a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
+    for t in range(min(rows, cols)):
+        # a repeat leaves an entry smaller than the pivot (one round later
+        # after a divisor step), so the pivots shrink and the loop ends
         while True:
-            # clear column t below/above the pivot
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, q)
-                    if a[i][t]:
-                        # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the submatrix for the chain
-            offender = None
-            for i in range(t + 1, rows):
-                ai = a[i]
-                for j in range(t + 1, cols):
-                    if ai[j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            window = ((i, j) for i in range(t, rows) for j in range(t, cols))
+            nonzero = [(abs(a[i][j]), i, j) for i, j in window if a[i][j]]
+            if not nonzero:
                 break
-            add_row(offender, t, -1)  # row[t] += row[offender]
-        t += 1
-
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            for c in range(cols):
-                a[i][c] = -a[i][c]
-            for c in range(rows):
-                u[i][c] = -u[i][c]
-
+            _, i, j = min(nonzero)
+            a[t], a[i] = a[i], a[t]
+            for r in a:
+                r[t], r[j] = r[j], r[t]
+            p = a[t][t]
+            for i in range(t + 1, rows):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, cols):
+                q = a[t][j] // p
+                for r in a:
+                    r[j] -= q * r[t]
+            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 : cols]):
+                continue
+            # for the divisibility chain: a row the pivot fails to divide
+            # leaves a remainder in row t on the next round
+            bad = next((r for r in a[t + 1 : rows] if any(x % p for x in r[t + 1 : cols])), None)
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], bad)]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+    top = a[:rows]
     return SmithForm(
-        S=IntMatrix.from_rows(a) if rows else IntMatrix(0, cols, ()),
-        U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()),
-        V=IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()),
+        S=IntMatrix(rows, cols, tuple(x for r in top for x in r[:cols])),
+        U=IntMatrix(rows, rows, tuple(x for r in top for x in r[cols:])),
+        V=IntMatrix(cols, cols, tuple(x for r in a[rows:] for x in r[:cols])),
     )
 
 

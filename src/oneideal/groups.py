@@ -143,8 +143,10 @@ class ConeDescriptor:
     def __post_init__(self) -> None:
         if self.tag not in _CONE_TAGS:
             raise ValueError(f"unknown cone tag {self.tag!r}")
-        if self.tag == ALPHA_CONE and self.alpha is None:
-            raise ValueError("alpha cone needs its parameter")
+        if self.tag == ALPHA_CONE and not (
+            is_infinite(self.alpha) or isinstance(self.alpha, Fraction)
+        ):
+            raise ValueError(f"alpha cone needs a Fraction or infinity, got {self.alpha!r}")
         if self.tag != ALPHA_CONE and self.alpha is not None:
             raise ValueError("alpha only applies to the alpha cone")
         if self.tag == LEXICOGRAPHIC_CONE and not (
@@ -175,7 +177,9 @@ def all_positive(with_full_class: bool = False) -> ConeDescriptor:
 
 
 def alpha_cone(alpha: ExtendedRational) -> ConeDescriptor:
-    if not is_infinite(alpha):
+    """The alpha cone of an int, a ``Fraction`` or infinity; anything else
+    (a float, a bool, a string) raises ValueError rather than being rounded."""
+    if isinstance(alpha, int) and not isinstance(alpha, bool):
         alpha = Fraction(alpha)
     return ConeDescriptor(ALPHA_CONE, alpha=alpha)
 
@@ -229,9 +233,14 @@ class ConeElement:
     int_part: int = 0
 
     def __post_init__(self) -> None:
-        den = self.dyadic_part.denominator
+        d, n = self.dyadic_part, self.int_part
+        if isinstance(d, bool) or not isinstance(d, (int, Fraction)):
+            raise ValueError(f"the dyadic part must be an int or a Fraction, got {d!r}")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"the integer part must be an int, got {n!r}")
+        den = d.denominator
         if den & (den - 1):
-            raise ValueError(f"{self.dyadic_part} is not a dyadic rational")
+            raise ValueError(f"{d} is not a dyadic rational")
 
     def check_shape(self, group: GroupDescriptor) -> None:
         if group.tag == DYADIC_LINE and self.int_part != 0:

@@ -119,8 +119,7 @@ def stable_oracle_depth(spec: FamilySpec) -> int:
     """
     if not spec.has_finite_loops:
         raise RegimeError("oracle depth requires 1 < m < infinity")
-    k, _ = weight_of(spec)
-    return k + two_adic_valuation(spec.m - 1) + 1
+    return len(spec.prefix) + two_adic_valuation(spec.m - 1) + 1
 
 
 def torsion_order(spec: FamilySpec) -> int:

@@ -66,13 +66,18 @@ def strict_int(v, what: str) -> int:
 
 
 def limited_int(v, what: str) -> int:
-    """:func:`strict_int`, past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError."""
-    digits = len(v) if isinstance(v, str) else len(str(strict_int(v, what)))
-    if digits > MAX_INTEGER_DIGITS:
+    """:func:`strict_int`, past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError.
+
+    A string is measured before it is converted, an int by its size, so
+    neither meets Python's own limit on converting between the two."""
+    if isinstance(v, str) and len(v) > MAX_INTEGER_DIGITS:
         raise WorkLimitError(
-            f"{what} has {digits} digits, more than the limit {MAX_INTEGER_DIGITS}"
+            f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
         )
-    return strict_int(v, what)
+    value = strict_int(v, what)
+    if not isinstance(v, str) and abs(value) >= 10**MAX_INTEGER_DIGITS:
+        raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
+    return value
 
 
 def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:

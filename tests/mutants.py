@@ -1,0 +1,192 @@
+"""The mutant catalogue: one deliberate fault per verdict route, cross-check
+and work limit, with the tests that must catch it (mutation analysis in the
+sense of DeMillo, Lipton and Sayward, "Hints on test data selection", 1978).
+
+A mutant replaces one exact text in one module of ``src/oneideal`` with
+another.  ``python tests/mutants.py`` applies each mutant to a fresh copy of
+``src/`` in a temporary directory, never to ``src/`` itself, and runs each
+of its tests against that copy, one after another.  A mutant is killed when
+every one of its tests fails within :data:`TIMEOUT_S`; the command prints
+one line per mutant, ends with "mutants killed k/n", and exits 1 if any
+mutant survives.  It is too slow for the tier-1 suite, where
+``test_mutants.py`` only checks that each old text still occurs exactly
+once in its module.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oneideal"
+# A test still running after this long has not caught its mutant.
+TIMEOUT_S = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name in src/oneideal
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "smith form without the remainder repeat",
+        "exactlinalg.py",
+        "or any(a[t][t + 1 : cols]):\n                continue",
+        "or any(a[t][t + 1 : cols]):\n                break",
+        (
+            "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
+            "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
+        ),
+    ),
+    Mutant(
+        "smith form without the divisor step",
+        "exactlinalg.py",
+        "bad = next((r for r in a[t + 1 : rows] if any(x % p for x in r[t + 1 : cols])), None)",
+        "bad = None",
+        (
+            "tests/test_exactlinalg.py::test_diag_2_3_becomes_1_6",
+            "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
+        ),
+    ),
+    Mutant(
+        "smith form without the sign fix",
+        "exactlinalg.py",
+        "if a[t][t] < 0:",
+        "if False:",
+        (
+            "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
+            "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
+        ),
+    ),
+    Mutant(
+        "alpha_of without the constant tail c",
+        "family.py",
+        "_horner_weight(spec.prefix) + (spec.tail.c or 0)",
+        "_horner_weight(spec.prefix)",
+        (
+            "tests/test_family.py::test_alpha_examples",
+            "tests/test_family.py::test_alpha_matches_the_summed_series",
+        ),
+    ),
+    Mutant(
+        "report reader without its re-emission check",
+        "report.py",
+        "if not same:",
+        "if False:",
+        ("tests/test_cli.py::test_tampered_report_is_rejected",),
+    ),
+    Mutant(
+        "scan sieve that never lifts a prime-power order",
+        "classify.py",
+        "order[d] = order[q] if pow(2, order[q], d) == 1 else order[q] * p",
+        "order[d] = order[q]",
+        (
+            "tests/test_classify.py::test_divergence_and_class_counts",
+            "tests/test_classify.py::test_divergence_table_matches_the_burnside_count",
+        ),
+    ),
+    Mutant(
+        "stable witness without its unit search",
+        "classify.py",
+        "    while gcd(u, modulus) != 1:\n        u += step\n",
+        "",
+        (
+            "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
+            "[stable_orbit_witness-enumerated_stable_witness]",
+        ),
+    ),
+    Mutant(
+        "scan without its MAX_SCAN_M limit",
+        "cli.py",
+        "if max_m > MAX_SCAN_M:",
+        "if False:",
+        ("tests/test_cli.py::test_scan_past_the_limit_exits_2_before_any_class_count",),
+    ),
+    Mutant(
+        "integer digit limit without its check on Python ints",
+        "report.py",
+        "if not isinstance(v, str) and abs(value) >= 10**MAX_INTEGER_DIGITS:",
+        "if False:",
+        ("tests/test_cli.py::test_a_python_int_past_the_digit_limit_is_a_work_limit",),
+    ),
+    Mutant(
+        "exact witness off by one in l",
+        "classify.py",
+        "IsoWitness(l=la, l_prime=total - la, unit=1)",
+        "IsoWitness(l=la + 1, l_prime=total - la, unit=1)",
+        (
+            "tests/test_classify.py::test_exact_iso_examples",
+            "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
+            "[exact_orbit_witness-enumerated_exact_witness]",
+        ),
+    ),
+    Mutant(
+        "fullness rule with the m = 0 case inverted",
+        "classify.py",
+        "elif is_infinite(scalars.alpha):",
+        "elif not is_infinite(scalars.alpha):",
+        (
+            "tests/test_classify.py::test_fullness_m0_finite_alpha",
+            "tests/test_classify.py::test_fullness_m0_divergent_alpha",
+        ),
+    ),
+    Mutant(
+        "invariant without the truncation cross-check",
+        "cli.py",
+        "if depth >= stable_depth and truncation[1:] != (1, (x,) if x > 1 else ()):",
+        "if False:",
+        ("tests/test_cli.py::test_wrong_torsion_order_is_caught_by_the_truncation",),
+    ),
+)
+
+
+def surviving_tests(mutant: Mutant) -> list[str]:
+    """The tests of ``mutant`` that pass on a copy of ``src/`` with it applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "oneideal" / mutant.module
+        text = path.read_text()
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the old text does not occur exactly once")
+        path.write_text(text.replace(mutant.old, mutant.new))
+        # the copy comes first on the path; pytest runs in the temporary
+        # directory, so Hypothesis keeps the failing examples there
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        return [test for test in mutant.tests if not _fails(command + [str(ROOT / test)], tmp, env)]
+
+
+def _fails(command: list[str], cwd: str, env: dict) -> bool:
+    """Whether pytest exits 1 (the test ran and failed) within the timeout."""
+    try:
+        result = subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return result.returncode == 1
+
+
+def main() -> int:
+    killed = 0
+    for mutant in MUTANTS:
+        survivors = surviving_tests(mutant)
+        killed += not survivors
+        print(f"{'killed  ' if not survivors else 'SURVIVED'}  {mutant.name}", flush=True)
+        for test in survivors:
+            print(f"          not caught by {test}", flush=True)
+    print(f"mutants killed {killed}/{len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -267,6 +267,12 @@ def test_stable_witness_is_resubstituted(monkeypatch, modulus, n_a, n_b, bad):
         stable_orbit_equivalent(modulus, n_a, n_b)
 
 
+@pytest.mark.parametrize("modulus", [0, -1])
+def test_witness_holds_rejects_a_modulus_below_one(modulus):
+    with pytest.raises(ValueError):
+        witness_holds(modulus, 1, 1, IsoWitness(0, 0, 1))
+
+
 def test_permanence_check():
     inv, _ = invariant_of(spec_mn(8, 1))
     assert permanence_check(inv)

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oneideal
-from oneideal import INF, FamilySpec, TailSpec
+from oneideal import INF, FamilySpec, TailSpec, WorkLimitError
 from oneideal.cli import main
 from oneideal.report import (
     MAX_INTEGER_DIGITS,
@@ -713,6 +713,16 @@ def test_the_largest_accepted_input_renders(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith("command: " if "text" in argv else "{")
+
+
+@pytest.mark.parametrize(
+    "m", [10**5000, 10**MAX_INTEGER_DIGITS], ids=["5001 digits", "1001 digits"]
+)
+def test_a_python_int_past_the_digit_limit_is_a_work_limit(m):
+    with pytest.raises(WorkLimitError, match="more digits than the limit"):
+        spec_from_json({"m": m, "n": [1]})
+    largest = 10**MAX_INTEGER_DIGITS - 1
+    assert spec_from_json({"m": largest, "n": [1]}).m == largest
 
 
 def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):

@@ -35,6 +35,12 @@ def snf_contract_holds(m: IntMatrix) -> None:
             assert b % a == 0
 
 
+@pytest.mark.parametrize("bad", [1.5, "3", True])
+def test_from_rows_rejects_an_entry_that_is_not_an_int(bad):
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[bad, 3], [1, 2]])
+
+
 def test_identity_is_fixed():
     m = IntMatrix.identity(3)
     snf = smith_normal_form(m)

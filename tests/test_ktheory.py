@@ -105,6 +105,16 @@ def test_stable_oracle_depth_bound():
     assert torsion_order(spec) == 128
 
 
+def test_stable_oracle_depth_reads_k_without_computing_the_weight(monkeypatch):
+    import oneideal.ktheory
+
+    def refuse(spec):
+        raise AssertionError("the weight was computed")
+
+    monkeypatch.setattr(oneideal.ktheory, "weight_of", refuse)
+    assert stable_oracle_depth(validate_family(129, [1, 0, 3])) == 3 + 8
+
+
 def test_invariant_m0():
     inv, scalars = invariant_of(validate_family(0, [2]))
     assert inv.case_tag == "AF-AF"

@@ -29,7 +29,7 @@ from oneideal import (
     validate_family,
     doubling_tail,
 )
-from oneideal.groups import LEXICOGRAPHIC_CONE
+from oneideal.groups import ALPHA_CONE, LEXICOGRAPHIC_CONE, ConeDescriptor
 from oracles import find_order_isomorphism
 
 
@@ -89,6 +89,24 @@ def test_cone_element_rejects_a_non_dyadic_part():
     with pytest.raises(ValueError):
         ConeElement(Fraction(5, 24), 1)
     assert ConeElement(Fraction(5, 8), 1).dyadic_part == Fraction(5, 8)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0.5, 1), (Fraction(1, 2), 1.0), (True, 0), (0, True)],
+    ids=["float dyadic part", "float integer part", "bool dyadic part", "bool integer part"],
+)
+def test_cone_element_rejects_a_part_of_the_wrong_type(parts):
+    with pytest.raises(ValueError):
+        ConeElement(*parts)
+
+
+@pytest.mark.parametrize("alpha", [0.1, True, "1/2"])
+def test_alpha_cone_rejects_a_parameter_that_is_not_exact(alpha):
+    with pytest.raises(ValueError):
+        alpha_cone(alpha)
+    with pytest.raises(ValueError):
+        ConeDescriptor(ALPHA_CONE, alpha=alpha)
 
 
 @given(
