@@ -1,0 +1,59 @@
+"""The exact bytes each command prints, text and JSON, for one argv per
+command and section shape.
+
+The expected output of ``<name>`` lives in ``golden/<name>.txt`` (text) and
+``golden/<name>.json`` (JSON).  A deliberate change of either format
+rewrites them with ``PYTHONPATH=src python tests/test_golden.py``, and the
+diff shows what changed.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from oneideal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+ARGV = {
+    "invariant-m9": ("invariant", "--m", "9", "--n", "1"),
+    "invariant-m9-depth3": ("invariant", "--m", "9", "--n", "1", "--depth", "3"),
+    "invariant-m0-zero": ("invariant", "--m", "0", "--n", "1,1"),
+    "invariant-m0-constant": ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
+    "invariant-m0-doubling": ("invariant", "--m", "0", "--n", "1", "--tail", "doubling:1"),
+    "invariant-minf": ("invariant", "--m", "inf", "--n", "2", "--tail", "constant:4"),
+    "fullness-full": ("fullness", "--m", "8", "--n", "1"),
+    "fullness-unknown": ("fullness", "--m", "0", "--n", "2"),
+    "fullness-m0-doubling": ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1"),
+    "compare-exact-yes": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=2", "--mode", "exact"),
+    "compare-exact-no": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"),
+    "compare-stable-unit": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
+    "compare-m-mismatch": ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "stable"),
+    "scan-12": ("scan", "--max-m", "12"),
+    # past m = 100 the m column widens
+    "scan-120": ("scan", "--max-m", "120"),
+}
+SUFFIX = {"text": ".txt", "json": ".json"}
+
+
+def stdout_of(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", SUFFIX)
+@pytest.mark.parametrize("name", ARGV)
+def test_output_matches_the_golden_bytes(name, fmt):
+    expected = (GOLDEN / (name + SUFFIX[fmt])).read_bytes().decode()
+    assert stdout_of(ARGV[name], fmt) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in ARGV.items():
+        for fmt, suffix in SUFFIX.items():
+            (GOLDEN / (name + suffix)).write_bytes(stdout_of(argv, fmt).encode())
