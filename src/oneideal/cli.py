@@ -43,7 +43,10 @@ from .errors import (
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
-from .report import MAX_SCAN_M, Report, limited_int, spec_from_json
+from .report import (
+    MAX_SCAN_M, Report, comparison_to_json, fullness_to_json, invariant_to_json, limited_int,
+    scalars_to_json, scan_to_json, spec_from_json, spec_to_json,
+)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -58,6 +61,14 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _SPEC_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_int=str)
 
 
+def _decode(text: str):
+    """Decode a JSON spec; nesting too deep for the decoder is a ValueError."""
+    try:
+        return _SPEC_JSON.decode(text)
+    except RecursionError:
+        raise ValueError("the JSON spec is nested too deeply") from None
+
+
 def _schema_object(m: str, n: str, tail: str) -> dict:
     """The input-schema object for flag or compact-form text, values verbatim."""
     kind, colon, c = tail.partition(":")
@@ -67,7 +78,7 @@ def _schema_object(m: str, n: str, tail: str) -> dict:
 
 def _spec_from_flags(args) -> FamilySpec:
     if args.spec is not None:
-        return spec_from_json(_SPEC_JSON.decode(args.spec))
+        return spec_from_json(_decode(args.spec))
     if args.m is None or args.n is None:
         raise ValueError("provide --m and --n (or --spec with a JSON object)")
     return spec_from_json(_schema_object(args.m, args.n, args.tail))
@@ -76,7 +87,7 @@ def _spec_from_flags(args) -> FamilySpec:
 def _spec_from_compact(text: str) -> FamilySpec:
     """Parse ``m=8,n=[1,0,3],tail=constant:2`` (or a JSON object)."""
     if text.lstrip().startswith("{"):
-        return spec_from_json(_SPEC_JSON.decode(text))
+        return spec_from_json(_decode(text))
     fields: dict[str, str] = {}
     rest = text
     while rest:
@@ -128,10 +139,9 @@ def invariant_report(spec: FamilySpec, depth=None) -> Report:
             )
     return Report(
         command="invariant",
-        inputs=(spec,),
-        scalars=scalars,
-        invariant=invariant,
-        truncation=truncation,
+        inputs=[spec_to_json(spec)],
+        scalars=scalars_to_json(scalars),
+        invariant=invariant_to_json(invariant, truncation),
     )
 
 
@@ -139,20 +149,21 @@ def fullness_report(spec: FamilySpec) -> Report:
     invariant, scalars = invariant_of(spec)
     return Report(
         command="fullness",
-        inputs=(spec,),
-        scalars=scalars,
-        invariant=invariant,
-        fullness=classify.decide_fullness(invariant, scalars),
+        inputs=[spec_to_json(spec)],
+        scalars=scalars_to_json(scalars),
+        invariant=invariant_to_json(invariant),
+        verdict=fullness_to_json(classify.decide_fullness(invariant, scalars)),
     )
 
 
 def compare_report(spec_a: FamilySpec, spec_b: FamilySpec, mode: str) -> Report:
     decide = {"exact": classify.exact_iso, "stable": classify.stable_iso}[mode]
+    verdict, witness = comparison_to_json(mode, decide(spec_a, spec_b))
     return Report(
         command="compare",
-        inputs=(spec_a, spec_b),
-        comparison=decide(spec_a, spec_b),
-        compare_mode=mode,
+        inputs=[spec_to_json(spec_a), spec_to_json(spec_b)],
+        verdict=verdict,
+        witness=witness,
     )
 
 
@@ -171,7 +182,8 @@ def scan_report(max_m) -> Report:
             raise InternalConsistencyError(
                 f"at m = {m} the scan counts {exact} exact classes but {stable} stable ones"
             )
-    return Report(command="scan", scan=classify.ScanResult(table), scan_limit=max_m)
+    inputs, verdict = scan_to_json(max_m, classify.ScanResult(table))
+    return Report(command="scan", inputs=inputs, verdict=verdict)
 
 
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
@@ -244,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as err:
         print(f"error [InternalConsistency]: {err}", file=sys.stderr)
         return 3
-    except (OneIdealError, ValueError, KeyError, json.JSONDecodeError) as err:
+    except (OneIdealError, ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

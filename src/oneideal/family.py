@@ -28,6 +28,10 @@ from .exactlinalg import IntMatrix
 TAIL_KINDS = ("zero", "constant", "doubling")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class TailSpec:
     kind: str
@@ -39,9 +43,10 @@ class TailSpec:
         if self.kind == "zero":
             if self.c is not None:
                 raise ValueError("zero tail takes no parameter")
-        else:
-            if self.c is None or self.c < 1:
-                raise ValueError(f"{self.kind} tail requires c >= 1")
+        elif self.c is not None and not _is_int(self.c):
+            raise ValueError(f"tail c must be an int, got {self.c!r}")
+        elif self.c is None or self.c < 1:
+            raise ValueError(f"{self.kind} tail requires c >= 1")
 
 
 ZERO_TAIL = TailSpec("zero")
@@ -65,13 +70,9 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         m = self.m
-        if is_infinite(m):
-            pass
-        elif isinstance(m, int) and m >= 0:
-            pass
-        else:
+        if not (is_infinite(m) or (_is_int(m) and m >= 0)):
             raise ValueError("m must be a non-negative integer or infinity")
-        if any(not isinstance(n, int) or n < 0 for n in self.prefix):
+        if any(not _is_int(n) or n < 0 for n in self.prefix):
             raise ValueError("edge multiplicities must be non-negative integers")
         if m == 1:
             raise FamilyValidationError(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import ExtendedRational, format_extended, is_infinite
+from .dyadic import ExtendedRational, is_infinite
 from .errors import ConeShapeError
 
 # --------------------------------------------------------------------------
@@ -160,17 +160,6 @@ class ConeDescriptor:
         if self.with_full_class and self.tag != ALL_POSITIVE:
             raise ValueError("with_full_class only applies to AllPositive")
 
-    def render(self) -> str:
-        if self.tag == ALL_POSITIVE:
-            return "all-positive (full class)" if self.with_full_class else "all-positive"
-        if self.tag == ALPHA_CONE:
-            return f"alpha-cone({format_extended(self.alpha)})"
-        if self.tag == STANDARD_DYADIC_CONE:
-            return "standard dyadic cone"
-        if self.tag == STANDARD_INTEGER_CONE:
-            return "standard integer cone"
-        return f"lexicographic({self.parts[0].render()}; {self.parts[1].render()})"
-
 
 def all_positive(with_full_class: bool = False) -> ConeDescriptor:
     return ConeDescriptor(ALL_POSITIVE, with_full_class=with_full_class)
@@ -215,9 +204,6 @@ class PreorderedGroup:
             raise ConeShapeError(
                 f"cone {self.cone.tag} cannot be attached to group {self.group.tag}"
             )
-
-    def render(self) -> str:
-        return f"{self.group.render()} with {self.cone.render()}"
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
-"""Reports: one structure, two renderings (text and JSON), exact round-trip.
+"""Reports: each command's JSON object, and the text view rendered from it.
 
+The builders here are the one place that knows the JSON format; a
+:class:`Report` holds their output, and its text view reads nothing else.
 Every integer in the JSON form is emitted as a decimal string so consumers
 without big-integer support cannot silently lose precision.  Rationals are
 emitted as "p/q" strings and infinity as "inf".  Every value in a report
@@ -26,9 +28,9 @@ from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
     LEXICOGRAPHIC_CONE,
+    STANDARD_DYADIC_CONE,
     ConeDescriptor,
     GroupDescriptor,
-    PreorderedGroup,
 )
 from .ktheory import DerivedScalars, SixTermInvariant
 from .version import __version__
@@ -133,18 +135,18 @@ def _group_to_json(group: GroupDescriptor) -> dict:
     return out
 
 
-def _pg_to_json(pg: PreorderedGroup) -> dict:
-    return {"group": _group_to_json(pg.group), "cone": _cone_to_json(pg.cone)}
-
-
-def invariant_to_json(inv: SixTermInvariant) -> dict:
-    return {
-        "ideal": _pg_to_json(inv.ideal),
-        "middle": _pg_to_json(inv.middle),
-        "quotient": _pg_to_json(inv.quotient),
-        "caseTag": inv.case_tag,
-        "indexMapZero": inv.index_map_zero,
+def invariant_to_json(inv: SixTermInvariant, truncation: tuple | None = None) -> dict:
+    """The invariant section, with a truncation (depth, free rank, torsion) if given."""
+    out = {
+        key: {"group": _group_to_json(pg.group), "cone": _cone_to_json(pg.cone)}
+        for key, pg in (("ideal", inv.ideal), ("middle", inv.middle), ("quotient", inv.quotient))
     }
+    out.update(caseTag=inv.case_tag, indexMapZero=inv.index_map_zero)
+    if truncation is not None:
+        depth, free_rank, torsion = truncation
+        torsion = [str(t) for t in torsion]
+        out["truncation"] = {"depth": str(depth), "freeRank": str(free_rank), "torsion": torsion}
+    return out
 
 
 def scalars_to_json(s: DerivedScalars) -> dict:
@@ -157,74 +159,65 @@ def scalars_to_json(s: DerivedScalars) -> dict:
     }
 
 
+def fullness_to_json(f: FullnessVerdict) -> dict:
+    verdict = {
+        "stenotic": f.stenotic,
+        "kLexicographic": f.k_lexicographic,
+        "stabilizedFull": f.stabilized_full,
+        "unstabilized": f.unstabilized,
+    }
+    if f.unstabilized == UNKNOWN:
+        verdict["note"] = UNKNOWN_NOTE
+    return verdict
+
+
+def comparison_to_json(mode: str, c: IsoVerdict) -> tuple[dict, dict | None]:
+    """The verdict and witness sections of ``compare``."""
+    verdict = {"mode": mode, "isomorphic": c.isomorphic}
+    if c.reason is not None:
+        verdict["reason"] = c.reason
+    w = c.witness
+    witness = None if w is None else {"l": str(w.l), "lPrime": str(w.l_prime), "unit": str(w.unit)}
+    return verdict, witness
+
+
+def scan_to_json(max_m: int, scan: ScanResult) -> tuple[list, dict]:
+    """The inputs and verdict sections of ``scan``."""
+    table = [
+        {"m": str(m), "exactClasses": str(e), "stableClasses": str(s)} for m, e, s in scan.table
+    ]
+    verdict = {"smallestDivergentM": _int_str(scan.smallest_divergent_m), "table": table}
+    return [{"maxM": str(max_m)}], verdict
+
+
+def _cone_text(cone: dict) -> str:
+    tag = cone["tag"]
+    if tag == ALL_POSITIVE:
+        return "all-positive (full class)" if cone["withFullClass"] else "all-positive"
+    if tag == ALPHA_CONE:
+        return f"alpha-cone({cone['alpha']})"
+    if tag == LEXICOGRAPHIC_CONE:
+        return "lexicographic({}; {})".format(*map(_cone_text, cone["parts"]))
+    return "standard dyadic cone" if tag == STANDARD_DYADIC_CONE else "standard integer cone"
+
+
 @dataclass(frozen=True)
 class Report:
-    """Everything a command computed, ready for rendering; the report
-    functions in :mod:`.cli` build one per command."""
+    """A command's report as its JSON object: one field per top-level key,
+    as the report functions in :mod:`.cli` build it.  :meth:`to_json_dict`
+    shares the nested sections, so callers must not mutate them, and a
+    report, whose sections are dicts and lists, is not hashable."""
 
     command: str
-    inputs: tuple[FamilySpec, ...] = ()
-    scalars: DerivedScalars | None = None
-    invariant: SixTermInvariant | None = None
-    fullness: FullnessVerdict | None = None
-    comparison: IsoVerdict | None = None
-    compare_mode: str | None = None
-    scan: ScanResult | None = None
-    truncation: tuple[int, int, tuple[int, ...]] | None = None  # (depth, free rank, torsion)
-    scan_limit: int | None = None
+    inputs: list[dict]
+    scalars: dict | None = None
+    invariant: dict | None = None
+    verdict: dict | None = None
+    witness: dict | None = None
     version: str = __version__
 
-    # -- JSON ---------------------------------------------------------------
-
     def to_json_dict(self) -> dict:
-        inputs: list[dict] = [spec_to_json(s) for s in self.inputs]
-        if self.scan_limit is not None:
-            inputs.append({"maxM": str(self.scan_limit)})
-        verdict = None
-        witness = None
-        if self.fullness is not None:
-            verdict = {
-                "stenotic": self.fullness.stenotic,
-                "kLexicographic": self.fullness.k_lexicographic,
-                "stabilizedFull": self.fullness.stabilized_full,
-                "unstabilized": self.fullness.unstabilized,
-            }
-            if self.fullness.unstabilized == UNKNOWN:
-                verdict["note"] = UNKNOWN_NOTE
-        if self.comparison is not None:
-            verdict = {"mode": self.compare_mode, "isomorphic": self.comparison.isomorphic}
-            if self.comparison.reason is not None:
-                verdict["reason"] = self.comparison.reason
-            if self.comparison.witness is not None:
-                w = self.comparison.witness
-                witness = {"l": str(w.l), "lPrime": str(w.l_prime), "unit": str(w.unit)}
-        if self.scan is not None:
-            verdict = {
-                "smallestDivergentM": _int_str(self.scan.smallest_divergent_m),
-                "table": [
-                    {"m": str(m), "exactClasses": str(e), "stableClasses": str(s)}
-                    for m, e, s in self.scan.table
-                ],
-            }
-        invariant = None
-        if self.invariant is not None:
-            invariant = invariant_to_json(self.invariant)
-            if self.truncation is not None:
-                depth, free_rank, torsion = self.truncation
-                invariant["truncation"] = {
-                    "depth": str(depth),
-                    "freeRank": str(free_rank),
-                    "torsion": [str(t) for t in torsion],
-                }
-        return {
-            "command": self.command,
-            "inputs": inputs,
-            "scalars": scalars_to_json(self.scalars) if self.scalars else None,
-            "invariant": invariant,
-            "verdict": verdict,
-            "witness": witness,
-            "version": self.version,
-        }
+        return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, d) -> "Report":
@@ -258,66 +251,56 @@ class Report:
             same = emitted == json.dumps(d, sort_keys=True)
         except InternalConsistencyError:
             raise
-        except (KeyError, TypeError, OneIdealError) as err:
+        except (KeyError, TypeError, RecursionError, OneIdealError) as err:
             raise ValueError(f"not a report this program writes: {err!r}") from err
         if not same:
             raise ValueError("not a report this program writes: its inputs give another report")
         return report
 
-    # -- text ---------------------------------------------------------------
-
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
-        for spec in self.inputs:
-            tail = spec.tail.kind if spec.tail.c is None else f"{spec.tail.kind}:{spec.tail.c}"
-            n = ",".join(str(v) for v in spec.prefix)
-            lines.append(f"input: m={format_extended(spec.m)} n=[{n}] tail={tail}")
-        if self.scan_limit is not None:
-            lines.append(f"input: max-m={self.scan_limit}")
+        for entry in self.inputs:
+            if "maxM" in entry:
+                lines.append(f"input: max-m={entry['maxM']}")
+                continue
+            tail = ":".join(entry["tail"].values())  # kind, then c if present
+            lines.append(f"input: m={entry['m']} n=[{','.join(entry['n'])}] tail={tail}")
         if self.scalars is not None:
-            s = self.scalars
-            lines.append(
-                "scalars: alpha={} k={} N={} x={} M={}".format(
-                    format_extended(s.alpha), s.k, s.n_weight, s.x, s.m_odd
-                )
-            )
+            lines.append("scalars: alpha={alpha} k={k} N={N} x={x} M={M}".format(**self.scalars))
         if self.invariant is not None:
             inv = self.invariant
-            lines.append(f"ideal:    {inv.ideal.render()}")
-            lines.append(f"middle:   {inv.middle.render()}")
-            lines.append(f"quotient: {inv.quotient.render()}")
-            lines.append(f"case: {inv.case_tag}  index map zero: {inv.index_map_zero}")
-            if self.truncation is not None:
-                depth, free_rank, torsion = self.truncation
+            for key in ("ideal", "middle", "quotient"):
+                group, cone = inv[key]["group"], inv[key]["cone"]
+                lines.append(f"{key + ':':<10}{group['symbol']} with {_cone_text(cone)}")
+            lines.append(f"case: {inv['caseTag']}  index map zero: {inv['indexMapZero']}")
+            if "truncation" in inv:
+                t = inv["truncation"]
                 lines.append(
-                    f"truncation oracle: depth={depth} free rank={free_rank} "
-                    f"torsion={list(torsion)}"
+                    f"truncation oracle: depth={t['depth']} free rank={t['freeRank']} "
+                    f"torsion=[{', '.join(t['torsion'])}]"
                 )
-        if self.fullness is not None:
-            f = self.fullness
+        v = self.verdict
+        if self.command == "fullness":
             lines.append(
-                "fullness: stenotic={} K-lexicographic={} stabilized-full={} "
-                "unstabilized={}".format(
-                    f.stenotic, f.k_lexicographic, f.stabilized_full, f.unstabilized
-                )
+                "fullness: stenotic={stenotic} K-lexicographic={kLexicographic} "
+                "stabilized-full={stabilizedFull} unstabilized={unstabilized}".format(**v)
             )
-            if f.unstabilized == UNKNOWN:
-                lines.append(f"note: {UNKNOWN_NOTE}")
-        if self.comparison is not None:
-            c = self.comparison
-            lines.append(f"mode: {self.compare_mode}")
-            lines.append(f"isomorphic: {c.isomorphic}")
-            if c.reason:
-                lines.append(f"reason: {c.reason}")
-            if c.witness:
-                w = c.witness
-                lines.append(f"witness: l={w.l} l'={w.l_prime} unit={w.unit}")
-        if self.scan is not None:
+            if "note" in v:
+                lines.append(f"note: {v['note']}")
+        elif self.command == "compare":
+            lines += [f"mode: {v['mode']}", f"isomorphic: {v['isomorphic']}"]
+            if "reason" in v:
+                lines.append(f"reason: {v['reason']}")
+            if self.witness is not None:
+                w = self.witness
+                lines.append(f"witness: l={w['l']} l'={w['lPrime']} unit={w['unit']}")
+        elif self.command == "scan":
             lines.append("m  exact-classes  stable-classes")
-            width = max([3] + [len(str(m)) + 1 for m, _, _ in self.scan.table])
-            for m, e, s in self.scan.table:
+            width = max([3] + [len(row["m"]) + 1 for row in v["table"]])
+            for row in v["table"]:
+                e, s = row["exactClasses"], row["stableClasses"]
                 marker = "  <- diverges" if e != s else ""
-                lines.append(f"{m:<{width}}{e:<15}{s}{marker}")
-            lines.append(f"smallest divergent m: {self.scan.smallest_divergent_m}")
+                lines.append(f"{row['m']:<{width}}{e:<15}{s}{marker}")
+            lines.append(f"smallest divergent m: {v['smallestDivergentM']}")
         lines.append(f"version: {self.version}")
         return "\n".join(lines)

@@ -147,6 +147,67 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py::test_wrong_torsion_order_is_caught_by_the_truncation",),
     ),
+    Mutant(
+        "stable verdict without its gcd cross-check",
+        "classify.py",
+        "if (witness is not None) != by_gcd or not holds:",
+        "if not holds:",
+        ("tests/test_classify.py::test_stable_witness_is_resubstituted[7-1-3-None]",),
+    ),
+    Mutant(
+        "stable witness without its re-substitution",
+        "classify.py",
+        "holds = witness is None or witness_holds(modulus, n_a, n_b, witness)",
+        "holds = True",
+        (
+            "tests/test_classify.py::test_stable_witness_is_resubstituted[7-1-3-bad0]",
+            "tests/test_classify.py::test_stable_witness_is_resubstituted[6-2-2-bad1]",
+        ),
+    ),
+    Mutant(
+        "spec reader without its MAX_PREFIX_LENGTH limit",
+        "report.py",
+        "if len(ns) > MAX_PREFIX_LENGTH:",
+        "if False:",
+        ("tests/test_cli.py::test_input_past_the_size_limits_exits_2_before_any_arithmetic",),
+    ),
+    Mutant(
+        "truncation without its MAX_TRUNCATION_DEPTH limit",
+        "ktheory.py",
+        "if depth > MAX_TRUNCATION_DEPTH:",
+        "if False:",
+        (
+            "tests/test_cli.py::"
+            "test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix",
+        ),
+    ),
+    Mutant(
+        "orbit walk without its MAX_ORBIT_BITS budget",
+        "dyadic.py",
+        "limit = MAX_ORBIT_BITS // modulus.bit_length()",
+        "limit = modulus",
+        (
+            "tests/test_cli.py::"
+            "test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory",
+        ),
+    ),
+    Mutant(
+        "family member that reads a bool as an integer",
+        "family.py",
+        "return isinstance(v, int) and not isinstance(v, bool)",
+        "return isinstance(v, int)",
+        tuple(
+            f"tests/test_family.py::test_bools_and_floats_are_not_read_as_integers[{case}]"
+            for case in ("bool m", "bool n", "bool c")
+        ),
+    ),
+    Mutant(
+        "text view without the compare reason",
+        "report.py",
+        'if "reason" in v:',
+        "if False:",
+        ("tests/test_golden.py::test_output_matches_the_golden_bytes[compare-m-mismatch-text]",),
+    ),
 )
 
 

@@ -203,6 +203,9 @@ FULLNESS_M0 = ("fullness", "--m", "0", "--n", "2")
 FULLNESS_M9 = ("fullness", "--m", "9", "--n", "1")
 MISSING = object()  # deletes the key instead of setting it
 EDITS = object()  # sets every path in the value, a dict of path -> value
+NESTED = "1"  # a value nested past the recursion limit
+for _ in range(10**5):
+    NESTED = [NESTED]
 
 
 @pytest.mark.parametrize(
@@ -285,6 +288,9 @@ EDITS = object()  # sets every path in the value, a dict of path -> value
         (INVARIANT_M9, ("inputs",), [{"m": "9", "n": ["1"], "tail": {"kind": "zero"}}] * 2),
         (COMPARE_STABLE, ("inputs",), [{"m": "8", "n": ["1"], "tail": {"kind": "zero"}}]),
         (SCAN_12, ("inputs",), []),
+        # too deep for json.dumps, and for the repr in an error message
+        (COMPARE_STABLE, ("witness",), NESTED),
+        (COMPARE_STABLE, ("inputs", 0, "tail", "c"), NESTED),
     ],
 )
 def test_tampered_report_is_rejected(capsys, argv, path, value):
@@ -450,6 +456,8 @@ def test_text_and_json_carry_same_values(capsys):
         ("compare", "--a", "n=[1],,m=8", "--b", "m=8,n=1", "--mode", "exact"),
         ("invariant", "--spec", '{"m": 8, "n": [1], "tail": {"kind": "zero", "c": null}}'),
         ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": null}}'),
+        ("invariant", "--spec", '{"m": 8, "n": ' + "[" * 10**5 + "]" * 10**5 + "}"),
+        ("compare", "--a", '{"m": ' + "[" * 10**5, "--b", "m=8,n=1", "--mode", "exact"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):

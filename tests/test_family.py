@@ -60,6 +60,23 @@ def test_tail_parameter_checks():
         validate_family(3, [-1])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: validate_family(False, [1]),
+        lambda: validate_family(8, [True]),
+        lambda: validate_family(0, [0, False, 1]),
+        lambda: validate_family(0, [1], constant_tail(1.5)),
+        lambda: validate_family(0, [1], constant_tail(2.0)),
+        lambda: validate_family(INF, [1], doubling_tail(True)),
+    ],
+    ids=["bool m", "bool n", "bool n after a zero", "float c", "whole float c", "bool c"],
+)
+def test_bools_and_floats_are_not_read_as_integers(build):
+    with pytest.raises(ValueError, match="must be"):
+        build()
+
+
 def test_alpha_examples():
     assert alpha_of(validate_family(0, [2])) == 1
     assert alpha_of(validate_family(0, [1, 1])) == Fraction(3, 4)
