@@ -14,7 +14,7 @@ every later call of :func:`main` reuses it.
 
 Exit codes: 0 = computed (negative verdicts included), 2 = input or
 validation error, or (``WorkLimit``) an input past
-``report.MAX_PREFIX_LENGTH`` or ``report.MAX_INTEGER_DIGITS`` (``--depth``
+``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS`` (``--depth``
 and ``--max-m`` included), a truncation deeper than
 ``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
 ``report.MAX_SCAN_M`` or an exact ``compare`` whose orbit walk would hold

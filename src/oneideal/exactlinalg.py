@@ -7,12 +7,14 @@ the smallest nonzero entry left to the pivot, reduce the pivot's column and
 row by it, and repeat while a remainder is left or the pivot fails to divide
 a later entry.  Each round is one pass over the matrix, and each repeat
 leaves an entry smaller than the pivot, so the pivots shrink until it ends.
-:func:`cokernel_invariants` first eliminates unit pivots on a sparse copy
-of the matrix (the preprocessing of Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations", 2001) and
-hands only the leftover core to :func:`smith_normal_form`.  On a truncated
-presentation, whose chain columns each carry a unit, that costs one pass
-over the dense entries plus a number of steps linear in the depth.
+:func:`cokernel_invariants` first eliminates unit pivots on the sparse
+columns of the matrix (the preprocessing of Dumas, Saunders and Villard,
+"On efficient sparse integer matrix Smith normal form computations", 2001)
+and hands only the leftover core to :func:`smith_normal_form`.  It takes a
+:class:`SparseMatrix` as it is and an :class:`IntMatrix` after one pass
+over its dense entries.  On a truncated presentation, which is sparse and
+whose chain columns each carry a unit, that costs a number of steps linear
+in the depth.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
+
+
+def _check_entry(v) -> None:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"matrix entries must be integers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -33,10 +40,14 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
+        if type(self.entries) is not tuple:
+            raise ValueError(f"matrix entries must be a tuple, got {self.entries!r}")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        for v in self.entries:
+            _check_entry(v)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]] | tuple) -> "IntMatrix":
@@ -46,11 +57,7 @@ class IntMatrix:
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        entries = tuple(v for r in rows for v in r)
-        for v in entries:
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"matrix entries must be integers, got {v!r}")
-        return cls(nrows, ncols, entries)
+        return cls(nrows, ncols, tuple(v for r in rows for v in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -83,6 +90,47 @@ class IntMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """Immutable integer matrix stored as its columns' entries.
+
+    Column j is a tuple of ``(row, entry)`` pairs with increasing rows in
+    ``range(rows)``; a row it does not list holds 0 there.  Entries must
+    be ints, not bools.
+    """
+
+    rows: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
+
+    def __post_init__(self) -> None:
+        if self.rows < 0:
+            raise ValueError("matrix dimensions must be non-negative")
+        if type(self.columns) is not tuple:
+            raise ValueError(f"the columns must be a tuple, got {self.columns!r}")
+        for col in self.columns:
+            if type(col) is not tuple:
+                raise ValueError(f"each column must be a tuple, got {col!r}")
+            prev = -1
+            for i, v in col:
+                if type(i) is not int or not prev < i < self.rows:
+                    raise ValueError(f"rows must increase within range({self.rows}): {col!r}")
+                if type(v) is not int:  # the common case skips the call
+                    _check_entry(v)
+                prev = i
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+    def dense(self) -> IntMatrix:
+        """The same matrix with every entry stored, zeros included."""
+        entries = [0] * (self.rows * self.cols)
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                entries[i * self.cols + j] = v
+        return IntMatrix(self.rows, self.cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -150,7 +198,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     )
 
 
-def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
+def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:
     """Invariant factors of Z^rows / (column span of ``m``).
 
     Returns ``(free_rank, torsion)`` where torsion lists the invariant
@@ -162,23 +210,32 @@ def cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
     are taken while any ±1 entry is left; the Smith form of what remains
     gives the other factors.
     """
-    cols: dict[int, dict[int, int]] = {}  # column -> {row: nonzero entry}
+    cols: dict[int, dict[int, int]] = {}  # column -> {row: entry}
+    if isinstance(m, IntMatrix):
+        entries = m.entries
+        for index in compress(range(len(entries)), entries):
+            i, j = divmod(index, m.cols)
+            cols.setdefault(j, {})[i] = entries[index]
+    else:
+        cols = {j: dict(col) for j, col in enumerate(m.columns) if col}
     in_row: dict[int, set[int]] = defaultdict(set)  # row -> columns with an entry there
-    entries = m.entries
-    for index in compress(range(len(entries)), entries):
-        i, j = divmod(index, m.cols)
-        cols.setdefault(j, {})[i] = entries[index]
-        in_row[i].add(j)
+    for j, col in cols.items():
+        for i in col:
+            in_row[i].add(j)
     rows_left = m.rows
     pivoted = True
     while pivoted:
         pivoted = False
         for c in range(m.cols):
             col = cols.get(c)
-            r = next((i for i, v in col.items() if v in (1, -1)), None) if col else None
-            if r is None:
+            if not col:
                 continue
-            unit = col.pop(r)
+            for r, unit in col.items():
+                if unit == 1 or unit == -1:
+                    break
+            else:
+                continue
+            del col[r]
             del cols[c]
             for i in col:
                 in_row[i].discard(c)

@@ -23,9 +23,16 @@ from fractions import Fraction
 
 from .dyadic import INF, ExtendedRational, is_infinite
 from .errors import FamilyValidationError, RegimeError
-from .exactlinalg import IntMatrix
+from .exactlinalg import SparseMatrix
 
 TAIL_KINDS = ("zero", "constant", "doubling")
+
+# The largest input the spec reader (``report.spec_from_json``) accepts, in
+# every spec form.  The weight N and alpha = (N + c) / 2^k then have at most
+# 1000 + 10000 log10(2) < 4012 digits, so every integer a report shows stays
+# below Python's default 4,300-digit limit on int-to-str conversion.
+MAX_PREFIX_LENGTH = 10_000
+MAX_INTEGER_DIGITS = 1_000
 
 
 def _is_int(v) -> bool:
@@ -72,6 +79,8 @@ class FamilySpec:
         m = self.m
         if not (is_infinite(m) or (_is_int(m) and m >= 0)):
             raise ValueError("m must be a non-negative integer or infinity")
+        if type(self.prefix) is not tuple:
+            raise ValueError(f"the prefix must be a tuple, got {self.prefix!r}")
         if any(not _is_int(n) or n < 0 for n in self.prefix):
             raise ValueError("edge multiplicities must be non-negative integers")
         if m == 1:
@@ -138,25 +147,21 @@ def weight_of(spec: FamilySpec) -> tuple[int, int]:
     return len(spec.prefix), _horner_weight(spec.prefix)
 
 
-def truncated_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
-    """Relation matrix of the depth-truncated group presentation.
+def truncated_presentation(spec: FamilySpec, depth: int) -> SparseMatrix:
+    """Relation matrix of the depth-truncated group presentation, sparse.
 
     Generators are ordered (w_1, ..., w_depth, v0); this ordering is fixed so
     unimodular transforms of the Smith form are reproducible.  Column i
     (i < depth) encodes w_i - 2 w_{i+1} = 0; the final column encodes
-    sum(n_i w_i) + (m-1) v0 = 0.  Requires 1 < m < infinity and depth >= k.
+    sum(n_i w_i) + (m-1) v0 = 0.  Only the nonzero entries are stored, 2
+    per chain column, so the matrix costs time and memory linear in the
+    depth.  Requires 1 < m < infinity and depth >= k.
     """
     if not spec.has_finite_loops:
         raise RegimeError("truncated presentation requires 1 < m < infinity")
     k = len(spec.prefix)
     if depth < k:
         raise RegimeError(f"depth {depth} is below the prefix length {k}")
-    rows, cols = depth + 1, depth
-    entries = [0] * (rows * cols)
-    for j in range(depth - 1):
-        entries[j * cols + j] = 1
-        entries[(j + 1) * cols + j] = -2
-    for i, n in enumerate(spec.prefix):
-        entries[i * cols + cols - 1] = n
-    entries[rows * cols - 1] = spec.m - 1
-    return IntMatrix(rows, cols, tuple(entries))
+    chain = tuple(((j, 1), (j + 1, -2)) for j in range(depth - 1))
+    last = tuple((i, n) for i, n in enumerate(spec.prefix) if n) + ((depth, spec.m - 1),)
+    return SparseMatrix(depth + 1, chain + (last,))

@@ -22,7 +22,14 @@ from math import gcd
 from .dyadic import ExtendedRational, factorize, is_infinite, odd_part, two_adic_valuation
 from .errors import RegimeError, WorkLimitError
 from .exactlinalg import cokernel_invariants
-from .family import FamilySpec, alpha_of, truncated_presentation, weight_of
+from .family import (
+    MAX_INTEGER_DIGITS,
+    MAX_PREFIX_LENGTH,
+    FamilySpec,
+    alpha_of,
+    truncated_presentation,
+    weight_of,
+)
 from .groups import (
     GroupDescriptor,
     PreorderedGroup,
@@ -40,10 +47,13 @@ from .groups import (
 
 CASE_TAGS = ("AF-AF", "AF-PI", "PI-AF", "PI-PI")
 
-# Deepest truncation :func:`truncated_k0` builds.  The presentation is a
-# dense (depth+1) x depth matrix, so memory grows with depth squared: at
-# this depth `invariant` takes about 0.25 s and 80 MB (Python 3.11, 2-core x86).
-MAX_TRUNCATION_DEPTH = 2048
+# Deepest truncation :func:`truncated_k0` builds: the largest default depth,
+# max(k + 3, k + v2(m-1) + 1), of a spec the reader accepts.  There
+# k <= MAX_PREFIX_LENGTH, and m - 1 <= 10**MAX_INTEGER_DIGITS - 2 has at most
+# 3322 bits, so v2(m-1) <= 3321.  The presentation is sparse, so work grows
+# linearly with depth: at this depth (k = 10000, m = 2**3321 + 1) `invariant`
+# takes about 0.15 s and 30 MB (Python 3.11, 2-core x86).
+MAX_TRUNCATION_DEPTH = MAX_PREFIX_LENGTH + (10**MAX_INTEGER_DIGITS - 2).bit_length()
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, ScanResult
 from .dyadic import INF, format_extended
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
-from .family import FamilySpec, TailSpec
+from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
@@ -37,12 +37,6 @@ from .version import __version__
 
 UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
 
-# The largest input :func:`spec_from_json` reads, for every spec form.  The
-# weight N and alpha = (N + c) / 2^k then have at most 1000 + 10000 log10(2)
-# < 4012 digits, so every integer a report shows stays below Python's default
-# 4,300-digit limit on int-to-str conversion.
-MAX_PREFIX_LENGTH = 10_000
-MAX_INTEGER_DIGITS = 1_000
 # The largest ``scan --max-m``: one class-count row per m up to it.
 MAX_SCAN_M = 100_000
 

@@ -202,6 +202,51 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "family member that takes a list as its prefix",
+        "family.py",
+        "if type(self.prefix) is not tuple:",
+        "if False:",
+        ("tests/test_family.py::test_a_prefix_that_is_not_a_tuple_is_refused",),
+    ),
+    Mutant(
+        "integer matrix that does not check its entries",
+        "exactlinalg.py",
+        "        for v in self.entries:\n            _check_entry(v)\n",
+        "",
+        (
+            "tests/test_exactlinalg.py::test_the_constructor_rejects_an_entry_that_is_not_an_int[1.5]",
+            "tests/test_exactlinalg.py::test_from_rows_rejects_an_entry_that_is_not_an_int[3]",
+        ),
+    ),
+    Mutant(
+        "cone element that reads a bool as its integer part",
+        "groups.py",
+        "if isinstance(n, bool) or not isinstance(n, int):",
+        "if not isinstance(n, int):",
+        (
+            "tests/test_ordered.py::"
+            "test_cone_element_rejects_a_part_of_the_wrong_type[bool integer part]",
+        ),
+    ),
+    Mutant(
+        "alpha cone that reads a bool as an integer",
+        "groups.py",
+        "if isinstance(alpha, int) and not isinstance(alpha, bool):",
+        "if isinstance(alpha, int):",
+        ("tests/test_ordered.py::test_alpha_cone_rejects_a_parameter_that_is_not_exact[True]",),
+    ),
+    Mutant(
+        "sparse presentation with the prefix one row off",
+        "family.py",
+        "last = tuple((i, n) for i, n in enumerate(spec.prefix) if n)",
+        "last = tuple((i + 1, n) for i, n in enumerate(spec.prefix) if n)",
+        (
+            "tests/test_family.py::test_presentation_matrix_layout",
+            "tests/test_family.py::test_sparse_presentation_is_the_dense_layout",
+            "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_truncations",
+        ),
+    ),
+    Mutant(
         "text view without the compare reason",
         "report.py",
         'if "reason" in v:',

@@ -5,6 +5,8 @@ more literal route, a quantity the library computes in closed form.
 
 * :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
   form of the whole matrix, without eliminating unit pivots first;
+* :func:`dense_presentation` - the truncated presentation written out as a
+  dense (depth+1) x depth matrix, entry by entry;
 * :func:`determinant` - an exact determinant by Bareiss elimination;
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
@@ -59,6 +61,21 @@ def dense_cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
     free_rank = m.rows - len(nonzero)
     torsion = [d for d in nonzero if d > 1]
     return free_rank, torsion
+
+
+def dense_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
+    """The relation matrix of the depth-truncated presentation, every entry
+    stored: column i < depth - 1 is w_i - 2 w_{i+1}, the last column
+    sum(n_i w_i) + (m-1) v0, over generators (w_1, ..., w_depth, v0)."""
+    rows, cols = depth + 1, depth
+    entries = [0] * (rows * cols)
+    for j in range(depth - 1):
+        entries[j * cols + j] = 1
+        entries[(j + 1) * cols + j] = -2
+    for i, n in enumerate(spec.prefix):
+        entries[i * cols + cols - 1] = n
+    entries[rows * cols - 1] = spec.m - 1
+    return IntMatrix(rows, cols, tuple(entries))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oneideal
 from oneideal import INF, FamilySpec, TailSpec, WorkLimitError
 from oneideal.cli import main
+from oneideal.ktheory import MAX_TRUNCATION_DEPTH
 from oneideal.report import (
     MAX_INTEGER_DIGITS,
     MAX_PREFIX_LENGTH,
@@ -630,9 +631,7 @@ def test_smith_forms_per_command(capsys, monkeypatch, argv, expected):
     "argv",
     [
         ("invariant", "--m", "9", "--n", "1", "--depth", "100000"),
-        ("invariant", "--m", "9", "--n", "1", "--depth", "2049"),
-        ("invariant", "--m", "9", "--n", ",".join(["1"] * 2046)),  # default depth k + 3
-        ("invariant", "--m", str(2**2047 + 1), "--n", "1"),  # default depth k + v2(m-1) + 1
+        ("invariant", "--m", "9", "--n", "1", "--depth", str(MAX_TRUNCATION_DEPTH + 1)),
     ],
 )
 def test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix(
@@ -649,13 +648,44 @@ def test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix(
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error [WorkLimit]: truncation depth ")
-    assert err.rstrip().endswith(f"exceeds the limit {oneideal.ktheory.MAX_TRUNCATION_DEPTH}")
+    assert err.rstrip().endswith(f"exceeds the limit {MAX_TRUNCATION_DEPTH}")
+
+
+@pytest.mark.parametrize(
+    "argv, depth, x",
+    [
+        # default depth max(k + 3, k + v2(m-1) + 1)
+        (("invariant", "--m", "9", "--n", ",".join(["1"] * 2046)), 2050, 8),
+        (("invariant", "--m", str(2**2047 + 1), "--n", "1"), 2049, 2**2047),
+    ],
+    ids=["2046 ones", "m = 2^2047 + 1"],
+)
+def test_a_default_depth_above_2048_gives_the_closed_form(capsys, argv, depth, x):
+    code, data, err = run_json(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert data["scalars"]["x"] == str(x)
+    truncation = {"depth": str(depth), "freeRank": "1", "torsion": [str(x)]}
+    assert data["invariant"]["truncation"] == truncation
 
 
 def test_truncation_at_the_depth_limit_is_computed(capsys):
-    code, data, _ = run_json(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "2048")
+    depth = str(MAX_TRUNCATION_DEPTH)
+    code, data, _ = run_json(capsys, "invariant", "--m", "9", "--n", "1", "--depth", depth)
     assert code == 0
-    assert data["invariant"]["truncation"] == {"depth": "2048", "freeRank": "1", "torsion": ["8"]}
+    assert data["invariant"]["truncation"] == {"depth": depth, "freeRank": "1", "torsion": ["8"]}
+
+
+def test_the_deepest_default_truncation_is_computed_in_bounded_time_and_memory():
+    # k = MAX_PREFIX_LENGTH and v2(m - 1) = 3321, the largest below 10**1000
+    argv = ("invariant", "--m", str(2**3321 + 1), "--n", ",".join(["1"] * MAX_PREFIX_LENGTH))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert f"truncation oracle: depth={MAX_TRUNCATION_DEPTH} free rank=1 " in proc.stdout
+    assert seconds < 5
+    assert int(proc.stdout.splitlines()[-1]) < 300 * 1024  # peak RSS in KiB
 
 
 LONG_PREFIX = ",".join(["1"] * (MAX_PREFIX_LENGTH + 1))
@@ -715,6 +745,7 @@ LARGEST_PREFIX = ",".join(["9" * MAX_INTEGER_DIGITS] * MAX_PREFIX_LENGTH)
         ("invariant", "--m", "0", "--n", LARGEST_PREFIX, "--tail",
          f"constant:{'9' * MAX_INTEGER_DIGITS}", "--format", "text"),
         ("fullness", "--m", "9" * MAX_INTEGER_DIGITS, "--n", LARGEST_PREFIX, "--format", "json"),
+        ("invariant", "--m", "9" * MAX_INTEGER_DIGITS, "--n", LARGEST_PREFIX, "--format", "text"),
     ],
 )
 def test_the_largest_accepted_input_renders(capsys, argv):

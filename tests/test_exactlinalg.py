@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from oneideal import (
     FamilyValidationError,
     IntMatrix,
+    SparseMatrix,
     cokernel_invariants,
     smith_normal_form,
     stable_oracle_depth,
     truncated_presentation,
     validate_family,
 )
-from oracles import dense_cokernel_invariants, determinant
+from oracles import dense_cokernel_invariants, dense_presentation, determinant
 
 
 def snf_contract_holds(m: IntMatrix) -> None:
@@ -39,6 +40,42 @@ def snf_contract_holds(m: IntMatrix) -> None:
 def test_from_rows_rejects_an_entry_that_is_not_an_int(bad):
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[bad, 3], [1, 2]])
+
+
+@pytest.mark.parametrize("bad", [1.5, "3", True])
+def test_the_constructor_rejects_an_entry_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match="entries must be integers"):
+        IntMatrix(2, 2, (bad, 3, 1, 2))
+
+
+def test_the_constructor_rejects_entries_that_are_not_a_tuple():
+    # a list would leave the frozen matrix unhashable
+    with pytest.raises(ValueError, match="must be a tuple"):
+        IntMatrix(1, 2, [1, 2])
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        (((0, 1.5),),),
+        (((0, True),),),
+        (((2, 1),),),
+        (((1, 1), (0, 1)),),
+        (((0, 1), (0, 2)),),
+        ([(0, 1)],),
+    ],
+    ids=["float entry", "bool entry", "row past the end", "rows decrease", "row twice", "list column"],
+)
+def test_sparse_matrix_rejects_a_malformed_column(columns):
+    with pytest.raises(ValueError):
+        SparseMatrix(2, columns)
+
+
+def test_sparse_matrix_dense_view():
+    m = SparseMatrix(3, (((0, 1), (2, -2)), (), ((1, 5),)))
+    assert m.cols == 3
+    assert m.dense() == IntMatrix.from_rows([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
+    assert cokernel_invariants(m) == cokernel_invariants(m.dense()) == (1, [5])
 
 
 def test_identity_is_fixed():
@@ -198,4 +235,6 @@ def test_cokernel_matches_the_dense_smith_form_on_truncations(v, odd, prefix, of
         return
     depth = max(len(prefix), stable_oracle_depth(spec) + offset)
     m = truncated_presentation(spec, depth)
-    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
+    dense = dense_presentation(spec, depth)
+    assert m.dense() == dense
+    assert cokernel_invariants(m) == cokernel_invariants(dense) == dense_cokernel_invariants(dense)

@@ -19,7 +19,7 @@ from oneideal import (
     validate_family,
     weight_of,
 )
-from oracles import summed_alpha
+from oracles import dense_presentation, summed_alpha
 
 prefixes = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
 
@@ -75,6 +75,16 @@ def test_tail_parameter_checks():
 def test_bools_and_floats_are_not_read_as_integers(build):
     with pytest.raises(ValueError, match="must be"):
         build()
+
+
+def test_a_prefix_that_is_not_a_tuple_is_refused():
+    # a list would leave the frozen spec unhashable and break pad_prefix
+    with pytest.raises(ValueError, match="prefix must be a tuple"):
+        FamilySpec(0, [1])
+    spec = validate_family(0, [1])
+    assert spec.prefix == (1,)
+    assert pad_prefix(spec).prefix == (1, 0)
+    assert hash(spec) == hash(FamilySpec(0, (1,)))
 
 
 def test_alpha_examples():
@@ -133,20 +143,37 @@ def test_padding_preserves_alpha(prefix):
 
 def test_presentation_direct_transcription():
     spec = validate_family(3, [1])
-    assert truncated_presentation(spec, 1).to_lists() == [[1], [2]]
+    assert truncated_presentation(spec, 1).dense().to_lists() == [[1], [2]]
 
 
 def test_presentation_matrix_layout():
     spec = validate_family(4, [1, 0, 3])
     m = truncated_presentation(spec, 4)
     assert (m.rows, m.cols) == (5, 4)
-    assert m.to_lists() == [
+    assert m.columns[0] == ((0, 1), (1, -2))  # only the nonzero entries are stored
+    assert m.dense().to_lists() == [
         [1, 0, 0, 1],
         [-2, 1, 0, 0],
         [0, -2, 1, 3],
         [0, 0, -2, 0],
         [0, 0, 0, 3],
     ]
+
+
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=50),
+    st.lists(st.integers(min_value=0, max_value=2**70), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=45),
+)
+def test_sparse_presentation_is_the_dense_layout(v, odd, prefix, extra):
+    """Depths from k to past the stable depth, with m - 1 = 2^v * odd."""
+    try:
+        spec = validate_family(((2 * odd + 1) << v) + 1, prefix)
+    except FamilyValidationError:
+        return
+    depth = len(prefix) + extra
+    assert truncated_presentation(spec, depth).dense() == dense_presentation(spec, depth)
 
 
 def test_presentation_residual_relation_after_elimination():
