@@ -7,26 +7,30 @@ the smallest nonzero entry left to the pivot, reduce the pivot's column and
 row by it, and repeat while a remainder is left or the pivot fails to divide
 a later entry.  Each round is one pass over the matrix, and each repeat
 leaves an entry smaller than the pivot, so the pivots shrink until it ends.
-:func:`cokernel_invariants` first eliminates unit pivots on the sparse
-columns of the matrix (the preprocessing of Dumas, Saunders and Villard,
+:func:`cokernel_invariants` takes a :class:`SparseMatrix`, eliminates unit
+pivots on its columns (the preprocessing of Dumas, Saunders and Villard,
 "On efficient sparse integer matrix Smith normal form computations", 2001)
-and hands only the leftover core to :func:`smith_normal_form`.  It takes a
-:class:`SparseMatrix` as it is and an :class:`IntMatrix` after one pass
-over its dense entries.  On a truncated presentation, which is sparse and
-whose chain columns each carry a unit, that costs a number of steps linear
-in the depth.
+and hands only the leftover core to :func:`smith_normal_form`.  On a
+truncated presentation, whose chain columns each carry a unit, that costs a
+number of steps linear in the depth.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
 
 
 def _check_entry(v) -> None:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"matrix entries must be integers, got {v!r}")
+
+
+def _check_dimension(n) -> None:
+    if type(n) is not int:
+        raise ValueError(f"matrix dimensions must be ints, got {n!r}")
+    if n < 0:
+        raise ValueError("matrix dimensions must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -38,8 +42,8 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        _check_dimension(self.rows)
+        _check_dimension(self.cols)
         if type(self.entries) is not tuple:
             raise ValueError(f"matrix entries must be a tuple, got {self.entries!r}")
         if len(self.entries) != self.rows * self.cols:
@@ -58,10 +62,6 @@ class IntMatrix:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(v for r in rows for v in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -105,15 +105,17 @@ class SparseMatrix:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        _check_dimension(self.rows)
         if type(self.columns) is not tuple:
             raise ValueError(f"the columns must be a tuple, got {self.columns!r}")
         for col in self.columns:
             if type(col) is not tuple:
                 raise ValueError(f"each column must be a tuple, got {col!r}")
             prev = -1
-            for i, v in col:
+            for pair in col:
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise ValueError(f"column items must be (row, entry) pairs, got {pair!r}")
+                i, v = pair
                 if type(i) is not int or not prev < i < self.rows:
                     raise ValueError(f"rows must increase within range({self.rows}): {col!r}")
                 if type(v) is not int:  # the common case skips the call
@@ -123,14 +125,6 @@ class SparseMatrix:
     @property
     def cols(self) -> int:
         return len(self.columns)
-
-    def dense(self) -> IntMatrix:
-        """The same matrix with every entry stored, zeros included."""
-        entries = [0] * (self.rows * self.cols)
-        for j, col in enumerate(self.columns):
-            for i, v in col:
-                entries[i * self.cols + j] = v
-        return IntMatrix(self.rows, self.cols, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     )
 
 
-def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:
+def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
     """Invariant factors of Z^rows / (column span of ``m``).
 
     Returns ``(free_rank, torsion)`` where torsion lists the invariant
@@ -210,14 +204,7 @@ def cokernel_invariants(m: IntMatrix | SparseMatrix) -> tuple[int, list[int]]:
     are taken while any ±1 entry is left; the Smith form of what remains
     gives the other factors.
     """
-    cols: dict[int, dict[int, int]] = {}  # column -> {row: entry}
-    if isinstance(m, IntMatrix):
-        entries = m.entries
-        for index in compress(range(len(entries)), entries):
-            i, j = divmod(index, m.cols)
-            cols.setdefault(j, {})[i] = entries[index]
-    else:
-        cols = {j: dict(col) for j, col in enumerate(m.columns) if col}
+    cols = {j: dict(col) for j, col in enumerate(m.columns) if col}  # column -> {row: entry}
     in_row: dict[int, set[int]] = defaultdict(set)  # row -> columns with an entry there
     for j, col in cols.items():
         for i in col:

@@ -17,8 +17,6 @@ decided by :func:`.dyadic.residue_cycle`, the exact witness's orbit walk.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
 from .errors import ConeShapeError, NotDeterminedError, UnsupportedConeCombination
 from .groups import (
@@ -31,6 +29,7 @@ from .groups import (
     ConeElement,
     PreorderedGroup,
     all_positive,
+    alpha_cone,
     lexicographic_cone,
 )
 
@@ -158,12 +157,13 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
     odd); the odd parts must agree, and the numerators must differ by a
     power of two modulo M0 (always so when M0 = 1, both being dyadic).  Cost
     is the multiplicative order of 2 modulo M0, fine for desk-scale
-    denominators.
+    denominators.  A parameter :func:`.groups.alpha_cone` refuses raises
+    the same ValueError here.
     """
+    a, b = alpha_cone(a).alpha, alpha_cone(b).alpha
     if is_infinite(a) or is_infinite(b):
         return is_infinite(a) and is_infinite(b)
-    fa, fb = Fraction(a), Fraction(b)
-    m0 = odd_part(fa.denominator)
-    if m0 != odd_part(fb.denominator):
+    m0 = odd_part(a.denominator)
+    if m0 != odd_part(b.denominator):
         return False
-    return fa.numerator % m0 in residue_cycle(m0, fb.numerator)
+    return a.numerator % m0 in residue_cycle(m0, b.numerator)

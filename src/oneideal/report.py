@@ -52,28 +52,24 @@ def spec_to_json(spec: FamilySpec) -> dict:
     return {"m": format_extended(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
 
 
-def strict_int(v, what: str) -> int:
-    """A JSON integer (not a bool) or a string of decimal digits."""
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if isinstance(v, str) and v.isascii() and v.isdigit():
-        return int(v)
-    raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
-
-
 def limited_int(v, what: str) -> int:
-    """:func:`strict_int`, past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError.
+    """A JSON integer (not a bool) or a string of decimal digits; past
+    :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError.
 
     A string is measured before it is converted, an int by its size, so
     neither meets Python's own limit on converting between the two."""
-    if isinstance(v, str) and len(v) > MAX_INTEGER_DIGITS:
-        raise WorkLimitError(
-            f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
-        )
-    value = strict_int(v, what)
-    if not isinstance(v, str) and abs(value) >= 10**MAX_INTEGER_DIGITS:
-        raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
-    return value
+    if isinstance(v, str):
+        if len(v) > MAX_INTEGER_DIGITS:
+            raise WorkLimitError(
+                f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
+            )
+        if v.isascii() and v.isdigit():
+            return int(v)
+    elif isinstance(v, int) and not isinstance(v, bool):
+        if abs(v) >= 10**MAX_INTEGER_DIGITS:
+            raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
+        return v
+    raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
 def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:

@@ -115,7 +115,7 @@ MUTANTS = (
     Mutant(
         "integer digit limit without its check on Python ints",
         "report.py",
-        "if not isinstance(v, str) and abs(value) >= 10**MAX_INTEGER_DIGITS:",
+        "if abs(v) >= 10**MAX_INTEGER_DIGITS:",
         "if False:",
         ("tests/test_cli.py::test_a_python_int_past_the_digit_limit_is_a_work_limit",),
     ),
@@ -209,6 +209,28 @@ MUTANTS = (
         ("tests/test_family.py::test_a_prefix_that_is_not_a_tuple_is_refused",),
     ),
     Mutant(
+        "matrix constructors that take a bool or a float as a dimension",
+        "exactlinalg.py",
+        '    if type(n) is not int:\n        raise ValueError(f"matrix dimensions must be ints, got {n!r}")\n',
+        "",
+        (
+            "tests/test_exactlinalg.py::"
+            "test_the_constructors_reject_a_malformed_dimension[bool rows]",
+            "tests/test_exactlinalg.py::"
+            "test_the_constructors_reject_a_malformed_dimension[sparse float rows]",
+        ),
+    ),
+    Mutant(
+        "cokernel elimination that ignores the pivot's sign",
+        "exactlinalg.py",
+        "q = target.pop(r) * unit",
+        "q = target.pop(r)",
+        (
+            "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_fixed_cases[rows3]",
+            "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form",
+        ),
+    ),
+    Mutant(
         "integer matrix that does not check its entries",
         "exactlinalg.py",
         "        for v in self.entries:\n            _check_entry(v)\n",
@@ -234,6 +256,16 @@ MUTANTS = (
         "if isinstance(alpha, int) and not isinstance(alpha, bool):",
         "if isinstance(alpha, int):",
         ("tests/test_ordered.py::test_alpha_cone_rejects_a_parameter_that_is_not_exact[True]",),
+    ),
+    Mutant(
+        "alpha cone isomorphism that coerces its parameters",
+        "ordered.py",
+        "    a, b = alpha_cone(a).alpha, alpha_cone(b).alpha\n",
+        "",
+        (
+            "tests/test_ordered.py::test_alpha_iso_refuses_what_alpha_cone_refuses[bool]",
+            "tests/test_ordered.py::test_alpha_iso_refuses_what_alpha_cone_refuses[floats]",
+        ),
     ),
     Mutant(
         "sparse presentation with the prefix one row off",

@@ -5,6 +5,8 @@ more literal route, a quantity the library computes in closed form.
 
 * :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
   form of the whole matrix, without eliminating unit pivots first;
+* :func:`sparse`, :func:`dense`, :func:`identity` - the conversions between
+  the two matrix formats, and the identity, that only the tests build;
 * :func:`dense_presentation` - the truncated presentation written out as a
   dense (depth+1) x depth matrix, entry by entry;
 * :func:`determinant` - an exact determinant by Bareiss elimination;
@@ -38,6 +40,7 @@ from oneideal import (
     FamilySpec,
     IntMatrix,
     InternalConsistencyError,
+    SparseMatrix,
     is_infinite,
     odd_part,
     smith_normal_form,
@@ -61,6 +64,27 @@ def dense_cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
     free_rank = m.rows - len(nonzero)
     torsion = [d for d in nonzero if d > 1]
     return free_rank, torsion
+
+
+def sparse(m: IntMatrix) -> SparseMatrix:
+    """The same matrix with only its nonzero entries stored, column by column."""
+    return SparseMatrix(
+        m.rows,
+        tuple(tuple((i, m.at(i, j)) for i in range(m.rows) if m.at(i, j)) for j in range(m.cols)),
+    )
+
+
+def dense(m: SparseMatrix) -> IntMatrix:
+    """The same matrix with every entry stored, zeros included."""
+    entries = [0] * (m.rows * m.cols)
+    for j, col in enumerate(m.columns):
+        for i, v in col:
+            entries[i * m.cols + j] = v
+    return IntMatrix(m.rows, m.cols, tuple(entries))
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def dense_presentation(spec: FamilySpec, depth: int) -> IntMatrix:

@@ -12,7 +12,14 @@ from oneideal import (
     truncated_presentation,
     validate_family,
 )
-from oracles import dense_cokernel_invariants, dense_presentation, determinant
+from oracles import (
+    dense,
+    dense_cokernel_invariants,
+    dense_presentation,
+    determinant,
+    identity,
+    sparse,
+)
 
 
 def snf_contract_holds(m: IntMatrix) -> None:
@@ -63,27 +70,67 @@ def test_the_constructor_rejects_entries_that_are_not_a_tuple():
         (((1, 1), (0, 1)),),
         (((0, 1), (0, 2)),),
         ([(0, 1)],),
+        ((5,),),
+        (((0, 1, 2),),),
+        (([0, 1],),),
     ],
-    ids=["float entry", "bool entry", "row past the end", "rows decrease", "row twice", "list column"],
+    ids=[
+        "float entry",
+        "bool entry",
+        "row past the end",
+        "rows decrease",
+        "row twice",
+        "list column",
+        "item not a pair",
+        "item of three",
+        "list item",
+    ],
 )
 def test_sparse_matrix_rejects_a_malformed_column(columns):
     with pytest.raises(ValueError):
         SparseMatrix(2, columns)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix(True, 1, (5,)),
+        lambda: IntMatrix(1, True, (5,)),
+        lambda: IntMatrix(2.0, 1, (1, 2)),
+        lambda: SparseMatrix(2.0, (((0, 1),),)),
+        lambda: SparseMatrix(True, ()),
+        lambda: IntMatrix(-1, 0, ()),
+        lambda: SparseMatrix(-1, ()),
+    ],
+    ids=[
+        "bool rows",
+        "bool cols",
+        "float rows",
+        "sparse float rows",
+        "sparse bool rows",
+        "negative rows",
+        "sparse negative rows",
+    ],
+)
+def test_the_constructors_reject_a_malformed_dimension(build):
+    with pytest.raises(ValueError, match="matrix dimensions must be"):
+        build()
+
+
 def test_sparse_matrix_dense_view():
     m = SparseMatrix(3, (((0, 1), (2, -2)), (), ((1, 5),)))
     assert m.cols == 3
-    assert m.dense() == IntMatrix.from_rows([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
-    assert cokernel_invariants(m) == cokernel_invariants(m.dense()) == (1, [5])
+    assert dense(m) == IntMatrix.from_rows([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
+    assert sparse(dense(m)) == m
+    assert cokernel_invariants(m) == dense_cokernel_invariants(dense(m)) == (1, [5])
 
 
 def test_identity_is_fixed():
-    m = IntMatrix.identity(3)
+    m = identity(3)
     snf = smith_normal_form(m)
     assert snf.S == m
-    assert snf.U == IntMatrix.identity(3)
-    assert snf.V == IntMatrix.identity(3)
+    assert snf.U == identity(3)
+    assert snf.V == identity(3)
 
 
 def test_zero_one_by_one():
@@ -138,20 +185,20 @@ def test_snf_contract_random(rows, cols, data):
 
 
 def test_cokernel_no_relations():
-    assert cokernel_invariants(IntMatrix(2, 0, ())) == (2, [])
+    assert cokernel_invariants(SparseMatrix(2, ())) == (2, [])
 
 
 def test_cokernel_unimodular_relation():
-    assert cokernel_invariants(IntMatrix.from_rows([[1], [0]])) == (1, [])
+    assert cokernel_invariants(sparse(IntMatrix.from_rows([[1], [0]]))) == (1, [])
 
 
 def test_cokernel_single_column_3_12():
     # Z^2 / <(3,12)> has invariant factor gcd(3,12) = 3 on one generator
-    assert cokernel_invariants(IntMatrix.from_rows([[3], [12]])) == (1, [3])
+    assert cokernel_invariants(sparse(IntMatrix.from_rows([[3], [12]]))) == (1, [3])
 
 
 def test_cokernel_drops_unit_factors():
-    free, torsion = cokernel_invariants(IntMatrix.from_rows([[1, 0], [0, 4]]))
+    free, torsion = cokernel_invariants(sparse(IntMatrix.from_rows([[1, 0], [0, 4]])))
     assert (free, torsion) == (0, [4])
 
 
@@ -169,16 +216,16 @@ def test_cokernel_invariant_under_column_permutation_and_zero_columns(rows, cols
         )
     )
     m = IntMatrix(rows, cols, tuple(entries))
-    base = cokernel_invariants(m)
+    base = cokernel_invariants(sparse(m))
 
     perm = data.draw(st.permutations(range(cols)))
     permuted = IntMatrix.from_rows(
         [[m.at(i, p) for p in perm] for i in range(rows)]
     )
-    assert cokernel_invariants(permuted) == base
+    assert cokernel_invariants(sparse(permuted)) == base
 
     padded = IntMatrix.from_rows([list(m.row(i)) + [0, 0] for i in range(rows)])
-    assert cokernel_invariants(padded) == base
+    assert cokernel_invariants(sparse(padded)) == base
 
 
 # a third of the entries are units, so elimination fires and its column
@@ -199,7 +246,7 @@ entries_biased_to_units = st.one_of(
 )
 def test_cokernel_matches_the_dense_smith_form_on_fixed_cases(rows):
     m = IntMatrix.from_rows(rows)
-    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
+    assert cokernel_invariants(sparse(m)) == dense_cokernel_invariants(m)
 
 
 @given(
@@ -218,7 +265,7 @@ def test_cokernel_matches_the_dense_smith_form(rows, cols, data):
         for t, v in enumerate(entries)
     ]
     m = IntMatrix(rows, cols, tuple(entries))
-    assert cokernel_invariants(m) == dense_cokernel_invariants(m)
+    assert cokernel_invariants(sparse(m)) == dense_cokernel_invariants(m)
 
 
 @given(
@@ -235,6 +282,6 @@ def test_cokernel_matches_the_dense_smith_form_on_truncations(v, odd, prefix, of
         return
     depth = max(len(prefix), stable_oracle_depth(spec) + offset)
     m = truncated_presentation(spec, depth)
-    dense = dense_presentation(spec, depth)
-    assert m.dense() == dense
-    assert cokernel_invariants(m) == cokernel_invariants(dense) == dense_cokernel_invariants(dense)
+    full = dense_presentation(spec, depth)
+    assert dense(m) == full
+    assert cokernel_invariants(m) == dense_cokernel_invariants(full)

@@ -19,7 +19,7 @@ from oneideal import (
     validate_family,
     weight_of,
 )
-from oracles import dense_presentation, summed_alpha
+from oracles import dense, dense_presentation, summed_alpha
 
 prefixes = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
 
@@ -143,7 +143,7 @@ def test_padding_preserves_alpha(prefix):
 
 def test_presentation_direct_transcription():
     spec = validate_family(3, [1])
-    assert truncated_presentation(spec, 1).dense().to_lists() == [[1], [2]]
+    assert dense(truncated_presentation(spec, 1)).to_lists() == [[1], [2]]
 
 
 def test_presentation_matrix_layout():
@@ -151,7 +151,7 @@ def test_presentation_matrix_layout():
     m = truncated_presentation(spec, 4)
     assert (m.rows, m.cols) == (5, 4)
     assert m.columns[0] == ((0, 1), (1, -2))  # only the nonzero entries are stored
-    assert m.dense().to_lists() == [
+    assert dense(m).to_lists() == [
         [1, 0, 0, 1],
         [-2, 1, 0, 0],
         [0, -2, 1, 3],
@@ -173,7 +173,7 @@ def test_sparse_presentation_is_the_dense_layout(v, odd, prefix, extra):
     except FamilyValidationError:
         return
     depth = len(prefix) + extra
-    assert truncated_presentation(spec, depth).dense() == dense_presentation(spec, depth)
+    assert dense(truncated_presentation(spec, depth)) == dense_presentation(spec, depth)
 
 
 def test_presentation_residual_relation_after_elimination():

@@ -221,6 +221,17 @@ def test_alpha_iso_examples():
     assert not alpha_cones_isomorphic(Fraction(1), INF)
     assert not alpha_cones_isomorphic(INF, Fraction(1, 3))
     assert alpha_cones_isomorphic(Fraction(0), Fraction(7, 8))
+    assert alpha_cones_isomorphic(1, Fraction(5))  # an int, as alpha_cone takes it
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(0.1, 0.2), (True, 1), ("1/3", "2/3"), (Fraction(1, 3), 0.5)],
+    ids=["floats", "bool", "strings", "float second"],
+)
+def test_alpha_iso_refuses_what_alpha_cone_refuses(a, b):
+    with pytest.raises(ValueError, match="alpha cone needs a Fraction or infinity"):
+        alpha_cones_isomorphic(a, b)
 
 
 @given(st.fractions(min_value=0, max_value=30, max_denominator=64))
