@@ -50,16 +50,6 @@ class FullnessVerdict:
 
 
 @dataclass(frozen=True)
-class ScanResult:
-    table: tuple[tuple[int, int, int], ...]  # (m, exact classes, stable classes)
-
-    @property
-    def smallest_divergent_m(self) -> int | None:
-        """Smallest m whose exact and stable class counts differ, or None."""
-        return next((m for m, exact, stable in self.table if exact != stable), None)
-
-
-@dataclass(frozen=True)
 class IsoWitness:
     """Exponents (l, l_prime) and unit u with 2^l N == u 2^l' N' mod m-1."""
 
@@ -199,34 +189,26 @@ def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> tuple[bool, Iso
 # spec-level comparisons
 
 
-def _comparable_weights(a: FamilySpec, b: FamilySpec) -> tuple[int, int, int] | IsoVerdict:
+def _iso(a: FamilySpec, b: FamilySpec, witness_of) -> IsoVerdict:
+    """The verdict of ``witness_of(m - 1, N_a, N_b)``, a witness or None,
+    for two members with the same finite loop count m."""
     if not (a.has_finite_loops and b.has_finite_loops):
         raise OutOfScopeComparison("isomorphism comparison is defined for 1 < m < infinity only")
     if a.m != b.m:
         return IsoVerdict(isomorphic=False, reason="m mismatch")
-    _, n_a = weight_of(a)
-    _, n_b = weight_of(b)
-    return a.m - 1, n_a, n_b
+    (_, n_a), (_, n_b) = weight_of(a), weight_of(b)
+    witness = witness_of(a.m - 1, n_a, n_b)
+    return IsoVerdict(isomorphic=witness is not None, witness=witness)
 
 
 def exact_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
     """Exact isomorphism verdict: shared two-power orbit of the weights."""
-    prepared = _comparable_weights(a, b)
-    if isinstance(prepared, IsoVerdict):
-        return prepared
-    modulus, n_a, n_b = prepared
-    witness = exact_orbit_witness(modulus, n_a, n_b)
-    return IsoVerdict(isomorphic=witness is not None, witness=witness)
+    return _iso(a, b, exact_orbit_witness)
 
 
 def stable_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
     """Stable isomorphism verdict: unit-twisted orbit match, gcd-checked."""
-    prepared = _comparable_weights(a, b)
-    if isinstance(prepared, IsoVerdict):
-        return prepared
-    modulus, n_a, n_b = prepared
-    equivalent, witness = stable_orbit_equivalent(modulus, n_a, n_b)
-    return IsoVerdict(isomorphic=equivalent, witness=witness)
+    return _iso(a, b, lambda *weights: stable_orbit_equivalent(*weights)[1])
 
 
 # --------------------------------------------------------------------------

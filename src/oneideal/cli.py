@@ -12,16 +12,18 @@ the one reader of every form.
 The argument parser is built once per process, on the first query, and
 every later call of :func:`main` reuses it.
 
-Exit codes: 0 = computed (negative verdicts included), 2 = input or
-validation error, or (``WorkLimit``) an input past
-``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS`` (``--depth``
-and ``--max-m`` included), a truncation deeper than
+Exit codes: 0 = computed (negative verdicts included); else the status and
+stderr tag that the error's class in :mod:`.errors` carries (a bare
+``error:`` and 2 for a ``ValueError`` or ``KeyError`` of the input).
+2 = input or validation error, an out-of-scope comparison, or (``WorkLimit``)
+an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
+(``--depth`` and ``--max-m`` included), a truncation deeper than
 ``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
 ``report.MAX_SCAN_M`` or an exact ``compare`` whose orbit walk would hold
-more than ``dyadic.MAX_ORBIT_BITS`` bits, 3 = internal consistency failure (the
-stable-isomorphism routes disagree, the truncation shown by ``invariant``
-contradicts the closed-form torsion order, or a ``scan`` row counts fewer
-exact than stable classes).
+more than ``dyadic.MAX_ORBIT_BITS`` bits; 3 = internal consistency failure
+(the stable-isomorphism routes disagree, the truncation shown by
+``invariant`` contradicts the closed-form torsion order, or a ``scan`` row
+counts fewer exact than stable classes).
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ import os
 import sys
 
 from . import classify
-from .errors import (
-    FamilyValidationError,
-    InternalConsistencyError,
-    OneIdealError,
-    OutOfScopeComparison,
-    WorkLimitError,
-)
+from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 # validate_family is unused here, but perfbench resolves it in this module to trace it
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
@@ -175,14 +171,14 @@ def scan_report(max_m) -> Report:
         raise ValueError("--max-m must be at least 2")
     if max_m > MAX_SCAN_M:
         raise WorkLimitError(f"--max-m is {max_m}, more than the limit {MAX_SCAN_M}")
-    table = tuple(classify.divergence_table(max_m))
+    table = classify.divergence_table(max_m)
     # every stable class is a union of exact classes
     for m, exact, stable in table:
         if exact < stable:
             raise InternalConsistencyError(
                 f"at m = {m} the scan counts {exact} exact classes but {stable} stable ones"
             )
-    inputs, verdict = scan_to_json(max_m, classify.ScanResult(table))
+    inputs, verdict = scan_to_json(max_m, table)
     return Report(command="scan", inputs=inputs, verdict=verdict)
 
 
@@ -244,21 +240,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.func(args)
-    except FamilyValidationError as err:
-        print(f"error [{err.code}]: {err.message}", file=sys.stderr)
-        return 2
-    except OutOfScopeComparison as err:
-        print(f"error [OutOfScope]: {err}", file=sys.stderr)
-        return 2
-    except WorkLimitError as err:
-        print(f"error [WorkLimit]: {err}", file=sys.stderr)
-        return 2
-    except InternalConsistencyError as err:
-        print(f"error [InternalConsistency]: {err}", file=sys.stderr)
-        return 3
     except (OneIdealError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code = getattr(err, "code", None)
+        print(f"error [{code}]: {err}" if code else f"error: {err}", file=sys.stderr)
+        return getattr(err, "exit_status", 2)
     try:
         if args.format == "json":
             print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))

@@ -161,38 +161,25 @@ def invariant_of(spec: FamilySpec) -> tuple[SixTermInvariant, DerivedScalars]:
     torsion Z/x in the middle and quotient Z/(m-1).
     """
     alpha = alpha_of(spec)
-    ideal = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
+    positive = all_positive(with_full_class=True)
+    x = m_odd = None
     if spec.m == 0:
         middle = PreorderedGroup(dyadic_plus_free(), alpha_cone(alpha))
         quotient = PreorderedGroup(free_z(), standard_integer_cone())
-        case_tag = "AF-AF"
-        scalars = _scalars(spec, alpha)
     elif is_infinite(spec.m):
-        middle = PreorderedGroup(dyadic_plus_free(), all_positive(with_full_class=True))
-        quotient = PreorderedGroup(free_z(), all_positive(with_full_class=True))
-        case_tag = "AF-PI"
-        scalars = _scalars(spec, alpha)
+        middle = PreorderedGroup(dyadic_plus_free(), positive)
+        quotient = PreorderedGroup(free_z(), positive)
     else:
-        x = torsion_order(spec)
-        middle = PreorderedGroup(dyadic_plus_torsion(x), all_positive(with_full_class=True))
-        quotient = PreorderedGroup(cyclic_mod(spec.m - 1), all_positive(with_full_class=True))
-        case_tag = "AF-PI"
-        k, n_weight = weight_of(spec)
-        scalars = DerivedScalars(
-            alpha=alpha, k=k, n_weight=n_weight, x=x, m_odd=odd_part(spec.m - 1)
-        )
+        x, m_odd = torsion_order(spec), odd_part(spec.m - 1)
+        middle = PreorderedGroup(dyadic_plus_torsion(x), positive)
+        quotient = PreorderedGroup(cyclic_mod(spec.m - 1), positive)
+    # k and N exist only for zero tails, the only tail a finite m > 1 takes
+    k, n_weight = weight_of(spec) if spec.tail.kind == "zero" else (None, None)
     invariant = SixTermInvariant(
-        ideal=ideal,
+        ideal=PreorderedGroup(dyadic_line(), standard_dyadic_cone()),
         middle=middle,
         quotient=quotient,
         index_map_zero=True,
-        case_tag=case_tag,
+        case_tag="AF-AF" if spec.m == 0 else "AF-PI",
     )
-    return invariant, scalars
-
-
-def _scalars(spec: FamilySpec, alpha: ExtendedRational) -> DerivedScalars:
-    if spec.tail.kind == "zero":
-        k, n_weight = weight_of(spec)
-        return DerivedScalars(alpha=alpha, k=k, n_weight=n_weight)
-    return DerivedScalars(alpha=alpha)
+    return invariant, DerivedScalars(alpha=alpha, k=k, n_weight=n_weight, x=x, m_odd=m_odd)

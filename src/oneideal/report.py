@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .classify import UNKNOWN, FullnessVerdict, IsoVerdict, ScanResult
+from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
 from .dyadic import INF, format_extended
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, FamilySpec, TailSpec
@@ -39,6 +39,8 @@ UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
 
 # The largest ``scan --max-m``: one class-count row per m up to it.
 MAX_SCAN_M = 100_000
+
+_DIGIT_BOUND = 10**MAX_INTEGER_DIGITS  # the smallest int past the digit limit
 
 
 def _int_str(v: int | None) -> str | None:
@@ -66,7 +68,7 @@ def limited_int(v, what: str) -> int:
         if v.isascii() and v.isdigit():
             return int(v)
     elif isinstance(v, int) and not isinstance(v, bool):
-        if abs(v) >= 10**MAX_INTEGER_DIGITS:
+        if abs(v) >= _DIGIT_BOUND:
             raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
         return v
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
@@ -171,12 +173,11 @@ def comparison_to_json(mode: str, c: IsoVerdict) -> tuple[dict, dict | None]:
     return verdict, witness
 
 
-def scan_to_json(max_m: int, scan: ScanResult) -> tuple[list, dict]:
-    """The inputs and verdict sections of ``scan``."""
-    table = [
-        {"m": str(m), "exactClasses": str(e), "stableClasses": str(s)} for m, e, s in scan.table
-    ]
-    verdict = {"smallestDivergentM": _int_str(scan.smallest_divergent_m), "table": table}
+def scan_to_json(max_m: int, table: list[tuple[int, int, int]]) -> tuple[list, dict]:
+    """The inputs and verdict sections of ``scan``, from its rows (m, exact, stable)."""
+    rows = [{"m": str(m), "exactClasses": str(e), "stableClasses": str(s)} for m, e, s in table]
+    smallest = next((m for m, e, s in table if e != s), None)
+    verdict = {"smallestDivergentM": _int_str(smallest), "table": rows}
     return [{"maxM": str(max_m)}], verdict
 
 

@@ -113,9 +113,27 @@ MUTANTS = (
         ("tests/test_cli.py::test_scan_past_the_limit_exits_2_before_any_class_count",),
     ),
     Mutant(
+        "scan without its exact >= stable cross-check",
+        "cli.py",
+        "if exact < stable:",
+        "if False:",
+        ("tests/test_cli.py::test_scan_row_with_fewer_exact_than_stable_classes_exits_3",),
+    ),
+    Mutant(
+        "internal consistency failure that exits 2",
+        "errors.py",
+        "exit_status = 3",
+        "exit_status = 2",
+        (
+            "tests/test_cli.py::test_internal_consistency_failure_exits_3",
+            "tests/test_cli.py::test_each_error_kind_prints_its_line_and_exit_status"
+            "[InternalConsistency]",
+        ),
+    ),
+    Mutant(
         "integer digit limit without its check on Python ints",
         "report.py",
-        "if abs(v) >= 10**MAX_INTEGER_DIGITS:",
+        "if abs(v) >= _DIGIT_BOUND:",
         "if False:",
         ("tests/test_cli.py::test_a_python_int_past_the_digit_limit_is_a_work_limit",),
     ),

@@ -11,7 +11,6 @@ from oneideal import (
     IsoWitness,
     OutOfScopeComparison,
     PreorderedGroup,
-    ScanResult,
     alpha_cone,
     class_counts,
     decide_fullness,
@@ -201,7 +200,8 @@ def test_divergence_and_class_counts():
     assert class_counts(8) == (3, 2)
     assert class_counts(7) == (2, 2)
     for limit, smallest in ((20, 8), (7, None), (2, None)):
-        assert ScanResult(tuple(divergence_table(limit))).smallest_divergent_m == smallest
+        table = divergence_table(limit)
+        assert next((m for m, e, s in table if e != s), None) == smallest
     table = divergence_table(10)
     assert table[0] == (2, 1, 1)
     assert [row for row in table if row[0] == 8][0] == (8, 3, 2)

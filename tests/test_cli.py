@@ -399,6 +399,60 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
     assert "InternalConsistency" in err
 
 
+@pytest.mark.parametrize(
+    "argv, status, line",
+    [
+        (
+            ("invariant", "--m", "1", "--n", "1"),
+            2,
+            "error [ConditionK]: m = 1 is excluded: the loop structure must satisfy condition (K)",
+        ),
+        (
+            ("invariant", "--m", "8", "--n", "0"),
+            2,
+            "error [NoIdealEdge]: at least one edge multiplicity n_i must be nonzero",
+        ),
+        (
+            ("invariant", "--m", "8", "--n", "1", "--tail", "constant:2"),
+            2,
+            "error [InfiniteSum]: for finite m > 1 the multiplicity sum must be finite "
+            "(tail must be zero)",
+        ),
+        (
+            ("compare", "--a", "m=0,n=2", "--b", "m=0,n=2", "--mode", "exact"),
+            2,
+            "error [OutOfScope]: isomorphism comparison is defined for 1 < m < infinity only",
+        ),
+        (
+            ("scan", "--max-m", str(MAX_SCAN_M + 1)),
+            2,
+            f"error [WorkLimit]: --max-m is {MAX_SCAN_M + 1}, more than the limit {MAX_SCAN_M}",
+        ),
+        (
+            ("scan", "--max-m", "8"),
+            3,
+            "error [InternalConsistency]: at m = 8 the scan counts 2 exact classes "
+            "but 3 stable ones",
+        ),
+        (
+            ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
+            2,
+            "error: unknown key 'junk' in spec 'm=8,n=1,junk=3' (want m, n, tail)",
+        ),
+    ],
+    ids=[
+        "ConditionK", "NoIdealEdge", "InfiniteSum", "OutOfScope", "WorkLimit",
+        "InternalConsistency", "plain",
+    ],
+)
+def test_each_error_kind_prints_its_line_and_exit_status(capsys, monkeypatch, argv, status, line):
+    import oneideal.classify
+
+    # a swapped scan row, as in the scan test below; only `scan --max-m 8` reads it
+    monkeypatch.setattr(oneideal.classify, "divergence_table", lambda limit_m: [(8, 2, 3)])
+    assert run(capsys, *argv) == (status, "", line + "\n")
+
+
 def test_output_is_deterministic(capsys):
     first = run_json(capsys, "scan", "--max-m", "15")
     second = run_json(capsys, "scan", "--max-m", "15")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneideal import (
@@ -249,6 +249,9 @@ def test_cokernel_matches_the_dense_smith_form_on_fixed_cases(rows):
     assert cokernel_invariants(sparse(m)) == dense_cokernel_invariants(m)
 
 
+# At Hypothesis's default 100 examples, a pivot taken without its sign
+# passed this test in about one run in ten.
+@settings(max_examples=400)
 @given(
     st.integers(min_value=0, max_value=6),
     st.integers(min_value=0, max_value=6),

@@ -23,6 +23,8 @@ ARGV = {
     "invariant-m0-constant": ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
     "invariant-m0-doubling": ("invariant", "--m", "0", "--n", "1", "--tail", "doubling:1"),
     "invariant-minf": ("invariant", "--m", "inf", "--n", "2", "--tail", "constant:4"),
+    # the echoed inputs drop the leading zeros
+    "invariant-leading-zeros": ("invariant", "--m", "009", "--n", "001,0,3"),
     "fullness-full": ("fullness", "--m", "8", "--n", "1"),
     "fullness-unknown": ("fullness", "--m", "0", "--n", "2"),
     "fullness-m0-doubling": ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1"),
