@@ -4,10 +4,15 @@ Subcommands: ``invariant``, ``fullness``, ``compare``, ``scan``.  Family
 members are given either as flags (``--m 8 --n 1,0,3 --tail zero``), as a
 JSON object matching the input schema
 ``{"m": 8 | "inf", "n": [..], "tail": {"kind": ..., "c": ...}}``, or (for
-``compare``) compactly as ``m=8,n=[1,0,3],tail=constant:2``.  The flag
-and compact forms are rewritten, values verbatim (no stripping, no case
-folding), into that schema object, so :func:`.report.spec_from_json` is
-the one reader of every form.
+``compare``) compactly as ``m=8,n=[1,0,3],tail=constant:2``.  ``--spec``
+replaces the flags, so giving it with ``--m``, ``--n`` or ``--tail`` is an
+error.  The flag and compact forms are rewritten, values verbatim (no
+stripping, no case folding), into that schema object, so
+:func:`.report.spec_from_json` is the one reader of every form.
+
+``--format json`` streams the report through :func:`.report.write_json` to
+stdout as it is generated, in the bytes of ``json.dumps(..., indent=2,
+sort_keys=True)``; the text view is rendered whole.
 
 The argument parser is built once per process, on the first query, and
 every later call of :func:`main` reuses it.
@@ -41,7 +46,7 @@ from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
 from .report import (
     MAX_SCAN_M, Report, comparison_to_json, fullness_to_json, invariant_to_json, limited_int,
-    scalars_to_json, scan_to_json, spec_from_json, spec_to_json,
+    scalars_to_json, scan_to_json, spec_from_json, spec_to_json, write_json,
 )
 
 
@@ -65,15 +70,20 @@ def _decode(text: str):
         raise ValueError("the JSON spec is nested too deeply") from None
 
 
-def _schema_object(m: str, n: str, tail: str) -> dict:
-    """The input-schema object for flag or compact-form text, values verbatim."""
-    kind, colon, c = tail.partition(":")
+def _schema_object(m: str, n: str, tail: str | None) -> dict:
+    """The input-schema object for flag or compact-form text, values
+    verbatim; no tail text means the tail ``zero``."""
+    kind, colon, c = ("zero" if tail is None else tail).partition(":")
     tail_d = {"kind": kind, "c": c} if colon else {"kind": kind}
     return {"m": m, "n": n.split(",") if n else [], "tail": tail_d}
 
 
 def _spec_from_flags(args) -> FamilySpec:
     if args.spec is not None:
+        given = [flag for flag in ("m", "n", "tail") if getattr(args, flag) is not None]
+        if given:
+            flags = ", ".join(f"--{flag}" for flag in given)
+            raise ValueError(f"--spec cannot be combined with {flags}")
         return spec_from_json(_decode(args.spec))
     if args.m is None or args.n is None:
         raise ValueError("provide --m and --n (or --spec with a JSON object)")
@@ -104,7 +114,7 @@ def _spec_from_compact(text: str) -> FamilySpec:
         fields[key] = value
     if "m" not in fields or "n" not in fields:
         raise ValueError(f"spec {text!r} needs at least m= and n=")
-    return spec_from_json(_schema_object(fields["m"], fields["n"], fields.get("tail", "zero")))
+    return spec_from_json(_schema_object(fields["m"], fields["n"], fields.get("tail")))
 
 
 # One function per command, of plain values: main calls them with the
@@ -186,9 +196,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--m", help="loop count: a non-negative integer or 'inf'")
     parser.add_argument("--n", help="comma-separated edge multiplicities, e.g. 1,0,3")
     parser.add_argument(
-        "--tail",
-        default="zero",
-        help="tail rule: zero | constant:<c> | doubling:<c> (default zero)",
+        "--tail", help="tail rule: zero | constant:<c> | doubling:<c> (default zero)"
     )
     parser.add_argument("--spec", help="JSON family object instead of --m/--n/--tail")
 
@@ -246,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(err, "exit_status", 2)
     try:
         if args.format == "json":
-            print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+            write_json(report.to_json_dict(), sys.stdout.write)
+            sys.stdout.write("\n")
         else:
             print(report.to_text())
         sys.stdout.flush()

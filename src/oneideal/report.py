@@ -9,6 +9,9 @@ follows from its inputs, so ``Report.from_json_dict`` reads only those (the
 family specs, the compare mode, the truncation depth, the scan limit),
 recomputes the report with the command line's own code, and accepts the
 dict iff that report emits exactly it; otherwise it raises ``ValueError``.
+:func:`write_json` writes a report's JSON object in pieces, as it is
+generated, with the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
+but without building the whole string.
 
 Family specs, which users also write by hand, are read by
 :func:`spec_from_json`, with explicit checks and messages and within the
@@ -179,6 +182,60 @@ def scan_to_json(max_m: int, table: list[tuple[int, int, int]]) -> tuple[list, d
     smallest = next((m for m, e, s in table if e != s), None)
     verdict = {"smallestDivergentM": _int_str(smallest), "table": rows}
     return [{"maxM": str(max_m)}], verdict
+
+
+_ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's default string escape
+
+
+def write_json(value, write, indent: str = "\n") -> None:
+    """Pass ``value`` to ``write`` in pieces whose concatenation is exactly
+    ``json.dumps(value, indent=2, sort_keys=True)``, without building that
+    string.  ``indent`` is the newline and indentation of ``value``'s own
+    level.  Only what the builders emit is accepted: dicts with ``str``
+    keys, lists, ``str``, ``True``, ``False`` and ``None``; anything else
+    raises ``TypeError``.
+
+    This is a module-level function, not a closure that calls itself: such a
+    closure is a reference cycle, which keeps each call's locals alive until
+    the cyclic garbage collector runs."""
+    if isinstance(value, str):
+        write(_ESCAPE(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if isinstance(item, str):  # the common leaf, in one write
+                write(f"{sep}{_ESCAPE(key)}: {_ESCAPE(item)}")
+            else:
+                write(f"{sep}{_ESCAPE(key)}: ")
+                write_json(item, write, inner)
+            sep = "," + inner
+        write(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            write("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            write(sep)
+            write_json(item, write, inner)
+            sep = "," + inner
+        write(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cone_text(cone: dict) -> str:

@@ -303,6 +303,26 @@ MUTANTS = (
         "if False:",
         ("tests/test_golden.py::test_output_matches_the_golden_bytes[compare-m-mismatch-text]",),
     ),
+    Mutant(
+        "JSON writer that leaves the keys unsorted",
+        "report.py",
+        "for key in sorted(value):",
+        "for key in value:",
+        (
+            "tests/test_golden.py::test_output_matches_the_golden_bytes[invariant-m9-json]",
+            "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
+        ),
+    ),
+    Mutant(
+        "JSON writer that leaves non-ASCII text unescaped",
+        "report.py",
+        "_ESCAPE = json.encoder.encode_basestring_ascii",
+        "_ESCAPE = json.encoder.py_encode_basestring",
+        (
+            "tests/test_golden.py::test_output_matches_the_golden_bytes[fullness-unknown-json]",
+            "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
+        ),
+    ),
 )
 
 

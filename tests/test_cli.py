@@ -159,6 +159,23 @@ def test_spec_json_flag(capsys):
     assert data["inputs"][0]["tail"] == {"kind": "constant", "c": "4"}
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("invariant", "--m", "9", "--n", "1"), "--m, --n"),
+        (("invariant", "--m", "9"), "--m"),
+        (("fullness", "--n", "1"), "--n"),
+        # the default tail, given explicitly, is still a flag
+        (("invariant", "--tail", "zero"), "--tail"),
+        (("fullness", "--m", "8", "--n", "3", "--tail", "constant:2"), "--m, --n, --tail"),
+    ],
+)
+def test_spec_with_a_spec_flag_exits_2_naming_the_flags(capsys, argv, flags):
+    code, out, err = run(capsys, *argv, "--spec", '{"m": 8, "n": [3]}')
+    assert (code, out) == (2, "")
+    assert err == f"error: --spec cannot be combined with {flags}\n"
+
+
 def test_scan_divergence(capsys):
     code, data, _ = run_json(capsys, "scan", "--max-m", "20")
     assert code == 0
@@ -604,14 +621,32 @@ def test_closed_reader_pipe_is_not_an_error():
     assert err == b""
 
 
+def test_a_reader_that_leaves_mid_stream_is_not_an_error():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "oneideal", "scan", "--max-m", str(MAX_SCAN_M), "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=SUBPROCESS_ENV,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # with almost all of the 9.8 MB report still to write
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
 # Runs main(argv) in a fresh interpreter, then prints its peak RSS in KiB.  The
 # address space is capped at 1 GiB, so a walk without a budget fails early.
+# The peak is VmHWM, the child's own: a child spawned by vfork, as subprocess
+# does, also counts the parent's peak in its ru_maxrss.
 PEAK_RSS_PROBE = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from oneideal.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
 sys.exit(code)
 """
 
@@ -631,6 +666,19 @@ def test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory(m):
     assert proc.stderr.startswith("error [WorkLimit]: a two-power orbit modulo ")
     assert seconds < 5
     assert int(proc.stdout) < 300 * 1024  # peak RSS in KiB
+
+
+def test_scan_at_the_limit_streams_its_json_in_bounded_memory():
+    from oneideal.cli import scan_report
+
+    argv = ("scan", "--max-m", str(MAX_SCAN_M), "--format", "json")
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
+    assert proc.returncode == 0, proc.stderr
+    report, peak_rss = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(report) == scan_report(MAX_SCAN_M).to_json_dict()
+    # KiB; the row dicts take about 66 MiB, the whole 9.8 MB string 65 more
+    assert int(peak_rss) < 100 * 1024
 
 
 def test_an_orbit_of_a_million_residues_is_walked():

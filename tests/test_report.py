@@ -1,0 +1,45 @@
+"""``report.write_json`` against ``json.dumps(..., indent=2, sort_keys=True)``."""
+
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oneideal.report import write_json
+
+# Characters whose escapes differ between encoders: a quote, a backslash,
+# control characters, non-ASCII text (two bytes, three bytes, past the BMP)
+# and both halves of a lone surrogate.
+SPECIAL = '"\\/\x00\b\t\n\x1f\x7f\xe9' + "".join(
+    map(chr, (0x3B1, 0x2028, 0xD800, 0xDFFF, 0x1F600))
+)
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def written(value) -> str:
+    chunks: list[str] = []
+    write_json(value, chunks.append)
+    return "".join(chunks)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(JSON_VALUES)
+@example({})
+@example([])
+@example({"": {}, "b": [], "a": [[], {}, None, True, False]})
+@example([SPECIAL, {SPECIAL: SPECIAL}])
+@example(chr(0xDC00) + "x" + chr(0xD800))
+def test_write_json_is_byte_identical_to_json_dumps(value):
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1, 1.5, ("a",), {"a": 1}, ["a", 2.0], {1: "a"}], ids=repr)
+def test_write_json_rejects_what_the_builders_never_emit(value):
+    with pytest.raises(TypeError):
+        written(value)
