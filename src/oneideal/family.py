@@ -18,7 +18,7 @@ multiplicity sum when ``1 < m < infinity`` (InfiniteSum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dyadic import INF, ExtendedRational, is_infinite
@@ -74,6 +74,8 @@ class FamilySpec:
     m: int | float
     prefix: tuple[int, ...]
     tail: TailSpec = ZERO_TAIL
+    # the weight N, built by Horner's rule in the pass that checks the entries
+    _weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = self.m
@@ -81,13 +83,18 @@ class FamilySpec:
             raise ValueError("m must be a non-negative integer or infinity")
         if type(self.prefix) is not tuple:
             raise ValueError(f"the prefix must be a tuple, got {self.prefix!r}")
-        if any(not _is_int(n) or n < 0 for n in self.prefix):
-            raise ValueError("edge multiplicities must be non-negative integers")
+        weight = 0
+        for n in self.prefix:
+            if not _is_int(n) or n < 0:
+                raise ValueError("edge multiplicities must be non-negative integers")
+            weight = 2 * weight + n
+        object.__setattr__(self, "_weight", weight)
         if m == 1:
             raise FamilyValidationError(
                 "ConditionK", "m = 1 is excluded: the loop structure must satisfy condition (K)"
             )
-        if self.tail.kind == "zero" and all(n == 0 for n in self.prefix):
+        # every entry is non-negative, so N = 0 exactly when all are zero
+        if self.tail.kind == "zero" and weight == 0:
             raise FamilyValidationError(
                 "NoIdealEdge", "at least one edge multiplicity n_i must be nonzero"
             )
@@ -116,14 +123,6 @@ def pad_prefix(spec: FamilySpec, zeros: int = 1) -> FamilySpec:
     return FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)
 
 
-def _horner_weight(prefix: tuple[int, ...]) -> int:
-    """N = sum(n_i * 2^(k-i)) over a length-k prefix, in one Horner pass."""
-    n_weight = 0
-    for n in prefix:
-        n_weight = 2 * n_weight + n
-    return n_weight
-
-
 def alpha_of(spec: FamilySpec) -> ExtendedRational:
     """The exact value of sum(n_i / 2^i), or infinity for a doubling tail.
 
@@ -133,7 +132,7 @@ def alpha_of(spec: FamilySpec) -> ExtendedRational:
     """
     if spec.tail.kind == "doubling":
         return INF
-    return Fraction(_horner_weight(spec.prefix) + (spec.tail.c or 0), 1 << len(spec.prefix))
+    return Fraction(spec._weight + (spec.tail.c or 0), 1 << len(spec.prefix))
 
 
 def weight_of(spec: FamilySpec) -> tuple[int, int]:
@@ -144,7 +143,7 @@ def weight_of(spec: FamilySpec) -> tuple[int, int]:
     """
     if spec.tail.kind != "zero":
         raise RegimeError("weight data (k, N) requires a zero tail")
-    return len(spec.prefix), _horner_weight(spec.prefix)
+    return len(spec.prefix), spec._weight
 
 
 def truncated_presentation(spec: FamilySpec, depth: int) -> SparseMatrix:

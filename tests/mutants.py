@@ -10,7 +10,7 @@ every one of its tests fails within :data:`TIMEOUT_S`; the command prints
 one line per mutant, ends with "mutants killed k/n", and exits 1 if any
 mutant survives.  It is too slow for the tier-1 suite, where
 ``test_mutants.py`` only checks that each old text still occurs exactly
-once in its module.
+once in its module and that each test id names a test function.
 """
 
 from __future__ import annotations
@@ -71,10 +71,21 @@ MUTANTS = (
     Mutant(
         "alpha_of without the constant tail c",
         "family.py",
-        "_horner_weight(spec.prefix) + (spec.tail.c or 0)",
-        "_horner_weight(spec.prefix)",
+        "spec._weight + (spec.tail.c or 0)",
+        "spec._weight",
         (
             "tests/test_family.py::test_alpha_examples",
+            "tests/test_family.py::test_alpha_matches_the_summed_series",
+        ),
+    ),
+    Mutant(
+        "weight pass that adds the entries without doubling",
+        "family.py",
+        "weight = 2 * weight + n",
+        "weight = weight + n",
+        (
+            "tests/test_family.py::test_weight_examples",
+            "tests/test_family.py::test_a_new_prefix_gets_its_own_weight",
             "tests/test_family.py::test_alpha_matches_the_summed_series",
         ),
     ),

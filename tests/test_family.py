@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,42 @@ def test_bools_and_floats_are_not_read_as_integers(build):
         build()
 
 
+@pytest.mark.parametrize("prefix", [[True], [-1], [1, -1], [0, False]])
+def test_a_bad_entry_is_refused_before_condition_k(prefix):
+    with pytest.raises(ValueError, match="edge multiplicities must be non-negative integers"):
+        validate_family(1, prefix)
+
+
+@pytest.mark.parametrize("length", [0, 1, 3, 64])
+@pytest.mark.parametrize("m", [0, 5, INF])
+def test_an_all_zero_prefix_needs_a_tail(m, length):
+    assert code_of(m, [0] * length) == "NoIdealEdge"
+    if not 1 < m < INF:  # a finite m > 1 takes only the zero tail
+        spec = validate_family(m, [0] * length, constant_tail(1))
+        assert alpha_of(spec) == Fraction(1, 2**length)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        (
+            validate_family(9, [1, 0, 3]),
+            "FamilySpec(m=9, prefix=(1, 0, 3), tail=TailSpec(kind='zero', c=None))",
+        ),
+        (
+            validate_family(INF, [0, 2], constant_tail(3)),
+            "FamilySpec(m=inf, prefix=(0, 2), tail=TailSpec(kind='constant', c=3))",
+        ),
+    ],
+)
+def test_the_stored_weight_leaves_equality_hash_and_repr_alone(spec, text):
+    twin = FamilySpec(spec.m, tuple(list(spec.prefix)), spec.tail)
+    assert twin == spec and hash(twin) == hash(spec)
+    assert repr(spec) == text
+    # equal weights, different prefixes
+    assert validate_family(9, [1, 0]) != validate_family(9, [0, 2])
+
+
 def test_a_prefix_that_is_not_a_tuple_is_refused():
     # a list would leave the frozen spec unhashable and break pad_prefix
     with pytest.raises(ValueError, match="prefix must be a tuple"):
@@ -130,6 +167,15 @@ def test_padding_doubles_weight(prefix):
         return
     k, n = weight_of(spec)
     assert weight_of(pad_prefix(spec)) == (k + 1, 2 * n)
+
+
+@given(prefixes, prefixes, st.integers(min_value=0, max_value=3))
+def test_a_new_prefix_gets_its_own_weight(prefix, other, zeros):
+    assume(any(prefix) and any(other))
+    spec = dataclasses.replace(validate_family(7, prefix), prefix=tuple(other))
+    k, n = weight_of(spec)
+    assert (k, n) == (len(other), summed_alpha(spec) * 2**k)
+    assert weight_of(pad_prefix(spec, zeros)) == (k + zeros, n << zeros)
 
 
 @given(prefixes)
