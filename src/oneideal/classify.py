@@ -15,8 +15,8 @@ factorisation they use live in :mod:`.dyadic`.  :func:`class_counts` is the
 closed form for one m, from one trial-division factorisation;
 :func:`divergence_table` (what ``scan`` prints) computes every row up to a
 limit from one smallest-prime-factor sieve instead.  Each stable verdict is
-checked against the gcd with the largest odd factor of m-1, and each stable
-witness by re-substitution.
+checked against the gcd with the largest odd factor of m-1, and each witness,
+exact or stable, by re-substitution.
 """
 
 from __future__ import annotations
@@ -201,9 +201,22 @@ def _iso(a: FamilySpec, b: FamilySpec, witness_of) -> IsoVerdict:
     return IsoVerdict(isomorphic=witness is not None, witness=witness)
 
 
+def _resubstituted_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
+    witness = exact_orbit_witness(modulus, n_a, n_b)
+    # an exact witness has unit 1
+    holds = witness is None or (witness.unit == 1 and witness_holds(modulus, n_a, n_b, witness))
+    if not holds:
+        raise InternalConsistencyError(
+            f"exact witness {witness} fails re-substitution at modulus {modulus}, "
+            f"weights {n_a}, {n_b}"
+        )
+    return witness
+
+
 def exact_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
-    """Exact isomorphism verdict: shared two-power orbit of the weights."""
-    return _iso(a, b, exact_orbit_witness)
+    """Exact isomorphism verdict: shared two-power orbit of the weights,
+    the witness checked by re-substitution."""
+    return _iso(a, b, _resubstituted_exact_witness)
 
 
 def stable_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:

@@ -106,14 +106,12 @@ ALL_POSITIVE = "AllPositive"
 ALPHA_CONE = "AlphaCone"
 STANDARD_DYADIC_CONE = "StandardDyadicCone"
 STANDARD_INTEGER_CONE = "StandardIntegerCone"
-LEXICOGRAPHIC_CONE = "Lexicographic"
 
 _CONE_TAGS = (
     ALL_POSITIVE,
     ALPHA_CONE,
     STANDARD_DYADIC_CONE,
     STANDARD_INTEGER_CONE,
-    LEXICOGRAPHIC_CONE,
 )
 
 
@@ -128,17 +126,13 @@ class ConeDescriptor:
 
     ``AlphaCone(alpha)`` is the cone on the dyadic-plus-free group whose
     slice at height n > 0 is the open dyadic interval (-n*alpha, oo) and
-    whose slice at height 0 is the non-negative dyadics.
-
-    ``Lexicographic(ideal_cone, quotient_cone)`` records the cone assembled
-    from a strictly positive quotient part and the pushed-forward ideal cone;
-    it only arises as the output of the middle-cone reconstruction.
+    whose slice at height 0 is the non-negative dyadics.  At alpha = infinity
+    it is the lexicographic cone over the standard dyadic and integer cones.
     """
 
     tag: str
     with_full_class: bool = False
     alpha: ExtendedRational | None = None
-    parts: tuple["ConeDescriptor", "ConeDescriptor"] | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in _CONE_TAGS:
@@ -149,14 +143,6 @@ class ConeDescriptor:
             raise ValueError(f"alpha cone needs a Fraction or infinity, got {self.alpha!r}")
         if self.tag != ALPHA_CONE and self.alpha is not None:
             raise ValueError("alpha only applies to the alpha cone")
-        if self.tag == LEXICOGRAPHIC_CONE and not (
-            type(self.parts) is tuple
-            and len(self.parts) == 2
-            and all(isinstance(p, ConeDescriptor) for p in self.parts)
-        ):
-            raise ValueError("lexicographic cone needs a pair of cone descriptors as its parts")
-        if self.tag != LEXICOGRAPHIC_CONE and self.parts is not None:
-            raise ValueError("parts only apply to the lexicographic cone")
         if self.with_full_class and self.tag != ALL_POSITIVE:
             raise ValueError("with_full_class only applies to AllPositive")
 
@@ -181,16 +167,11 @@ def standard_integer_cone() -> ConeDescriptor:
     return ConeDescriptor(STANDARD_INTEGER_CONE)
 
 
-def lexicographic_cone(ideal_cone: ConeDescriptor, quotient_cone: ConeDescriptor) -> ConeDescriptor:
-    return ConeDescriptor(LEXICOGRAPHIC_CONE, parts=(ideal_cone, quotient_cone))
-
-
 _CONE_COMPAT = {
     ALPHA_CONE: (DYADIC_PLUS_FREE,),
     STANDARD_DYADIC_CONE: (DYADIC_LINE,),
     STANDARD_INTEGER_CONE: (FREE_Z,),
     ALL_POSITIVE: _GROUP_TAGS,
-    LEXICOGRAPHIC_CONE: _GROUP_TAGS,
 }
 
 

@@ -45,7 +45,7 @@ from .groups import (
     trivial_group,
 )
 
-CASE_TAGS = ("AF-AF", "AF-PI", "PI-AF", "PI-PI")
+CASE_TAGS = ("AF-AF", "AF-PI")
 
 # Deepest truncation :func:`truncated_k0` builds: the largest default depth,
 # max(k + 3, k + v2(m-1) + 1), of a spec the reader accepts.  There

@@ -2,8 +2,8 @@
 
 Covers cone membership, the lexicographic test for an ideal/middle/quotient
 cone triple, the two-clause combined ordering test on a six-term invariant,
-order-isomorphism of alpha cones, and reconstruction of the middle cone from
-the ideal and quotient cones.
+order-isomorphism of alpha cones, and the middle cone that fullness forces in
+each of the family's two cases.
 
 The alpha-cone isomorphism criterion used here: two cones with parameters
 a and a' are order-isomorphic iff a' lies in 2^Z * a + Z[1/2] (infinity only
@@ -18,11 +18,10 @@ decided by :func:`.dyadic.residue_cycle`, the exact witness's orbit walk.
 from __future__ import annotations
 
 from .dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
-from .errors import ConeShapeError, NotDeterminedError, UnsupportedConeCombination
+from .errors import NotDeterminedError, UnsupportedConeCombination
 from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
-    LEXICOGRAPHIC_CONE,
     STANDARD_DYADIC_CONE,
     STANDARD_INTEGER_CONE,
     ConeDescriptor,
@@ -30,7 +29,6 @@ from .groups import (
     PreorderedGroup,
     all_positive,
     alpha_cone,
-    lexicographic_cone,
 )
 
 
@@ -44,26 +42,13 @@ def cone_contains(pg: PreorderedGroup, element: ConeElement) -> bool:
         return element.dyadic_part >= 0
     if cone.tag == STANDARD_INTEGER_CONE:
         return element.int_part >= 0
-    if cone.tag == ALPHA_CONE:
-        n = element.int_part
-        if n > 0:
-            return True if is_infinite(cone.alpha) else element.dyadic_part > -n * cone.alpha
-        if n == 0:
-            return element.dyadic_part >= 0
-        return False
-    # lexicographic: strictly positive quotient part, or ideal-positive kernel
-    ideal_cone, quotient_cone = cone.parts
+    # the alpha cone
     n = element.int_part
+    if n > 0:
+        return True if is_infinite(cone.alpha) else element.dyadic_part > -n * cone.alpha
     if n == 0:
-        if ideal_cone.tag == ALL_POSITIVE:
-            return True
-        if ideal_cone.tag == STANDARD_DYADIC_CONE:
-            return element.dyadic_part >= 0
-        raise ConeShapeError(f"unsupported ideal part {ideal_cone.tag} in lexicographic cone")
-    if quotient_cone.tag in (STANDARD_INTEGER_CONE, ALL_POSITIVE):
-        # either way the nonzero image must be a positive quotient class
-        return n > 0 if quotient_cone.tag == STANDARD_INTEGER_CONE else True
-    raise ConeShapeError(f"unsupported quotient part {quotient_cone.tag} in lexicographic cone")
+        return element.dyadic_part >= 0
+    return False
 
 
 def is_lexicographic_sequence(
@@ -86,8 +71,6 @@ def is_lexicographic_sequence(
         if mc.tag == ALL_POSITIVE:
             # the union misses (negative dyadic, 0); everything-positive cannot match
             return False
-        if mc.tag == LEXICOGRAPHIC_CONE:
-            return mc.parts == (ic, qc)
     if qc.tag == ALL_POSITIVE and mc.tag == ALL_POSITIVE:
         # union = (middle minus kernel) | pushed ideal cone; equality needs
         # the whole kernel, i.e. an everything-positive ideal
@@ -121,22 +104,15 @@ def is_k_lexicographic(invariant) -> bool:
     return result
 
 
-def middle_cone_from_fullness(
-    case_tag: str,
-    ideal_pg: PreorderedGroup,
-    quotient_pg: PreorderedGroup,
-) -> ConeDescriptor:
-    """Middle cone forced by fullness, given the ideal/quotient case.
+def middle_cone_from_fullness(case_tag: str) -> ConeDescriptor:
+    """Middle cone forced by fullness in the family's two cases.
 
-    AF-PI and PI-PI force everything positive with a full class; PI-AF forces
-    the lexicographic cone over the ideal and quotient cones.  In the AF-AF
-    case the middle cone is genuinely not determined by the outer two and
+    AF-PI forces everything positive with a full class.  In the AF-AF case
+    the middle cone is genuinely not determined by the outer two and
     :class:`NotDeterminedError` is raised.
     """
-    if case_tag in ("AF-PI", "PI-PI"):
+    if case_tag == "AF-PI":
         return all_positive(with_full_class=True)
-    if case_tag == "PI-AF":
-        return lexicographic_cone(ideal_pg.cone, quotient_pg.cone)
     if case_tag == "AF-AF":
         raise NotDeterminedError(
             "AF-AF: the middle cone is not determined by the ideal and quotient cones"

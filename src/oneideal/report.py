@@ -30,7 +30,6 @@ from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
-    LEXICOGRAPHIC_CONE,
     STANDARD_DYADIC_CONE,
     ConeDescriptor,
     GroupDescriptor,
@@ -116,8 +115,6 @@ def _cone_to_json(cone: ConeDescriptor) -> dict:
         out["withFullClass"] = cone.with_full_class
     elif cone.tag == ALPHA_CONE:
         out["alpha"] = format_extended(cone.alpha)
-    elif cone.tag == LEXICOGRAPHIC_CONE:
-        out["parts"] = [_cone_to_json(p) for p in cone.parts]
     return out
 
 
@@ -244,8 +241,6 @@ def _cone_text(cone: dict) -> str:
         return "all-positive (full class)" if cone["withFullClass"] else "all-positive"
     if tag == ALPHA_CONE:
         return f"alpha-cone({cone['alpha']})"
-    if tag == LEXICOGRAPHIC_CONE:
-        return "lexicographic({}; {})".format(*map(_cone_text, cone["parts"]))
     return "standard dyadic cone" if tag == STANDARD_DYADIC_CONE else "standard integer cone"
 
 

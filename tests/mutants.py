@@ -160,6 +160,19 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "exact verdict without its witness re-substitution",
+        "classify.py",
+        "holds = witness is None or "
+        "(witness.unit == 1 and witness_holds(modulus, n_a, n_b, witness))",
+        "holds = True",
+        (
+            "tests/test_cli.py::test_an_exact_witness_that_fails_re_substitution_exits_3"
+            "[not congruent]",
+            "tests/test_cli.py::test_an_exact_witness_that_fails_re_substitution_exits_3"
+            "[unit not 1]",
+        ),
+    ),
+    Mutant(
         "fullness rule with the m = 0 case inverted",
         "classify.py",
         "elif is_infinite(scalars.alpha):",

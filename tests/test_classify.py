@@ -6,6 +6,7 @@ import pytest
 from oneideal import (
     FULL,
     INF,
+    FullnessVerdict,
     UNKNOWN,
     InternalConsistencyError,
     IsoWitness,
@@ -67,6 +68,13 @@ def test_fullness_m0_finite_alpha():
         False,
         UNKNOWN,
     )
+
+
+def test_fullness_verdict_refuses_an_unknown_unstabilized_verdict():
+    with pytest.raises(ValueError, match="unknown unstabilized verdict"):
+        FullnessVerdict(
+            stenotic=True, k_lexicographic=True, stabilized_full=True, unstabilized="Maybe"
+        )
 
 
 def test_fullness_m0_divergent_alpha():
@@ -272,6 +280,16 @@ def test_stable_witness_is_resubstituted(monkeypatch, modulus, n_a, n_b, bad):
 def test_witness_holds_rejects_a_modulus_below_one(modulus):
     with pytest.raises(ValueError):
         witness_holds(modulus, 1, 1, IsoWitness(0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: stable_orbit_witness(0, 1, 1), lambda: residue_cycle(0, 1)],
+    ids=["stable_orbit_witness", "residue_cycle"],
+)
+def test_the_congruence_routes_reject_modulus_zero(call):
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        call()
 
 
 def test_permanence_check():

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oneideal
-from oneideal import INF, FamilySpec, TailSpec, WorkLimitError
+from oneideal import INF, FamilySpec, IsoWitness, TailSpec, WorkLimitError
 from oneideal.cli import main
 from oneideal.ktheory import MAX_TRUNCATION_DEPTH
 from oneideal.report import (
@@ -417,6 +417,24 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "bad",
+    [IsoWitness(0, 0, 1), IsoWitness(0, 0, 5)],
+    # 1 != 3 mod 7; 1 == 5 * 3 mod 7, but an exact witness has unit 1
+    ids=["not congruent", "unit not 1"],
+)
+def test_an_exact_witness_that_fails_re_substitution_exits_3(capsys, monkeypatch, bad):
+    import oneideal.classify
+
+    monkeypatch.setattr(oneideal.classify, "exact_orbit_witness", lambda *args: bad)
+    code, out, err = run(capsys, "compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact")
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error [InternalConsistency]: exact witness {bad} fails re-substitution "
+        "at modulus 7, weights 1, 3\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv, status, line",
     [
         (
@@ -456,10 +474,25 @@ def test_internal_consistency_failure_exits_3(capsys, monkeypatch):
             2,
             "error: unknown key 'junk' in spec 'm=8,n=1,junk=3' (want m, n, tail)",
         ),
+        (
+            ("invariant", "--m", "8"),
+            2,
+            "error: provide --m and --n (or --spec with a JSON object)",
+        ),
+        (
+            ("compare", "--a", "m=8", "--b", "m=8,n=1", "--mode", "exact"),
+            2,
+            "error: spec 'm=8' needs at least m= and n=",
+        ),
+        (
+            ("invariant", "--m", "0", "--n", "1", "--depth", "3"),
+            2,
+            "error: --depth applies only when 1 < m < infinity",
+        ),
     ],
     ids=[
         "ConditionK", "NoIdealEdge", "InfiniteSum", "OutOfScope", "WorkLimit",
-        "InternalConsistency", "plain",
+        "InternalConsistency", "plain", "no n", "spec without n", "depth outside finite m",
     ],
 )
 def test_each_error_kind_prints_its_line_and_exit_status(capsys, monkeypatch, argv, status, line):

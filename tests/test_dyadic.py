@@ -11,6 +11,7 @@ from oracles import dyadic_strictly_between
 def test_two_adic_valuation_and_odd_part():
     assert two_adic_valuation(12) == 2
     assert two_adic_valuation(7) == 0
+    assert two_adic_valuation(0) == 0  # by convention
     assert odd_part(12) == 3
     assert odd_part(128) == 1
     with pytest.raises(ValueError):

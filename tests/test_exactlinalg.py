@@ -73,6 +73,7 @@ def test_the_constructor_rejects_entries_that_are_not_a_tuple():
         ((5,),),
         (((0, 1, 2),),),
         (([0, 1],),),
+        [((0, 1),)],
     ],
     ids=[
         "float entry",
@@ -84,6 +85,7 @@ def test_the_constructor_rejects_entries_that_are_not_a_tuple():
         "item not a pair",
         "item of three",
         "list item",
+        "list of columns",
     ],
 )
 def test_sparse_matrix_rejects_a_malformed_column(columns):
@@ -114,6 +116,23 @@ def test_sparse_matrix_rejects_a_malformed_column(columns):
 )
 def test_the_constructors_reject_a_malformed_dimension(build):
     with pytest.raises(ValueError, match="matrix dimensions must be"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "expected 4 entries, got 3"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (
+            lambda: IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]]),
+            "shape mismatch: 1x2 @ 1x2",
+        ),
+    ],
+    ids=["entry count", "ragged rows", "product shapes"],
+)
+def test_a_matrix_of_the_wrong_shape_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

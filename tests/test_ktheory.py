@@ -29,6 +29,21 @@ def test_torsion_order_anchors():
     assert torsion_order(validate_family(4, [3])) == 3
 
 
+@pytest.mark.parametrize("m", [0, INF], ids=["m = 0", "m = infinity"])
+@pytest.mark.parametrize("route", [torsion_order, stable_oracle_depth])
+def test_the_finite_loop_routes_refuse_other_regimes(route, m):
+    with pytest.raises(RegimeError):
+        route(validate_family(m, [1]))
+
+
+def test_an_unknown_case_tag_is_refused():
+    from dataclasses import replace
+
+    invariant, _ = invariant_of(validate_family(8, [1]))
+    with pytest.raises(ValueError, match="unknown case tag 'PI-AF'"):
+        replace(invariant, case_tag="PI-AF")
+
+
 def test_torsion_range_examples():
     assert torsion_range(3) == {2}
     assert torsion_range(4) == {1, 3}

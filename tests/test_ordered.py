@@ -18,18 +18,28 @@ from oneideal import (
     cyclic_mod,
     dyadic_line,
     dyadic_plus_free,
+    dyadic_plus_torsion,
     free_z,
     invariant_of,
     is_k_lexicographic,
     is_lexicographic_sequence,
-    lexicographic_cone,
     middle_cone_from_fullness,
     standard_dyadic_cone,
     standard_integer_cone,
+    trivial_group,
     validate_family,
     doubling_tail,
 )
-from oneideal.groups import ALPHA_CONE, LEXICOGRAPHIC_CONE, ConeDescriptor
+from oneideal.groups import (
+    ALPHA_CONE,
+    CYCLIC_MOD,
+    DYADIC_LINE,
+    DYADIC_PLUS_TORSION,
+    FREE_Z,
+    STANDARD_DYADIC_CONE,
+    ConeDescriptor,
+    GroupDescriptor,
+)
 from oracles import find_order_isomorphism
 
 
@@ -81,6 +91,40 @@ def test_shape_mismatch_raises():
         cone_contains(zz, ConeElement(Fraction(1, 2), 0))
     with pytest.raises(ConeShapeError):
         PreorderedGroup(free_z(), alpha_cone(1))
+    zero = PreorderedGroup(trivial_group(), all_positive())
+    assert cone_contains(zero, ConeElement())
+    with pytest.raises(ConeShapeError, match="only the zero element"):
+        cone_contains(zero, ConeElement(Fraction(0), 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroupDescriptor("Nope"), "unknown group tag"),
+        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=1), "needs order >= 2"),
+        (lambda: GroupDescriptor(DYADIC_LINE, torsion_order=3), "only applies to DyadicPlusT"),
+        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=0), "needs modulus >= 1"),
+        (lambda: GroupDescriptor(FREE_Z, modulus=3), "only applies to CyclicMod"),
+        (lambda: dyadic_plus_torsion(0), "must be >= 1"),
+        (lambda: ConeDescriptor("Nope"), "unknown cone tag"),
+        (lambda: ConeDescriptor(STANDARD_DYADIC_CONE, alpha=Fraction(1)), "only applies to the"),
+        (lambda: ConeDescriptor(ALPHA_CONE, alpha=INF, with_full_class=True), "applies to AllPos"),
+    ],
+    ids=[
+        "unknown group tag",
+        "torsion order 1",
+        "torsion order on the dyadic line",
+        "modulus 0",
+        "modulus on Z",
+        "torsion factory at 0",
+        "unknown cone tag",
+        "alpha on a standard cone",
+        "full class on the alpha cone",
+    ],
+)
+def test_a_descriptor_with_a_malformed_field_is_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_cone_element_rejects_a_non_dyadic_part():
@@ -188,29 +232,12 @@ def test_k_lexicographic_vacuous_when_neither_clause_applies():
 
 
 def test_middle_cone_from_fullness():
-    ideal = PreorderedGroup(dyadic_line(), all_positive(True))
-    quotient = PreorderedGroup(free_z(), standard_integer_cone())
-    assert middle_cone_from_fullness("AF-PI", ideal, quotient) == all_positive(True)
-    assert middle_cone_from_fullness("PI-PI", ideal, quotient) == all_positive(True)
-    lex = middle_cone_from_fullness("PI-AF", ideal, quotient)
-    assert lex.tag == LEXICOGRAPHIC_CONE
-    assert lex == lexicographic_cone(ideal.cone, quotient.cone)
+    assert middle_cone_from_fullness("AF-PI") == all_positive(True)
     with pytest.raises(NotDeterminedError):
-        middle_cone_from_fullness("AF-AF", ideal, quotient)
-    with pytest.raises(ValueError):
-        middle_cone_from_fullness("XX-YY", ideal, quotient)
-
-
-def test_lexicographic_cone_membership():
-    cone = lexicographic_cone(all_positive(True), standard_integer_cone())
-    pg = PreorderedGroup(dyadic_plus_free(), cone)
-    assert cone_contains(pg, elem(-5, 0, 1))  # positive quotient image
-    assert not cone_contains(pg, elem(5, 0, -1))
-    assert cone_contains(pg, elem(-5, 0, 0))  # kernel, everything positive
-    cone2 = lexicographic_cone(standard_dyadic_cone(), standard_integer_cone())
-    pg2 = PreorderedGroup(dyadic_plus_free(), cone2)
-    assert not cone_contains(pg2, elem(-5, 0, 0))
-    assert cone_contains(pg2, elem(5, 0, 0))
+        middle_cone_from_fullness("AF-AF")
+    for tag in ("PI-AF", "PI-PI", "XX-YY"):
+        with pytest.raises(ValueError):
+            middle_cone_from_fullness(tag)
 
 
 def test_alpha_iso_examples():
