@@ -26,9 +26,10 @@ an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
 ``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
 ``report.MAX_SCAN_M`` or an exact ``compare`` whose orbit walk would hold
 more than ``dyadic.MAX_ORBIT_BITS`` bits; 3 = internal consistency failure
-(the stable-isomorphism routes disagree, the truncation shown by
-``invariant`` contradicts the closed-form torsion order, or a ``scan`` row
-counts fewer exact than stable classes).
+(the stable-isomorphism routes disagree, an exact witness fails
+re-substitution, the truncation shown by ``invariant`` contradicts the
+closed-form torsion order, or a ``scan`` row counts fewer exact than stable
+classes).
 """
 
 from __future__ import annotations

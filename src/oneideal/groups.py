@@ -2,7 +2,7 @@
 
 The groups showing up in the six-term invariant are drawn from a short list
 (dyadic line, dyadic plus a free or torsion summand, Z, a finite cyclic
-group, 0), and their positive cones likewise.  Cones are symbolic: membership
+group), and their positive cones likewise.  Cones are symbolic: membership
 and equality are decided by case analysis, never by enumerating elements.
 A group element (:class:`ConeElement`) carries its Z[1/2] part as a
 ``Fraction`` with a power-of-two denominator.
@@ -24,7 +24,6 @@ DYADIC_PLUS_FREE = "DyadicPlusFree"   # Z[1/2] (+) Z
 DYADIC_PLUS_TORSION = "DyadicPlusTorsion"  # Z[1/2] (+) Z/x
 FREE_Z = "FreeZ"                      # Z
 CYCLIC_MOD = "CyclicMod"              # Z/modulus
-TRIVIAL = "Trivial"                   # 0
 
 _GROUP_TAGS = (
     DYADIC_LINE,
@@ -32,7 +31,6 @@ _GROUP_TAGS = (
     DYADIC_PLUS_TORSION,
     FREE_Z,
     CYCLIC_MOD,
-    TRIVIAL,
 )
 
 
@@ -65,9 +63,7 @@ class GroupDescriptor:
             return f"Z[1/2] (+) Z/{self.torsion_order}"
         if self.tag == FREE_Z:
             return "Z"
-        if self.tag == CYCLIC_MOD:
-            return f"Z/{self.modulus}"
-        return "0"
+        return f"Z/{self.modulus}"
 
 
 def dyadic_line() -> GroupDescriptor:
@@ -93,10 +89,6 @@ def free_z() -> GroupDescriptor:
 
 def cyclic_mod(modulus: int) -> GroupDescriptor:
     return GroupDescriptor(CYCLIC_MOD, modulus=modulus)
-
-
-def trivial_group() -> GroupDescriptor:
-    return GroupDescriptor(TRIVIAL)
 
 
 # --------------------------------------------------------------------------
@@ -214,5 +206,3 @@ class ConeElement:
             raise ConeShapeError("dyadic line has no integer component")
         if group.tag in (FREE_Z, CYCLIC_MOD) and self.dyadic_part != 0:
             raise ConeShapeError(f"{group.tag} has no dyadic component")
-        if group.tag == TRIVIAL and (self.int_part != 0 or self.dyadic_part != 0):
-            raise ConeShapeError("trivial group has only the zero element")

@@ -31,7 +31,6 @@ from .family import (
     weight_of,
 )
 from .groups import (
-    GroupDescriptor,
     PreorderedGroup,
     all_positive,
     alpha_cone,
@@ -42,7 +41,6 @@ from .groups import (
     free_z,
     standard_dyadic_cone,
     standard_integer_cone,
-    trivial_group,
 )
 
 CASE_TAGS = ("AF-AF", "AF-PI")
@@ -60,9 +58,8 @@ MAX_TRUNCATION_DEPTH = MAX_PREFIX_LENGTH + (10**MAX_INTEGER_DIGITS - 2).bit_leng
 class SixTermInvariant:
     """Six-term exact sequence data with ordered even-degree groups.
 
-    The odd-degree groups vanish for the whole family, so they are exposed
-    as constant properties; ``index_map_zero`` records that the connecting
-    map out of the quotient is zero.
+    The odd-degree groups vanish for the whole family; ``index_map_zero``
+    records that the connecting map out of the quotient is zero.
     """
 
     ideal: PreorderedGroup
@@ -74,18 +71,6 @@ class SixTermInvariant:
     def __post_init__(self) -> None:
         if self.case_tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.case_tag!r}")
-
-    @property
-    def k1_ideal(self) -> GroupDescriptor:
-        return trivial_group()
-
-    @property
-    def k1_middle(self) -> GroupDescriptor:
-        return trivial_group()
-
-    @property
-    def k1_quotient(self) -> GroupDescriptor:
-        return trivial_group()
 
 
 @dataclass(frozen=True)

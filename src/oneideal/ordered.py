@@ -59,8 +59,10 @@ def is_lexicographic_sequence(
     """Decide whether the middle cone is the disjoint union of the strictly
     positive quotient preimage and the pushed-forward ideal cone.
 
-    Only the cone combinations realized by this family (and their nearby
-    degenerations) are supported; anything else raises
+    Supported: the standard dyadic cone on the ideal and the standard
+    integer cone on the quotient, the only proper quotient cone in the
+    family, under an alpha cone or an everything-positive middle.  Any
+    other combination, an everything-positive quotient included, raises
     :class:`UnsupportedConeCombination` rather than guessing.
     """
     ic, mc, qc = ideal_pg.cone, middle_pg.cone, quotient_pg.cone
@@ -70,13 +72,6 @@ def is_lexicographic_sequence(
             return is_infinite(mc.alpha)
         if mc.tag == ALL_POSITIVE:
             # the union misses (negative dyadic, 0); everything-positive cannot match
-            return False
-    if qc.tag == ALL_POSITIVE and mc.tag == ALL_POSITIVE:
-        # union = (middle minus kernel) | pushed ideal cone; equality needs
-        # the whole kernel, i.e. an everything-positive ideal
-        if ic.tag == ALL_POSITIVE:
-            return True
-        if ic.tag == STANDARD_DYADIC_CONE:
             return False
     raise UnsupportedConeCombination(
         f"no rule for cones ({ic.tag}, {mc.tag}, {qc.tag})"

@@ -14,6 +14,9 @@ more literal route, a quantity the library computes in closed form.
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
+* :func:`two_power_orbit`, :func:`unit_residues` - a doubling orbit and the
+  units of a modulus, computed here rather than by the library's walk and
+  unit list, so that a fault in those is not shared with these oracles;
 * :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
   minimal witnesses by a pair scan over both two-power orbits (and, for the
   stable one, over every unit);
@@ -32,6 +35,7 @@ more literal route, a quantity the library computes in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from math import gcd
@@ -45,8 +49,8 @@ from oneideal import (
     odd_part,
     smith_normal_form,
 )
-from oneideal.classify import IsoWitness, _unit_multiples, units_mod
-from oneideal.dyadic import ExtendedRational, residue_cycle
+from oneideal.classify import IsoWitness
+from oneideal.dyadic import ExtendedRational
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------
@@ -251,10 +255,45 @@ def find_order_isomorphism(
 # over every residue (and every unit)
 
 
+def two_power_orbit(modulus: int, n: int) -> list[int]:
+    """2^l n mod modulus for l = 0, 1, ... up to the first repeat, in that
+    order, collected as the keys of an insertion-ordered dict."""
+    seen: dict[int, None] = {}
+    r = n % modulus
+    while r not in seen:
+        seen[r] = None
+        r = 2 * r % modulus
+    return list(seen)
+
+
+def unit_residues(modulus: int) -> list[int]:
+    """The residues in [1, modulus] that share no prime with the modulus,
+    ascending, by striking out the multiples of each prime factor; for
+    modulus 1 the one residue [1]."""
+    is_unit = [True] * (modulus + 1)
+    rest, p = modulus, 2
+    while rest > 1:
+        if rest % p == 0:
+            is_unit[p::p] = [False] * (modulus // p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return [u for u in range(1, modulus + 1) if is_unit[u]]
+
+
+@functools.cache
+def _smallest_units(modulus: int, r: int) -> dict[int, int]:
+    """Each residue u r mod modulus, u a unit, mapped to its smallest such u."""
+    out: dict[int, int] = {}
+    for u in unit_residues(modulus):
+        out.setdefault(u * r % modulus, u)
+    return out
+
+
 def enumerated_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b."""
-    cycle_a = residue_cycle(modulus, n_a)
-    cycle_b = residue_cycle(modulus, n_b)
+    cycle_a = two_power_orbit(modulus, n_a)
+    cycle_b = two_power_orbit(modulus, n_b)
     for total in range(len(cycle_a) + len(cycle_b) - 1):
         for la in range(min(total, len(cycle_a) - 1) + 1):
             lb = total - la
@@ -267,18 +306,16 @@ def enumerated_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | N
 
 def enumerated_stable_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     """Smallest witness (l, l', u) with u a unit and 2^l n_a == u 2^l' n_b."""
-    cycle_a = residue_cycle(modulus, n_a)
-    cycle_b = residue_cycle(modulus, n_b)
+    cycle_a = two_power_orbit(modulus, n_a)
+    cycle_b = two_power_orbit(modulus, n_b)
     for total in range(len(cycle_a) + len(cycle_b) - 1):
         for la in range(min(total, len(cycle_a) - 1) + 1):
             lb = total - la
             if lb >= len(cycle_b):
                 continue
-            ra, rb = cycle_a[la], cycle_b[lb]
-            if ra in _unit_multiples(modulus, rb):
-                for u in units_mod(modulus):
-                    if (u * rb - ra) % modulus == 0:
-                        return IsoWitness(l=la, l_prime=lb, unit=u)
+            u = _smallest_units(modulus, cycle_b[lb]).get(cycle_a[la])
+            if u is not None:
+                return IsoWitness(l=la, l_prime=lb, unit=u)
     return None
 
 
@@ -326,7 +363,7 @@ def stable_witness_table(modulus: int) -> list[list[IsoWitness | None]]:
     pair search seeded by every pair (u b, b) with u a unit, then the
     smallest such u at the pair the exponents reach."""
     smallest_unit: dict[tuple[int, int], int] = {}
-    for u in units_mod(modulus):  # ascending, so the first unit to reach a pair is the smallest
+    for u in unit_residues(modulus):  # ascending, so the first unit to reach a pair is the smallest
         for b in range(modulus):
             smallest_unit.setdefault((u * b % modulus, b), u)
     table = _pair_search(modulus, list(smallest_unit))
@@ -354,7 +391,7 @@ def _union_find_classes(modulus: int, with_units: bool) -> list[int]:
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
 
-    units = units_mod(modulus) if with_units else ()
+    units = unit_residues(modulus) if with_units else ()
     for n in range(modulus):
         union(n, (2 * n) % modulus)
         for u in units:

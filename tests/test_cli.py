@@ -434,67 +434,66 @@ def test_an_exact_witness_that_fails_re_substitution_exits_3(capsys, monkeypatch
     )
 
 
-@pytest.mark.parametrize(
-    "argv, status, line",
-    [
-        (
-            ("invariant", "--m", "1", "--n", "1"),
-            2,
-            "error [ConditionK]: m = 1 is excluded: the loop structure must satisfy condition (K)",
-        ),
-        (
-            ("invariant", "--m", "8", "--n", "0"),
-            2,
-            "error [NoIdealEdge]: at least one edge multiplicity n_i must be nonzero",
-        ),
-        (
-            ("invariant", "--m", "8", "--n", "1", "--tail", "constant:2"),
-            2,
-            "error [InfiniteSum]: for finite m > 1 the multiplicity sum must be finite "
-            "(tail must be zero)",
-        ),
-        (
-            ("compare", "--a", "m=0,n=2", "--b", "m=0,n=2", "--mode", "exact"),
-            2,
-            "error [OutOfScope]: isomorphism comparison is defined for 1 < m < infinity only",
-        ),
-        (
-            ("scan", "--max-m", str(MAX_SCAN_M + 1)),
-            2,
-            f"error [WorkLimit]: --max-m is {MAX_SCAN_M + 1}, more than the limit {MAX_SCAN_M}",
-        ),
-        (
-            ("scan", "--max-m", "8"),
-            3,
-            "error [InternalConsistency]: at m = 8 the scan counts 2 exact classes "
-            "but 3 stable ones",
-        ),
-        (
-            ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
-            2,
-            "error: unknown key 'junk' in spec 'm=8,n=1,junk=3' (want m, n, tail)",
-        ),
-        (
-            ("invariant", "--m", "8"),
-            2,
-            "error: provide --m and --n (or --spec with a JSON object)",
-        ),
-        (
-            ("compare", "--a", "m=8", "--b", "m=8,n=1", "--mode", "exact"),
-            2,
-            "error: spec 'm=8' needs at least m= and n=",
-        ),
-        (
-            ("invariant", "--m", "0", "--n", "1", "--depth", "3"),
-            2,
-            "error: --depth applies only when 1 < m < infinity",
-        ),
-    ],
-    ids=[
-        "ConditionK", "NoIdealEdge", "InfiniteSum", "OutOfScope", "WorkLimit",
-        "InternalConsistency", "plain", "no n", "spec without n", "depth outside finite m",
-    ],
-)
+# Each error kind: its argv, exit status and stderr line.  The
+# InternalConsistency line needs a swapped scan row, which the test below
+# patches in; test_reachability.py runs every argv here unpatched.
+ERROR_LINES = {
+    "ConditionK": (
+        ("invariant", "--m", "1", "--n", "1"),
+        2,
+        "error [ConditionK]: m = 1 is excluded: the loop structure must satisfy condition (K)",
+    ),
+    "NoIdealEdge": (
+        ("invariant", "--m", "8", "--n", "0"),
+        2,
+        "error [NoIdealEdge]: at least one edge multiplicity n_i must be nonzero",
+    ),
+    "InfiniteSum": (
+        ("invariant", "--m", "8", "--n", "1", "--tail", "constant:2"),
+        2,
+        "error [InfiniteSum]: for finite m > 1 the multiplicity sum must be finite "
+        "(tail must be zero)",
+    ),
+    "OutOfScope": (
+        ("compare", "--a", "m=0,n=2", "--b", "m=0,n=2", "--mode", "exact"),
+        2,
+        "error [OutOfScope]: isomorphism comparison is defined for 1 < m < infinity only",
+    ),
+    "WorkLimit": (
+        ("scan", "--max-m", str(MAX_SCAN_M + 1)),
+        2,
+        f"error [WorkLimit]: --max-m is {MAX_SCAN_M + 1}, more than the limit {MAX_SCAN_M}",
+    ),
+    "InternalConsistency": (
+        ("scan", "--max-m", "8"),
+        3,
+        "error [InternalConsistency]: at m = 8 the scan counts 2 exact classes "
+        "but 3 stable ones",
+    ),
+    "plain": (
+        ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
+        2,
+        "error: unknown key 'junk' in spec 'm=8,n=1,junk=3' (want m, n, tail)",
+    ),
+    "no n": (
+        ("invariant", "--m", "8"),
+        2,
+        "error: provide --m and --n (or --spec with a JSON object)",
+    ),
+    "spec without n": (
+        ("compare", "--a", "m=8", "--b", "m=8,n=1", "--mode", "exact"),
+        2,
+        "error: spec 'm=8' needs at least m= and n=",
+    ),
+    "depth outside finite m": (
+        ("invariant", "--m", "0", "--n", "1", "--depth", "3"),
+        2,
+        "error: --depth applies only when 1 < m < infinity",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, status, line", ERROR_LINES.values(), ids=list(ERROR_LINES))
 def test_each_error_kind_prints_its_line_and_exit_status(capsys, monkeypatch, argv, status, line):
     import oneideal.classify
 

@@ -26,7 +26,6 @@ from oneideal import (
     middle_cone_from_fullness,
     standard_dyadic_cone,
     standard_integer_cone,
-    trivial_group,
     validate_family,
     doubling_tail,
 )
@@ -91,10 +90,6 @@ def test_shape_mismatch_raises():
         cone_contains(zz, ConeElement(Fraction(1, 2), 0))
     with pytest.raises(ConeShapeError):
         PreorderedGroup(free_z(), alpha_cone(1))
-    zero = PreorderedGroup(trivial_group(), all_positive())
-    assert cone_contains(zero, ConeElement())
-    with pytest.raises(ConeShapeError, match="only the zero element"):
-        cone_contains(zero, ConeElement(Fraction(0), 1))
 
 
 @pytest.mark.parametrize(
@@ -194,18 +189,18 @@ def test_lexicographic_sequence_decisions():
     middle_all = PreorderedGroup(dyadic_plus_free(), all_positive(True))
     assert not is_lexicographic_sequence(ideal, middle_all, quotient)
 
-    # everything-positive throughout: needs an everything-positive ideal
-    q_all = PreorderedGroup(cyclic_mod(7), all_positive(True))
-    i_all = PreorderedGroup(dyadic_line(), all_positive(True))
-    assert is_lexicographic_sequence(i_all, middle_all, q_all)
-    assert not is_lexicographic_sequence(ideal, middle_all, q_all)
-
 
 def test_lexicographic_sequence_unsupported_combination():
     ideal = PreorderedGroup(dyadic_line(), all_positive())
     quotient = PreorderedGroup(free_z(), standard_integer_cone())
     with pytest.raises(UnsupportedConeCombination):
         is_lexicographic_sequence(ideal, alpha_pg(1), quotient)
+    # an everything-positive quotient: is_k_lexicographic's clause 1 skips it
+    middle_all = PreorderedGroup(dyadic_plus_free(), all_positive(True))
+    q_all = PreorderedGroup(cyclic_mod(7), all_positive(True))
+    for ideal_cone in (all_positive(True), standard_dyadic_cone()):
+        with pytest.raises(UnsupportedConeCombination):
+            is_lexicographic_sequence(PreorderedGroup(dyadic_line(), ideal_cone), middle_all, q_all)
 
 
 def test_k_lexicographic_on_family_invariants():

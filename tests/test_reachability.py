@@ -1,0 +1,115 @@
+"""Every function in the library runs in some command, or says why not.
+
+The gate runs a fixed corpus through ``cli.main`` and
+``Report.from_json_dict`` with a profile function installed, and records
+each code object that is entered.  The corpus is every golden argv in text
+and JSON, every error line, the ``--spec`` and compact-JSON spec forms, and
+the reader on each golden JSON report.  Every function, method and property
+defined in ``src/oneideal`` (bar ``__main__``, whose import runs the command
+line) must be entered, or be listed in :data:`UNREACHED` with its reason.
+An entry that the corpus reaches, or that names nothing, fails too, so the
+table can only shrink.
+"""
+
+import contextlib
+import importlib
+import inspect
+import io
+import json
+import sys
+from pathlib import Path
+
+import oneideal
+from oneideal import cli
+from oneideal.report import Report
+from test_cli import ERROR_LINES
+from test_golden import ARGV, GOLDEN
+
+ACCEPTANCE = "test_acceptance.py imports it"
+PERFBENCH = "perfbench's POINTS or worker.py looks it up (item 1 drops the point)"
+
+# Library functions that no command enters, each with the reason it stays.
+UNREACHED = {
+    "classify.permanence_check": "ROADMAP item 10 gives it a caller; " + ACCEPTANCE,
+    "classify.units_mod": PERFBENCH + "; only perfbench reads it",
+    "classify._unit_multiples": PERFBENCH + "; only perfbench reads it",
+    "classify.class_counts": PERFBENCH + "; test_sympy_reference.py checks it",
+    "dyadic.factorize": "class_counts and torsion_range factorise with it",
+    "exactlinalg.IntMatrix.from_rows": ACCEPTANCE + " (criterion 9 builds its matrices)",
+    "exactlinalg.IntMatrix.to_lists": "IntMatrix.__matmul__ reads it",
+    "exactlinalg.IntMatrix.__matmul__": ACCEPTANCE + " (criterion 9 checks U @ M @ V)",
+    "family.constant_tail": ACCEPTANCE,
+    "family.doubling_tail": ACCEPTANCE,
+    "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
+    "family.pad_prefix": ACCEPTANCE,
+    "groups.ConeElement.__post_init__": "ROADMAP item 6 gives it a caller",
+    "groups.ConeElement.check_shape": "ROADMAP item 6 gives it a caller",
+    "ktheory.torsion_range": ACCEPTANCE,
+    "ordered.cone_contains": "ROADMAP item 6 gives it a caller",
+    "ordered.middle_cone_from_fullness": "ROADMAP item 6 gives it a caller",
+    "ordered.alpha_cones_isomorphic": "ROADMAP item 5 gives it a caller; " + ACCEPTANCE,
+}
+
+SPEC_FORMS = (
+    ("invariant", "--spec", '{"m": 9, "n": [1, 0, 3]}'),
+    ("fullness", "--spec", '{"m": "inf", "n": ["2"], "tail": {"kind": "constant", "c": 4}}'),
+    ("compare", "--a", '{"m": 8, "n": [1]}', "--b", "m=8,n=[3]", "--mode", "stable"),
+)
+
+
+def _defined() -> dict:
+    """Qualified name -> code object of each function, method and property
+    whose source is in the library (dataclass-made methods are not)."""
+    package = Path(oneideal.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "oneideal" if path.stem == "__init__" else f"oneideal.{path.stem}"
+        module = importlib.import_module(name)
+        objects = list(vars(module).values())
+        for cls in [v for v in objects if inspect.isclass(v)]:
+            for attr in vars(cls).values():
+                attr = getattr(attr, "fget", None) or getattr(attr, "__func__", attr)
+                objects.append(attr)
+        for obj in objects:
+            code = getattr(inspect.unwrap(obj), "__code__", None)
+            if code is not None and code.co_filename == str(path):
+                found[f"{path.stem}.{code.co_qualname}"] = code
+    return found
+
+
+def _entered_by_the_corpus() -> set:
+    argvs = [[*argv, "--format", fmt] for argv in ARGV.values() for fmt in ("text", "json")]
+    argvs += [list(argv) for argv, _, _ in ERROR_LINES.values()]
+    argvs += [list(argv) for argv in SPEC_FORMS]
+    reports = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    # the parser is built once per process; a fresh one is built in the corpus
+    cli.build_parser.cache_clear()
+    previous = sys.getprofile()
+    sink = io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            for argv in argvs:
+                cli.main(argv)
+            for report in reports:
+                Report.from_json_dict(report)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+def test_every_library_function_is_entered_or_listed_as_unreached():
+    defined = _defined()
+    entered = _entered_by_the_corpus()
+    unreached = {name for name, code in defined.items() if code not in entered}
+    assert sorted(unreached - UNREACHED.keys()) == [], "entered by no command"
+    assert sorted(UNREACHED.keys() - defined.keys()) == [], "defined nowhere"
+    assert sorted(UNREACHED.keys() & (defined.keys() - unreached)) == [], "entered by the corpus"

@@ -6,12 +6,29 @@ is a separate implementation.  It is a test dependency only: the library
 never imports it (``test_package.py`` checks every import of ``src``).
 """
 
+import functools
+
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
-from oneideal import class_counts, odd_part, torsion_range, two_adic_valuation
+from oneideal import (
+    FamilySpec,
+    IntMatrix,
+    class_counts,
+    cokernel_invariants,
+    divergence_table,
+    odd_part,
+    smith_normal_form,
+    stable_oracle_depth,
+    torsion_order,
+    torsion_range,
+    truncated_k0,
+    two_adic_valuation,
+)
 from oneideal.dyadic import factorize
+from oracles import dense_presentation, sparse
 
 REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -41,3 +58,62 @@ def sympy_class_counts(m):
 @given(st.integers(min_value=2, max_value=10**7))
 def test_class_counts_match_the_sympy_coset_count(m):
     assert class_counts(m) == sympy_class_counts(m)
+
+
+@functools.cache
+def scan_table():
+    return divergence_table(10**5)
+
+
+@REFERENCE
+@given(st.integers(min_value=2, max_value=10**5))
+def test_divergence_table_rows_match_the_sympy_coset_count(m):
+    assert scan_table()[m - 2] == (m, *sympy_class_counts(m))
+
+
+def sympy_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The min(rows, cols) Smith diagonal entries of ``m``, zeros last, by sympy."""
+    factors = invariant_factors(sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)
+    return tuple(int(d) for d in factors)
+
+
+def sympy_cokernel(m: IntMatrix) -> tuple[int, list[int]]:
+    """Free rank and torsion (the factors above 1) of Z^rows / column span, by sympy."""
+    nonzero = [d for d in sympy_diagonal(m) if d]
+    return m.rows - len(nonzero), [d for d in nonzero if d > 1]
+
+
+@st.composite
+def small_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix(rows, cols, tuple(entries))
+
+
+@REFERENCE
+@given(small_matrices())
+def test_smith_diagonal_matches_sympy_on_random_matrices(m):
+    assert smith_normal_form(m).S.diagonal() == sympy_diagonal(m)
+    assert cokernel_invariants(sparse(m)) == sympy_cokernel(m)
+
+
+@st.composite
+def truncations(draw):
+    """A finite-m member with a short prefix and a depth a few levels past it."""
+    k = draw(st.integers(1, 4))
+    prefix = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k).filter(any))
+    spec = FamilySpec(draw(st.integers(2, 200)), tuple(prefix))
+    return spec, draw(st.integers(k, k + 6))
+
+
+@REFERENCE
+@given(truncations())
+def test_truncation_smith_diagonal_matches_sympy(case):
+    spec, depth = case
+    m = dense_presentation(spec, depth)
+    assert smith_normal_form(m).S.diagonal() == sympy_diagonal(m)
+    free_rank, torsion = sympy_cokernel(m)
+    assert truncated_k0(spec, depth) == (free_rank, torsion)
+    if depth >= stable_oracle_depth(spec):
+        x = torsion_order(spec)
+        assert (free_rank, torsion) == (1, [x] if x > 1 else [])
