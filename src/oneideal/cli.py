@@ -10,9 +10,10 @@ error.  The flag and compact forms are rewritten, values verbatim (no
 stripping, no case folding), into that schema object, so
 :func:`.report.spec_from_json` is the one reader of every form.
 
-``--format json`` streams the report through :func:`.report.write_json` to
-stdout as it is generated, in the bytes of ``json.dumps(..., indent=2,
-sort_keys=True)``; the text view is rendered whole.
+``--format json`` streams the report's sections, scan rows as ints, through
+:func:`.report.write_json` to stdout as it is generated, in the bytes of
+``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``; the text
+view is rendered whole.
 
 The argument parser is built once per process, on the first query, and
 every later call of :func:`main` reuses it.
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(err, "exit_status", 2)
     try:
         if args.format == "json":
-            write_json(report.to_json_dict(), sys.stdout.write)
+            write_json(vars(report), sys.stdout.write)
             sys.stdout.write("\n")
         else:
             print(report.to_text())

@@ -2,6 +2,9 @@
 
 The builders here are the one place that knows the JSON format; a
 :class:`Report` holds their output, and its text view reads nothing else.
+The scan verdict's table alone keeps the sieve's ``(m, exact, stable)`` int
+rows: :func:`write_json` and the text view render them straight to bytes,
+and ``Report.to_json_dict`` builds the JSON row objects from them.
 Every integer in the JSON form is emitted as a decimal string so consumers
 without big-integer support cannot silently lose precision.  Rationals are
 emitted as "p/q" strings and infinity as "inf".  Every value in a report
@@ -9,9 +12,9 @@ follows from its inputs, so ``Report.from_json_dict`` reads only those (the
 family specs, the compare mode, the truncation depth, the scan limit),
 recomputes the report with the command line's own code, and accepts the
 dict iff that report emits exactly it; otherwise it raises ``ValueError``.
-:func:`write_json` writes a report's JSON object in pieces, as it is
+:func:`write_json` writes a report's sections in pieces, as it is
 generated, with the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
-but without building the whole string.
+of the JSON object but without building the whole string.
 
 Family specs, which users also write by hand, are read by
 :func:`spec_from_json`, with explicit checks and messages and within the
@@ -173,11 +176,15 @@ def comparison_to_json(mode: str, c: IsoVerdict) -> tuple[dict, dict | None]:
     return verdict, witness
 
 
+class _ScanTable(tuple):
+    """A scan verdict's rows (m, exact, stable) as the sieve's ints; only this
+    module renders them, as {"exactClasses", "m", "stableClasses"} objects."""
+
+
 def scan_to_json(max_m: int, table: list[tuple[int, int, int]]) -> tuple[list, dict]:
     """The inputs and verdict sections of ``scan``, from its rows (m, exact, stable)."""
-    rows = [{"m": str(m), "exactClasses": str(e), "stableClasses": str(s)} for m, e, s in table]
     smallest = next((m for m, e, s in table if e != s), None)
-    verdict = {"smallestDivergentM": _int_str(smallest), "table": rows}
+    verdict = {"smallestDivergentM": _int_str(smallest), "table": _ScanTable(table)}
     return [{"maxM": str(max_m)}], verdict
 
 
@@ -189,8 +196,10 @@ def write_json(value, write, indent: str = "\n") -> None:
     ``json.dumps(value, indent=2, sort_keys=True)``, without building that
     string.  ``indent`` is the newline and indentation of ``value``'s own
     level.  Only what the builders emit is accepted: dicts with ``str``
-    keys, lists, ``str``, ``True``, ``False`` and ``None``; anything else
-    raises ``TypeError``.
+    keys, lists, ``str``, ``True``, ``False``, ``None`` and a scan table,
+    which is written as the list of its row objects, each from its ints by
+    one ``%`` template, 1,024 rows to a ``write``; anything else raises
+    ``TypeError``.
 
     This is a module-level function, not a closure that calls itself: such a
     closure is a reference cycle, which keeps each call's locals alive until
@@ -220,6 +229,15 @@ def write_json(value, write, indent: str = "\n") -> None:
                 write_json(item, write, inner)
             sep = "," + inner
         write(indent + "}")
+    elif isinstance(value, _ScanTable):
+        inner = indent + "  "
+        row = (f'{inner}{{{inner}  "exactClasses": "%d",{inner}  "m": "%d",'
+               f'{inner}  "stableClasses": "%d"{inner}}}')
+        sep = "["
+        for start in range(0, len(value), 1024):
+            write(sep + ",".join([row % (e, m, s) for m, e, s in value[start : start + 1024]]))
+            sep = ","
+        write(indent + "]" if value else "[]")
     elif isinstance(value, list):
         if not value:
             write("[]")
@@ -246,10 +264,12 @@ def _cone_text(cone: dict) -> str:
 
 @dataclass(frozen=True)
 class Report:
-    """A command's report as its JSON object: one field per top-level key,
-    as the report functions in :mod:`.cli` build it.  :meth:`to_json_dict`
-    shares the nested sections, so callers must not mutate them, and a
-    report, whose sections are dicts and lists, is not hashable."""
+    """A command's report: one field per top-level key of its JSON object,
+    as the report functions in :mod:`.cli` build it.  Every section is in
+    JSON form except a scan verdict's table, which holds the sieve's int
+    rows; :meth:`to_json_dict` is the JSON-object view, with that table as
+    row dicts.  It shares the other sections, so callers must not mutate
+    them, and a report, whose sections are dicts, is not hashable."""
 
     command: str
     inputs: list[dict]
@@ -260,7 +280,12 @@ class Report:
     version: str = __version__
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        d = dict(vars(self))
+        if self.command == "scan":
+            rows = [{"m": str(m), "exactClasses": str(e), "stableClasses": str(s)}
+                    for m, e, s in self.verdict["table"]]
+            d["verdict"] = {**self.verdict, "table": rows}
+        return d
 
     @classmethod
     def from_json_dict(cls, d) -> "Report":
@@ -339,11 +364,10 @@ class Report:
                 lines.append(f"witness: l={w['l']} l'={w['lPrime']} unit={w['unit']}")
         elif self.command == "scan":
             lines.append("m  exact-classes  stable-classes")
-            width = max([3] + [len(row["m"]) + 1 for row in v["table"]])
-            for row in v["table"]:
-                e, s = row["exactClasses"], row["stableClasses"]
-                marker = "  <- diverges" if e != s else ""
-                lines.append(f"{row['m']:<{width}}{e:<15}{s}{marker}")
+            table = v["table"]  # m rises, so the last m is the widest
+            row = f"%-{max(3, len(str(table[-1][0])) + 1)}d%-15d%d"
+            templates = (row, row + "  <- diverges")
+            lines += [templates[e != s] % (m, e, s) for m, e, s in table]
             lines.append(f"smallest divergent m: {v['smallestDivergentM']}")
         lines.append(f"version: {self.version}")
         return "\n".join(lines)

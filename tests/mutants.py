@@ -347,6 +347,26 @@ MUTANTS = (
             "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
         ),
     ),
+    Mutant(
+        "JSON scan row with exactClasses and stableClasses swapped",
+        "report.py",
+        "row % (e, m, s) for m, e, s in value",
+        "row % (s, m, e) for m, e, s in value",
+        (
+            "tests/test_golden.py::test_output_matches_the_golden_bytes[scan-12-json]",
+            "tests/test_report.py::test_scan_rows_from_ints_render_as_their_json_row_dicts",
+        ),
+    ),
+    Mutant(
+        "text scan rows one column narrower",
+        "report.py",
+        "len(str(table[-1][0])) + 1)",
+        "len(str(table[-1][0])))",
+        (
+            "tests/test_golden.py::test_output_matches_the_golden_bytes[scan-120-text]",
+            "tests/test_report.py::test_scan_rows_from_ints_render_as_their_json_row_dicts",
+        ),
+    ),
 )
 
 

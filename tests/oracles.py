@@ -30,7 +30,9 @@ more literal route, a quantity the library computes in closed form.
 * :func:`stable_gcd_partition`, :func:`partitions_agree`,
   :func:`stable_partition_disagreements` - whole-modulus comparison of the
   unit-enumeration and gcd stable partitions;
-* :func:`dyadic_strictly_between` - a dyadic witness inside an interval.
+* :func:`dyadic_strictly_between` - a dyadic witness inside an interval;
+* :func:`scan_text_from_json` - the text view of a ``scan`` report rendered
+  from its JSON row dicts, not from the sieve's ints.
 """
 
 from __future__ import annotations
@@ -480,3 +482,25 @@ def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
     d = Fraction(math.floor(lo * (1 << e)) + 1, 1 << e)
     assert lo < d < hi
     return d
+
+
+# --------------------------------------------------------------------------
+# report rendering
+
+
+def scan_text_from_json(d: dict) -> str:
+    """The text view of a ``scan`` report, rendered from its JSON object:
+    each row from its dict of digit strings, each column padded by
+    f-string, so that it shares no code with the integer rows of
+    ``Report.to_text``."""
+    v = d["verdict"]
+    (entry,) = d["inputs"]
+    lines = ["command: scan", f"input: max-m={entry['maxM']}", "m  exact-classes  stable-classes"]
+    width = max([3] + [len(row["m"]) + 1 for row in v["table"]])
+    for row in v["table"]:
+        e, s = row["exactClasses"], row["stableClasses"]
+        marker = "  <- diverges" if e != s else ""
+        lines.append(f"{row['m']:<{width}}{e:<15}{s}{marker}")
+    lines.append(f"smallest divergent m: {v['smallestDivergentM']}")
+    lines.append(f"version: {d['version']}")
+    return "\n".join(lines)

@@ -700,17 +700,33 @@ def test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory(m):
     assert int(proc.stdout) < 300 * 1024  # peak RSS in KiB
 
 
-def test_scan_at_the_limit_streams_its_json_in_bounded_memory():
-    from oneideal.cli import scan_report
-
-    argv = ("scan", "--max-m", str(MAX_SCAN_M), "--format", "json")
+def _scan_at_the_limit_in_a_subprocess(fmt):
+    """The report of ``scan --max-m MAX_SCAN_M`` and the peak RSS in KiB."""
+    argv = ("scan", "--max-m", str(MAX_SCAN_M), "--format", fmt)
     proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
                           capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     report, peak_rss = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    return report, int(peak_rss)
+
+
+# The rows are the sieve's ints until each is written: a dict of three digit
+# strings per row would add about 32 MiB, and the whole 9.8 MB JSON string
+# about 65 MiB more.
+def test_scan_at_the_limit_streams_its_json_in_bounded_memory():
+    from oneideal.cli import scan_report
+
+    report, peak_rss = _scan_at_the_limit_in_a_subprocess("json")
     assert json.loads(report) == scan_report(MAX_SCAN_M).to_json_dict()
-    # KiB; the row dicts take about 66 MiB, the whole 9.8 MB string 65 more
-    assert int(peak_rss) < 100 * 1024
+    assert peak_rss < 50 * 1024
+
+
+def test_scan_at_the_limit_renders_its_text_in_bounded_memory():
+    from oneideal.cli import scan_report
+
+    report, peak_rss = _scan_at_the_limit_in_a_subprocess("text")
+    assert report == scan_report(MAX_SCAN_M).to_text()
+    assert peak_rss < 50 * 1024
 
 
 def test_an_orbit_of_a_million_residues_is_walked():

@@ -32,6 +32,8 @@ ARGV = {
     "compare-exact-no": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"),
     "compare-stable-unit": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
     "compare-m-mismatch": ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "stable"),
+    # no m up to 7 diverges: a null smallest m and no marker
+    "scan-7": ("scan", "--max-m", "7"),
     "scan-12": ("scan", "--max-m", "12"),
     # past m = 100 the m column widens
     "scan-120": ("scan", "--max-m", "120"),

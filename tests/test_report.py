@@ -1,4 +1,5 @@
-"""``report.write_json`` against ``json.dumps(..., indent=2, sort_keys=True)``."""
+"""``report.write_json`` against ``json.dumps(..., indent=2, sort_keys=True)``,
+and the scan rows rendered from ints against the JSON row dicts."""
 
 import json
 
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneideal.report import write_json
+from oneideal.cli import scan_report
+from oneideal.report import Report, write_json
+from oracles import scan_text_from_json
+from test_golden import stdout_of
 
 # Characters whose escapes differ between encoders: a quote, a backslash,
 # control characters, non-ASCII text (two bytes, three bytes, past the BMP)
@@ -43,3 +47,28 @@ def test_write_json_is_byte_identical_to_json_dumps(value):
 def test_write_json_rejects_what_the_builders_never_emit(value):
     with pytest.raises(TypeError):
         written(value)
+
+
+# the examples are where the text m column widens
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(2, 3000))
+@example(2)
+@example(9)
+@example(10)
+@example(11)
+@example(99)
+@example(100)
+@example(101)
+@example(999)
+@example(1000)
+@example(1001)
+def test_scan_rows_from_ints_render_as_their_json_row_dicts(max_m):
+    report = scan_report(max_m)
+    d = report.to_json_dict()
+    table = d["verdict"]["table"]
+    assert type(table) is list and all(type(row) is dict for row in table)
+    argv = ("scan", "--max-m", str(max_m))
+    streamed = stdout_of(argv, "json")
+    assert streamed == json.dumps(d, indent=2, sort_keys=True) + "\n"
+    assert stdout_of(argv, "text") == scan_text_from_json(d) + "\n"
+    assert Report.from_json_dict(json.loads(streamed)) == report
