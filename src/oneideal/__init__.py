@@ -51,9 +51,6 @@ from .family import (
     TailSpec,
     ZERO_TAIL,
     alpha_of,
-    constant_tail,
-    doubling_tail,
-    pad_prefix,
     truncated_presentation,
     validate_family,
     weight_of,
@@ -63,15 +60,8 @@ from .groups import (
     ConeElement,
     GroupDescriptor,
     PreorderedGroup,
-    all_positive,
     alpha_cone,
-    cyclic_mod,
-    dyadic_line,
-    dyadic_plus_free,
     dyadic_plus_torsion,
-    free_z,
-    standard_dyadic_cone,
-    standard_integer_cone,
 )
 from .ktheory import (
     DerivedScalars,
@@ -122,31 +112,23 @@ __all__ = [
     "TailSpec",
     "UnsupportedConeCombination",
     "WorkLimitError",
-    "all_positive",
     "alpha_cone",
     "alpha_cones_isomorphic",
     "alpha_of",
     "class_counts",
     "cokernel_invariants",
     "cone_contains",
-    "constant_tail",
-    "cyclic_mod",
     "decide_fullness",
     "divergence_table",
-    "doubling_tail",
-    "dyadic_line",
-    "dyadic_plus_free",
     "dyadic_plus_torsion",
     "exact_iso",
     "exact_orbit_witness",
-    "free_z",
     "invariant_of",
     "is_infinite",
     "is_k_lexicographic",
     "is_lexicographic_sequence",
     "middle_cone_from_fullness",
     "odd_part",
-    "pad_prefix",
     "permanence_check",
     "smith_normal_form",
     "stable_gcd_equivalent",
@@ -154,8 +136,6 @@ __all__ = [
     "stable_oracle_depth",
     "stable_orbit_equivalent",
     "stable_orbit_witness",
-    "standard_dyadic_cone",
-    "standard_integer_cone",
     "torsion_order",
     "torsion_range",
     "truncated_k0",

@@ -59,14 +59,6 @@ class TailSpec:
 ZERO_TAIL = TailSpec("zero")
 
 
-def constant_tail(c: int) -> TailSpec:
-    return TailSpec("constant", c)
-
-
-def doubling_tail(c: int) -> TailSpec:
-    return TailSpec("doubling", c)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A validated family member (m, prefix, tail)."""
@@ -116,11 +108,6 @@ def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
     InfiniteSum (the dataclass checks them in that order).
     """
     return FamilySpec(m, tuple(prefix), tail)
-
-
-def pad_prefix(spec: FamilySpec, zeros: int = 1) -> FamilySpec:
-    """Append zero multiplicities; doubles the weight N once per zero."""
-    return FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)
 
 
 def alpha_of(spec: FamilySpec) -> ExtendedRational:

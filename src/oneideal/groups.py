@@ -43,15 +43,18 @@ class GroupDescriptor:
     def __post_init__(self) -> None:
         if self.tag not in _GROUP_TAGS:
             raise ValueError(f"unknown group tag {self.tag!r}")
+        x, modulus = self.torsion_order, self.modulus
         if self.tag == DYADIC_PLUS_TORSION:
-            if self.torsion_order is None or self.torsion_order < 2:
-                raise ValueError("torsion summand needs order >= 2 (order 1 is the dyadic line)")
-        elif self.torsion_order is not None:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 2:
+                raise ValueError(
+                    f"torsion summand needs an int order >= 2 (1 is the dyadic line), got {x!r}"
+                )
+        elif x is not None:
             raise ValueError("torsion_order only applies to DyadicPlusTorsion")
         if self.tag == CYCLIC_MOD:
-            if self.modulus is None or self.modulus < 1:
-                raise ValueError("cyclic group needs modulus >= 1")
-        elif self.modulus is not None:
+            if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
+                raise ValueError(f"cyclic group needs an int modulus >= 1, got {modulus!r}")
+        elif modulus is not None:
             raise ValueError("modulus only applies to CyclicMod")
 
     def render(self) -> str:
@@ -66,29 +69,13 @@ class GroupDescriptor:
         return f"Z/{self.modulus}"
 
 
-def dyadic_line() -> GroupDescriptor:
-    return GroupDescriptor(DYADIC_LINE)
-
-
-def dyadic_plus_free() -> GroupDescriptor:
-    return GroupDescriptor(DYADIC_PLUS_FREE)
-
-
 def dyadic_plus_torsion(x: int) -> GroupDescriptor:
     """Z[1/2] (+) Z/x, canonicalized: x = 1 collapses to the dyadic line."""
-    if x < 1:
-        raise ValueError("torsion order must be >= 1")
+    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+        raise ValueError(f"torsion order must be an int >= 1, got {x!r}")
     if x == 1:
-        return dyadic_line()
+        return GroupDescriptor(DYADIC_LINE)
     return GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=x)
-
-
-def free_z() -> GroupDescriptor:
-    return GroupDescriptor(FREE_Z)
-
-
-def cyclic_mod(modulus: int) -> GroupDescriptor:
-    return GroupDescriptor(CYCLIC_MOD, modulus=modulus)
 
 
 # --------------------------------------------------------------------------
@@ -135,12 +122,10 @@ class ConeDescriptor:
             raise ValueError(f"alpha cone needs a Fraction or infinity, got {self.alpha!r}")
         if self.tag != ALPHA_CONE and self.alpha is not None:
             raise ValueError("alpha only applies to the alpha cone")
+        if not isinstance(self.with_full_class, bool):
+            raise ValueError(f"with_full_class must be a bool, got {self.with_full_class!r}")
         if self.with_full_class and self.tag != ALL_POSITIVE:
             raise ValueError("with_full_class only applies to AllPositive")
-
-
-def all_positive(with_full_class: bool = False) -> ConeDescriptor:
-    return ConeDescriptor(ALL_POSITIVE, with_full_class=with_full_class)
 
 
 def alpha_cone(alpha: ExtendedRational) -> ConeDescriptor:
@@ -149,14 +134,6 @@ def alpha_cone(alpha: ExtendedRational) -> ConeDescriptor:
     if isinstance(alpha, int) and not isinstance(alpha, bool):
         alpha = Fraction(alpha)
     return ConeDescriptor(ALPHA_CONE, alpha=alpha)
-
-
-def standard_dyadic_cone() -> ConeDescriptor:
-    return ConeDescriptor(STANDARD_DYADIC_CONE)
-
-
-def standard_integer_cone() -> ConeDescriptor:
-    return ConeDescriptor(STANDARD_INTEGER_CONE)
 
 
 _CONE_COMPAT = {

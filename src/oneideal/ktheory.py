@@ -31,19 +31,26 @@ from .family import (
     weight_of,
 )
 from .groups import (
+    ALL_POSITIVE,
+    CYCLIC_MOD,
+    DYADIC_LINE,
+    DYADIC_PLUS_FREE,
+    FREE_Z,
+    STANDARD_DYADIC_CONE,
+    STANDARD_INTEGER_CONE,
+    ConeDescriptor,
+    GroupDescriptor,
     PreorderedGroup,
-    all_positive,
     alpha_cone,
-    cyclic_mod,
-    dyadic_line,
-    dyadic_plus_free,
     dyadic_plus_torsion,
-    free_z,
-    standard_dyadic_cone,
-    standard_integer_cone,
 )
 
 CASE_TAGS = ("AF-AF", "AF-PI")
+
+# The descriptors are frozen, so the parts members share are built once: the
+# ideal of every member, and the cone of every m != 0 middle and quotient.
+_IDEAL = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(STANDARD_DYADIC_CONE))
+_POSITIVE = ConeDescriptor(ALL_POSITIVE, with_full_class=True)
 
 # Deepest truncation :func:`truncated_k0` builds: the largest default depth,
 # max(k + 3, k + v2(m-1) + 1), of a spec the reader accepts.  There
@@ -146,22 +153,21 @@ def invariant_of(spec: FamilySpec) -> tuple[SixTermInvariant, DerivedScalars]:
     torsion Z/x in the middle and quotient Z/(m-1).
     """
     alpha = alpha_of(spec)
-    positive = all_positive(with_full_class=True)
     x = m_odd = None
     if spec.m == 0:
-        middle = PreorderedGroup(dyadic_plus_free(), alpha_cone(alpha))
-        quotient = PreorderedGroup(free_z(), standard_integer_cone())
+        middle = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(alpha))
+        quotient = PreorderedGroup(GroupDescriptor(FREE_Z), ConeDescriptor(STANDARD_INTEGER_CONE))
     elif is_infinite(spec.m):
-        middle = PreorderedGroup(dyadic_plus_free(), positive)
-        quotient = PreorderedGroup(free_z(), positive)
+        middle = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), _POSITIVE)
+        quotient = PreorderedGroup(GroupDescriptor(FREE_Z), _POSITIVE)
     else:
         x, m_odd = torsion_order(spec), odd_part(spec.m - 1)
-        middle = PreorderedGroup(dyadic_plus_torsion(x), positive)
-        quotient = PreorderedGroup(cyclic_mod(spec.m - 1), positive)
+        middle = PreorderedGroup(dyadic_plus_torsion(x), _POSITIVE)
+        quotient = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=spec.m - 1), _POSITIVE)
     # k and N exist only for zero tails, the only tail a finite m > 1 takes
     k, n_weight = weight_of(spec) if spec.tail.kind == "zero" else (None, None)
     invariant = SixTermInvariant(
-        ideal=PreorderedGroup(dyadic_line(), standard_dyadic_cone()),
+        ideal=_IDEAL,
         middle=middle,
         quotient=quotient,
         index_map_zero=True,

@@ -27,7 +27,6 @@ from .groups import (
     ConeDescriptor,
     ConeElement,
     PreorderedGroup,
-    all_positive,
     alpha_cone,
 )
 
@@ -107,7 +106,7 @@ def middle_cone_from_fullness(case_tag: str) -> ConeDescriptor:
     :class:`NotDeterminedError` is raised.
     """
     if case_tag == "AF-PI":
-        return all_positive(with_full_class=True)
+        return ConeDescriptor(ALL_POSITIVE, with_full_class=True)
     if case_tag == "AF-AF":
         raise NotDeterminedError(
             "AF-AF: the middle cone is not determined by the ideal and quotient cones"

@@ -293,6 +293,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "group descriptor that reads a bool as its modulus",
+        "groups.py",
+        "if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:",
+        "if not isinstance(modulus, int) or modulus < 1:",
+        ("tests/test_ordered.py::test_a_descriptor_with_a_malformed_field_is_refused[bool modulus]",),
+    ),
+    Mutant(
         "alpha cone that reads a bool as an integer",
         "groups.py",
         "if isinstance(alpha, int) and not isinstance(alpha, bool):",

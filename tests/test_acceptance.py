@@ -14,22 +14,20 @@ from fractions import Fraction
 
 from oneideal import (
     INF,
+    FamilySpec,
     FamilyValidationError,
     IntMatrix,
     PreorderedGroup,
+    TailSpec,
     alpha_cone,
     alpha_cones_isomorphic,
     alpha_of,
-    constant_tail,
     decide_fullness,
-    doubling_tail,
-    dyadic_plus_free,
     exact_iso,
     exact_orbit_witness,
     invariant_of,
     is_infinite,
     is_k_lexicographic,
-    pad_prefix,
     permanence_check,
     smith_normal_form,
     stable_iso,
@@ -42,7 +40,7 @@ from oneideal import (
     weight_of,
     witness_holds,
 )
-from oneideal.groups import ALL_POSITIVE
+from oneideal.groups import ALL_POSITIVE, DYADIC_PLUS_FREE, GroupDescriptor
 from dataclasses import replace
 from oracles import determinant, find_order_isomorphism, stable_partition_disagreements
 
@@ -140,9 +138,9 @@ def test_criterion_05_fullness_dichotomy_at_m0():
             continue
     for _ in range(8):
         prefix = [rng.randint(0, 9) for _ in range(rng.randint(0, 4))]
-        finite_specs.append(validate_family(0, prefix, constant_tail(rng.randint(1, 6))))
+        finite_specs.append(validate_family(0, prefix, TailSpec("constant", rng.randint(1, 6))))
     infinite_specs = [
-        validate_family(0, [rng.randint(0, 9)], doubling_tail(rng.randint(1, 5)))
+        validate_family(0, [rng.randint(0, 9)], TailSpec("doubling", rng.randint(1, 5)))
         for _ in range(5)
     ]
     assert len(finite_specs) == 20
@@ -158,11 +156,12 @@ def test_criterion_06_everything_positive_regimes_pass_clause_two():
     rng = random.Random(6)
     specs = [
         validate_family(INF, [1]),
-        validate_family(INF, [0, 3], constant_tail(2)),
-        validate_family(INF, [2], doubling_tail(1)),
+        validate_family(INF, [0, 3], TailSpec("constant", 2)),
+        validate_family(INF, [2], TailSpec("doubling", 1)),
     ]
     for _ in range(7):
-        specs.append(validate_family(INF, [rng.randint(0, 9) for _ in range(3)], constant_tail(1)))
+        prefix = [rng.randint(0, 9) for _ in range(3)]
+        specs.append(validate_family(INF, prefix, TailSpec("constant", 1)))
     for _ in range(15):
         specs.append(random_valid_spec(rng))
     for spec in specs:
@@ -199,7 +198,7 @@ def test_criterion_07_equivalence_relations_and_padding():
                 assert not exact[(a, b)] or stable[(a, b)], "exact must imply stable"
         # zero padding never changes any verdict
         for a in weights:
-            padded = pad_prefix(specs[a])
+            padded = FamilySpec(m, (a, 0))
             for b in weights:
                 assert exact_iso(padded, specs[b]).isomorphic == exact[(a, b)]
                 assert stable_iso(padded, specs[b]).isomorphic == stable[(a, b)]
@@ -295,7 +294,7 @@ def test_criterion_10_permanence_filter():
     good = [
         invariant_of(validate_family(8, [1]))[0],
         invariant_of(validate_family(0, [2]))[0],
-        invariant_of(validate_family(0, [1], doubling_tail(1)))[0],
+        invariant_of(validate_family(0, [1], TailSpec("doubling", 1)))[0],
         invariant_of(validate_family(INF, [1]))[0],
     ] + [invariant_of(random_valid_spec(rng, m_high=60))[0] for _ in range(20)]
     for invariant in good:
@@ -303,7 +302,7 @@ def test_criterion_10_permanence_filter():
     base = good[0]
     assert not permanence_check(replace(base, index_map_zero=False))
     bad_middle = replace(
-        base, middle=PreorderedGroup(dyadic_plus_free(), alpha_cone(1))
+        base, middle=PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(1))
     )
     assert not permanence_check(bad_middle)
     ok(10, "permanence filter rejects nonzero index map and non-positive middles; accepts all outputs")

@@ -6,22 +6,21 @@ import pytest
 from oneideal import (
     FULL,
     INF,
+    FamilySpec,
     FullnessVerdict,
     UNKNOWN,
     InternalConsistencyError,
     IsoWitness,
     OutOfScopeComparison,
     PreorderedGroup,
+    TailSpec,
     alpha_cone,
     class_counts,
     decide_fullness,
     divergence_table,
-    doubling_tail,
-    dyadic_plus_free,
     exact_iso,
     exact_orbit_witness,
     invariant_of,
-    pad_prefix,
     permanence_check,
     stable_gcd_equivalent,
     stable_iso,
@@ -32,6 +31,7 @@ from oneideal import (
     witness_holds,
 )
 from oneideal.dyadic import residue_cycle
+from oneideal.groups import DYADIC_PLUS_FREE, GroupDescriptor
 from oracles import (
     burnside_exact_class_count,
     enumerated_exact_witness,
@@ -78,7 +78,7 @@ def test_fullness_verdict_refuses_an_unknown_unstabilized_verdict():
 
 
 def test_fullness_m0_divergent_alpha():
-    v = decide_fullness(*invariant_of(validate_family(0, [1], doubling_tail(1))))
+    v = decide_fullness(*invariant_of(validate_family(0, [1], TailSpec("doubling", 1))))
     assert (v.k_lexicographic, v.stabilized_full, v.unstabilized) == (True, True, FULL)
 
 
@@ -133,12 +133,12 @@ def test_padding_never_changes_verdicts():
         n_a = rng.randint(1, m - 2) if m > 3 else 1
         n_b = rng.randint(1, m - 2) if m > 3 else 1
         a, b = spec_mn(m, n_a), spec_mn(m, n_b)
-        padded = pad_prefix(a)
+        padded = FamilySpec(a.m, a.prefix + (0,), a.tail)
         assert exact_iso(a, b).isomorphic == exact_iso(padded, b).isomorphic
         assert stable_iso(a, b).isomorphic == stable_iso(padded, b).isomorphic
     # padding is itself an exact isomorphism, witnessed by one doubling
     spec = spec_mn(9, 3)
-    verdict = exact_iso(spec, pad_prefix(spec))
+    verdict = exact_iso(spec, FamilySpec(spec.m, spec.prefix + (0,), spec.tail))
     assert verdict.isomorphic
     assert (verdict.witness.l, verdict.witness.l_prime) == (1, 0)
     assert witness_holds(8, 3, 6, verdict.witness)
@@ -299,7 +299,7 @@ def test_permanence_check():
 
     bad_middle = replace(
         inv,
-        middle=PreorderedGroup(dyadic_plus_free(), alpha_cone(1)),
+        middle=PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(1)),
     )
     assert not permanence_check(bad_middle)
 

@@ -13,9 +13,6 @@ from oneideal import (
     TailSpec,
     alpha_of,
     cokernel_invariants,
-    constant_tail,
-    doubling_tail,
-    pad_prefix,
     truncated_presentation,
     validate_family,
     weight_of,
@@ -34,17 +31,17 @@ def code_of(m, prefix, tail=TailSpec("zero")) -> str:
 def test_validation_rules_and_order():
     assert code_of(1, [1]) == "ConditionK"
     assert code_of(5, [0, 0]) == "NoIdealEdge"
-    assert code_of(5, [1], constant_tail(1)) == "InfiniteSum"
+    assert code_of(5, [1], TailSpec("constant", 1)) == "InfiniteSum"
     # first violated rule wins
     assert code_of(1, [0, 0]) == "ConditionK"
-    assert code_of(5, [0], constant_tail(1)) == "InfiniteSum"
+    assert code_of(5, [0], TailSpec("constant", 1)) == "InfiniteSum"
 
 
 def test_validation_accepts_all_regimes():
     validate_family(0, [2])
-    validate_family(0, [], constant_tail(3))
-    validate_family(0, [1], doubling_tail(1))
-    validate_family(INF, [1], constant_tail(2))
+    validate_family(0, [], TailSpec("constant", 3))
+    validate_family(0, [1], TailSpec("doubling", 1))
+    validate_family(INF, [1], TailSpec("constant", 2))
     validate_family(2, [1])
 
 
@@ -67,9 +64,9 @@ def test_tail_parameter_checks():
         lambda: validate_family(False, [1]),
         lambda: validate_family(8, [True]),
         lambda: validate_family(0, [0, False, 1]),
-        lambda: validate_family(0, [1], constant_tail(1.5)),
-        lambda: validate_family(0, [1], constant_tail(2.0)),
-        lambda: validate_family(INF, [1], doubling_tail(True)),
+        lambda: validate_family(0, [1], TailSpec("constant", 1.5)),
+        lambda: validate_family(0, [1], TailSpec("constant", 2.0)),
+        lambda: validate_family(INF, [1], TailSpec("doubling", True)),
     ],
     ids=["bool m", "bool n", "bool n after a zero", "float c", "whole float c", "bool c"],
 )
@@ -89,7 +86,7 @@ def test_a_bad_entry_is_refused_before_condition_k(prefix):
 def test_an_all_zero_prefix_needs_a_tail(m, length):
     assert code_of(m, [0] * length) == "NoIdealEdge"
     if not 1 < m < INF:  # a finite m > 1 takes only the zero tail
-        spec = validate_family(m, [0] * length, constant_tail(1))
+        spec = validate_family(m, [0] * length, TailSpec("constant", 1))
         assert alpha_of(spec) == Fraction(1, 2**length)
 
 
@@ -101,7 +98,7 @@ def test_an_all_zero_prefix_needs_a_tail(m, length):
             "FamilySpec(m=9, prefix=(1, 0, 3), tail=TailSpec(kind='zero', c=None))",
         ),
         (
-            validate_family(INF, [0, 2], constant_tail(3)),
+            validate_family(INF, [0, 2], TailSpec("constant", 3)),
             "FamilySpec(m=inf, prefix=(0, 2), tail=TailSpec(kind='constant', c=3))",
         ),
     ],
@@ -115,22 +112,23 @@ def test_the_stored_weight_leaves_equality_hash_and_repr_alone(spec, text):
 
 
 def test_a_prefix_that_is_not_a_tuple_is_refused():
-    # a list would leave the frozen spec unhashable and break pad_prefix
+    # a list would leave the frozen spec unhashable and break padding
     with pytest.raises(ValueError, match="prefix must be a tuple"):
         FamilySpec(0, [1])
     spec = validate_family(0, [1])
     assert spec.prefix == (1,)
-    assert pad_prefix(spec).prefix == (1, 0)
+    assert FamilySpec(spec.m, spec.prefix + (0,), spec.tail).prefix == (1, 0)
     assert hash(spec) == hash(FamilySpec(0, (1,)))
 
 
 def test_alpha_examples():
     assert alpha_of(validate_family(0, [2])) == 1
     assert alpha_of(validate_family(0, [1, 1])) == Fraction(3, 4)
-    assert alpha_of(validate_family(0, [1], doubling_tail(1))) == INF
+    assert alpha_of(validate_family(0, [1], TailSpec("doubling", 1))) == INF
     # constant tail beyond a length-k prefix contributes c / 2^k
-    assert alpha_of(validate_family(0, [1], constant_tail(3))) == Fraction(1, 2) + Fraction(3, 2)
-    assert alpha_of(validate_family(0, [], constant_tail(1))) == 1
+    spec = validate_family(0, [1], TailSpec("constant", 3))
+    assert alpha_of(spec) == Fraction(1, 2) + Fraction(3, 2)
+    assert alpha_of(validate_family(0, [], TailSpec("constant", 1))) == 1
 
 
 @settings(max_examples=100, derandomize=True)
@@ -156,7 +154,7 @@ def test_weight_examples():
 
 def test_weight_requires_zero_tail():
     with pytest.raises(RegimeError):
-        weight_of(validate_family(0, [1], constant_tail(1)))
+        weight_of(validate_family(0, [1], TailSpec("constant", 1)))
 
 
 @given(prefixes)
@@ -166,7 +164,7 @@ def test_padding_doubles_weight(prefix):
     except FamilyValidationError:
         return
     k, n = weight_of(spec)
-    assert weight_of(pad_prefix(spec)) == (k + 1, 2 * n)
+    assert weight_of(FamilySpec(spec.m, spec.prefix + (0,), spec.tail)) == (k + 1, 2 * n)
 
 
 @given(prefixes, prefixes, st.integers(min_value=0, max_value=3))
@@ -175,7 +173,8 @@ def test_a_new_prefix_gets_its_own_weight(prefix, other, zeros):
     spec = dataclasses.replace(validate_family(7, prefix), prefix=tuple(other))
     k, n = weight_of(spec)
     assert (k, n) == (len(other), summed_alpha(spec) * 2**k)
-    assert weight_of(pad_prefix(spec, zeros)) == (k + zeros, n << zeros)
+    padded = FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)
+    assert weight_of(padded) == (k + zeros, n << zeros)
 
 
 @given(prefixes)
@@ -184,7 +183,7 @@ def test_padding_preserves_alpha(prefix):
         spec = validate_family(0, prefix)
     except FamilyValidationError:
         return
-    assert alpha_of(pad_prefix(spec)) == alpha_of(spec)
+    assert alpha_of(FamilySpec(spec.m, spec.prefix + (0,), spec.tail)) == alpha_of(spec)
 
 
 def test_presentation_direct_transcription():

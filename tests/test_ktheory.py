@@ -8,8 +8,7 @@ from oneideal import (
     INF,
     FamilyValidationError,
     RegimeError,
-    doubling_tail,
-    dyadic_line,
+    TailSpec,
     dyadic_plus_torsion,
     invariant_of,
     stable_oracle_depth,
@@ -19,7 +18,7 @@ from oneideal import (
     validate_family,
     weight_of,
 )
-from oneideal.groups import ALL_POSITIVE, ALPHA_CONE
+from oneideal.groups import ALL_POSITIVE, ALPHA_CONE, DYADIC_LINE, GroupDescriptor
 from oracles import truncation_torsion_order
 
 
@@ -153,7 +152,7 @@ def test_invariant_m8_torsion_canonicalizes():
     inv, scalars = invariant_of(validate_family(8, [1]))
     # gcd(7, 1) = 1, so the middle torsion part is trivial
     assert scalars.x == 1
-    assert inv.middle.group == dyadic_line()
+    assert inv.middle.group == GroupDescriptor(DYADIC_LINE)
     assert inv.quotient.group.render() == "Z/7"
     assert scalars.m_odd == 7
     assert inv.case_tag == "AF-PI"
@@ -166,7 +165,7 @@ def test_invariant_torsion_group_when_nontrivial():
 
 
 def test_invariant_alpha_infinite_middle_cone():
-    inv, scalars = invariant_of(validate_family(0, [1], doubling_tail(1)))
+    inv, scalars = invariant_of(validate_family(0, [1], TailSpec("doubling", 1)))
     assert inv.middle.cone.tag == ALPHA_CONE
     assert scalars.alpha == INF
     assert scalars.k is None and scalars.n_weight is None
@@ -184,7 +183,7 @@ def test_scalars_m_odd_invariants():
 def test_index_map_zero_always():
     specs = [
         validate_family(0, [2]),
-        validate_family(0, [1], doubling_tail(2)),
+        validate_family(0, [1], TailSpec("doubling", 2)),
         validate_family(INF, [1]),
         validate_family(6, [1, 2]),
     ]

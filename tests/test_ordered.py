@@ -10,40 +10,40 @@ from oneideal import (
     ConeShapeError,
     NotDeterminedError,
     PreorderedGroup,
+    TailSpec,
     UnsupportedConeCombination,
-    all_positive,
     alpha_cone,
     alpha_cones_isomorphic,
     cone_contains,
-    cyclic_mod,
-    dyadic_line,
-    dyadic_plus_free,
     dyadic_plus_torsion,
-    free_z,
     invariant_of,
     is_k_lexicographic,
     is_lexicographic_sequence,
     middle_cone_from_fullness,
-    standard_dyadic_cone,
-    standard_integer_cone,
     validate_family,
-    doubling_tail,
 )
 from oneideal.groups import (
+    ALL_POSITIVE,
     ALPHA_CONE,
     CYCLIC_MOD,
     DYADIC_LINE,
+    DYADIC_PLUS_FREE,
     DYADIC_PLUS_TORSION,
     FREE_Z,
     STANDARD_DYADIC_CONE,
+    STANDARD_INTEGER_CONE,
     ConeDescriptor,
     GroupDescriptor,
 )
 from oracles import find_order_isomorphism
 
+DYADIC = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(STANDARD_DYADIC_CONE))
+INTEGERS = PreorderedGroup(GroupDescriptor(FREE_Z), ConeDescriptor(STANDARD_INTEGER_CONE))
+POSITIVE = ConeDescriptor(ALL_POSITIVE, with_full_class=True)
+
 
 def alpha_pg(a):
-    return PreorderedGroup(dyadic_plus_free(), alpha_cone(a))
+    return PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(a))
 
 
 def elem(num, exp, n):
@@ -67,43 +67,49 @@ def test_alpha_cone_infinite():
 
 
 def test_all_positive_contains_everything():
-    pg = PreorderedGroup(cyclic_mod(7), all_positive(with_full_class=True))
+    pg = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), POSITIVE)
     assert cone_contains(pg, ConeElement(Fraction(0), -3))
     assert cone_contains(pg, ConeElement(Fraction(0), 5))
 
 
 def test_standard_cones():
-    dy = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
-    assert cone_contains(dy, ConeElement(Fraction(3, 16), 0))
-    assert not cone_contains(dy, ConeElement(Fraction(-3, 16), 0))
-    zz = PreorderedGroup(free_z(), standard_integer_cone())
-    assert cone_contains(zz, ConeElement(Fraction(0), 0))
-    assert not cone_contains(zz, ConeElement(Fraction(0), -1))
+    assert cone_contains(DYADIC, ConeElement(Fraction(3, 16), 0))
+    assert not cone_contains(DYADIC, ConeElement(Fraction(-3, 16), 0))
+    assert cone_contains(INTEGERS, ConeElement(Fraction(0), 0))
+    assert not cone_contains(INTEGERS, ConeElement(Fraction(0), -1))
 
 
 def test_shape_mismatch_raises():
-    dy = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
     with pytest.raises(ConeShapeError):
-        cone_contains(dy, ConeElement(Fraction(1), 2))
-    zz = PreorderedGroup(free_z(), standard_integer_cone())
+        cone_contains(DYADIC, ConeElement(Fraction(1), 2))
     with pytest.raises(ConeShapeError):
-        cone_contains(zz, ConeElement(Fraction(1, 2), 0))
+        cone_contains(INTEGERS, ConeElement(Fraction(1, 2), 0))
     with pytest.raises(ConeShapeError):
-        PreorderedGroup(free_z(), alpha_cone(1))
+        PreorderedGroup(GroupDescriptor(FREE_Z), alpha_cone(1))
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
         (lambda: GroupDescriptor("Nope"), "unknown group tag"),
-        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=1), "needs order >= 2"),
+        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=1), "needs an int order >= 2"),
         (lambda: GroupDescriptor(DYADIC_LINE, torsion_order=3), "only applies to DyadicPlusT"),
-        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=0), "needs modulus >= 1"),
+        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=0), "needs an int modulus >= 1"),
         (lambda: GroupDescriptor(FREE_Z, modulus=3), "only applies to CyclicMod"),
-        (lambda: dyadic_plus_torsion(0), "must be >= 1"),
+        (lambda: dyadic_plus_torsion(0), "must be an int >= 1"),
         (lambda: ConeDescriptor("Nope"), "unknown cone tag"),
         (lambda: ConeDescriptor(STANDARD_DYADIC_CONE, alpha=Fraction(1)), "only applies to the"),
         (lambda: ConeDescriptor(ALPHA_CONE, alpha=INF, with_full_class=True), "applies to AllPos"),
+        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=True), "needs an int modulus"),
+        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=7.0), "needs an int modulus"),
+        (lambda: GroupDescriptor(CYCLIC_MOD, modulus="7"), "needs an int modulus"),
+        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=2.5), "needs an int order"),
+        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order="3"), "needs an int order"),
+        (lambda: dyadic_plus_torsion(True), "must be an int"),
+        (lambda: dyadic_plus_torsion(1.0), "must be an int"),
+        (lambda: dyadic_plus_torsion("3"), "must be an int"),
+        (lambda: ConeDescriptor(ALL_POSITIVE, with_full_class=1), "must be a bool"),
+        (lambda: ConeDescriptor(STANDARD_INTEGER_CONE, with_full_class=None), "must be a bool"),
     ],
     ids=[
         "unknown group tag",
@@ -115,6 +121,16 @@ def test_shape_mismatch_raises():
         "unknown cone tag",
         "alpha on a standard cone",
         "full class on the alpha cone",
+        "bool modulus",
+        "float modulus",
+        "string modulus",
+        "float torsion order",
+        "string torsion order",
+        "bool torsion factory",
+        "float torsion factory",
+        "string torsion factory",
+        "int full class",
+        "None full class",
     ],
 )
 def test_a_descriptor_with_a_malformed_field_is_refused(build, message):
@@ -179,32 +195,29 @@ def test_alpha_membership_on_dense_grid():
 
 
 def test_lexicographic_sequence_decisions():
-    ideal = PreorderedGroup(dyadic_line(), standard_dyadic_cone())
-    quotient = PreorderedGroup(free_z(), standard_integer_cone())
-    assert is_lexicographic_sequence(ideal, alpha_pg(INF), quotient)
-    assert not is_lexicographic_sequence(ideal, alpha_pg(1), quotient)
-    assert not is_lexicographic_sequence(ideal, alpha_pg(0), quotient)
+    assert is_lexicographic_sequence(DYADIC, alpha_pg(INF), INTEGERS)
+    assert not is_lexicographic_sequence(DYADIC, alpha_pg(1), INTEGERS)
+    assert not is_lexicographic_sequence(DYADIC, alpha_pg(0), INTEGERS)
 
     # everything-positive middle over a proper quotient cone cannot match
-    middle_all = PreorderedGroup(dyadic_plus_free(), all_positive(True))
-    assert not is_lexicographic_sequence(ideal, middle_all, quotient)
+    middle_all = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), POSITIVE)
+    assert not is_lexicographic_sequence(DYADIC, middle_all, INTEGERS)
 
 
 def test_lexicographic_sequence_unsupported_combination():
-    ideal = PreorderedGroup(dyadic_line(), all_positive())
-    quotient = PreorderedGroup(free_z(), standard_integer_cone())
+    ideal = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(ALL_POSITIVE))
     with pytest.raises(UnsupportedConeCombination):
-        is_lexicographic_sequence(ideal, alpha_pg(1), quotient)
+        is_lexicographic_sequence(ideal, alpha_pg(1), INTEGERS)
     # an everything-positive quotient: is_k_lexicographic's clause 1 skips it
-    middle_all = PreorderedGroup(dyadic_plus_free(), all_positive(True))
-    q_all = PreorderedGroup(cyclic_mod(7), all_positive(True))
-    for ideal_cone in (all_positive(True), standard_dyadic_cone()):
+    middle_all = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), POSITIVE)
+    q_all = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), POSITIVE)
+    for ideal in (PreorderedGroup(GroupDescriptor(DYADIC_LINE), POSITIVE), DYADIC):
         with pytest.raises(UnsupportedConeCombination):
-            is_lexicographic_sequence(PreorderedGroup(dyadic_line(), ideal_cone), middle_all, q_all)
+            is_lexicographic_sequence(ideal, middle_all, q_all)
 
 
 def test_k_lexicographic_on_family_invariants():
-    inv_inf, _ = invariant_of(validate_family(0, [1], doubling_tail(1)))
+    inv_inf, _ = invariant_of(validate_family(0, [1], TailSpec("doubling", 1)))
     assert is_k_lexicographic(inv_inf)
     inv_fin, _ = invariant_of(validate_family(0, [2]))
     assert not is_k_lexicographic(inv_fin)
@@ -220,14 +233,13 @@ def test_k_lexicographic_vacuous_when_neither_clause_applies():
     from dataclasses import replace
 
     inv, _ = invariant_of(validate_family(8, [1]))
-    weakened = replace(
-        inv, quotient=PreorderedGroup(cyclic_mod(7), all_positive(with_full_class=False))
-    )
+    quotient = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), ConeDescriptor(ALL_POSITIVE))
+    weakened = replace(inv, quotient=quotient)
     assert is_k_lexicographic(weakened)
 
 
 def test_middle_cone_from_fullness():
-    assert middle_cone_from_fullness("AF-PI") == all_positive(True)
+    assert middle_cone_from_fullness("AF-PI") == POSITIVE
     with pytest.raises(NotDeterminedError):
         middle_cone_from_fullness("AF-AF")
     for tag in ("PI-AF", "PI-PI", "XX-YY"):

@@ -1,12 +1,20 @@
-"""The public names: ``__all__`` lists each exactly once, and only names
-the package binds; and the library imports nothing outside the standard
-library and itself."""
+"""The public names: ``__all__`` lists each exactly once, only names the
+package binds, and no function that merely calls a constructor; and the
+library imports nothing outside the standard library and itself."""
 
 import ast
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import oneideal
+
+# Public functions whose body is one call to a library class, each with the
+# reason it stays; callers use the class itself otherwise.
+PASS_THROUGHS = {
+    "validate_family": "perfbench's POINTS resolves it; ROADMAP item 1",
+}
 
 
 def test_every_name_in_all_resolves_on_the_package():
@@ -40,3 +48,23 @@ def test_the_library_imports_only_the_standard_library_and_itself():
                 if top != "oneideal" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+def test_no_public_function_only_returns_a_library_class():
+    found = []
+    for name in oneideal.__all__:
+        function = getattr(oneideal, name)
+        if not inspect.isfunction(function):
+            continue
+        body = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0].body
+        if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]  # the docstring
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call = body[0].value
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            target = function.__globals__.get(call.func.id)
+            if inspect.isclass(target) and target.__module__.startswith("oneideal."):
+                found.append(name)
+    # an entry that is no longer a pass-through fails too, so the table only shrinks
+    assert sorted(found) == sorted(PASS_THROUGHS)

@@ -38,10 +38,7 @@ UNREACHED = {
     "exactlinalg.IntMatrix.from_rows": ACCEPTANCE + " (criterion 9 builds its matrices)",
     "exactlinalg.IntMatrix.to_lists": "IntMatrix.__matmul__ reads it",
     "exactlinalg.IntMatrix.__matmul__": ACCEPTANCE + " (criterion 9 checks U @ M @ V)",
-    "family.constant_tail": ACCEPTANCE,
-    "family.doubling_tail": ACCEPTANCE,
     "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
-    "family.pad_prefix": ACCEPTANCE,
     "groups.ConeElement.__post_init__": "ROADMAP item 6 gives it a caller",
     "groups.ConeElement.check_shape": "ROADMAP item 6 gives it a caller",
     "ktheory.torsion_range": ACCEPTANCE,
