@@ -114,7 +114,7 @@ def permanence_check(candidate: SixTermInvariant) -> bool:
 
 def units_mod(modulus: int) -> list[int]:
     """Invertible residues, ascending (for modulus 1 this is [1] ~ [0]);
-    only the enumerating test oracles use this and :func:`_unit_multiples`."""
+    only the benchmark reads this and :func:`_unit_multiples`."""
     return [u for u in range(1, modulus + 1) if gcd(u, modulus) == 1]
 
 

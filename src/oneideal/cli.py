@@ -114,6 +114,8 @@ def _spec_from_compact(text: str) -> FamilySpec:
         else:
             value, _, rest = rest.partition(",")
         fields[key] = value
+    if text.endswith(","):  # a separating comma with nothing after it
+        raise ValueError(f"expected key=value in {text!r}")
     if "m" not in fields or "n" not in fields:
         raise ValueError(f"spec {text!r} needs at least m= and n=")
     return spec_from_json(_schema_object(fields["m"], fields["n"], fields.get("tail")))

@@ -20,17 +20,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .dyadic import is_int
+
 
 def _check_entry(v) -> None:
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_int(v):
         raise ValueError(f"matrix entries must be integers, got {v!r}")
 
 
 def _check_dimension(n) -> None:
-    if type(n) is not int:
-        raise ValueError(f"matrix dimensions must be ints, got {n!r}")
-    if n < 0:
-        raise ValueError("matrix dimensions must be non-negative")
+    if not is_int(n) or n < 0:
+        raise ValueError(f"matrix dimensions must be non-negative ints, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -53,40 +53,11 @@ class IntMatrix:
         for v in self.entries:
             _check_entry(v)
 
-    @classmethod
-    def from_rows(cls, rows: list[list[int]] | tuple) -> "IntMatrix":
-        """The matrix with these rows; every entry must be an int, not a bool."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(v for r in rows for v in r))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        orows = other.to_lists()
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [0] * other.cols
-            for t, a in enumerate(srow):
-                if a:
-                    orow = orows[t]
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
@@ -116,7 +87,7 @@ class SparseMatrix:
                 if type(pair) is not tuple or len(pair) != 2:
                     raise ValueError(f"column items must be (row, entry) pairs, got {pair!r}")
                 i, v = pair
-                if type(i) is not int or not prev < i < self.rows:
+                if (type(i) is not int and not is_int(i)) or not prev < i < self.rows:
                     raise ValueError(f"rows must increase within range({self.rows}): {col!r}")
                 if type(v) is not int:  # the common case skips the call
                     _check_entry(v)

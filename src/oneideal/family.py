@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dyadic import INF, ExtendedRational, is_infinite
+from .dyadic import INF, ExtendedRational, is_infinite, is_int
 from .errors import FamilyValidationError, RegimeError
 from .exactlinalg import SparseMatrix
 
@@ -35,10 +35,6 @@ MAX_PREFIX_LENGTH = 10_000
 MAX_INTEGER_DIGITS = 1_000
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 @dataclass(frozen=True)
 class TailSpec:
     kind: str
@@ -50,7 +46,7 @@ class TailSpec:
         if self.kind == "zero":
             if self.c is not None:
                 raise ValueError("zero tail takes no parameter")
-        elif self.c is not None and not _is_int(self.c):
+        elif self.c is not None and not is_int(self.c):
             raise ValueError(f"tail c must be an int, got {self.c!r}")
         elif self.c is None or self.c < 1:
             raise ValueError(f"{self.kind} tail requires c >= 1")
@@ -71,13 +67,13 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         m = self.m
-        if not (is_infinite(m) or (_is_int(m) and m >= 0)):
+        if not (is_infinite(m) or (is_int(m) and m >= 0)):
             raise ValueError("m must be a non-negative integer or infinity")
         if type(self.prefix) is not tuple:
             raise ValueError(f"the prefix must be a tuple, got {self.prefix!r}")
         weight = 0
         for n in self.prefix:
-            if not _is_int(n) or n < 0:
+            if not is_int(n) or n < 0:
                 raise ValueError("edge multiplicities must be non-negative integers")
             weight = 2 * weight + n
         object.__setattr__(self, "_weight", weight)

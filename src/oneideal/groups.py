@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import ExtendedRational, is_infinite
+from .dyadic import ExtendedRational, is_infinite, is_int
 from .errors import ConeShapeError
 
 # --------------------------------------------------------------------------
@@ -45,14 +45,14 @@ class GroupDescriptor:
             raise ValueError(f"unknown group tag {self.tag!r}")
         x, modulus = self.torsion_order, self.modulus
         if self.tag == DYADIC_PLUS_TORSION:
-            if isinstance(x, bool) or not isinstance(x, int) or x < 2:
+            if not is_int(x) or x < 2:
                 raise ValueError(
                     f"torsion summand needs an int order >= 2 (1 is the dyadic line), got {x!r}"
                 )
         elif x is not None:
             raise ValueError("torsion_order only applies to DyadicPlusTorsion")
         if self.tag == CYCLIC_MOD:
-            if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
+            if not is_int(modulus) or modulus < 1:
                 raise ValueError(f"cyclic group needs an int modulus >= 1, got {modulus!r}")
         elif modulus is not None:
             raise ValueError("modulus only applies to CyclicMod")
@@ -71,7 +71,7 @@ class GroupDescriptor:
 
 def dyadic_plus_torsion(x: int) -> GroupDescriptor:
     """Z[1/2] (+) Z/x, canonicalized: x = 1 collapses to the dyadic line."""
-    if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+    if not is_int(x) or x < 1:
         raise ValueError(f"torsion order must be an int >= 1, got {x!r}")
     if x == 1:
         return GroupDescriptor(DYADIC_LINE)
@@ -131,7 +131,7 @@ class ConeDescriptor:
 def alpha_cone(alpha: ExtendedRational) -> ConeDescriptor:
     """The alpha cone of an int, a ``Fraction`` or infinity; anything else
     (a float, a bool, a string) raises ValueError rather than being rounded."""
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
+    if is_int(alpha):
         alpha = Fraction(alpha)
     return ConeDescriptor(ALPHA_CONE, alpha=alpha)
 
@@ -170,9 +170,9 @@ class ConeElement:
 
     def __post_init__(self) -> None:
         d, n = self.dyadic_part, self.int_part
-        if isinstance(d, bool) or not isinstance(d, (int, Fraction)):
+        if not (is_int(d) or isinstance(d, Fraction)):
             raise ValueError(f"the dyadic part must be an int or a Fraction, got {d!r}")
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not is_int(n):
             raise ValueError(f"the integer part must be an int, got {n!r}")
         den = d.denominator
         if den & (den - 1):

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, replace
 
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
-from .dyadic import INF, format_extended
+from .dyadic import INF, format_extended, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, FamilySpec, TailSpec
 from .groups import (
@@ -72,7 +72,7 @@ def limited_int(v, what: str) -> int:
             )
         if v.isascii() and v.isdigit():
             return int(v)
-    elif isinstance(v, int) and not isinstance(v, bool):
+    elif is_int(v):
         if abs(v) >= _DIGIT_BOUND:
             raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
         return v

@@ -5,10 +5,12 @@ more literal route, a quantity the library computes in closed form.
 
 * :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
   form of the whole matrix, without eliminating unit pivots first;
-* :func:`sparse`, :func:`dense`, :func:`identity` - the conversions between
-  the two matrix formats, and the identity, that only the tests build;
+* :func:`sparse`, :func:`dense`, :func:`identity`, :func:`matrix` - the
+  conversions between the two matrix formats, the identity and a matrix
+  from its rows, that only the tests build;
 * :func:`dense_presentation` - the truncated presentation written out as a
   dense (depth+1) x depth matrix, entry by entry;
+* :func:`matmul` - the integer matrix product, for checking U M V = S;
 * :func:`determinant` - an exact determinant by Bareiss elimination;
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
@@ -93,6 +95,13 @@ def identity(n: int) -> IntMatrix:
     return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
+def matrix(rows: list[list[int]]) -> IntMatrix:
+    """The matrix with these rows, all of one length."""
+    cols = len(rows[0]) if rows else 0
+    assert all(len(r) == cols for r in rows), "ragged rows"
+    return IntMatrix(len(rows), cols, tuple(v for r in rows for v in r))
+
+
 def dense_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
     """The relation matrix of the depth-truncated presentation, every entry
     stored: column i < depth - 1 is w_i - 2 w_{i+1}, the last column
@@ -108,6 +117,17 @@ def dense_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(entries))
 
 
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The product a b, entry by entry from rows of a and columns of b."""
+    assert a.cols == b.rows, "shape mismatch"
+    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(sum(x * y for x, y in zip(a.row(i), c)) for i in range(a.rows) for c in columns),
+    )
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
@@ -115,7 +135,7 @@ def determinant(m: IntMatrix) -> int:
     n = m.rows
     if n == 0:
         return 1
-    a = m.to_lists()
+    a = [list(m.row(i)) for i in range(n)]
     sign = 1
     prev = 1
     for t in range(n - 1):

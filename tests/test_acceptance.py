@@ -42,7 +42,7 @@ from oneideal import (
 )
 from oneideal.groups import ALL_POSITIVE, DYADIC_PLUS_FREE, GroupDescriptor
 from dataclasses import replace
-from oracles import determinant, find_order_isomorphism, stable_partition_disagreements
+from oracles import determinant, find_order_isomorphism, matmul, stable_partition_disagreements
 
 
 def ok(criterion: int, message: str) -> None:
@@ -276,7 +276,7 @@ def test_criterion_09_smith_form_contract_on_1000_random_matrices():
             rows, cols, tuple(rng.randint(-30, 30) for _ in range(rows * cols))
         )
         snf = smith_normal_form(m)
-        assert snf.U @ m @ snf.V == snf.S
+        assert matmul(matmul(snf.U, m), snf.V) == snf.S
         assert abs(determinant(snf.U)) == 1
         assert abs(determinant(snf.V)) == 1
         diag = snf.S.diagonal()

@@ -14,6 +14,7 @@ from oneideal import (
     OutOfScopeComparison,
     PreorderedGroup,
     TailSpec,
+    WorkLimitError,
     alpha_cone,
     class_counts,
     decide_fullness,
@@ -290,6 +291,13 @@ def test_witness_holds_rejects_a_modulus_below_one(modulus):
 def test_the_congruence_routes_reject_modulus_zero(call):
     with pytest.raises(ValueError, match="modulus must be >= 1"):
         call()
+
+
+def test_an_exact_witness_past_the_orbit_walk_budget_is_a_work_limit():
+    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, so the walk
+    # stops at its budget of MAX_ORBIT_BITS // 951 residues
+    with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
+        exact_orbit_witness(3**600, 1, 2)
 
 
 def test_permanence_check():

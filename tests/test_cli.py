@@ -562,6 +562,8 @@ def test_text_and_json_carry_same_values(capsys):
         ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": null}}'),
         ("invariant", "--spec", '{"m": 8, "n": ' + "[" * 10**5 + "]" * 10**5 + "}"),
         ("compare", "--a", '{"m": ' + "[" * 10**5, "--b", "m=8,n=1", "--mode", "exact"),
+        ("compare", "--a", "m=8,n=1,", "--b", "m=8,n=[3]", "--mode", "stable"),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=[3],", "--mode", "stable"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):

@@ -18,13 +18,15 @@ from oracles import (
     dense_presentation,
     determinant,
     identity,
+    matmul,
+    matrix,
     sparse,
 )
 
 
 def snf_contract_holds(m: IntMatrix) -> None:
     snf = smith_normal_form(m)
-    assert snf.U @ m @ snf.V == snf.S
+    assert matmul(matmul(snf.U, m), snf.V) == snf.S
     assert abs(determinant(snf.U)) == 1
     assert abs(determinant(snf.V)) == 1
     diag = snf.S.diagonal()
@@ -44,9 +46,9 @@ def snf_contract_holds(m: IntMatrix) -> None:
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", True])
-def test_from_rows_rejects_an_entry_that_is_not_an_int(bad):
-    with pytest.raises(ValueError):
-        IntMatrix.from_rows([[bad, 3], [1, 2]])
+def test_the_constructor_checks_every_entry_not_only_the_first(bad):
+    with pytest.raises(ValueError, match="entries must be integers"):
+        IntMatrix(2, 2, (1, 3, 2, bad))
 
 
 @pytest.mark.parametrize("bad", [1.5, "3", True])
@@ -123,13 +125,8 @@ def test_the_constructors_reject_a_malformed_dimension(build):
     "build, message",
     [
         (lambda: IntMatrix(2, 2, (1, 2, 3)), "expected 4 entries, got 3"),
-        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
-        (
-            lambda: IntMatrix.from_rows([[1, 2]]) @ IntMatrix.from_rows([[1, 2]]),
-            "shape mismatch: 1x2 @ 1x2",
-        ),
     ],
-    ids=["entry count", "ragged rows", "product shapes"],
+    ids=["entry count"],
 )
 def test_a_matrix_of_the_wrong_shape_is_refused(build, message):
     with pytest.raises(ValueError, match=message):
@@ -139,7 +136,7 @@ def test_a_matrix_of_the_wrong_shape_is_refused(build, message):
 def test_sparse_matrix_dense_view():
     m = SparseMatrix(3, (((0, 1), (2, -2)), (), ((1, 5),)))
     assert m.cols == 3
-    assert dense(m) == IntMatrix.from_rows([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
+    assert dense(m) == matrix([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
     assert sparse(dense(m)) == m
     assert cokernel_invariants(m) == dense_cokernel_invariants(dense(m)) == (1, [5])
 
@@ -153,12 +150,12 @@ def test_identity_is_fixed():
 
 
 def test_zero_one_by_one():
-    m = IntMatrix.from_rows([[0]])
+    m = matrix([[0]])
     assert smith_normal_form(m).S == m
 
 
 def test_diag_2_3_becomes_1_6():
-    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    m = matrix([[2, 0], [0, 3]])
     snf = smith_normal_form(m)
     assert snf.S.diagonal() == (1, 6)
     snf_contract_holds(m)
@@ -176,7 +173,7 @@ def test_diag_2_3_becomes_1_6():
     ],
 )
 def test_snf_contract_on_fixed_cases(rows):
-    snf_contract_holds(IntMatrix.from_rows(rows))
+    snf_contract_holds(matrix(rows))
 
 
 def test_snf_empty_shapes():
@@ -184,7 +181,7 @@ def test_snf_empty_shapes():
         m = IntMatrix(rows, cols, (0,) * (rows * cols))
         snf = smith_normal_form(m)
         assert snf.S.rows == rows and snf.S.cols == cols
-        assert snf.U @ m @ snf.V == snf.S
+        assert matmul(matmul(snf.U, m), snf.V) == snf.S
 
 
 @given(
@@ -208,16 +205,16 @@ def test_cokernel_no_relations():
 
 
 def test_cokernel_unimodular_relation():
-    assert cokernel_invariants(sparse(IntMatrix.from_rows([[1], [0]]))) == (1, [])
+    assert cokernel_invariants(sparse(matrix([[1], [0]]))) == (1, [])
 
 
 def test_cokernel_single_column_3_12():
     # Z^2 / <(3,12)> has invariant factor gcd(3,12) = 3 on one generator
-    assert cokernel_invariants(sparse(IntMatrix.from_rows([[3], [12]]))) == (1, [3])
+    assert cokernel_invariants(sparse(matrix([[3], [12]]))) == (1, [3])
 
 
 def test_cokernel_drops_unit_factors():
-    free, torsion = cokernel_invariants(sparse(IntMatrix.from_rows([[1, 0], [0, 4]])))
+    free, torsion = cokernel_invariants(sparse(matrix([[1, 0], [0, 4]])))
     assert (free, torsion) == (0, [4])
 
 
@@ -238,12 +235,12 @@ def test_cokernel_invariant_under_column_permutation_and_zero_columns(rows, cols
     base = cokernel_invariants(sparse(m))
 
     perm = data.draw(st.permutations(range(cols)))
-    permuted = IntMatrix.from_rows(
+    permuted = matrix(
         [[m.at(i, p) for p in perm] for i in range(rows)]
     )
     assert cokernel_invariants(sparse(permuted)) == base
 
-    padded = IntMatrix.from_rows([list(m.row(i)) + [0, 0] for i in range(rows)])
+    padded = matrix([list(m.row(i)) + [0, 0] for i in range(rows)])
     assert cokernel_invariants(sparse(padded)) == base
 
 
@@ -264,7 +261,7 @@ entries_biased_to_units = st.one_of(
     ],
 )
 def test_cokernel_matches_the_dense_smith_form_on_fixed_cases(rows):
-    m = IntMatrix.from_rows(rows)
+    m = matrix(rows)
     assert cokernel_invariants(sparse(m)) == dense_cokernel_invariants(m)
 
 

@@ -12,6 +12,7 @@ from oneideal import (
     PreorderedGroup,
     TailSpec,
     UnsupportedConeCombination,
+    WorkLimitError,
     alpha_cone,
     alpha_cones_isomorphic,
     cone_contains,
@@ -256,6 +257,13 @@ def test_alpha_iso_examples():
     assert not alpha_cones_isomorphic(INF, Fraction(1, 3))
     assert alpha_cones_isomorphic(Fraction(0), Fraction(7, 8))
     assert alpha_cones_isomorphic(1, Fraction(5))  # an int, as alpha_cone takes it
+
+
+def test_alpha_iso_past_the_orbit_walk_budget_is_a_work_limit():
+    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, so the walk
+    # stops at its budget of MAX_ORBIT_BITS // 951 residues
+    with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
+        alpha_cones_isomorphic(Fraction(1, 3**600), Fraction(2, 3**600))
 
 
 @pytest.mark.parametrize(

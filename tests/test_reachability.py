@@ -8,7 +8,8 @@ the reader on each golden JSON report.  Every function, method and property
 defined in ``src/oneideal`` (bar ``__main__``, whose import runs the command
 line) must be entered, or be listed in :data:`UNREACHED` with its reason.
 An entry that the corpus reaches, or that names nothing, fails too, so the
-table can only shrink.
+table can only shrink.  A reason that cites the acceptance tests or
+perfbench's lookups is checked against the files it cites.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import importlib
 import inspect
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -25,8 +27,14 @@ from oneideal.report import Report
 from test_cli import ERROR_LINES
 from test_golden import ARGV, GOLDEN
 
+ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE = "test_acceptance.py imports it"
 PERFBENCH = "perfbench's POINTS or worker.py looks it up (item 1 drops the point)"
+# The files a reason cites, which must name the function it is given for.
+CITED = {
+    ACCEPTANCE: ("tests/test_acceptance.py",),
+    PERFBENCH: ("perfbench/tracing.py", "perfbench/worker.py"),
+}
 
 # Library functions that no command enters, each with the reason it stays.
 UNREACHED = {
@@ -35,9 +43,6 @@ UNREACHED = {
     "classify._unit_multiples": PERFBENCH + "; only perfbench reads it",
     "classify.class_counts": PERFBENCH + "; test_sympy_reference.py checks it",
     "dyadic.factorize": "class_counts and torsion_range factorise with it",
-    "exactlinalg.IntMatrix.from_rows": ACCEPTANCE + " (criterion 9 builds its matrices)",
-    "exactlinalg.IntMatrix.to_lists": "IntMatrix.__matmul__ reads it",
-    "exactlinalg.IntMatrix.__matmul__": ACCEPTANCE + " (criterion 9 checks U @ M @ V)",
     "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
     "groups.ConeElement.__post_init__": "ROADMAP item 6 gives it a caller",
     "groups.ConeElement.check_shape": "ROADMAP item 6 gives it a caller",
@@ -110,3 +115,14 @@ def test_every_library_function_is_entered_or_listed_as_unreached():
     assert sorted(unreached - UNREACHED.keys()) == [], "entered by no command"
     assert sorted(UNREACHED.keys() - defined.keys()) == [], "defined nowhere"
     assert sorted(UNREACHED.keys() & (defined.keys() - unreached)) == [], "entered by the corpus"
+
+
+def test_each_reason_that_cites_a_file_is_borne_out_by_that_file():
+    stale = []
+    for reason, paths in CITED.items():
+        text = "".join((ROOT / path).read_text() for path in paths)
+        for name, why in UNREACHED.items():
+            short = name.rsplit(".", 1)[1]
+            if reason in why and not re.search(rf"\b{re.escape(short)}\b", text):
+                stale.append(f"{name}: no {short} in {', '.join(paths)}")
+    assert stale == []
