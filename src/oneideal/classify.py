@@ -10,11 +10,11 @@ Isomorphism within a fixed finite loop count m is governed by congruences on
 the weight N modulo m-1: exact isomorphism is a shared value in the
 multiplicative two-power orbits, stable isomorphism additionally allows a
 unit factor.  Witnesses and class counts come from number theory, never
-from enumerating all residues or units modulo m-1; the orbit walk and the
-factorisation they use live in :mod:`.dyadic`.  :func:`class_counts` is the
-closed form for one m, from one trial-division factorisation;
-:func:`divergence_table` (what ``scan`` prints) computes every row up to a
-limit from one smallest-prime-factor sieve instead.  Each stable verdict is
+from enumerating residues, units or a two-power orbit modulo m-1; the
+discrete logarithm and the factorisation they use live in :mod:`.dyadic`.
+:func:`class_counts` is the closed form for one m, from one trial-division
+factorisation; :func:`divergence_table` (what ``scan`` prints) computes
+every row up to a limit from one smallest-prime-factor sieve instead.  Each stable verdict is
 checked against the gcd with the largest odd factor of m-1, and each witness,
 exact or stable, by re-substitution.
 """
@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .dyadic import factorize, is_infinite, odd_part, residue_cycle, two_adic_valuation
+from .dyadic import factorize, is_infinite, odd_part, two_adic_valuation, two_power_log
+# unused here, but perfbench resolves residue_cycle in this module to trace it
+from .dyadic import residue_cycle  # noqa: F401
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
 from .groups import ALL_POSITIVE
@@ -125,11 +127,46 @@ def _unit_multiples(modulus: int, r: int) -> frozenset[int]:
 
 def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b,
-    by one walk along the orbit of n_a against an index of the orbit of n_b."""
-    index = {r: lb for lb, r in enumerate(residue_cycle(modulus, n_b))}
-    meets = ((la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index)
-    total, la = min(meets, default=(None, None))
-    return None if total is None else IsoWitness(l=la, l_prime=total - la, unit=1)
+    in closed form from one discrete logarithm.
+
+    Write modulus = 2^v M with M odd.  Modulo M doubling is invertible, so
+    the weights need the same gcd g with M, and then l - l' == t modulo the
+    order o of 2 modulo M/g, where 2^t == (n_b/g) (n_a/g)^-1 there
+    (:func:`.dyadic.two_power_log`).  Modulo 2^v, with alpha and beta the
+    two-adic valuations capped at v, either both sides vanish (l >= v - alpha
+    and l' >= v - beta, the pre-periods) or they share a valuation s < v:
+    l - l' = beta - alpha, and the odd parts agree modulo 2^(v - s).  The
+    first case is cheapest at the two values of l - l' nearest the
+    difference of the pre-periods, the second at the least such s.  The
+    orbit walk's budget applies: an orbit past :data:`.dyadic.MAX_ORBIT_BITS`
+    raises :class:`WorkLimitError`.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    v = two_adic_valuation(modulus)
+    m_odd = modulus >> v
+    a, b = n_a % modulus, n_b % modulus
+    g = gcd(a, m_odd)
+    if gcd(b, m_odd) != g:
+        return None
+    alpha, beta = (min(v, two_adic_valuation(n or modulus)) for n in (a, b))
+    pre_a, pre_b = v - alpha, v - beta
+    unit_modulus = m_odd // g
+    r = b // g * pow(a // g, -1, unit_modulus)
+    order, t = two_power_log(unit_modulus, r, modulus.bit_length(), max(pre_a, pre_b))
+    if t is None:
+        return None
+    below = pre_a - pre_b - (pre_a - pre_b - t) % order
+    candidates = []
+    for d in (below, below + order):
+        l = max(pre_a, pre_b + d)
+        candidates.append((l, l - d))
+    if max(alpha, beta) < v and (beta - alpha - t) % order == 0:
+        s = max(alpha, beta, v - two_adic_valuation((a >> alpha) - (b >> beta) or modulus))
+        if s < v:
+            candidates.append((s - alpha, s - beta))
+    l, l_prime = min(candidates, key=lambda w: (w[0] + w[1], w[0]))
+    return IsoWitness(l=l, l_prime=l_prime, unit=1)
 
 
 def stable_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:

@@ -16,7 +16,10 @@ stripping, no case folding), into that schema object, so
 view is rendered whole.
 
 The argument parser is built once per process, on the first query, and
-every later call of :func:`main` reuses it.
+every later call of :func:`main` reuses it.  The command's own parser
+reads the arguments after the command name, in one pass; only an argv it
+cannot take whole goes through the top-level parser as well, which prints
+argparse's error.
 
 Exit codes: 0 = computed (negative verdicts included); else the status and
 stderr tag that the error's class in :mod:`.errors` carries (a bare
@@ -25,8 +28,12 @@ stderr tag that the error's class in :mod:`.errors` carries (a bare
 an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
 (``--depth`` and ``--max-m`` included), a truncation deeper than
 ``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
-``report.MAX_SCAN_M`` or an exact ``compare`` whose orbit walk would hold
-more than ``dyadic.MAX_ORBIT_BITS`` bits; 3 = internal consistency failure
+``report.MAX_SCAN_M`` or an exact ``compare`` whose two-power orbit (its
+length times the bit length of m - 1) is past ``dyadic.MAX_ORBIT_BITS``
+bits, which :func:`.dyadic.two_power_log` finds out in O(sqrt) of that
+length without building the orbit (m - 1 = 1597931, the first modulus past
+it for weights 1 and 3, exits 2 in about 1 ms in-process);
+3 = internal consistency failure
 (the stable-isomorphism routes disagree, an exact witness fails
 re-substitution, the truncation shown by ``invariant`` contradicts the
 closed-form torsion order, or a ``scan`` row counts fewer exact than stable
@@ -110,7 +117,9 @@ def _spec_from_compact(text: str) -> FamilySpec:
             value, closed, rest = rest[1:].partition("]")
             if not closed:
                 raise ValueError(f"unclosed '[' in spec {text!r}")
-            rest = rest.removeprefix(",")
+            if rest and not rest.startswith(","):
+                raise ValueError(f"expected ',' or the end after ']' in spec {text!r}")
+            rest = rest[1:]
         else:
             value, _, rest = rest.partition(",")
         fields[key] = value
@@ -210,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The process's one shared parser, built on the first call.
 
     Every caller gets the same object, so callers must not mutate it (add
-    arguments, set defaults); :func:`main` only calls ``parse_args``."""
+    arguments, set defaults); :func:`main` only parses with it and with
+    the command parsers in its ``commands`` map."""
     parser = argparse.ArgumentParser(
         prog="oneideal",
         description="Ordered K-theory invariants and classification for the "
@@ -244,12 +254,29 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_inv, p_full, p_cmp, p_scan):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
+    # each command's own parser, which _parse_args hands the command's arguments
+    parser.commands = sub.choices
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass over ``argv``: the
+    command's own parser reads the arguments after the command's name.  An
+    ``argv`` it cannot take whole (none, an unknown command, arguments left
+    over) goes through the whole parser, so argparse's errors keep their
+    bytes."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse_args(argv)
     try:
         report = args.func(args)
     except (OneIdealError, ValueError, KeyError) as err:

@@ -1,9 +1,9 @@
 """Dyadic rationals, extended rationals, and the number theory of doubling.
 
 The module every layer imports (it imports only the errors), so it owns
-what several layers need: the integer rule :func:`is_int`, the two-power
-orbit walk, bounded by :data:`MAX_ORBIT_BITS`, prime factorisation and
-extended-value text.
+what several layers need: the integer rule :func:`is_int`, the discrete
+logarithm to base 2 (:func:`two_power_log`, bounded by
+:data:`MAX_ORBIT_BITS`), prime factorisation and extended-value text.
 
 A dyadic rational (an element of Z[1/2]) is a :class:`~fractions.Fraction`
 whose denominator is a power of two; there is no separate type for it.
@@ -21,10 +21,14 @@ from .errors import WorkLimitError
 
 INF = math.inf
 
-# The most a two-power orbit walk holds: its length times the bit length of
-# the modulus.  That admits every orbit of a 20-bit modulus (m - 1 = 1000003,
-# 1.4-1.6 s and 211 MiB for an exact `compare`, Python 3.11, 2-core x86) and
-# about 10,000 residues of a 1000-digit one.
+# The most residues of a two-power orbit a question may involve, in bits:
+# the orbit's length (pre-period plus the order of 2) times the bit length of
+# the modulus.  :func:`two_power_log` decides an orbit question in about
+# 2 sqrt(length) steps without building the orbit, so the budget bounds time
+# only loosely; it stays the one orbit budget, as the walk set it.  The
+# largest orbit it admits, of a 21-bit modulus (m - 1 = 1597829, where 2 is
+# a primitive root), decides an exact `compare` in about 1 ms in-process
+# (Python 3.11, 2-core x86); the orbit walk took 2.8 s and 361 MiB there.
 MAX_ORBIT_BITS = 1 << 25
 
 # A finite exact value or +infinity.
@@ -66,7 +70,8 @@ def residue_cycle(modulus: int, n: int) -> list[int]:
     period the multiplicative order of 2 modulo the odd part), so collecting
     until the first repeat enumerates the whole orbit.  An orbit longer than
     :data:`MAX_ORBIT_BITS` // bit length of the modulus raises
-    :class:`WorkLimitError` once the walk passes that length.
+    :class:`WorkLimitError` once the walk passes that length.  No command
+    walks an orbit; the tests check :func:`two_power_log` against this.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -84,6 +89,63 @@ def residue_cycle(modulus: int, n: int) -> list[int]:
         f"a two-power orbit modulo a {modulus.bit_length()}-bit modulus has more than "
         f"{limit} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
     )
+
+
+def two_power_log(
+    modulus: int, r: int, bits: int | None = None, pre_period: int = 0
+) -> tuple[int, int | None]:
+    """(o, t): the order o of 2 modulo the odd ``modulus``, and the least
+    t >= 0 with 2^t == r, or None if r is no power of 2.
+
+    Baby-step giant-step (Shanks, 1971), with no factorisation: a table of
+    2^j for j below a step s finds o among 1, ..., s^2 by giant steps of
+    2^s, and s starts at 8 and grows fourfold until it does; the same table
+    then finds t by giant steps of 2^-s from r.  The work is O(sqrt(o)).
+
+    The budget is the orbit walk's: an orbit of ``pre_period`` + o residues
+    of ``bits`` bits each (by default the modulus's bit length) past
+    :data:`MAX_ORBIT_BITS` raises :class:`WorkLimitError`.  That is known
+    within O(sqrt(budget)) steps, so no table grows past that size either.
+    """
+    if modulus < 1 or modulus % 2 == 0:
+        raise ValueError("two_power_log needs an odd modulus >= 1")
+    bits = modulus.bit_length() if bits is None else bits
+    limit = MAX_ORBIT_BITS // bits
+    most = limit - pre_period  # the largest order admitted
+    powers: dict[int, int] = {}
+    x = 1 % modulus
+    step = 8
+    while True:
+        for j in range(len(powers), step):
+            if x in powers:  # 2^j == 1
+                order = j
+                break
+            powers[x] = j
+            x = 2 * x % modulus
+        else:
+            order = None
+            y = x  # 2^step
+            for i in range(1, step + 1):
+                if y in powers:
+                    order = i * step - powers[y]
+                    break
+                y = y * x % modulus
+        if order is not None or step * step >= most:
+            break
+        step *= 4
+    if order is None or order > most:
+        raise WorkLimitError(
+            f"a two-power orbit modulo a {bits}-bit modulus has more than "
+            f"{limit} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
+        )
+    size = len(powers)
+    back = pow(2, -size, modulus)
+    y = r % modulus
+    for i in range(0, order, size):
+        if y in powers:
+            return order, i + powers[y]
+        y = y * back % modulus
+    return order, None
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -73,7 +73,7 @@ class FamilySpec:
             raise ValueError(f"the prefix must be a tuple, got {self.prefix!r}")
         weight = 0
         for n in self.prefix:
-            if not is_int(n) or n < 0:
+            if not (type(n) is int or is_int(n)) or n < 0:
                 raise ValueError("edge multiplicities must be non-negative integers")
             weight = 2 * weight + n
         object.__setattr__(self, "_weight", weight)

@@ -12,12 +12,13 @@ x -> 2^k x on the divisible summand (the free quotient admits no nonzero map
 from it) and so has the triangular shape (x, n) -> (2^k x + b n, n) once cone
 preservation fixes the signs; the test suite searches that family directly
 as an independent check on the criterion.  Its power-of-two condition is
-decided by :func:`.dyadic.residue_cycle`, the exact witness's orbit walk.
+decided by :func:`.dyadic.two_power_log`, the exact witness's discrete
+logarithm.
 """
 
 from __future__ import annotations
 
-from .dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
+from .dyadic import ExtendedRational, is_infinite, odd_part, two_power_log
 from .errors import NotDeterminedError, UnsupportedConeCombination
 from .groups import (
     ALL_POSITIVE,
@@ -125,10 +126,10 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
 
     Concretely: write each parameter with reduced denominator 2^s * M0 (M0
     odd); the odd parts must agree, and the numerators must differ by a
-    power of two modulo M0 (always so when M0 = 1, both being dyadic).  Cost
-    is the multiplicative order of 2 modulo M0, fine for desk-scale
-    denominators.  A parameter :func:`.groups.alpha_cone` refuses raises
-    the same ValueError here.
+    power of two modulo M0 (always so when M0 = 1, both being dyadic): one
+    discrete logarithm, within the orbit budget of
+    :func:`.dyadic.two_power_log`.  A parameter :func:`.groups.alpha_cone`
+    refuses raises the same ValueError here.
     """
     a, b = alpha_cone(a).alpha, alpha_cone(b).alpha
     if is_infinite(a) or is_infinite(b):
@@ -136,4 +137,5 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
     m0 = odd_part(a.denominator)
     if m0 != odd_part(b.denominator):
         return False
-    return a.numerator % m0 in residue_cycle(m0, b.numerator)
+    # the numerators are units modulo M0, since the fractions are in lowest terms
+    return two_power_log(m0, a.numerator * pow(b.numerator, -1, m0))[1] is not None

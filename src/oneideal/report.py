@@ -56,7 +56,7 @@ def spec_to_json(spec: FamilySpec) -> dict:
     tail: dict = {"kind": spec.tail.kind}
     if spec.tail.c is not None:
         tail["c"] = str(spec.tail.c)
-    return {"m": format_extended(spec.m), "n": [str(n) for n in spec.prefix], "tail": tail}
+    return {"m": format_extended(spec.m), "n": list(map(str, spec.prefix)), "tail": tail}
 
 
 def limited_int(v, what: str) -> int:
@@ -105,7 +105,16 @@ def spec_from_json(d) -> FamilySpec:
         raise ValueError(f"n must be a JSON list, got {ns!r}")
     if len(ns) > MAX_PREFIX_LENGTH:
         raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
-    prefix = tuple(limited_int(n, "each entry of n") for n in ns)
+    # the common prefix, decimal digit strings, is checked in bulk and
+    # converted once; any other reads entry by entry, which names the bad one
+    try:
+        digits = all(map(str.isascii, ns)) and all(map(str.isdigit, ns))
+    except TypeError:  # an entry that is not a string
+        digits = False
+    if digits and max(map(len, ns), default=0) <= MAX_INTEGER_DIGITS:
+        prefix = tuple(map(int, ns))
+    else:
+        prefix = tuple(limited_int(n, "each entry of n") for n in ns)
     tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
     c = limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
     tail = TailSpec(tail_d.get("kind"), c)

@@ -151,8 +151,8 @@ MUTANTS = (
     Mutant(
         "exact witness off by one in l",
         "classify.py",
-        "IsoWitness(l=la, l_prime=total - la, unit=1)",
-        "IsoWitness(l=la + 1, l_prime=total - la, unit=1)",
+        "IsoWitness(l=l, l_prime=l_prime, unit=1)",
+        "IsoWitness(l=l + 1, l_prime=l_prime, unit=1)",
         (
             "tests/test_classify.py::test_exact_iso_examples",
             "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
@@ -224,13 +224,67 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "orbit walk without its MAX_ORBIT_BITS budget",
+        "discrete logarithm without its MAX_ORBIT_BITS budget",
         "dyadic.py",
-        "limit = MAX_ORBIT_BITS // modulus.bit_length()",
-        "limit = modulus",
+        "if order is None or order > most:",
+        "if order is None:",
         (
             "tests/test_cli.py::"
-            "test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory",
+            "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[first refused]",
+            "tests/test_dyadic.py::"
+            "test_two_power_log_prices_the_orbit_at_the_given_bits_and_pre_period",
+        ),
+    ),
+    Mutant(
+        "discrete logarithm off by one giant step in the order",
+        "dyadic.py",
+        "order = i * step - powers[y]",
+        "order = (i + 1) * step - powers[y]",
+        (
+            "tests/test_dyadic.py::"
+            "test_two_power_log_matches_the_orbit_walk_on_every_small_odd_modulus",
+            "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
+            "[exact_orbit_witness-enumerated_exact_witness]",
+        ),
+    ),
+    Mutant(
+        "exact witness without the shared-valuation candidate",
+        "classify.py",
+        "            candidates.append((s - alpha, s - beta))\n",
+        "            pass\n",
+        (
+            "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
+            "[exact_orbit_witness-enumerated_exact_witness]",
+            "tests/test_classify.py::"
+            "test_the_exact_witness_matches_the_orbit_walk_up_to_2_to_the_20",
+        ),
+    ),
+    Mutant(
+        "exact witness priced without the second weight's pre-period",
+        "classify.py",
+        "modulus.bit_length(), max(pre_a, pre_b))",
+        "modulus.bit_length(), pre_a)",
+        ("tests/test_classify.py::test_a_small_orbit_budget_refuses_what_the_walk_refuses",),
+    ),
+    Mutant(
+        "exact witness without the nearest candidate above",
+        "classify.py",
+        "for d in (below, below + order):",
+        "for d in (below,):",
+        (
+            "tests/test_classify.py::test_exact_iso_examples",
+            "tests/test_classify.py::"
+            "test_the_exact_witness_matches_the_orbit_walk_up_to_2_to_the_20",
+        ),
+    ),
+    Mutant(
+        "one-pass argv parse that drops the arguments left over",
+        "cli.py",
+        "        if not rest:\n            return args\n",
+        "        return args\n",
+        (
+            "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
+            "[invariant --m 9 --n 1,2 extra]",
         ),
     ),
     Mutant(

@@ -19,6 +19,9 @@ more literal route, a quantity the library computes in closed form.
 * :func:`two_power_orbit`, :func:`unit_residues` - a doubling orbit and the
   units of a modulus, computed here rather than by the library's walk and
   unit list, so that a fault in those is not shared with these oracles;
+* :func:`walked_exact_witness`, :func:`walked_alpha_cones_isomorphic` - the
+  exact witness and the alpha-cone criterion by the library's bounded orbit
+  walk, :func:`oneideal.dyadic.residue_cycle`, at any modulus it admits;
 * :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
   minimal witnesses by a pair scan over both two-power orbits (and, for the
   stable one, over every unit);
@@ -54,7 +57,7 @@ from oneideal import (
     smith_normal_form,
 )
 from oneideal.classify import IsoWitness
-from oneideal.dyadic import ExtendedRational
+from oneideal.dyadic import ExtendedRational, residue_cycle
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------
@@ -310,6 +313,24 @@ def _smallest_units(modulus: int, r: int) -> dict[int, int]:
     for u in unit_residues(modulus):
         out.setdefault(u * r % modulus, u)
     return out
+
+
+def walked_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
+    """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b,
+    by one walk along the orbit of n_a against an index of the orbit of n_b;
+    linear in the orbit length, so it reaches moduli the pair scan cannot."""
+    index = {r: lb for lb, r in enumerate(residue_cycle(modulus, n_b))}
+    meets = ((la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index)
+    total, la = min(meets, default=(None, None))
+    return None if total is None else IsoWitness(l=la, l_prime=total - la, unit=1)
+
+
+def walked_alpha_cones_isomorphic(a: Fraction, b: Fraction) -> bool:
+    """The alpha-cone criterion for finite parameters: the odd parts of the
+    denominators agree and the numerator of ``a`` lies on the orbit of the
+    numerator of ``b`` modulo that odd part."""
+    m0 = odd_part(a.denominator)
+    return m0 == odd_part(b.denominator) and a.numerator % m0 in residue_cycle(m0, b.numerator)
 
 
 def enumerated_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:

@@ -1,7 +1,10 @@
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneideal import (
     FULL,
@@ -22,6 +25,7 @@ from oneideal import (
     exact_iso,
     exact_orbit_witness,
     invariant_of,
+    odd_part,
     permanence_check,
     stable_gcd_equivalent,
     stable_iso,
@@ -44,6 +48,7 @@ from oracles import (
     stable_gcd_partition,
     stable_partition_disagreements,
     stable_witness_table,
+    walked_exact_witness,
 )
 
 
@@ -252,6 +257,32 @@ def test_witnesses_match_the_enumerated_oracles(route, oracle, table):
                     assert oracle(modulus, a, b) == expected, (modulus, a, b)
 
 
+@st.composite
+def lifted_weight_triples(draw):
+    """(modulus, n_a, n_b) with modulus = 2^v M < 2^20, v <= 19: n_b is often
+    a doubling of n_a lifted by multiples of the modulus, so that it shares
+    n_a's orbit, and else any weight with the same gcd with M, or any weight."""
+    v = draw(st.integers(0, 19))
+    bits = draw(st.integers(1, 20 - v))
+    modulus = (draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1) << v
+    n_a = draw(st.integers(0, 4 * modulus))
+    kind = draw(st.sampled_from(("lifted", "same gcd", "any")))
+    if kind == "lifted":
+        n_b = (n_a << draw(st.integers(0, 40))) + draw(st.integers(0, 3)) * modulus
+    elif kind == "same gcd":
+        g = math.gcd(n_a, modulus >> v)
+        n_b = g * draw(st.integers(0, 4 * modulus)) << draw(st.integers(0, v + 2))
+    else:
+        n_b = draw(st.integers(0, 4 * modulus))
+    return modulus, *draw(st.permutations((n_a, n_b)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(lifted_weight_triples())
+def test_the_exact_witness_matches_the_orbit_walk_up_to_2_to_the_20(triple):
+    assert exact_orbit_witness(*triple) == walked_exact_witness(*triple)
+
+
 def test_class_counts_match_union_find():
     table = divergence_table(299)
     for m in range(2, 300):
@@ -298,6 +329,35 @@ def test_an_exact_witness_past_the_orbit_walk_budget_is_a_work_limit():
     # stops at its budget of MAX_ORBIT_BITS // 951 residues
     with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
         exact_orbit_witness(3**600, 1, 2)
+
+
+def test_a_small_orbit_budget_refuses_what_the_walk_refuses(monkeypatch):
+    # at 48 bits the budget is 8 residues of a 6-bit modulus, 48 of a 1-bit
+    # one: each pre-period and order meets it on some triple.  Weights with
+    # different gcds are refused by the gcds alone, before any orbit.
+    import oneideal.dyadic
+
+    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 48)
+    outcomes = set()
+    for modulus in range(1, 64):
+        m_odd = odd_part(modulus)
+        for a in range(modulus):
+            for b in range(modulus):
+                if math.gcd(a, m_odd) != math.gcd(b, m_odd):
+                    assert exact_orbit_witness(modulus, a, b) is None
+                    continue
+                expected = _witness_or_work_limit(walked_exact_witness, modulus, a, b)
+                assert _witness_or_work_limit(exact_orbit_witness, modulus, a, b) == expected
+                outcomes.add(type(expected))
+    assert outcomes == {IsoWitness, str, type(None)}
+
+
+def _witness_or_work_limit(route, *args):
+    """The route's witness or None, or the message of its WorkLimitError."""
+    try:
+        return route(*args)
+    except WorkLimitError as err:
+        return str(err)
 
 
 def test_permanence_check():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -564,6 +565,8 @@ def test_text_and_json_carry_same_values(capsys):
         ("compare", "--a", '{"m": ' + "[" * 10**5, "--b", "m=8,n=1", "--mode", "exact"),
         ("compare", "--a", "m=8,n=1,", "--b", "m=8,n=[3]", "--mode", "stable"),
         ("compare", "--a", "m=8,n=1", "--b", "m=8,n=[3],", "--mode", "stable"),
+        ("compare", "--a", "n=[1]m=8", "--b", "m=8,n=[3]", "--mode", "stable"),
+        ("compare", "--a", "m=8,n=[1]tail=zero", "--b", "m=8,n=[3]", "--mode", "stable"),
     ],
 )
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
@@ -731,11 +734,46 @@ def test_scan_at_the_limit_renders_its_text_in_bounded_memory():
     assert peak_rss < 50 * 1024
 
 
-def test_an_orbit_of_a_million_residues_is_walked():
+def test_an_orbit_of_a_million_residues_is_decided():
     # m - 1 = 1000003 is prime and 2 has order 1000002 modulo it
     proc, _ = _exact_compare_in_a_subprocess(1000004)
     assert proc.returncode == 0, proc.stderr
     assert "witness: l=254277 l'=0 unit=1" in proc.stdout
+
+
+# The orbit budget admits MAX_ORBIT_BITS // 21 = 1597830 residues of a 21-bit
+# modulus.  The largest orbit it admits is that of 1 modulo the prime
+# 1597829, where 2 has order 1597828; the next modulus whose orbit of 1 is
+# past it is the prime 1597931 (order 1597930).
+@pytest.mark.parametrize(
+    "m, code, line",
+    [
+        (1597830, 0, "witness: l=0 l'=19211 unit=1"),
+        (1597932, 2, "error [WorkLimit]: a two-power orbit modulo a 21-bit modulus has more "
+                     "than 1597830 residues, past the limit of 33554432 residue bits"),
+    ],
+    ids=["largest admitted", "first refused"],
+)
+def test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next(capsys, m, code, line):
+    argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert line in (out if code == 0 else err).splitlines()
+
+
+def test_no_verdict_walks_an_orbit(capsys, monkeypatch):
+    import oneideal.classify
+    import oneideal.dyadic
+
+    def refuse(*args):
+        raise AssertionError("a verdict walked a two-power orbit")
+
+    monkeypatch.setattr(oneideal.dyadic, "residue_cycle", refuse)
+    monkeypatch.setattr(oneideal.classify, "residue_cycle", refuse)
+    code, out, _ = run(capsys, "compare", "--a", "m=1597830,n=[1]", "--b", "m=1597830,n=[3]",
+                       "--mode", "exact")
+    assert code == 0 and "isomorphic: True" in out
+    assert oneideal.alpha_cones_isomorphic(Fraction(1, 1597829), Fraction(3, 1597829))
 
 
 def test_importing_the_package_leaves_the_cli_unimported():
@@ -994,6 +1032,33 @@ PARSER_ARGV = (
     ("compare", "--a", "m=8,n=1", "--mode", "exact"),
     ("--help",),
 )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *PARSER_ARGV,
+        (),
+        ("bogus",),
+        ("--",),
+        ("invariant", "--m", "9", "--n", "1,2", "extra"),
+        ("scan", "--max-m", "12", "--bogus"),
+        ("invariant", "-h"),
+        ("scan", "--max-m", "12", "--for", "json"),
+        ("invariant", "--m=8", "--n", "1"),
+        ("invariant", "--m", "8", "--n", "1", "--"),
+        ("compare", "--", "--a", "m=8,n=1"),
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_one_pass_over_argv_answers_as_the_whole_parser(capsys, monkeypatch, argv):
+    from oneideal import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    got = run_exiting(capsys, *argv)
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == run_exiting(capsys, *argv)
 
 
 def test_queries_reuse_one_parser(capsys, monkeypatch):

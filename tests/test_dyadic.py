@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oneideal import odd_part, two_adic_valuation
+from oneideal import WorkLimitError, odd_part, two_adic_valuation
+from oneideal.dyadic import MAX_ORBIT_BITS, residue_cycle, two_power_log
 from oracles import dyadic_strictly_between
 
 
@@ -30,3 +31,28 @@ def test_strictly_between(lo, hi):
     assert isinstance(d, Fraction)
     assert d.denominator & (d.denominator - 1) == 0
     assert lo < d < hi
+
+
+def test_two_power_log_matches_the_orbit_walk_on_every_small_odd_modulus():
+    # orders 1 to 7 end in the baby steps, larger ones need giant steps,
+    # and past 64 (e.g. 2 is a primitive root of 131) a larger step
+    for modulus in range(1, 300, 2):
+        orbit = residue_cycle(modulus, 1)
+        logs = {r: t for t, r in enumerate(orbit)}
+        for r in range(-1, modulus + 2):
+            assert two_power_log(modulus, r) == (len(orbit), logs.get(r % modulus)), (modulus, r)
+
+
+@pytest.mark.parametrize("modulus", [0, -3, 2, 12])
+def test_two_power_log_refuses_a_modulus_that_is_not_odd_and_positive(modulus):
+    with pytest.raises(ValueError, match="odd modulus"):
+        two_power_log(modulus, 1)
+
+
+def test_two_power_log_prices_the_orbit_at_the_given_bits_and_pre_period():
+    # 2 has order 10 modulo 11: an orbit of 10 residues fits a budget of 10
+    assert two_power_log(11, 3, bits=MAX_ORBIT_BITS // 10) == (10, 8)
+    assert two_power_log(11, 3, bits=MAX_ORBIT_BITS // 12, pre_period=2) == (10, 8)
+    for bits, pre_period in ((MAX_ORBIT_BITS // 9, 0), (MAX_ORBIT_BITS // 11, 2)):
+        with pytest.raises(WorkLimitError, match=f"more than {MAX_ORBIT_BITS // bits} residues"):
+            two_power_log(11, 3, bits, pre_period)

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oneideal import (
@@ -36,7 +37,7 @@ from oneideal.groups import (
     ConeDescriptor,
     GroupDescriptor,
 )
-from oracles import find_order_isomorphism
+from oracles import find_order_isomorphism, walked_alpha_cones_isomorphic
 
 DYADIC = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(STANDARD_DYADIC_CONE))
 INTEGERS = PreorderedGroup(GroupDescriptor(FREE_Z), ConeDescriptor(STANDARD_INTEGER_CONE))
@@ -281,6 +282,21 @@ def test_alpha_iso_doubling_and_dyadic_shift(a):
     assert alpha_cones_isomorphic(a, 2 * a)
     assert alpha_cones_isomorphic(a, a + Fraction(3, 8))
     assert alpha_cones_isomorphic(a, a)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.data())
+def test_alpha_iso_matches_the_orbit_walk_up_to_2_to_the_20(data):
+    # odd parts M0 < 2^20 of the denominators; the numerators are units mod M0
+    bits = data.draw(st.integers(1, 20))
+    m0 = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    numerators = st.integers(0, 4 * m0).filter(lambda p: math.gcd(p, m0) == 1)
+    p_a = data.draw(numerators)
+    p_b = data.draw(st.one_of(numerators, st.builds(lambda k: p_a << k, st.integers(0, 40))))
+    other = data.draw(st.sampled_from((m0, m0 + 2)))
+    a = Fraction(p_a, m0 << data.draw(st.integers(0, 5)))
+    b = Fraction(p_b, other << data.draw(st.integers(0, 5)))
+    assert alpha_cones_isomorphic(a, b) == walked_alpha_cones_isomorphic(a, b)
 
 
 def test_search_oracle_agrees_on_chosen_pairs():

@@ -43,6 +43,7 @@ UNREACHED = {
     "classify._unit_multiples": PERFBENCH + "; only perfbench reads it",
     "classify.class_counts": PERFBENCH + "; test_sympy_reference.py checks it",
     "dyadic.factorize": "class_counts and torsion_range factorise with it",
+    "dyadic.residue_cycle": PERFBENCH + "; the tests check two_power_log against it",
     "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
     "groups.ConeElement.__post_init__": "ROADMAP item 6 gives it a caller",
     "groups.ConeElement.check_shape": "ROADMAP item 6 gives it a caller",
