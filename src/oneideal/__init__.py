@@ -7,6 +7,11 @@ package computes the ordered six-term invariant, decides fullness via the
 combined lexicographic ordering test, and decides exact and stable
 isomorphism within the finite-loop regime by congruence arithmetic, all in
 exact integer/rational arithmetic.
+
+The package exports what the commands call: the inputs, the five decisions,
+the types they return, the report, the errors and the version.  Everything
+else is imported from the module that defines it, e.g.
+``from oneideal.exactlinalg import smith_normal_form``.
 """
 
 from .classify import (
@@ -15,19 +20,12 @@ from .classify import (
     FullnessVerdict,
     IsoVerdict,
     IsoWitness,
-    class_counts,
     decide_fullness,
     divergence_table,
     exact_iso,
-    exact_orbit_witness,
-    permanence_check,
-    stable_gcd_equivalent,
     stable_iso,
-    stable_orbit_equivalent,
-    stable_orbit_witness,
-    witness_holds,
 )
-from .dyadic import INF, is_infinite, odd_part, two_adic_valuation
+from .dyadic import INF
 from .errors import (
     ConeShapeError,
     FamilyValidationError,
@@ -39,109 +37,41 @@ from .errors import (
     UnsupportedConeCombination,
     WorkLimitError,
 )
-from .exactlinalg import (
-    IntMatrix,
-    SmithForm,
-    SparseMatrix,
-    cokernel_invariants,
-    smith_normal_form,
-)
-from .family import (
-    FamilySpec,
-    TailSpec,
-    ZERO_TAIL,
-    alpha_of,
-    truncated_presentation,
-    validate_family,
-    weight_of,
-)
-from .groups import (
-    ConeDescriptor,
-    ConeElement,
-    GroupDescriptor,
-    PreorderedGroup,
-    alpha_cone,
-    dyadic_plus_torsion,
-)
-from .ktheory import (
-    DerivedScalars,
-    SixTermInvariant,
-    invariant_of,
-    stable_oracle_depth,
-    torsion_order,
-    torsion_range,
-    truncated_k0,
-)
-from .ordered import (
-    alpha_cones_isomorphic,
-    cone_contains,
-    is_k_lexicographic,
-    is_lexicographic_sequence,
-    middle_cone_from_fullness,
-)
+from .family import FamilySpec, TailSpec, ZERO_TAIL
+from .groups import ConeDescriptor, GroupDescriptor, PreorderedGroup
+from .ktheory import DerivedScalars, SixTermInvariant, invariant_of
 from .report import Report
 from .version import __version__
 
 __all__ = [
     "__version__",
+    "FamilySpec",
+    "TailSpec",
+    "ZERO_TAIL",
     "INF",
+    "invariant_of",
+    "decide_fullness",
+    "exact_iso",
+    "stable_iso",
+    "divergence_table",
+    "SixTermInvariant",
+    "DerivedScalars",
+    "PreorderedGroup",
+    "GroupDescriptor",
+    "ConeDescriptor",
+    "FullnessVerdict",
     "FULL",
     "UNKNOWN",
-    "ZERO_TAIL",
-    "ConeDescriptor",
-    "ConeElement",
-    "ConeShapeError",
-    "DerivedScalars",
-    "FamilySpec",
-    "FamilyValidationError",
-    "FullnessVerdict",
-    "GroupDescriptor",
-    "IntMatrix",
-    "InternalConsistencyError",
     "IsoVerdict",
     "IsoWitness",
-    "NotDeterminedError",
-    "OneIdealError",
-    "OutOfScopeComparison",
-    "PreorderedGroup",
-    "RegimeError",
     "Report",
-    "SixTermInvariant",
-    "SmithForm",
-    "SparseMatrix",
-    "TailSpec",
+    "OneIdealError",
+    "FamilyValidationError",
+    "RegimeError",
+    "ConeShapeError",
     "UnsupportedConeCombination",
+    "NotDeterminedError",
+    "OutOfScopeComparison",
+    "InternalConsistencyError",
     "WorkLimitError",
-    "alpha_cone",
-    "alpha_cones_isomorphic",
-    "alpha_of",
-    "class_counts",
-    "cokernel_invariants",
-    "cone_contains",
-    "decide_fullness",
-    "divergence_table",
-    "dyadic_plus_torsion",
-    "exact_iso",
-    "exact_orbit_witness",
-    "invariant_of",
-    "is_infinite",
-    "is_k_lexicographic",
-    "is_lexicographic_sequence",
-    "middle_cone_from_fullness",
-    "odd_part",
-    "permanence_check",
-    "smith_normal_form",
-    "stable_gcd_equivalent",
-    "stable_iso",
-    "stable_oracle_depth",
-    "stable_orbit_equivalent",
-    "stable_orbit_witness",
-    "torsion_order",
-    "torsion_range",
-    "truncated_k0",
-    "truncated_presentation",
-    "two_adic_valuation",
-    "validate_family",
-    "weight_of",
-    "witness_holds",
 ]

@@ -12,9 +12,10 @@ multiplicative two-power orbits, stable isomorphism additionally allows a
 unit factor.  Witnesses and class counts come from number theory, never
 from enumerating residues, units or a two-power orbit modulo m-1; the
 discrete logarithm and the factorisation they use live in :mod:`.dyadic`.
-:func:`class_counts` is the closed form for one m, from one trial-division
-factorisation; :func:`divergence_table` (what ``scan`` prints) computes
-every row up to a limit from one smallest-prime-factor sieve instead.  Each stable verdict is
+:func:`class_counts` is the closed form for one m, by trial division of the
+odd part M of m-1 and of Carmichael's lambda(d) for each divisor d of M;
+:func:`divergence_table` (what ``scan`` prints) computes every row up to a
+limit from one smallest-prime-factor sieve instead.  Each stable verdict is
 checked against the gcd with the largest odd factor of m-1, and each witness,
 exact or stable, by re-substitution.
 """
@@ -208,9 +209,9 @@ def stable_gcd_equivalent(modulus: int, n_a: int, n_b: int) -> bool:
     return gcd(n_a, m_odd) == gcd(n_b, m_odd)
 
 
-def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> tuple[bool, IsoWitness | None]:
-    """Stable equivalence by the constructed witness, cross-checked by the
-    gcd route and by re-substituting the witness."""
+def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
+    """The stable witness, or None, cross-checked by the gcd route and by
+    re-substituting the witness."""
     witness = stable_orbit_witness(modulus, n_a, n_b)
     by_gcd = stable_gcd_equivalent(modulus, n_a, n_b)
     holds = witness is None or witness_holds(modulus, n_a, n_b, witness)
@@ -219,7 +220,7 @@ def stable_orbit_equivalent(modulus: int, n_a: int, n_b: int) -> tuple[bool, Iso
             f"stable-isomorphism routes disagree at modulus {modulus}, "
             f"weights {n_a}, {n_b}: witness {witness}, gcd {by_gcd}"
         )
-    return by_gcd, witness
+    return witness
 
 
 # --------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def exact_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
 
 def stable_iso(a: FamilySpec, b: FamilySpec) -> IsoVerdict:
     """Stable isomorphism verdict: unit-twisted orbit match, gcd-checked."""
-    return _iso(a, b, lambda *weights: stable_orbit_equivalent(*weights)[1])
+    return _iso(a, b, stable_orbit_equivalent)
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +274,9 @@ def class_counts(m: int) -> tuple[int, int]:
     gcd(N, M).  Each exact class (weak component of n -> 2n) holds one
     cycle of doubling on the multiples of 2^v2(m-1), a copy of Z/M, so they
     are the cyclotomic cosets of 2 mod M: sum over d | M of phi(d)/ord_d(2).
-    One trial-division factorisation of M; :func:`divergence_table` gives
-    the same counts for every m up to a limit at once.
+    It factorises M by trial division, then lambda(d) for each divisor d of
+    M to cut it down to ord_d(2); :func:`divergence_table` gives the same
+    counts for every m up to a limit at once.
     """
     divisors: list[dict[int, int]] = [{}]
     for p, e in factorize(odd_part(m - 1)).items():

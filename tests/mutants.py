@@ -7,10 +7,11 @@ another.  ``python tests/mutants.py`` applies each mutant to a fresh copy of
 ``src/`` in a temporary directory, never to ``src/`` itself, and runs each
 of its tests against that copy, one after another.  A mutant is killed when
 every one of its tests fails within :data:`TIMEOUT_S`; the command prints
-one line per mutant, ends with "mutants killed k/n", and exits 1 if any
-mutant survives.  It is too slow for the tier-1 suite, where
-``test_mutants.py`` only checks that each old text still occurs exactly
-once in its module and that each test id names a test function.
+one line per mutant, ends with "mutants killed k/n in t s", t its wall time
+in seconds, and exits 1 if any mutant survives.  It is too slow for the
+tier-1 suite, where ``test_mutants.py`` only checks that each old text still
+occurs exactly once in its module and that each test id names a test
+function.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -459,6 +461,7 @@ def _fails(command: list[str], cwd: str, env: dict) -> bool:
 
 
 def main() -> int:
+    start = time.perf_counter()
     killed = 0
     for mutant in MUTANTS:
         survivors = surviving_tests(mutant)
@@ -466,7 +469,7 @@ def main() -> int:
         print(f"{'killed  ' if not survivors else 'SURVIVED'}  {mutant.name}", flush=True)
         for test in survivors:
             print(f"          not caught by {test}", flush=True)
-    print(f"mutants killed {killed}/{len(MUTANTS)}")
+    print(f"mutants killed {killed}/{len(MUTANTS)} in {time.perf_counter() - start:.0f} s")
     return 0 if killed == len(MUTANTS) else 1
 
 

@@ -47,17 +47,10 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from oneideal import (
-    FamilySpec,
-    IntMatrix,
-    InternalConsistencyError,
-    SparseMatrix,
-    is_infinite,
-    odd_part,
-    smith_normal_form,
-)
+from oneideal import FamilySpec, InternalConsistencyError
 from oneideal.classify import IsoWitness
-from oneideal.dyadic import ExtendedRational, residue_cycle
+from oneideal.dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
+from oneideal.exactlinalg import IntMatrix, SparseMatrix, smith_normal_form
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------

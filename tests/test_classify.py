@@ -9,34 +9,34 @@ from hypothesis import strategies as st
 from oneideal import (
     FULL,
     INF,
+    UNKNOWN,
     FamilySpec,
     FullnessVerdict,
-    UNKNOWN,
     InternalConsistencyError,
     IsoWitness,
     OutOfScopeComparison,
     PreorderedGroup,
     TailSpec,
     WorkLimitError,
-    alpha_cone,
-    class_counts,
     decide_fullness,
     divergence_table,
     exact_iso,
-    exact_orbit_witness,
     invariant_of,
-    odd_part,
+    stable_iso,
+)
+from oneideal.classify import (
+    class_counts,
+    exact_orbit_witness,
     permanence_check,
     stable_gcd_equivalent,
-    stable_iso,
     stable_orbit_equivalent,
     stable_orbit_witness,
-    torsion_order,
-    validate_family,
     witness_holds,
 )
-from oneideal.dyadic import residue_cycle
-from oneideal.groups import DYADIC_PLUS_FREE, GroupDescriptor
+from oneideal.dyadic import odd_part, residue_cycle
+from oneideal.family import validate_family
+from oneideal.groups import DYADIC_PLUS_FREE, GroupDescriptor, alpha_cone
+from oneideal.ktheory import torsion_order
 from oracles import (
     burnside_exact_class_count,
     enumerated_exact_witness,
@@ -114,8 +114,7 @@ def test_stable_iso_examples():
     assert witness_holds(7, 1, 3, verdict.witness)
 
     # weight 0 is only reachable at the congruence level
-    equivalent, _ = stable_orbit_equivalent(7, 1, 0)
-    assert not equivalent
+    assert stable_orbit_equivalent(7, 1, 0) is None
     assert stable_gcd_equivalent(7, 0, 0)
 
     same = stable_iso(spec_mn(8, 5), spec_mn(8, 5))
@@ -160,7 +159,7 @@ def test_equivalence_relations_small_range():
             for b in weights
         }
         stable = {
-            (a, b): stable_orbit_equivalent(modulus, a, b)[0]
+            (a, b): stable_orbit_equivalent(modulus, a, b) is not None
             for a in weights
             for b in weights
         }
@@ -195,7 +194,7 @@ def test_partitions_match_pairwise_semantics():
         modulus = rng.randint(1, 60)
         parts = stable_class_partition(modulus)
         a, b = rng.randrange(modulus), rng.randrange(modulus)
-        assert (parts[a] == parts[b]) == stable_orbit_equivalent(modulus, a, b)[0]
+        assert (parts[a] == parts[b]) == (stable_orbit_equivalent(modulus, a, b) is not None)
         eparts = exact_class_partition(modulus)
         assert (eparts[a] == eparts[b]) == (exact_orbit_witness(modulus, a, b) is not None)
 

@@ -623,7 +623,7 @@ def test_scan_past_the_limit_exits_2_before_any_class_count(capsys, monkeypatch,
 
 
 def test_scan_at_the_limit_is_computed(capsys):
-    from oneideal import class_counts
+    from oneideal.classify import class_counts
 
     code, data, _ = run_json(capsys, "scan", "--max-m", str(MAX_SCAN_M))
     assert code == 0
@@ -764,6 +764,7 @@ def test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next(capsys, m, 
 def test_no_verdict_walks_an_orbit(capsys, monkeypatch):
     import oneideal.classify
     import oneideal.dyadic
+    import oneideal.ordered
 
     def refuse(*args):
         raise AssertionError("a verdict walked a two-power orbit")
@@ -773,7 +774,7 @@ def test_no_verdict_walks_an_orbit(capsys, monkeypatch):
     code, out, _ = run(capsys, "compare", "--a", "m=1597830,n=[1]", "--b", "m=1597830,n=[3]",
                        "--mode", "exact")
     assert code == 0 and "isomorphic: True" in out
-    assert oneideal.alpha_cones_isomorphic(Fraction(1, 1597829), Fraction(3, 1597829))
+    assert oneideal.ordered.alpha_cones_isomorphic(Fraction(1, 1597829), Fraction(3, 1597829))
 
 
 def test_importing_the_package_leaves_the_cli_unimported():

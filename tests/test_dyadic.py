@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oneideal import WorkLimitError, odd_part, two_adic_valuation
-from oneideal.dyadic import MAX_ORBIT_BITS, residue_cycle, two_power_log
+from oneideal import WorkLimitError
+from oneideal.dyadic import (
+    MAX_ORBIT_BITS,
+    odd_part,
+    residue_cycle,
+    two_adic_valuation,
+    two_power_log,
+)
 from oracles import dyadic_strictly_between
 
 

@@ -2,16 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneideal import (
-    FamilyValidationError,
-    IntMatrix,
-    SparseMatrix,
-    cokernel_invariants,
-    smith_normal_form,
-    stable_oracle_depth,
-    truncated_presentation,
-    validate_family,
-)
+from oneideal import FamilyValidationError
+from oneideal.exactlinalg import IntMatrix, SparseMatrix, cokernel_invariants, smith_normal_form
+from oneideal.family import truncated_presentation, validate_family
+from oneideal.ktheory import stable_oracle_depth
 from oracles import (
     dense,
     dense_cokernel_invariants,

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oneideal import (
-    INF,
-    FamilySpec,
-    FamilyValidationError,
-    RegimeError,
-    TailSpec,
-    alpha_of,
-    cokernel_invariants,
-    truncated_presentation,
-    validate_family,
-    weight_of,
-)
+from oneideal import INF, FamilySpec, FamilyValidationError, RegimeError, TailSpec
+from oneideal.exactlinalg import cokernel_invariants
+from oneideal.family import alpha_of, truncated_presentation, validate_family, weight_of
 from oracles import dense, dense_presentation, matrix, summed_alpha
 
 prefixes = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
@@ -244,7 +235,7 @@ def test_presentation_regime_errors():
 def test_presentation_torsion_stable_past_saturation_depth(m, prefix, extra):
     """Cokernel torsion agrees between consecutive depths once past the
     two-adic saturation point k + v2(m-1) - v2(N)."""
-    from oneideal import stable_oracle_depth
+    from oneideal.ktheory import stable_oracle_depth
 
     try:
         spec = validate_family(m, prefix)

@@ -4,21 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from oneideal import (
-    INF,
-    FamilyValidationError,
-    RegimeError,
-    TailSpec,
+from oneideal import INF, FamilyValidationError, RegimeError, TailSpec, invariant_of
+from oneideal.family import validate_family, weight_of
+from oneideal.groups import (
+    ALL_POSITIVE,
+    ALPHA_CONE,
+    DYADIC_LINE,
+    GroupDescriptor,
     dyadic_plus_torsion,
-    invariant_of,
-    stable_oracle_depth,
-    torsion_order,
-    torsion_range,
-    truncated_k0,
-    validate_family,
-    weight_of,
 )
-from oneideal.groups import ALL_POSITIVE, ALPHA_CONE, DYADIC_LINE, GroupDescriptor
+from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
 from oracles import truncation_torsion_order
 
 

@@ -7,23 +7,15 @@ from hypothesis import strategies as st
 
 from oneideal import (
     INF,
-    ConeElement,
     ConeShapeError,
     NotDeterminedError,
     PreorderedGroup,
     TailSpec,
     UnsupportedConeCombination,
     WorkLimitError,
-    alpha_cone,
-    alpha_cones_isomorphic,
-    cone_contains,
-    dyadic_plus_torsion,
     invariant_of,
-    is_k_lexicographic,
-    is_lexicographic_sequence,
-    middle_cone_from_fullness,
-    validate_family,
 )
+from oneideal.family import validate_family
 from oneideal.groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
@@ -35,7 +27,17 @@ from oneideal.groups import (
     STANDARD_DYADIC_CONE,
     STANDARD_INTEGER_CONE,
     ConeDescriptor,
+    ConeElement,
     GroupDescriptor,
+    alpha_cone,
+    dyadic_plus_torsion,
+)
+from oneideal.ordered import (
+    alpha_cones_isomorphic,
+    cone_contains,
+    is_k_lexicographic,
+    is_lexicographic_sequence,
+    middle_cone_from_fullness,
 )
 from oracles import find_order_isomorphism, walked_alpha_cones_isomorphic
 

@@ -12,9 +12,7 @@ import oneideal
 
 # Public functions whose body is one call to a library class, each with the
 # reason it stays; callers use the class itself otherwise.
-PASS_THROUGHS = {
-    "validate_family": "perfbench's POINTS resolves it; ROADMAP item 1",
-}
+PASS_THROUGHS: dict[str, str] = {}
 
 
 def test_every_name_in_all_resolves_on_the_package():

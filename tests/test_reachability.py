@@ -118,6 +118,12 @@ def test_every_library_function_is_entered_or_listed_as_unreached():
     assert sorted(UNREACHED.keys() & (defined.keys() - unreached)) == [], "entered by the corpus"
 
 
+def test_no_unreached_function_is_exported():
+    # a function no command enters is no part of what users call
+    exported = [name for name in UNREACHED if name.split(".")[1] in oneideal.__all__]
+    assert exported == []
+
+
 def test_each_reason_that_cites_a_file_is_borne_out_by_that_file():
     stale = []
     for reason, paths in CITED.items():

@@ -13,21 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from oneideal import (
-    FamilySpec,
-    IntMatrix,
-    class_counts,
-    cokernel_invariants,
-    divergence_table,
-    odd_part,
-    smith_normal_form,
-    stable_oracle_depth,
-    torsion_order,
-    torsion_range,
-    truncated_k0,
-    two_adic_valuation,
-)
-from oneideal.dyadic import factorize
+from oneideal import FamilySpec, divergence_table
+from oneideal.classify import class_counts
+from oneideal.dyadic import factorize, odd_part, two_adic_valuation
+from oneideal.exactlinalg import IntMatrix, cokernel_invariants, smith_normal_form
+from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
 from oracles import dense_presentation, sparse
 
 REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
