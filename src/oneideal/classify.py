@@ -138,9 +138,9 @@ def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     and l' >= v - beta, the pre-periods) or they share a valuation s < v:
     l - l' = beta - alpha, and the odd parts agree modulo 2^(v - s).  The
     first case is cheapest at the two values of l - l' nearest the
-    difference of the pre-periods, the second at the least such s.  The
-    orbit walk's budget applies: an orbit past :data:`.dyadic.MAX_ORBIT_BITS`
-    raises :class:`WorkLimitError`.
+    difference of the pre-periods, the second at the least such s.  An
+    order of 2 modulo M/g past the logarithm's budget raises
+    :class:`WorkLimitError`.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -154,7 +154,7 @@ def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     pre_a, pre_b = v - alpha, v - beta
     unit_modulus = m_odd // g
     r = b // g * pow(a // g, -1, unit_modulus)
-    order, t = two_power_log(unit_modulus, r, modulus.bit_length(), max(pre_a, pre_b))
+    order, t = two_power_log(unit_modulus, r)
     if t is None:
         return None
     below = pre_a - pre_b - (pre_a - pre_b - t) % order

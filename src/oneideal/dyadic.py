@@ -21,14 +21,13 @@ from .errors import WorkLimitError
 
 INF = math.inf
 
-# The most residues of a two-power orbit a question may involve, in bits:
-# the orbit's length (pre-period plus the order of 2) times the bit length of
-# the modulus.  :func:`two_power_log` decides an orbit question in about
-# 2 sqrt(length) steps without building the orbit, so the budget bounds time
-# only loosely; it stays the one orbit budget, as the walk set it.  The
-# largest orbit it admits, of a 21-bit modulus (m - 1 = 1597829, where 2 is
-# a primitive root), decides an exact `compare` in about 1 ms in-process
-# (Python 3.11, 2-core x86); the orbit walk took 2.8 s and 361 MiB there.
+# The orbit budget of :func:`two_power_log`, in bits: the order of 2 modulo
+# the odd modulus it runs on times that modulus's bit length.  The discrete
+# logarithm takes about 2 sqrt(order) steps, so the budget bounds its time
+# only loosely.  It admits every order of a 20-bit modulus; the largest
+# order it admits at 21 bits is that of 2 modulo the prime 1597829 (a
+# primitive root there), whose exact `compare` (m = 1597830) takes about
+# 1 ms in-process (Python 3.11, 2-core x86).
 MAX_ORBIT_BITS = 1 << 25
 
 # A finite exact value or +infinity.
@@ -68,32 +67,23 @@ def residue_cycle(modulus: int, n: int) -> list[int]:
 
     The sequence is eventually periodic (pre-period at most v2(modulus),
     period the multiplicative order of 2 modulo the odd part), so collecting
-    until the first repeat enumerates the whole orbit.  An orbit longer than
-    :data:`MAX_ORBIT_BITS` // bit length of the modulus raises
-    :class:`WorkLimitError` once the walk passes that length.  No command
-    walks an orbit; the tests check :func:`two_power_log` against this.
+    until the first repeat enumerates the whole orbit, in time and memory
+    linear in its length.  No command walks an orbit; the tests check
+    :func:`two_power_log` against this.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    limit = MAX_ORBIT_BITS // modulus.bit_length()
     out: list[int] = []
     seen: set[int] = set()
     r = n % modulus
-    for _ in range(limit + 1):
-        if r in seen:
-            return out
+    while r not in seen:
         out.append(r)
         seen.add(r)
         r = (2 * r) % modulus
-    raise WorkLimitError(
-        f"a two-power orbit modulo a {modulus.bit_length()}-bit modulus has more than "
-        f"{limit} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
-    )
+    return out
 
 
-def two_power_log(
-    modulus: int, r: int, bits: int | None = None, pre_period: int = 0
-) -> tuple[int, int | None]:
+def two_power_log(modulus: int, r: int) -> tuple[int, int | None]:
     """(o, t): the order o of 2 modulo the odd ``modulus``, and the least
     t >= 0 with 2^t == r, or None if r is no power of 2.
 
@@ -102,16 +92,14 @@ def two_power_log(
     2^s, and s starts at 8 and grows fourfold until it does; the same table
     then finds t by giant steps of 2^-s from r.  The work is O(sqrt(o)).
 
-    The budget is the orbit walk's: an orbit of ``pre_period`` + o residues
-    of ``bits`` bits each (by default the modulus's bit length) past
+    An order o with o times the bit length of ``modulus`` past
     :data:`MAX_ORBIT_BITS` raises :class:`WorkLimitError`.  That is known
     within O(sqrt(budget)) steps, so no table grows past that size either.
     """
     if modulus < 1 or modulus % 2 == 0:
         raise ValueError("two_power_log needs an odd modulus >= 1")
-    bits = modulus.bit_length() if bits is None else bits
-    limit = MAX_ORBIT_BITS // bits
-    most = limit - pre_period  # the largest order admitted
+    bits = modulus.bit_length()
+    most = MAX_ORBIT_BITS // bits  # the largest order admitted
     powers: dict[int, int] = {}
     x = 1 % modulus
     step = 8
@@ -136,7 +124,7 @@ def two_power_log(
     if order is None or order > most:
         raise WorkLimitError(
             f"a two-power orbit modulo a {bits}-bit modulus has more than "
-            f"{limit} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
+            f"{most} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
         )
     size = len(powers)
     back = pow(2, -size, modulus)

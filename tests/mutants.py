@@ -233,8 +233,18 @@ MUTANTS = (
         (
             "tests/test_cli.py::"
             "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[first refused]",
-            "tests/test_dyadic.py::"
-            "test_two_power_log_prices_the_orbit_at_the_given_bits_and_pre_period",
+            "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
+        ),
+    ),
+    Mutant(
+        "discrete logarithm priced one bit above its modulus",
+        "dyadic.py",
+        "    bits = modulus.bit_length()\n",
+        "    bits = modulus.bit_length() + 1\n",
+        (
+            "tests/test_cli.py::"
+            "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[largest admitted]",
+            "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
         ),
     ),
     Mutant(
@@ -260,13 +270,6 @@ MUTANTS = (
             "tests/test_classify.py::"
             "test_the_exact_witness_matches_the_orbit_walk_up_to_2_to_the_20",
         ),
-    ),
-    Mutant(
-        "exact witness priced without the second weight's pre-period",
-        "classify.py",
-        "modulus.bit_length(), max(pre_a, pre_b))",
-        "modulus.bit_length(), pre_a)",
-        ("tests/test_classify.py::test_a_small_orbit_budget_refuses_what_the_walk_refuses",),
     ),
     Mutant(
         "exact witness without the nearest candidate above",

@@ -20,8 +20,9 @@ more literal route, a quantity the library computes in closed form.
   units of a modulus, computed here rather than by the library's walk and
   unit list, so that a fault in those is not shared with these oracles;
 * :func:`walked_exact_witness`, :func:`walked_alpha_cones_isomorphic` - the
-  exact witness and the alpha-cone criterion by the library's bounded orbit
-  walk, :func:`oneideal.dyadic.residue_cycle`, at any modulus it admits;
+  exact witness and the alpha-cone criterion by the library's orbit walk,
+  :func:`oneideal.dyadic.residue_cycle`, in time and memory linear in the
+  orbit length;
 * :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
   minimal witnesses by a pair scan over both two-power orbits (and, for the
   stable one, over every unit);

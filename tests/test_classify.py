@@ -324,16 +324,16 @@ def test_the_congruence_routes_reject_modulus_zero(call):
 
 
 def test_an_exact_witness_past_the_orbit_walk_budget_is_a_work_limit():
-    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, so the walk
-    # stops at its budget of MAX_ORBIT_BITS // 951 residues
+    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, past the
+    # logarithm's budget of MAX_ORBIT_BITS // 951 residues
     with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
         exact_orbit_witness(3**600, 1, 2)
 
 
-def test_a_small_orbit_budget_refuses_what_the_walk_refuses(monkeypatch):
-    # at 48 bits the budget is 8 residues of a 6-bit modulus, 48 of a 1-bit
-    # one: each pre-period and order meets it on some triple.  Weights with
-    # different gcds are refused by the gcds alone, before any orbit.
+def test_a_small_orbit_budget_prices_the_logarithm_at_its_own_modulus(monkeypatch):
+    # at 48 bits the budget admits orders up to 8 of a 6-bit modulus M/g, 48
+    # of a 1-bit one.  Weights with different gcds are refused by the gcds
+    # alone, before any logarithm; every answer is the walk's witness.
     import oneideal.dyadic
 
     monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 48)
@@ -342,21 +342,21 @@ def test_a_small_orbit_budget_refuses_what_the_walk_refuses(monkeypatch):
         m_odd = odd_part(modulus)
         for a in range(modulus):
             for b in range(modulus):
-                if math.gcd(a, m_odd) != math.gcd(b, m_odd):
+                g = math.gcd(a, m_odd)
+                if math.gcd(b, m_odd) != g:
                     assert exact_orbit_witness(modulus, a, b) is None
                     continue
-                expected = _witness_or_work_limit(walked_exact_witness, modulus, a, b)
-                assert _witness_or_work_limit(exact_orbit_witness, modulus, a, b) == expected
-                outcomes.add(type(expected))
-    assert outcomes == {IsoWitness, str, type(None)}
-
-
-def _witness_or_work_limit(route, *args):
-    """The route's witness or None, or the message of its WorkLimitError."""
-    try:
-        return route(*args)
-    except WorkLimitError as err:
-        return str(err)
+                unit_modulus = m_odd // g
+                priced = len(residue_cycle(unit_modulus, 1)) * unit_modulus.bit_length()
+                try:
+                    got = exact_orbit_witness(modulus, a, b)
+                except WorkLimitError:
+                    assert priced > 48, (modulus, a, b)
+                    outcomes.add(WorkLimitError)
+                    continue
+                assert priced <= 48 and got == walked_exact_witness(modulus, a, b), (modulus, a, b)
+                outcomes.add(type(got))
+    assert outcomes == {IsoWitness, WorkLimitError, type(None)}
 
 
 def test_permanence_check():

@@ -674,7 +674,7 @@ def test_a_reader_that_leaves_mid_stream_is_not_an_error():
 
 
 # Runs main(argv) in a fresh interpreter, then prints its peak RSS in KiB.  The
-# address space is capped at 1 GiB, so a walk without a budget fails early.
+# address space is capped at 1 GiB, so a route without a budget fails early.
 # The peak is VmHWM, the child's own: a child spawned by vfork, as subprocess
 # does, also counts the parent's peak in its ru_maxrss.
 PEAK_RSS_PROBE = """
@@ -741,18 +741,21 @@ def test_an_orbit_of_a_million_residues_is_decided():
     assert "witness: l=254277 l'=0 unit=1" in proc.stdout
 
 
-# The orbit budget admits MAX_ORBIT_BITS // 21 = 1597830 residues of a 21-bit
-# modulus.  The largest orbit it admits is that of 1 modulo the prime
-# 1597829, where 2 has order 1597828; the next modulus whose orbit of 1 is
-# past it is the prime 1597931 (order 1597930).
+# The orbit budget admits an order of 2 up to MAX_ORBIT_BITS // 21 = 1597830
+# modulo a 21-bit modulus.  The largest order it admits is 1597828, modulo
+# the prime 1597829; the next modulus past it is the prime 1597931 (order
+# 1597930).  The budget prices the odd modulus the logarithm runs on, so
+# m - 1 = 2 * 1597829, a 22-bit number, is decided modulo 1597829 (the
+# walk's witness too).
 @pytest.mark.parametrize(
     "m, code, line",
     [
         (1597830, 0, "witness: l=0 l'=19211 unit=1"),
         (1597932, 2, "error [WorkLimit]: a two-power orbit modulo a 21-bit modulus has more "
                      "than 1597830 residues, past the limit of 33554432 residue bits"),
+        (3195659, 0, "witness: l=1 l'=19212 unit=1"),
     ],
-    ids=["largest admitted", "first refused"],
+    ids=["largest admitted", "first refused", "priced at the odd part"],
 )
 def test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next(capsys, m, code, line):
     argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
@@ -1013,6 +1016,31 @@ def test_flag_compact_and_json_forms_read_alike(spec, fmt):
     assert compare[0] == (0 if spec.has_finite_loops else 2)
     assert run_captured("compare", "--a", spec_json, "--b", spec_json, "--mode", "exact",
                         "--format", fmt) == compare
+
+
+# Padding a member with one zero maps its weight data (k, N) to (k + 1, 2N),
+# so (l, l') = (1, 0) is an exact witness against the padding and the
+# minimal one has l + l' <= 1: (0, 0) when N == 0 and (0, 1) when 3N == 0
+# modulo m - 1.  A relation between two runs of the exact route, no oracle;
+# m - 1 in {1, 3, 6, 9} reaches all three witnesses.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.one_of(st.sampled_from([2, 4, 7, 10]), st.integers(min_value=2, max_value=10**4)),
+       st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=8))
+def test_padding_a_zero_is_an_exact_isomorphism(m, prefix):
+    assume(any(prefix))
+    n = ",".join(map(str, prefix))
+    argv = ("compare", "--a", f"m={m},n=[{n}]", "--b", f"m={m},n=[{n},0]", "--mode", "exact")
+    weight = sum(x << (len(prefix) - i) for i, x in enumerate(prefix, 1))
+    l, l_prime = (0, 0) if weight % (m - 1) == 0 else (0, 1) if 3 * weight % (m - 1) == 0 else (1, 0)
+    code, text, err = run_captured(*argv)
+    assert (code, err) == (0, "")
+    assert f"witness: l={l} l'={l_prime} unit=1" in text.splitlines()
+    code, out, err = run_captured(*argv, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["verdict"] == {"isomorphic": True, "mode": "exact"}
+    assert data["witness"] == {"l": str(l), "lPrime": str(l_prime), "unit": "1"}
+    assert Report.from_json_dict(data).to_text() + "\n" == text
 
 
 def run_exiting(capsys, *argv):

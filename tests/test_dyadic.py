@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oneideal import WorkLimitError
-from oneideal.dyadic import (
-    MAX_ORBIT_BITS,
-    odd_part,
-    residue_cycle,
-    two_adic_valuation,
-    two_power_log,
-)
+from oneideal.dyadic import odd_part, residue_cycle, two_adic_valuation, two_power_log
 from oracles import dyadic_strictly_between
 
 
@@ -55,10 +49,12 @@ def test_two_power_log_refuses_a_modulus_that_is_not_odd_and_positive(modulus):
         two_power_log(modulus, 1)
 
 
-def test_two_power_log_prices_the_orbit_at_the_given_bits_and_pre_period():
-    # 2 has order 10 modulo 11: an orbit of 10 residues fits a budget of 10
-    assert two_power_log(11, 3, bits=MAX_ORBIT_BITS // 10) == (10, 8)
-    assert two_power_log(11, 3, bits=MAX_ORBIT_BITS // 12, pre_period=2) == (10, 8)
-    for bits, pre_period in ((MAX_ORBIT_BITS // 9, 0), (MAX_ORBIT_BITS // 11, 2)):
-        with pytest.raises(WorkLimitError, match=f"more than {MAX_ORBIT_BITS // bits} residues"):
-            two_power_log(11, 3, bits, pre_period)
+def test_two_power_log_prices_the_order_at_its_own_modulus(monkeypatch):
+    import oneideal.dyadic
+
+    # 2 has order 10 modulo 11, a 4-bit modulus: 40 bits admit it, 39 do not
+    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 40)
+    assert two_power_log(11, 3) == (10, 8)
+    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 39)
+    with pytest.raises(WorkLimitError, match="4-bit modulus has more than 9 residues"):
+        two_power_log(11, 3)

@@ -263,8 +263,8 @@ def test_alpha_iso_examples():
 
 
 def test_alpha_iso_past_the_orbit_walk_budget_is_a_work_limit():
-    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, so the walk
-    # stops at its budget of MAX_ORBIT_BITS // 951 residues
+    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, past the
+    # logarithm's budget of MAX_ORBIT_BITS // 951 residues
     with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
         alpha_cones_isomorphic(Fraction(1, 3**600), Fraction(2, 3**600))
 

@@ -15,7 +15,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from oneideal import FamilySpec, divergence_table
 from oneideal.classify import class_counts
-from oneideal.dyadic import factorize, odd_part, two_adic_valuation
+from oneideal.dyadic import factorize, odd_part, two_adic_valuation, two_power_log
 from oneideal.exactlinalg import IntMatrix, cokernel_invariants, smith_normal_form
 from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
 from oracles import dense_presentation, sparse
@@ -34,6 +34,27 @@ def test_factorize_matches_sympy_factorint(n):
 def test_torsion_range_is_the_two_part_times_each_odd_divisor(m):
     two_part = 1 << two_adic_valuation(m - 1)
     assert torsion_range(m) == {two_part * d for d in sympy.divisors(odd_part(m - 1))}
+
+
+@st.composite
+def odd_moduli_and_residues(draw):
+    """An odd modulus in [3, 2^20] and a residue, a power of 2 about half the time."""
+    modulus = 2 * draw(st.integers(min_value=1, max_value=2**19 - 1)) + 1
+    if draw(st.booleans()):
+        return modulus, pow(2, draw(st.integers(min_value=0, max_value=modulus)), modulus)
+    return modulus, draw(st.integers(min_value=0, max_value=modulus - 1))
+
+
+@REFERENCE
+@given(odd_moduli_and_residues())
+def test_two_power_log_matches_sympy_n_order_and_discrete_log(case):
+    modulus, r = case
+    order = sympy.n_order(2, modulus)
+    try:
+        t = sympy.discrete_log(modulus, r, 2) % order
+    except ValueError:  # r is no power of 2
+        t = None
+    assert two_power_log(modulus, r) == (order, t)
 
 
 def sympy_class_counts(m):
