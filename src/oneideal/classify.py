@@ -139,7 +139,7 @@ def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     l - l' = beta - alpha, and the odd parts agree modulo 2^(v - s).  The
     first case is cheapest at the two values of l - l' nearest the
     difference of the pre-periods, the second at the least such s.  An
-    order of 2 modulo M/g past the logarithm's budget raises
+    order of 2 modulo M/g past ``dyadic.MAX_LOG_STEP`` squared raises
     :class:`WorkLimitError`.
     """
     if modulus < 1:

@@ -28,12 +28,9 @@ stderr tag that the error's class in :mod:`.errors` carries (a bare
 an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
 (``--depth`` and ``--max-m`` included), a truncation deeper than
 ``ktheory.MAX_TRUNCATION_DEPTH``, a ``scan --max-m`` above
-``report.MAX_SCAN_M`` or an exact ``compare`` whose discrete logarithm is
-past its budget: the order of 2 modulo the odd modulus it runs on times
-that modulus's bit length past ``dyadic.MAX_ORBIT_BITS`` bits, which
-:func:`.dyadic.two_power_log` finds out in O(sqrt) of that order without
-building the orbit (m - 1 = 1597931, the first modulus past it for
-weights 1 and 3, exits 2 in about 1 ms in-process);
+``report.MAX_SCAN_M`` or an exact ``compare`` whose discrete logarithm
+:func:`.dyadic.two_power_log` refuses: the order of 2 modulo the odd
+modulus it runs on is past ``dyadic.MAX_LOG_STEP`` squared;
 3 = internal consistency failure
 (the stable-isomorphism routes disagree, an exact witness fails
 re-substitution, the truncation shown by ``invariant`` contradicts the

@@ -2,8 +2,8 @@
 
 The module every layer imports (it imports only the errors), so it owns
 what several layers need: the integer rule :func:`is_int`, the discrete
-logarithm to base 2 (:func:`two_power_log`, bounded by
-:data:`MAX_ORBIT_BITS`), prime factorisation and extended-value text.
+logarithm to base 2 (:func:`two_power_log`, which finds orders of 2 up
+to :data:`MAX_LOG_STEP` squared), prime factorisation and extended-value text.
 
 A dyadic rational (an element of Z[1/2]) is a :class:`~fractions.Fraction`
 whose denominator is a power of two; there is no separate type for it.
@@ -21,14 +21,9 @@ from .errors import WorkLimitError
 
 INF = math.inf
 
-# The orbit budget of :func:`two_power_log`, in bits: the order of 2 modulo
-# the odd modulus it runs on times that modulus's bit length.  The discrete
-# logarithm takes about 2 sqrt(order) steps, so the budget bounds its time
-# only loosely.  It admits every order of a 20-bit modulus; the largest
-# order it admits at 21 bits is that of 2 modulo the prime 1597829 (a
-# primitive root there), whose exact `compare` (m = 1597830) takes about
-# 1 ms in-process (Python 3.11, 2-core x86).
-MAX_ORBIT_BITS = 1 << 25
+# two_power_log's table stops at this many entries: it finds every order of 2 up to 2048**2 and
+# refuses the rest.  The slowest refusal, at 1000 digits, takes 50-85 ms (Python 3.11, 2-core x86).
+MAX_LOG_STEP = 2048
 
 # A finite exact value or +infinity.
 ExtendedRational = Fraction | float
@@ -89,17 +84,15 @@ def two_power_log(modulus: int, r: int) -> tuple[int, int | None]:
 
     Baby-step giant-step (Shanks, 1971), with no factorisation: a table of
     2^j for j below a step s finds o among 1, ..., s^2 by giant steps of
-    2^s, and s starts at 8 and grows fourfold until it does; the same table
-    then finds t by giant steps of 2^-s from r.  The work is O(sqrt(o)).
+    2^s, and s starts at 8 and grows fourfold, up to :data:`MAX_LOG_STEP`,
+    until it does; the same table then finds t by giant steps of 2^-s from
+    r.  The work is O(sqrt(o)).
 
-    An order o with o times the bit length of ``modulus`` past
-    :data:`MAX_ORBIT_BITS` raises :class:`WorkLimitError`.  That is known
-    within O(sqrt(budget)) steps, so no table grows past that size either.
+    An order past MAX_LOG_STEP^2 raises :class:`WorkLimitError`, whatever
+    the size of ``modulus``.
     """
     if modulus < 1 or modulus % 2 == 0:
         raise ValueError("two_power_log needs an odd modulus >= 1")
-    bits = modulus.bit_length()
-    most = MAX_ORBIT_BITS // bits  # the largest order admitted
     powers: dict[int, int] = {}
     x = 1 % modulus
     step = 8
@@ -118,13 +111,13 @@ def two_power_log(modulus: int, r: int) -> tuple[int, int | None]:
                     order = i * step - powers[y]
                     break
                 y = y * x % modulus
-        if order is not None or step * step >= most:
+        if order is not None or step >= MAX_LOG_STEP:
             break
-        step *= 4
-    if order is None or order > most:
+        step = min(4 * step, MAX_LOG_STEP)
+    if order is None:
         raise WorkLimitError(
-            f"a two-power orbit modulo a {bits}-bit modulus has more than "
-            f"{most} residues, past the limit of {MAX_ORBIT_BITS} residue bits"
+            f"the order of 2 modulo {modulus} is more than {step * step}, "
+            f"past the {step}-entry table of the discrete logarithm"
         )
     size = len(powers)
     back = pow(2, -size, modulus)

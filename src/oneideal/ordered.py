@@ -127,9 +127,9 @@ def alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
     Concretely: write each parameter with reduced denominator 2^s * M0 (M0
     odd); the odd parts must agree, and the numerators must differ by a
     power of two modulo M0 (always so when M0 = 1, both being dyadic): one
-    discrete logarithm, within the orbit budget of
-    :func:`.dyadic.two_power_log`.  A parameter :func:`.groups.alpha_cone`
-    refuses raises the same ValueError here.
+    discrete logarithm by :func:`.dyadic.two_power_log`, which refuses an
+    order of 2 modulo M0 past ``MAX_LOG_STEP`` squared.  A parameter
+    :func:`.groups.alpha_cone` refuses raises the same ValueError here.
     """
     a, b = alpha_cone(a).alpha, alpha_cone(b).alpha
     if is_infinite(a) or is_infinite(b):

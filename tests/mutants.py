@@ -226,10 +226,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "discrete logarithm without its MAX_ORBIT_BITS budget",
+        "discrete logarithm whose table grows one step past MAX_LOG_STEP",
         "dyadic.py",
-        "if order is None or order > most:",
-        "if order is None:",
+        "step >= MAX_LOG_STEP:\n            break\n        step = min(4 * step, MAX_LOG_STEP)",
+        "step > MAX_LOG_STEP:\n            break\n        step = 4 * step",
         (
             "tests/test_cli.py::"
             "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[first refused]",
@@ -237,13 +237,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "discrete logarithm priced one bit above its modulus",
+        "discrete logarithm that answers 'no power of 2' past its table instead of refusing",
         "dyadic.py",
-        "    bits = modulus.bit_length()\n",
-        "    bits = modulus.bit_length() + 1\n",
+        "    if order is None:\n        raise WorkLimitError(",
+        "    if order is None:\n        return 0, None\n        raise WorkLimitError(",
         (
             "tests/test_cli.py::"
-            "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[largest admitted]",
+            "test_an_order_past_the_logarithm_table_exits_2_in_bounded_time_and_memory[31 digits]",
+            "tests/test_classify.py::"
+            "test_an_exact_witness_past_the_logarithm_table_is_a_work_limit",
+            "tests/test_ordered.py::test_alpha_iso_past_the_logarithm_table_is_a_work_limit",
             "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
         ),
     ),

@@ -323,22 +323,23 @@ def test_the_congruence_routes_reject_modulus_zero(call):
         call()
 
 
-def test_an_exact_witness_past_the_orbit_walk_budget_is_a_work_limit():
-    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, past the
-    # logarithm's budget of MAX_ORBIT_BITS // 951 residues
-    with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
+def test_an_exact_witness_past_the_logarithm_table_is_a_work_limit():
+    # 2 has order 2 * 3**599 modulo 3**600, past MAX_LOG_STEP**2
+    with pytest.raises(WorkLimitError, match=f"^the order of 2 modulo {3**600} is more than "):
         exact_orbit_witness(3**600, 1, 2)
 
 
 def test_a_small_orbit_budget_prices_the_logarithm_at_its_own_modulus(monkeypatch):
-    # at 48 bits the budget admits orders up to 8 of a 6-bit modulus M/g, 48
-    # of a 1-bit one.  Weights with different gcds are refused by the gcds
-    # alone, before any logarithm; every answer is the walk's witness.
+    # a table of 8 entries refuses exactly the orders of 2 modulo M/g past 64,
+    # the modulus the logarithm runs on: 67 and 2 * 67 (order 66) are refused
+    # for weights prime to 67, answered for weights divisible by it.
+    # Weights with different gcds are refused by the gcds alone, before any
+    # logarithm; every answer is the walk's witness.
     import oneideal.dyadic
 
-    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 48)
+    monkeypatch.setattr(oneideal.dyadic, "MAX_LOG_STEP", 8)
     outcomes = set()
-    for modulus in range(1, 64):
+    for modulus in (56, 57, 60, 63, 64, 65, 66, 67, 68, 134):
         m_odd = odd_part(modulus)
         for a in range(modulus):
             for b in range(modulus):
@@ -346,15 +347,14 @@ def test_a_small_orbit_budget_prices_the_logarithm_at_its_own_modulus(monkeypatc
                 if math.gcd(b, m_odd) != g:
                     assert exact_orbit_witness(modulus, a, b) is None
                     continue
-                unit_modulus = m_odd // g
-                priced = len(residue_cycle(unit_modulus, 1)) * unit_modulus.bit_length()
+                order = len(residue_cycle(m_odd // g, 1))
                 try:
                     got = exact_orbit_witness(modulus, a, b)
                 except WorkLimitError:
-                    assert priced > 48, (modulus, a, b)
+                    assert order > 64, (modulus, a, b)
                     outcomes.add(WorkLimitError)
                     continue
-                assert priced <= 48 and got == walked_exact_witness(modulus, a, b), (modulus, a, b)
+                assert order <= 64 and got == walked_exact_witness(modulus, a, b), (modulus, a, b)
                 outcomes.add(type(got))
     assert outcomes == {IsoWitness, WorkLimitError, type(None)}
 

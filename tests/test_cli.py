@@ -3,6 +3,7 @@ import contextlib
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -697,10 +698,10 @@ def _exact_compare_in_a_subprocess(m):
 
 
 @pytest.mark.parametrize("m", [10**30 + 58, 10**999 + 2], ids=["31 digits", "1000 digits"])
-def test_an_orbit_past_the_walk_budget_exits_2_in_bounded_time_and_memory(m):
+def test_an_order_past_the_logarithm_table_exits_2_in_bounded_time_and_memory(m):
     proc, seconds = _exact_compare_in_a_subprocess(m)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error [WorkLimit]: a two-power orbit modulo ")
+    assert proc.stderr.startswith(f"error [WorkLimit]: the order of 2 modulo {m - 1} is ")
     assert seconds < 5
     assert int(proc.stdout) < 300 * 1024  # peak RSS in KiB
 
@@ -741,21 +742,28 @@ def test_an_orbit_of_a_million_residues_is_decided():
     assert "witness: l=254277 l'=0 unit=1" in proc.stdout
 
 
-# The orbit budget admits an order of 2 up to MAX_ORBIT_BITS // 21 = 1597830
-# modulo a 21-bit modulus.  The largest order it admits is 1597828, modulo
-# the prime 1597829; the next modulus past it is the prime 1597931 (order
-# 1597930).  The budget prices the odd modulus the logarithm runs on, so
-# m - 1 = 2 * 1597829, a 22-bit number, is decided modulo 1597829 (the
-# walk's witness too).
+# The discrete logarithm's table of MAX_LOG_STEP = 2048 entries finds an
+# order of 2 up to 2048**2 = 4194304, whatever the modulus's size.  4194187
+# and 4194371 are the primes modulo which 2 has the full order p - 1 on
+# either side of that limit (test_sympy_reference.py derives them and the
+# witnesses), so m - 1 = 4194187 is the largest such modulus admitted and
+# 4194371 the first refused.  The 21-bit primes 1597829 and 1597931 lie well
+# inside; m - 1 = 2 * 1597829 is decided modulo its odd part, 1597829; and
+# m - 1 = (2**101 - 1)(2**103 - 1)(2**107 - 1), a 311-bit modulus where 2
+# has order 101 * 103 * 107, is decided too.
 @pytest.mark.parametrize(
     "m, code, line",
     [
         (1597830, 0, "witness: l=0 l'=19211 unit=1"),
-        (1597932, 2, "error [WorkLimit]: a two-power orbit modulo a 21-bit modulus has more "
-                     "than 1597830 residues, past the limit of 33554432 residue bits"),
+        (1597932, 0, "witness: l=725374 l'=0 unit=1"),
         (3195659, 0, "witness: l=1 l'=19212 unit=1"),
+        (4194188, 0, "witness: l=1157275 l'=0 unit=1"),
+        (4194372, 2, "error [WorkLimit]: the order of 2 modulo 4194371 is more than 4194304, "
+                     "past the 2048-entry table of the discrete logarithm"),
+        ((2**101 - 1) * (2**103 - 1) * (2**107 - 1) + 1, 0, "isomorphic: False"),
     ],
-    ids=["largest admitted", "first refused", "priced at the odd part"],
+    ids=["prime 1597829", "prime 1597931", "priced at the odd part", "largest admitted",
+         "first refused", "311-bit modulus"],
 )
 def test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next(capsys, m, code, line):
     argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
@@ -1041,6 +1049,33 @@ def test_padding_a_zero_is_an_exact_isomorphism(m, prefix):
     assert data["verdict"] == {"isomorphic": True, "mode": "exact"}
     assert data["witness"] == {"l": str(l), "lPrime": str(l_prime), "unit": "1"}
     assert Report.from_json_dict(data).to_text() + "\n" == text
+
+
+# Relation laws between runs of compare on members n=[N] (weight N) with the
+# same m: the verdict is symmetric in --a and --b in both modes, an exact
+# "yes" is a stable "yes", and multiplying N_b by a unit of Z/(m - 1) keeps
+# the stable verdict.  N_b is drawn as N_a times a power of 2 or another
+# factor, as a multiple of m - 1, or at random, so every pair of verdicts
+# occurs.
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=10**4),
+       st.sampled_from(["power", "factor", "zero", "random"]),
+       st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4))
+def test_compare_verdicts_keep_the_relation_laws(m, n_a, kind, x, unit):
+    n_b = {"power": n_a << x % 20, "factor": n_a * x, "zero": (m - 1) * x, "random": x}[kind]
+    assume(math.gcd(unit, m - 1) == 1)
+
+    def isomorphic(mode, n_a, n_b):
+        code, out, err = run_captured("compare", "--a", f"m={m},n=[{n_a}]",
+                                      "--b", f"m={m},n=[{n_b}]", "--mode", mode)
+        assert (code, err) == (0, "")
+        return "isomorphic: True" in out.splitlines()
+
+    exact, stable = isomorphic("exact", n_a, n_b), isomorphic("stable", n_a, n_b)
+    assert isomorphic("exact", n_b, n_a) == exact
+    assert isomorphic("stable", n_b, n_a) == stable
+    assert stable or not exact
+    assert isomorphic("stable", n_a, unit * n_b) == stable
 
 
 def run_exiting(capsys, *argv):

@@ -52,9 +52,24 @@ def test_two_power_log_refuses_a_modulus_that_is_not_odd_and_positive(modulus):
 def test_two_power_log_prices_the_order_at_its_own_modulus(monkeypatch):
     import oneideal.dyadic
 
-    # 2 has order 10 modulo 11, a 4-bit modulus: 40 bits admit it, 39 do not
-    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 40)
-    assert two_power_log(11, 3) == (10, 8)
-    monkeypatch.setattr(oneideal.dyadic, "MAX_ORBIT_BITS", 39)
-    with pytest.raises(WorkLimitError, match="4-bit modulus has more than 9 residues"):
-        two_power_log(11, 3)
+    # a table of s entries finds every order of 2 up to s**2 and refuses the
+    # larger ones, whatever the size of the modulus, also for an s the table
+    # does not reach by growing fourfold from 8: 2 has order 60 modulo 61,
+    # 64 modulo 641, 65 modulo 31 * 8191, 66 modulo 67 and 100 modulo 101
+    cases = [(modulus, range(modulus)) for modulus in range(1, 200, 2)]
+    cases += [(641, range(100)), (31 * 8191, range(100))]
+    for step in (8, 10):
+        monkeypatch.setattr(oneideal.dyadic, "MAX_LOG_STEP", step)
+        orders = set()
+        for modulus, residues in cases:
+            orbit = residue_cycle(modulus, 1)
+            orders.add(len(orbit))
+            logs = {r: t for t, r in enumerate(orbit)}
+            for r in residues:
+                if len(orbit) > step**2:
+                    with pytest.raises(WorkLimitError, match=f"^the order of 2 modulo {modulus} is "
+                                       f"more than {step**2}, past the {step}-entry table"):
+                        two_power_log(modulus, r)
+                else:
+                    assert two_power_log(modulus, r) == (len(orbit), logs.get(r)), (modulus, r)
+        assert {60, 64, 65, 66, 100} <= orders and max(orders) > step**2

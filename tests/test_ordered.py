@@ -262,10 +262,9 @@ def test_alpha_iso_examples():
     assert alpha_cones_isomorphic(1, Fraction(5))  # an int, as alpha_cone takes it
 
 
-def test_alpha_iso_past_the_orbit_walk_budget_is_a_work_limit():
-    # 2 has order 2 * 3**599 modulo 3**600, a 951-bit modulus, past the
-    # logarithm's budget of MAX_ORBIT_BITS // 951 residues
-    with pytest.raises(WorkLimitError, match="two-power orbit modulo a 951-bit modulus"):
+def test_alpha_iso_past_the_logarithm_table_is_a_work_limit():
+    # 2 has order 2 * 3**599 modulo 3**600, past MAX_LOG_STEP**2
+    with pytest.raises(WorkLimitError, match=f"^the order of 2 modulo {3**600} is more than "):
         alpha_cones_isomorphic(Fraction(1, 3**600), Fraction(2, 3**600))
 
 

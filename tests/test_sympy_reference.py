@@ -15,7 +15,7 @@ from sympy.matrices.normalforms import invariant_factors
 
 from oneideal import FamilySpec, divergence_table
 from oneideal.classify import class_counts
-from oneideal.dyadic import factorize, odd_part, two_adic_valuation, two_power_log
+from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_adic_valuation, two_power_log
 from oneideal.exactlinalg import IntMatrix, cokernel_invariants, smith_normal_form
 from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
 from oracles import dense_presentation, sparse
@@ -56,6 +56,26 @@ def test_two_power_log_matches_sympy_n_order_and_discrete_log(case):
         t = None
     assert two_power_log(modulus, r) == (order, t)
 
+
+
+def test_the_table_limit_rows_are_the_full_order_primes_around_it():
+    # test_cli.py's boundary rows for the weights 1 and 3: the largest prime
+    # p with 2 of the full order p - 1 <= MAX_LOG_STEP**2, the first one past
+    # it, and the logarithms t of 3 that give the witnesses l = t, l' = 0
+    # (minimal, as t < p - 1 - t)
+    limit = MAX_LOG_STEP**2
+
+    def full_order_prime(p, step):
+        while sympy.n_order(2, p) != p - 1:
+            p = step(p)
+        return p
+
+    below = full_order_prime(sympy.prevprime(limit + 2), sympy.prevprime)
+    above = full_order_prime(sympy.nextprime(limit + 1), sympy.nextprime)
+    assert (below, above) == (4194187, 4194371)
+    logs = {p: sympy.discrete_log(p, 3, 2) for p in (1597931, below)}
+    assert logs == {1597931: 725374, 4194187: 1157275}
+    assert all(2 * t < p - 1 for p, t in logs.items())
 
 def sympy_class_counts(m):
     """Sum over d | M of totient(d) / ord_d(2), and the number of divisors of M."""
