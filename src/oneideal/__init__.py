@@ -11,7 +11,7 @@ exact integer/rational arithmetic.
 The package exports what the commands call: the inputs, the five decisions,
 the types they return, the report, the errors and the version.  Everything
 else is imported from the module that defines it, e.g.
-``from oneideal.exactlinalg import smith_normal_form``.
+``from oneideal.exactlinalg import cokernel_invariants``.
 """
 
 from .classify import (

@@ -1,66 +1,24 @@
-"""Exact integer linear algebra: Smith normal form and cokernel invariants.
+"""Exact integer linear algebra: the invariant factors of a cokernel.
 
 Everything here runs on plain Python integers, so entries may grow without
-bound and results are always exact.  :func:`smith_normal_form` is dense and
-builds both transforms.  It runs one round loop per diagonal position: move
-the smallest nonzero entry left to the pivot, reduce the pivot's column and
-row by it, and repeat while a remainder is left or the pivot fails to divide
-a later entry.  Each round is one pass over the matrix, and each repeat
-leaves an entry smaller than the pivot, so the pivots shrink until it ends.
-:func:`cokernel_invariants` takes a :class:`SparseMatrix`, eliminates unit
-pivots on its columns (the preprocessing of Dumas, Saunders and Villard,
-"On efficient sparse integer matrix Smith normal form computations", 2001)
-and hands only the leftover core to :func:`smith_normal_form`.  On a
-truncated presentation, whose chain columns each carry a unit, that costs a
-number of steps linear in the depth.
+bound and results are always exact.  :func:`cokernel_invariants` takes a
+:class:`SparseMatrix`, eliminates unit pivots on its columns (the
+preprocessing of Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal form computations", 2001) and diagonalizes only the
+leftover core, on a plain list of its rows, with no transforms: pivot on
+the smallest nonzero entry, reduce its row and column by it, repeat while a
+remainder is left, then turn the pivots into a divisibility chain by gcd
+and lcm.  On a truncated presentation, whose chain columns each carry a
+unit, that costs a number of steps linear in the depth.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd
 
 from .dyadic import is_int
-
-
-def _check_entry(v) -> None:
-    if not is_int(v):
-        raise ValueError(f"matrix entries must be integers, got {v!r}")
-
-
-def _check_dimension(n) -> None:
-    if not is_int(n) or n < 0:
-        raise ValueError(f"matrix dimensions must be non-negative ints, got {n!r}")
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_dimension(self.rows)
-        _check_dimension(self.cols)
-        if type(self.entries) is not tuple:
-            raise ValueError(f"matrix entries must be a tuple, got {self.entries!r}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for v in self.entries:
-            _check_entry(v)
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
 
 @dataclass(frozen=True)
@@ -76,7 +34,8 @@ class SparseMatrix:
     columns: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
-        _check_dimension(self.rows)
+        if not is_int(self.rows) or self.rows < 0:
+            raise ValueError(f"matrix dimensions must be non-negative ints, got {self.rows!r}")
         if type(self.columns) is not tuple:
             raise ValueError(f"the columns must be a tuple, got {self.columns!r}")
         for col in self.columns:
@@ -89,8 +48,8 @@ class SparseMatrix:
                 i, v = pair
                 if (type(i) is not int and not is_int(i)) or not prev < i < self.rows:
                     raise ValueError(f"rows must increase within range({self.rows}): {col!r}")
-                if type(v) is not int:  # the common case skips the call
-                    _check_entry(v)
+                if type(v) is not int and not is_int(v):  # the common case skips the call
+                    raise ValueError(f"matrix entries must be integers, got {v!r}")
                 prev = i
 
     @property
@@ -98,69 +57,43 @@ class SparseMatrix:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Decomposition U @ M @ V == S with U, V unimodular and S diagonal.
+def _invariant_factors(a: list[list[int]]) -> list[int]:
+    """The nonzero invariant factors of the matrix with rows ``a``, each
+    dividing the next; ``a`` is reduced in place.
 
-    Diagonal entries are non-negative and each divides the next; zeros trail.
+    Pivots on the smallest nonzero entry and reduces its row and column by
+    it, again while a remainder is left: each repeat pivots on an entry
+    smaller than the last pivot, so the loop ends.  A pivot left alone in
+    its row and column is recorded, and both are dropped.  Replacing each
+    pair of recorded pivots by their gcd and lcm then gives the chain.
     """
-
-    S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(d for d in self.S.diagonal() if d != 0)
-
-
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Diagonalize ``m`` over the integers by unimodular row/column operations.
-
-    Works on the block matrix [[M, I], [I, 0]]: an operation on its top rows
-    carries U along in the right block, one on its left columns carries V
-    along in the bottom block.  Total on all integer matrices, including
-    empty ones.  Signs of det(U) and det(V) are not normalized; only
-    |det| = 1 is guaranteed.
-    """
-    rows, cols = m.rows, m.cols
-    a = [list(m.row(i)) + [int(i == j) for j in range(rows)] for i in range(rows)]
-    a += [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
-    for t in range(min(rows, cols)):
-        # a repeat leaves an entry smaller than the pivot (one round later
-        # after a divisor step), so the pivots shrink and the loop ends
-        while True:
-            window = ((i, j) for i in range(t, rows) for j in range(t, cols))
-            nonzero = [(abs(a[i][j]), i, j) for i, j in window if a[i][j]]
-            if not nonzero:
-                break
-            _, i, j = min(nonzero)
-            a[t], a[i] = a[i], a[t]
-            for r in a:
-                r[t], r[j] = r[j], r[t]
-            p = a[t][t]
-            for i in range(t + 1, rows):
-                q = a[i][t] // p
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, cols):
-                q = a[t][j] // p
-                for r in a:
-                    r[j] -= q * r[t]
-            if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 : cols]):
-                continue
-            # for the divisibility chain: a row the pivot fails to divide
-            # leaves a remainder in row t on the next round
-            bad = next((r for r in a[t + 1 : rows] if any(x % p for x in r[t + 1 : cols])), None)
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], bad)]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-    top = a[:rows]
-    return SmithForm(
-        S=IntMatrix(rows, cols, tuple(x for r in top for x in r[:cols])),
-        U=IntMatrix(rows, rows, tuple(x for r in top for x in r[cols:])),
-        V=IntMatrix(cols, cols, tuple(x for r in a[rows:] for x in r[:cols])),
-    )
+    factors = []
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        pivot, p = a[i], a[i][j]
+        for row in a:
+            if row is not pivot and row[j]:
+                q = row[j] // p
+                row[:] = [x - q * y for x, y in zip(row, pivot)]
+        for c, v in enumerate(pivot):
+            if c != j and v:
+                q = v // p
+                for row in a:
+                    row[c] -= q * row[j]
+        if any(row[j] for row in a if row is not pivot) or any(pivot[:j] + pivot[j + 1 :]):
+            continue
+        factors.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    for s in range(len(factors)):
+        for t in range(s + 1, len(factors)):
+            g = gcd(factors[s], factors[t])
+            factors[s], factors[t] = g, factors[s] // g * factors[t]
+    return factors
 
 
 def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
@@ -172,8 +105,8 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
     A ±1 entry at (r, c) contributes the invariant factor 1: subtracting
     multiples of column c clears row r from every other column, after which
     row r and column c split off as a unit block and are dropped.  Pivots
-    are taken while any ±1 entry is left; the Smith form of what remains
-    gives the other factors.
+    are taken while any ±1 entry is left; the invariant factors of what
+    remains are the other factors.
     """
     cols = {j: dict(col) for j, col in enumerate(m.columns) if col}  # column -> {row: entry}
     in_row: dict[int, set[int]] = defaultdict(set)  # row -> columns with an entry there
@@ -215,10 +148,9 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
             rows_left -= 1
             pivoted = True
     core_rows = {i: t for t, i in enumerate(i for i, js in in_row.items() if js)}
-    core = [0] * (len(core_rows) * len(cols))
+    core = [[0] * len(cols) for _ in core_rows]
     for t, col in enumerate(cols.values()):
         for i, v in col.items():
-            core[core_rows[i] * len(cols) + t] = v
-    snf = smith_normal_form(IntMatrix(len(core_rows), len(cols), tuple(core)))
-    nonzero = snf.invariant_factors()
+            core[core_rows[i]][t] = v
+    nonzero = _invariant_factors(core)
     return rows_left - len(nonzero), [d for d in nonzero if d > 1]

@@ -132,8 +132,7 @@ def weight_of(spec: FamilySpec) -> tuple[int, int]:
 def truncated_presentation(spec: FamilySpec, depth: int) -> SparseMatrix:
     """Relation matrix of the depth-truncated group presentation, sparse.
 
-    Generators are ordered (w_1, ..., w_depth, v0); this ordering is fixed so
-    unimodular transforms of the Smith form are reproducible.  Column i
+    Generators are ordered (w_1, ..., w_depth, v0).  Column i
     (i < depth) encodes w_i - 2 w_{i+1} = 0; the final column encodes
     sum(n_i w_i) + (m-1) v0 = 0.  Only the nonzero entries are stored, 2
     per chain column, so the matrix costs time and memory linear in the

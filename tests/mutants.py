@@ -41,30 +41,37 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "smith form without the remainder repeat",
+        "invariant factors without the remainder repeat",
         "exactlinalg.py",
-        "or any(a[t][t + 1 : cols]):\n                continue",
-        "or any(a[t][t + 1 : cols]):\n                break",
+        "pivot[j + 1 :]):\n            continue",
+        "pivot[j + 1 :]):\n            pass",
         (
             "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
             "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
         ),
     ),
     Mutant(
-        "smith form without the divisor step",
+        "invariant factors without the gcd and lcm chain pass",
         "exactlinalg.py",
-        "bad = next((r for r in a[t + 1 : rows] if any(x % p for x in r[t + 1 : cols])), None)",
-        "bad = None",
+        "factors[s], factors[t] = g, factors[s] // g * factors[t]",
+        "pass",
         (
             "tests/test_exactlinalg.py::test_diag_2_3_becomes_1_6",
             "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
         ),
     ),
     Mutant(
-        "smith form without the sign fix",
+        "invariant factors whose chain pass meets only neighbours",
         "exactlinalg.py",
-        "if a[t][t] < 0:",
-        "if False:",
+        "for t in range(s + 1, len(factors)):",
+        "for t in range(s + 1, min(s + 2, len(factors))):",
+        ("tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",),
+    ),
+    Mutant(
+        "invariant factors that keep the pivot's sign",
+        "exactlinalg.py",
+        "factors.append(abs(p))",
+        "factors.append(p)",
         (
             "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
             "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
@@ -232,7 +239,7 @@ MUTANTS = (
         "step > MAX_LOG_STEP:\n            break\n        step = 4 * step",
         (
             "tests/test_cli.py::"
-            "test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next[first refused]",
+            "test_the_logarithm_table_admits_its_worst_case_and_refuses_the_next[first refused]",
             "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
         ),
     ),
@@ -314,13 +321,13 @@ MUTANTS = (
         ("tests/test_family.py::test_a_prefix_that_is_not_a_tuple_is_refused",),
     ),
     Mutant(
-        "matrix constructors that take a bool or a float as a dimension",
+        "sparse matrix that takes a bool or a float as its row count",
         "exactlinalg.py",
-        "if not is_int(n) or n < 0:",
-        "if n < 0:",
+        "if not is_int(self.rows) or self.rows < 0:",
+        "if self.rows < 0:",
         (
             "tests/test_exactlinalg.py::"
-            "test_the_constructors_reject_a_malformed_dimension[bool rows]",
+            "test_the_constructors_reject_a_malformed_dimension[sparse bool rows]",
             "tests/test_exactlinalg.py::"
             "test_the_constructors_reject_a_malformed_dimension[sparse float rows]",
         ),
@@ -333,16 +340,6 @@ MUTANTS = (
         (
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_fixed_cases[rows3]",
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form",
-        ),
-    ),
-    Mutant(
-        "integer matrix that does not check its entries",
-        "exactlinalg.py",
-        "        for v in self.entries:\n            _check_entry(v)\n",
-        "",
-        (
-            "tests/test_exactlinalg.py::test_the_constructor_rejects_an_entry_that_is_not_an_int[1.5]",
-            "tests/test_exactlinalg.py::test_the_constructor_checks_every_entry_not_only_the_first[3]",
         ),
     ),
     Mutant(

@@ -3,15 +3,14 @@
 None of these is on a production path: each one re-derives, by a slower or
 more literal route, a quantity the library computes in closed form.
 
-* :func:`dense_cokernel_invariants` - the cokernel read off a dense Smith
-  form of the whole matrix, without eliminating unit pivots first;
-* :func:`sparse`, :func:`dense`, :func:`identity`, :func:`matrix` - the
-  conversions between the two matrix formats, the identity and a matrix
-  from its rows, that only the tests build;
+* :func:`sympy_cokernel` - the cokernel read off sympy's invariant factors
+  of the whole dense matrix, a separate implementation that eliminates no
+  unit pivots first; it is the one dense reference;
+* :func:`sparse`, :func:`dense` - the conversions between the library's
+  :class:`SparseMatrix` and a dense ``sympy.Matrix``, that only the tests
+  build;
 * :func:`dense_presentation` - the truncated presentation written out as a
-  dense (depth+1) x depth matrix, entry by entry;
-* :func:`matmul` - the integer matrix product, for checking U M V = S;
-* :func:`determinant` - an exact determinant by Bareiss elimination;
+  dense (depth+1) x depth ``sympy.Matrix``, entry by entry;
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
@@ -48,108 +47,55 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import sympy
+from sympy.matrices.normalforms import invariant_factors
+
 from oneideal import FamilySpec, InternalConsistencyError
 from oneideal.classify import IsoWitness
 from oneideal.dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
-from oneideal.exactlinalg import IntMatrix, SparseMatrix, smith_normal_form
+from oneideal.exactlinalg import SparseMatrix
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------
-# dense Smith form routes
+# dense matrices and the cokernel by sympy
 
 
-def dense_cokernel_invariants(m: IntMatrix) -> tuple[int, list[int]]:
-    """Invariant factors of Z^rows / (column span of ``m``).
-
-    Returns ``(free_rank, torsion)`` where torsion lists the invariant
-    factors larger than 1 in divisibility order.
-    """
-    snf = smith_normal_form(m)
-    nonzero = snf.invariant_factors()
-    free_rank = m.rows - len(nonzero)
-    torsion = [d for d in nonzero if d > 1]
-    return free_rank, torsion
+def sympy_cokernel(m: sympy.Matrix) -> tuple[int, list[int]]:
+    """Free rank and torsion (the invariant factors above 1) of
+    Z^rows / (column span of ``m``), by sympy's ``invariant_factors``."""
+    nonzero = [int(d) for d in invariant_factors(m, domain=sympy.ZZ) if d]
+    return m.rows - len(nonzero), [d for d in nonzero if d > 1]
 
 
-def sparse(m: IntMatrix) -> SparseMatrix:
+def sparse(m: sympy.Matrix) -> SparseMatrix:
     """The same matrix with only its nonzero entries stored, column by column."""
     return SparseMatrix(
         m.rows,
-        tuple(tuple((i, m.at(i, j)) for i in range(m.rows) if m.at(i, j)) for j in range(m.cols)),
+        tuple(tuple((i, int(m[i, j])) for i in range(m.rows) if m[i, j]) for j in range(m.cols)),
     )
 
 
-def dense(m: SparseMatrix) -> IntMatrix:
+def dense(m: SparseMatrix) -> sympy.Matrix:
     """The same matrix with every entry stored, zeros included."""
-    entries = [0] * (m.rows * m.cols)
+    out = sympy.zeros(m.rows, m.cols)
     for j, col in enumerate(m.columns):
         for i, v in col:
-            entries[i * m.cols + j] = v
-    return IntMatrix(m.rows, m.cols, tuple(entries))
+            out[i, j] = v
+    return out
 
 
-def identity(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-
-def matrix(rows: list[list[int]]) -> IntMatrix:
-    """The matrix with these rows, all of one length."""
-    cols = len(rows[0]) if rows else 0
-    assert all(len(r) == cols for r in rows), "ragged rows"
-    return IntMatrix(len(rows), cols, tuple(v for r in rows for v in r))
-
-
-def dense_presentation(spec: FamilySpec, depth: int) -> IntMatrix:
+def dense_presentation(spec: FamilySpec, depth: int) -> sympy.Matrix:
     """The relation matrix of the depth-truncated presentation, every entry
     stored: column i < depth - 1 is w_i - 2 w_{i+1}, the last column
     sum(n_i w_i) + (m-1) v0, over generators (w_1, ..., w_depth, v0)."""
-    rows, cols = depth + 1, depth
-    entries = [0] * (rows * cols)
+    out = sympy.zeros(depth + 1, depth)
     for j in range(depth - 1):
-        entries[j * cols + j] = 1
-        entries[(j + 1) * cols + j] = -2
+        out[j, j] = 1
+        out[j + 1, j] = -2
     for i, n in enumerate(spec.prefix):
-        entries[i * cols + cols - 1] = n
-    entries[rows * cols - 1] = spec.m - 1
-    return IntMatrix(rows, cols, tuple(entries))
-
-
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product a b, entry by entry from rows of a and columns of b."""
-    assert a.cols == b.rows, "shape mismatch"
-    columns = [b.entries[j :: b.cols] for j in range(b.cols)]
-    return IntMatrix(
-        a.rows,
-        b.cols,
-        tuple(sum(x * y for x, y in zip(a.row(i), c)) for i in range(a.rows) for c in columns),
-    )
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-            a[i][t] = 0
-        prev = a[t][t]
-    return sign * a[n - 1][n - 1]
+        out[i, depth - 1] = n
+    out[depth, depth - 1] = spec.m - 1
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -315,8 +315,12 @@ def test_witness_holds_rejects_a_modulus_below_one(modulus):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: stable_orbit_witness(0, 1, 1), lambda: residue_cycle(0, 1)],
-    ids=["stable_orbit_witness", "residue_cycle"],
+    [
+        lambda: stable_orbit_witness(0, 1, 1),
+        lambda: residue_cycle(0, 1),
+        lambda: exact_orbit_witness(0, 1, 1),
+    ],
+    ids=["stable_orbit_witness", "residue_cycle", "exact_orbit_witness"],
 )
 def test_the_congruence_routes_reject_modulus_zero(call):
     with pytest.raises(ValueError, match="modulus must be >= 1"):
@@ -329,7 +333,7 @@ def test_an_exact_witness_past_the_logarithm_table_is_a_work_limit():
         exact_orbit_witness(3**600, 1, 2)
 
 
-def test_a_small_orbit_budget_prices_the_logarithm_at_its_own_modulus(monkeypatch):
+def test_a_small_logarithm_table_prices_the_order_at_its_own_modulus(monkeypatch):
     # a table of 8 entries refuses exactly the orders of 2 modulo M/g past 64,
     # the modulus the logarithm runs on: 67 and 2 * 67 (order 66) are refused
     # for weights prime to 67, answered for weights divisible by it.

@@ -492,6 +492,31 @@ ERROR_LINES = {
         2,
         "error: --depth applies only when 1 < m < infinity",
     ),
+    "repeated JSON key": (
+        ("invariant", "--spec", '{"m": 8, "m": 9, "n": [1]}'),
+        2,
+        "error: repeated key in JSON object with keys ['m', 'm', 'n']",
+    ),
+    "JSON nested too deeply": (
+        ("invariant", "--spec", "[" * 10_000),
+        2,
+        "error: the JSON spec is nested too deeply",
+    ),
+    "spec with a flag": (
+        ("invariant", "--spec", '{"m": 9, "n": [1]}', "--m", "9"),
+        2,
+        "error: --spec cannot be combined with --m",
+    ),
+    "unclosed bracket": (
+        ("compare", "--a", "m=8,n=[1", "--b", "m=8,n=1", "--mode", "exact"),
+        2,
+        "error: unclosed '[' in spec 'm=8,n=[1'",
+    ),
+    "max-m below 2": (
+        ("scan", "--max-m", "1"),
+        2,
+        "error: --max-m must be at least 2",
+    ),
 }
 
 
@@ -765,7 +790,7 @@ def test_an_orbit_of_a_million_residues_is_decided():
     ids=["prime 1597829", "prime 1597931", "priced at the odd part", "largest admitted",
          "first refused", "311-bit modulus"],
 )
-def test_the_orbit_budget_admits_its_worst_case_and_refuses_the_next(capsys, m, code, line):
+def test_the_logarithm_table_admits_its_worst_case_and_refuses_the_next(capsys, m, code, line):
     argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
     got, out, err = run(capsys, *argv)
     assert got == code
@@ -1076,6 +1101,28 @@ def test_compare_verdicts_keep_the_relation_laws(m, n_a, kind, x, unit):
     assert isomorphic("stable", n_b, n_a) == stable
     assert stable or not exact
     assert isomorphic("stable", n_a, unit * n_b) == stable
+
+
+# Appending a zero to the prefix maps the weight data (k, N) to (k + 1, 2N)
+# and keeps alpha = N / 2^k and, M being odd, x = 2^v2(m-1) gcd(M, N), so
+# the invariant does not move: the same groups, cones and case tag, and the
+# same truncation, which each run reads off the cokernel at its own depth.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(min_value=2, max_value=10**4),
+       st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=8))
+def test_appending_a_zero_keeps_the_invariant_and_doubles_the_weight(m, prefix):
+    assume(any(prefix))
+
+    def invariant(prefix):
+        n = ",".join(map(str, prefix))
+        code, out, err = run_captured("invariant", "--m", str(m), "--n", n, "--format", "json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        del data["inputs"], data["invariant"]["truncation"]["depth"]
+        return data, int(data["scalars"].pop("k")), int(data["scalars"].pop("N"))
+
+    base, k, n_weight = invariant(prefix)
+    assert invariant(prefix + [0]) == (base, k + 1, 2 * n_weight)
 
 
 def run_exiting(capsys, *argv):

@@ -2,13 +2,14 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneideal import INF, FamilySpec, FamilyValidationError, RegimeError, TailSpec
 from oneideal.exactlinalg import cokernel_invariants
 from oneideal.family import alpha_of, truncated_presentation, validate_family, weight_of
-from oracles import dense, dense_presentation, matrix, summed_alpha
+from oracles import dense, dense_presentation, summed_alpha
 
 prefixes = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=6)
 
@@ -179,7 +180,7 @@ def test_padding_preserves_alpha(prefix):
 
 def test_presentation_direct_transcription():
     spec = validate_family(3, [1])
-    assert dense(truncated_presentation(spec, 1)) == matrix([[1], [2]])
+    assert dense(truncated_presentation(spec, 1)) == sympy.Matrix([[1], [2]])
 
 
 def test_presentation_matrix_layout():
@@ -187,7 +188,7 @@ def test_presentation_matrix_layout():
     m = truncated_presentation(spec, 4)
     assert (m.rows, m.cols) == (5, 4)
     assert m.columns[0] == ((0, 1), (1, -2))  # only the nonzero entries are stored
-    assert dense(m) == matrix([
+    assert dense(m) == sympy.Matrix([
         [1, 0, 0, 1],
         [-2, 1, 0, 0],
         [0, -2, 1, 3],

@@ -1,8 +1,9 @@
 """sympy as an independent reference for the arithmetic.
 
-The oracles in ``oracles.py`` were written with the routes they check and
-share their idioms (trial division, orbit walks, the Burnside count); sympy
-is a separate implementation.  It is a test dependency only: the library
+The hand-written oracles in ``oracles.py`` were written with the routes
+they check and share their idioms (trial division, orbit walks, the
+Burnside count); sympy is a separate implementation.  Its cokernel,
+``oracles.sympy_cokernel``, is the suite's one dense reference.  It is a test dependency only: the library
 never imports it (``test_package.py`` checks every import of ``src``).
 """
 
@@ -11,14 +12,13 @@ import functools
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy.matrices.normalforms import invariant_factors
 
 from oneideal import FamilySpec, divergence_table
 from oneideal.classify import class_counts
 from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_adic_valuation, two_power_log
-from oneideal.exactlinalg import IntMatrix, cokernel_invariants, smith_normal_form
+from oneideal.exactlinalg import cokernel_invariants
 from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
-from oracles import dense_presentation, sparse
+from oracles import dense_presentation, sparse, sympy_cokernel
 
 REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -102,29 +102,16 @@ def test_divergence_table_rows_match_the_sympy_coset_count(m):
     assert scan_table()[m - 2] == (m, *sympy_class_counts(m))
 
 
-def sympy_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """The min(rows, cols) Smith diagonal entries of ``m``, zeros last, by sympy."""
-    factors = invariant_factors(sympy.Matrix(m.rows, m.cols, list(m.entries)), domain=sympy.ZZ)
-    return tuple(int(d) for d in factors)
-
-
-def sympy_cokernel(m: IntMatrix) -> tuple[int, list[int]]:
-    """Free rank and torsion (the factors above 1) of Z^rows / column span, by sympy."""
-    nonzero = [d for d in sympy_diagonal(m) if d]
-    return m.rows - len(nonzero), [d for d in nonzero if d > 1]
-
-
 @st.composite
 def small_matrices(draw):
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     entries = draw(st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols))
-    return IntMatrix(rows, cols, tuple(entries))
+    return sympy.Matrix(rows, cols, entries)
 
 
 @REFERENCE
 @given(small_matrices())
 def test_smith_diagonal_matches_sympy_on_random_matrices(m):
-    assert smith_normal_form(m).S.diagonal() == sympy_diagonal(m)
     assert cokernel_invariants(sparse(m)) == sympy_cokernel(m)
 
 
@@ -141,9 +128,7 @@ def truncations(draw):
 @given(truncations())
 def test_truncation_smith_diagonal_matches_sympy(case):
     spec, depth = case
-    m = dense_presentation(spec, depth)
-    assert smith_normal_form(m).S.diagonal() == sympy_diagonal(m)
-    free_rank, torsion = sympy_cokernel(m)
+    free_rank, torsion = sympy_cokernel(dense_presentation(spec, depth))
     assert truncated_k0(spec, depth) == (free_rank, torsion)
     if depth >= stable_oracle_depth(spec):
         x = torsion_order(spec)
