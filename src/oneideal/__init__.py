@@ -30,7 +30,6 @@ from .errors import (
     ConeShapeError,
     FamilyValidationError,
     InternalConsistencyError,
-    NotDeterminedError,
     OneIdealError,
     OutOfScopeComparison,
     RegimeError,
@@ -70,7 +69,6 @@ __all__ = [
     "RegimeError",
     "ConeShapeError",
     "UnsupportedConeCombination",
-    "NotDeterminedError",
     "OutOfScopeComparison",
     "InternalConsistencyError",
     "WorkLimitError",

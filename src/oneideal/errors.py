@@ -30,15 +30,11 @@ class RegimeError(OneIdealError):
 
 
 class ConeShapeError(OneIdealError):
-    """Element, cone, and group descriptors do not fit together."""
+    """A cone is attached to a group that cannot carry it."""
 
 
 class UnsupportedConeCombination(OneIdealError):
     """Cone shapes outside the supported case analysis; never silently false."""
-
-
-class NotDeterminedError(OneIdealError):
-    """The middle cone is not determined by ideal and quotient (AF-AF case)."""
 
 
 class OutOfScopeComparison(OneIdealError):

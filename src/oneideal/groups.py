@@ -2,10 +2,10 @@
 
 The groups showing up in the six-term invariant are drawn from a short list
 (dyadic line, dyadic plus a free or torsion summand, Z, a finite cyclic
-group), and their positive cones likewise.  Cones are symbolic: membership
-and equality are decided by case analysis, never by enumerating elements.
-A group element (:class:`ConeElement`) carries its Z[1/2] part as a
-``Fraction`` with a power-of-two denominator.
+group), and their positive cones likewise.  Cones are symbolic: a tag, plus
+the parameter of an alpha cone, which the decisions in :mod:`.ordered` read
+by case analysis, never by enumerating elements.  A :class:`PreorderedGroup`
+refuses a cone that its group cannot carry.
 """
 
 from __future__ import annotations
@@ -155,31 +155,3 @@ class PreorderedGroup:
                 f"cone {self.cone.tag} cannot be attached to group {self.group.tag}"
             )
 
-
-@dataclass(frozen=True)
-class ConeElement:
-    """Group element written as a dyadic part and an integer part.
-
-    The dyadic part is a :class:`~fractions.Fraction` (or an int) whose
-    denominator is a power of two.  The parts are read according to the group
-    tag; a part that the group does not have must be zero.
-    """
-
-    dyadic_part: Fraction = Fraction(0)
-    int_part: int = 0
-
-    def __post_init__(self) -> None:
-        d, n = self.dyadic_part, self.int_part
-        if not (is_int(d) or isinstance(d, Fraction)):
-            raise ValueError(f"the dyadic part must be an int or a Fraction, got {d!r}")
-        if not is_int(n):
-            raise ValueError(f"the integer part must be an int, got {n!r}")
-        den = d.denominator
-        if den & (den - 1):
-            raise ValueError(f"{d} is not a dyadic rational")
-
-    def check_shape(self, group: GroupDescriptor) -> None:
-        if group.tag == DYADIC_LINE and self.int_part != 0:
-            raise ConeShapeError("dyadic line has no integer component")
-        if group.tag in (FREE_Z, CYCLIC_MOD) and self.dyadic_part != 0:
-            raise ConeShapeError(f"{group.tag} has no dyadic component")

@@ -1,9 +1,9 @@
 """Decision procedures on symbolic positive cones.
 
-Covers cone membership, the lexicographic test for an ideal/middle/quotient
-cone triple, the two-clause combined ordering test on a six-term invariant,
-order-isomorphism of alpha cones, and the middle cone that fullness forces in
-each of the family's two cases.
+Covers the lexicographic test for an ideal/middle/quotient cone triple, the
+two-clause combined ordering test on a six-term invariant, and
+order-isomorphism of alpha cones.  Every decision reads whole cones by their
+descriptors; none asks whether one element lies in a cone.
 
 The alpha-cone isomorphism criterion used here: two cones with parameters
 a and a' are order-isomorphic iff a' lies in 2^Z * a + Z[1/2] (infinity only
@@ -19,36 +19,15 @@ logarithm.
 from __future__ import annotations
 
 from .dyadic import ExtendedRational, is_infinite, odd_part, two_power_log
-from .errors import NotDeterminedError, UnsupportedConeCombination
+from .errors import UnsupportedConeCombination
 from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
     STANDARD_DYADIC_CONE,
     STANDARD_INTEGER_CONE,
-    ConeDescriptor,
-    ConeElement,
     PreorderedGroup,
     alpha_cone,
 )
-
-
-def cone_contains(pg: PreorderedGroup, element: ConeElement) -> bool:
-    """Exact membership of ``element`` in the positive cone of ``pg``."""
-    element.check_shape(pg.group)
-    cone = pg.cone
-    if cone.tag == ALL_POSITIVE:
-        return True
-    if cone.tag == STANDARD_DYADIC_CONE:
-        return element.dyadic_part >= 0
-    if cone.tag == STANDARD_INTEGER_CONE:
-        return element.int_part >= 0
-    # the alpha cone
-    n = element.int_part
-    if n > 0:
-        return True if is_infinite(cone.alpha) else element.dyadic_part > -n * cone.alpha
-    if n == 0:
-        return element.dyadic_part >= 0
-    return False
 
 
 def is_lexicographic_sequence(
@@ -97,22 +76,6 @@ def is_k_lexicographic(invariant) -> bool:
             middle.cone.tag == ALL_POSITIVE and middle.cone.with_full_class
         )
     return result
-
-
-def middle_cone_from_fullness(case_tag: str) -> ConeDescriptor:
-    """Middle cone forced by fullness in the family's two cases.
-
-    AF-PI forces everything positive with a full class.  In the AF-AF case
-    the middle cone is genuinely not determined by the outer two and
-    :class:`NotDeterminedError` is raised.
-    """
-    if case_tag == "AF-PI":
-        return ConeDescriptor(ALL_POSITIVE, with_full_class=True)
-    if case_tag == "AF-AF":
-        raise NotDeterminedError(
-            "AF-AF: the middle cone is not determined by the ideal and quotient cones"
-        )
-    raise ValueError(f"unknown case tag {case_tag!r}")
 
 
 # --------------------------------------------------------------------------

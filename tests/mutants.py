@@ -239,7 +239,7 @@ MUTANTS = (
         "step > MAX_LOG_STEP:\n            break\n        step = 4 * step",
         (
             "tests/test_cli.py::"
-            "test_the_logarithm_table_admits_its_worst_case_and_refuses_the_next[first refused]",
+            "test_each_error_kind_prints_its_line_and_exit_status[order past the logarithm table]",
             "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
         ),
     ),
@@ -340,16 +340,6 @@ MUTANTS = (
         (
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_fixed_cases[rows3]",
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form",
-        ),
-    ),
-    Mutant(
-        "cone element that reads a bool as its integer part",
-        "groups.py",
-        "if not is_int(n):",
-        "if not isinstance(n, int):",
-        (
-            "tests/test_ordered.py::"
-            "test_cone_element_rejects_a_part_of_the_wrong_type[bool integer part]",
         ),
     ),
     Mutant(

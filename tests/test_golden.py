@@ -23,6 +23,8 @@ ARGV = {
     "invariant-m0-constant": ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
     "invariant-m0-doubling": ("invariant", "--m", "0", "--n", "1", "--tail", "doubling:1"),
     "invariant-minf": ("invariant", "--m", "inf", "--n", "2", "--tail", "constant:4"),
+    # x = 1: no torsion summand, an empty torsion list
+    "invariant-m2-no-torsion": ("invariant", "--m", "2", "--n", "1"),
     # the echoed inputs drop the leading zeros
     "invariant-leading-zeros": ("invariant", "--m", "009", "--n", "001,0,3"),
     "fullness-full": ("fullness", "--m", "8", "--n", "1"),
@@ -32,6 +34,19 @@ ARGV = {
     "compare-exact-no": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"),
     "compare-stable-unit": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
     "compare-m-mismatch": ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "stable"),
+    # the minimal witnesses of each branch: (1, 0) from the shared-valuation
+    # candidate; unit 5, lifted past the non-unit 2; (10, 3), after the
+    # logarithm's table grows once and its giant steps find the order 100 of
+    # 2 modulo 125; and the gcds with 7 differ, so no witness at all
+    "compare-exact-shared-valuation": (
+        "compare", "--a", "m=5,n=1", "--b", "m=5,n=2", "--mode", "exact"),
+    "compare-stable-lifted-unit": (
+        "compare", "--a", "m=7,n=1", "--b", "m=7,n=4", "--mode", "stable"),
+    "compare-exact-giant-steps": (
+        "compare", "--a", "m=1001,n=1", "--b", "m=1001,n=3", "--mode", "exact"),
+    "compare-exact-gcd-differs": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=7", "--mode", "exact"),
+    "compare-stable-gcd-differs": (
+        "compare", "--a", "m=8,n=1", "--b", "m=8,n=7", "--mode", "stable"),
     # no m up to 7 diverges: a null smallest m and no marker
     "scan-7": ("scan", "--max-m", "7"),
     "scan-12": ("scan", "--max-m", "12"),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oneideal import (
     INF,
     ConeShapeError,
-    NotDeterminedError,
     PreorderedGroup,
     TailSpec,
     UnsupportedConeCombination,
@@ -27,17 +26,14 @@ from oneideal.groups import (
     STANDARD_DYADIC_CONE,
     STANDARD_INTEGER_CONE,
     ConeDescriptor,
-    ConeElement,
     GroupDescriptor,
     alpha_cone,
     dyadic_plus_torsion,
 )
 from oneideal.ordered import (
     alpha_cones_isomorphic,
-    cone_contains,
     is_k_lexicographic,
     is_lexicographic_sequence,
-    middle_cone_from_fullness,
 )
 from oracles import find_order_isomorphism, walked_alpha_cones_isomorphic
 
@@ -50,44 +46,7 @@ def alpha_pg(a):
     return PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(a))
 
 
-def elem(num, exp, n):
-    return ConeElement(Fraction(num, 1 << exp), n)
-
-
-def test_alpha_cone_membership_examples():
-    pg = alpha_pg(1)
-    assert cone_contains(pg, elem(-1, 1, 1))  # -1/2 > -1
-    assert not cone_contains(pg, elem(-1, 0, 1))  # interval is open at -1
-    assert cone_contains(pg, elem(0, 0, 0))
-    assert not cone_contains(pg, elem(-1, 3, 0))  # height 0 needs x >= 0
-    assert not cone_contains(pg, elem(100, 0, -1))  # negative height never
-
-
-def test_alpha_cone_infinite():
-    pg = alpha_pg(INF)
-    assert cone_contains(pg, elem(-(10**9), 0, 1))
-    assert cone_contains(pg, elem(1, 1, 0))
-    assert not cone_contains(pg, elem(-1, 1, 0))
-
-
-def test_all_positive_contains_everything():
-    pg = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), POSITIVE)
-    assert cone_contains(pg, ConeElement(Fraction(0), -3))
-    assert cone_contains(pg, ConeElement(Fraction(0), 5))
-
-
-def test_standard_cones():
-    assert cone_contains(DYADIC, ConeElement(Fraction(3, 16), 0))
-    assert not cone_contains(DYADIC, ConeElement(Fraction(-3, 16), 0))
-    assert cone_contains(INTEGERS, ConeElement(Fraction(0), 0))
-    assert not cone_contains(INTEGERS, ConeElement(Fraction(0), -1))
-
-
 def test_shape_mismatch_raises():
-    with pytest.raises(ConeShapeError):
-        cone_contains(DYADIC, ConeElement(Fraction(1), 2))
-    with pytest.raises(ConeShapeError):
-        cone_contains(INTEGERS, ConeElement(Fraction(1, 2), 0))
     with pytest.raises(ConeShapeError):
         PreorderedGroup(GroupDescriptor(FREE_Z), alpha_cone(1))
 
@@ -142,60 +101,12 @@ def test_a_descriptor_with_a_malformed_field_is_refused(build, message):
         build()
 
 
-def test_cone_element_rejects_a_non_dyadic_part():
-    with pytest.raises(ValueError):
-        ConeElement(Fraction(1, 3), 0)
-    with pytest.raises(ValueError):
-        ConeElement(Fraction(5, 24), 1)
-    assert ConeElement(Fraction(5, 8), 1).dyadic_part == Fraction(5, 8)
-
-
-@pytest.mark.parametrize(
-    "parts",
-    [(0.5, 1), (Fraction(1, 2), 1.0), (True, 0), (0, True)],
-    ids=["float dyadic part", "float integer part", "bool dyadic part", "bool integer part"],
-)
-def test_cone_element_rejects_a_part_of_the_wrong_type(parts):
-    with pytest.raises(ValueError):
-        ConeElement(*parts)
-
-
 @pytest.mark.parametrize("alpha", [0.1, True, "1/2"])
 def test_alpha_cone_rejects_a_parameter_that_is_not_exact(alpha):
     with pytest.raises(ValueError):
         alpha_cone(alpha)
     with pytest.raises(ValueError):
         ConeDescriptor(ALPHA_CONE, alpha=alpha)
-
-
-@given(
-    st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 3), Fraction(0), Fraction(7, 5)]),
-    st.integers(min_value=-300, max_value=300),
-    st.integers(min_value=0, max_value=5),
-    st.integers(min_value=-2, max_value=6),
-)
-def test_alpha_membership_matches_direct_inequality(a, num, exp, n):
-    pg = alpha_pg(a)
-    e = elem(num, exp, n)
-    x = e.dyadic_part
-    expected = (n > 0 and x > -n * a) or (n == 0 and x >= 0)
-    assert cone_contains(pg, e) == expected
-
-
-def test_alpha_membership_on_dense_grid():
-    # > 10^3 grid points per parameter, exact rational comparison throughout
-    for a in (Fraction(1), Fraction(3, 4), Fraction(1, 3)):
-        pg = alpha_pg(a)
-        count = 0
-        for num in range(-60, 61):
-            for exp in (0, 1, 3):
-                for n in range(-1, 4):
-                    e = elem(num, exp, n)
-                    x = Fraction(num, 1 << exp)
-                    expected = (n > 0 and x > -n * a) or (n == 0 and x >= 0)
-                    assert cone_contains(pg, e) == expected
-                    count += 1
-        assert count > 1000
 
 
 def test_lexicographic_sequence_decisions():
@@ -240,15 +151,6 @@ def test_k_lexicographic_vacuous_when_neither_clause_applies():
     quotient = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), ConeDescriptor(ALL_POSITIVE))
     weakened = replace(inv, quotient=quotient)
     assert is_k_lexicographic(weakened)
-
-
-def test_middle_cone_from_fullness():
-    assert middle_cone_from_fullness("AF-PI") == POSITIVE
-    with pytest.raises(NotDeterminedError):
-        middle_cone_from_fullness("AF-AF")
-    for tag in ("PI-AF", "PI-PI", "XX-YY"):
-        with pytest.raises(ValueError):
-            middle_cone_from_fullness(tag)
 
 
 def test_alpha_iso_examples():

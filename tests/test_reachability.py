@@ -45,11 +45,7 @@ UNREACHED = {
     "dyadic.factorize": "class_counts and torsion_range factorise with it",
     "dyadic.residue_cycle": PERFBENCH + "; the tests check two_power_log against it",
     "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
-    "groups.ConeElement.__post_init__": "ROADMAP item 6 gives it a caller",
-    "groups.ConeElement.check_shape": "ROADMAP item 6 gives it a caller",
     "ktheory.torsion_range": ACCEPTANCE,
-    "ordered.cone_contains": "ROADMAP item 6 gives it a caller",
-    "ordered.middle_cone_from_fullness": "ROADMAP item 6 gives it a caller",
     "ordered.alpha_cones_isomorphic": "ROADMAP item 5 gives it a caller; " + ACCEPTANCE,
 }
 
