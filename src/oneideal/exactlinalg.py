@@ -4,12 +4,14 @@ Everything here runs on plain Python integers, so entries may grow without
 bound and results are always exact.  :func:`cokernel_invariants` takes a
 :class:`SparseMatrix`, eliminates unit pivots on its columns (the
 preprocessing of Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001) and diagonalizes only the
-leftover core, on a plain list of its rows, with no transforms: pivot on
-the smallest nonzero entry, reduce its row and column by it, repeat while a
-remainder is left, then turn the pivots into a divisibility chain by gcd
-and lcm.  On a truncated presentation, whose chain columns each carry a
-unit, that costs a number of steps linear in the depth.
+matrix Smith normal form computations", 2001) from one worklist of columns,
+copying a column only when an update writes to it, and diagonalizes only the
+leftover core, on a plain list of its rows, with no transforms: pivot on the
+smallest nonzero entry, clear its column and row with one unimodular Bezout
+step per entry (Kannan and Bachem, 1979), repeat while that refills the
+column, then turn the pivots into a divisibility chain by gcd and lcm.  On a
+truncated presentation, whose chain columns each carry a unit, that costs a
+number of steps linear in the depth and one Bezout step on a 2x1 core.
 """
 
 from __future__ import annotations
@@ -52,20 +54,28 @@ class SparseMatrix:
                     raise ValueError(f"matrix entries must be integers, got {v!r}")
                 prev = i
 
-    @property
-    def cols(self) -> int:
-        return len(self.columns)
+
+def _bezout(x: int, y: int) -> tuple[int, int, int, int]:
+    """``(s, t, y/g, x/g)`` with ``s*x + t*y = g = gcd(x, y)``, for x > 0 and
+    y != 0: the unimodular rows ``(s, t)`` and ``(y/g, -x/g)`` take ``(x, y)``
+    to ``(g, 0)``; when x divides y, s = 1 and t = 0."""
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    s = pow(x, -1, abs(y)) or 1  # any s will do when y = ±1; 1 makes t = 0 when x = 1
+    return s, (1 - s * x) // y, y, x
 
 
 def _invariant_factors(a: list[list[int]]) -> list[int]:
     """The nonzero invariant factors of the matrix with rows ``a``, each
     dividing the next; ``a`` is reduced in place.
 
-    Pivots on the smallest nonzero entry and reduces its row and column by
-    it, again while a remainder is left: each repeat pivots on an entry
-    smaller than the last pivot, so the loop ends.  A pivot left alone in
-    its row and column is recorded, and both are dropped.  Replacing each
-    pair of recorded pivots by their gcd and lcm then gives the chain.
+    Pivots on the smallest nonzero entry, made positive, and clears its
+    column by row steps, then its row by column steps, each a
+    :func:`_bezout` step.  Clearing the row refills the column only when the
+    pivot falls to a proper divisor, so each repeat pivots on a smaller
+    entry than the last, and the loop ends.  A pivot left alone in its row
+    and column is recorded, and both are dropped.  Replacing each pair of
+    recorded pivots by their gcd and lcm then gives the chain.
     """
     factors = []
     while True:
@@ -73,19 +83,24 @@ def _invariant_factors(a: list[list[int]]) -> list[int]:
         if not nonzero:
             break
         _, i, j = min(nonzero)
-        pivot, p = a[i], a[i][j]
+        pivot = a[i]
+        if pivot[j] < 0:
+            pivot[:] = [-v for v in pivot]
         for row in a:
             if row is not pivot and row[j]:
-                q = row[j] // p
-                row[:] = [x - q * y for x, y in zip(row, pivot)]
-        for c, v in enumerate(pivot):
-            if c != j and v:
-                q = v // p
+                s, t, u, w = _bezout(pivot[j], row[j])
+                pivot[:], row[:] = (
+                    [s * x + t * y for x, y in zip(pivot, row)],
+                    [u * x - w * y for x, y in zip(pivot, row)],
+                )
+        for c, y in enumerate(pivot):
+            if c != j and y:
+                s, t, u, w = _bezout(pivot[j], y)
                 for row in a:
-                    row[c] -= q * row[j]
-        if any(row[j] for row in a if row is not pivot) or any(pivot[:j] + pivot[j + 1 :]):
+                    row[j], row[c] = s * row[j] + t * row[c], u * row[j] - w * row[c]
+        if any(row[j] for row in a if row is not pivot):
             continue
-        factors.append(abs(p))
+        factors.append(pivot[j])
         del a[i]
         for row in a:
             del row[j]
@@ -105,52 +120,53 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
     A ±1 entry at (r, c) contributes the invariant factor 1: subtracting
     multiples of column c clears row r from every other column, after which
     row r and column c split off as a unit block and are dropped.  Pivots
-    are taken while any ±1 entry is left; the invariant factors of what
-    remains are the other factors.
+    are taken from a worklist of the columns, where one that gains a ±1
+    after its turn is queued again; the invariant factors of what remains
+    are the other factors.  The row index is only appended to: a column
+    since taken as a pivot, or cleared in that row, is skipped there.
     """
-    cols = {j: dict(col) for j, col in enumerate(m.columns) if col}  # column -> {row: entry}
-    in_row: dict[int, set[int]] = defaultdict(set)  # row -> columns with an entry there
-    for j, col in cols.items():
-        for i in col:
-            in_row[i].add(j)
-    rows_left = m.rows
-    pivoted = True
-    while pivoted:
-        pivoted = False
-        for c in range(m.cols):
-            col = cols.get(c)
-            if not col:
+    # each column is the matrix's tuple, a {row: entry} once written, None once a pivot
+    columns: list = list(m.columns)
+    in_row: dict[int, list[int]] = defaultdict(list)  # row -> columns that held an entry there
+    for j, col in enumerate(columns):
+        for i, _ in col:
+            in_row[i].append(j)
+    todo = list(range(len(columns)))
+    for turn, c in enumerate(todo):  # the list grows by the columns queued again
+        col = columns[c]
+        if col is None:
+            continue
+        pairs = col.items() if type(col) is dict else col
+        for r, unit in pairs:
+            if unit == 1 or unit == -1:
+                break
+        else:
+            continue
+        columns[c] = None
+        for j in in_row.pop(r):
+            target = columns[j]
+            if target is None or (type(target) is dict and r not in target):
                 continue
-            for r, unit in col.items():
-                if unit == 1 or unit == -1:
-                    break
-            else:
-                continue
-            del col[r]
-            del cols[c]
-            for i in col:
-                in_row[i].discard(c)
-            rest = in_row.pop(r)
-            rest.discard(c)
-            for j in rest:
-                target = cols[j]
-                q = target.pop(r) * unit
-                for i, v in col.items():
-                    w = target.get(i, 0) - q * v
-                    if w:
-                        target[i] = w
-                        in_row[i].add(j)
-                    elif i in target:
-                        del target[i]
-                        in_row[i].discard(j)
-                if not target:
-                    del cols[j]
-            rows_left -= 1
-            pivoted = True
-    core_rows = {i: t for t, i in enumerate(i for i, js in in_row.items() if js)}
-    core = [[0] * len(cols) for _ in core_rows]
-    for t, col in enumerate(cols.values()):
+            if type(target) is tuple:
+                target = columns[j] = dict(target)
+            q = target.pop(r) * unit
+            for i, v in pairs:
+                if i == r:
+                    continue
+                w = target.get(i, 0) - q * v
+                if not w:
+                    del target[i]
+                    continue
+                if i not in target:
+                    in_row[i].append(j)
+                target[i] = w
+                if j < turn and (w == 1 or w == -1):
+                    todo.append(j)
+    live = [dict(col) for col in columns if col]
+    index = {i: t for t, i in enumerate({i for col in live for i in col})}  # row -> core row
+    core = [[0] * len(live) for _ in index]
+    for t, col in enumerate(live):
         for i, v in col.items():
-            core[core_rows[i]][t] = v
+            core[index[i]][t] = v
     nonzero = _invariant_factors(core)
-    return rows_left - len(nonzero), [d for d in nonzero if d > 1]
+    return m.rows - columns.count(None) - len(nonzero), [d for d in nonzero if d > 1]

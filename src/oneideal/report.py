@@ -252,6 +252,9 @@ def write_json(value, write, indent: str = "\n") -> None:
             write("[]")
             return
         inner = indent + "  "
+        if all(isinstance(item, str) for item in value):  # a prefix or a torsion, in one write
+            write(f"[{inner}{(',' + inner).join(map(_ESCAPE, value))}{indent}]")
+            return
         sep = "[" + inner
         for item in value:
             write(sep)

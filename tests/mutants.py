@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant(
         "invariant factors without the remainder repeat",
         "exactlinalg.py",
-        "pivot[j + 1 :]):\n            continue",
-        "pivot[j + 1 :]):\n            pass",
+        "if any(row[j] for row in a if row is not pivot):\n            continue",
+        "if any(row[j] for row in a if row is not pivot):\n            pass",
         (
             "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
             "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
@@ -70,11 +70,33 @@ MUTANTS = (
     Mutant(
         "invariant factors that keep the pivot's sign",
         "exactlinalg.py",
-        "factors.append(abs(p))",
-        "factors.append(p)",
+        "        if pivot[j] < 0:\n            pivot[:] = [-v for v in pivot]\n",
+        "",
         (
             "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
             "tests/test_acceptance.py::test_criterion_09_smith_form_contract_on_1000_random_matrices",
+        ),
+    ),
+    Mutant(
+        "Bezout column step with the wrong sign in its second row",
+        "exactlinalg.py",
+        "u * row[j] - w * row[c]",
+        "u * row[j] + w * row[c]",
+        (
+            "tests/test_exactlinalg.py::test_snf_contract_on_fixed_cases",
+            "tests/test_exactlinalg.py::"
+            "test_cokernel_matches_sympy_on_sparse_matrices_with_large_entries",
+        ),
+    ),
+    Mutant(
+        "cokernel elimination that never revisits a passed column",
+        "exactlinalg.py",
+        "todo.append(j)",
+        "pass",
+        (
+            "tests/test_exactlinalg.py::test_a_unit_made_in_a_passed_column_is_pivoted_on_its_revisit",
+            "tests/test_exactlinalg.py::"
+            "test_cokernel_matches_sympy_on_sparse_matrices_with_large_entries",
         ),
     ),
     Mutant(

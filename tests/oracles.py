@@ -77,7 +77,7 @@ def sparse(m: sympy.Matrix) -> SparseMatrix:
 
 def dense(m: SparseMatrix) -> sympy.Matrix:
     """The same matrix with every entry stored, zeros included."""
-    out = sympy.zeros(m.rows, m.cols)
+    out = sympy.zeros(m.rows, len(m.columns))
     for j, col in enumerate(m.columns):
         for i, v in col:
             out[i, j] = v

@@ -629,52 +629,60 @@ def test_text_and_json_carry_same_values(capsys):
     assert "alpha-cone(3/4)" in text
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("invariant", "--spec", '{"m": 8, "n": "13"}'),
-        ("invariant", "--spec", '{"m": 8, "n": [1.7]}'),
-        ("invariant", "--spec", '{"m": 8, "n": [true]}'),
-        ("invariant", "--spec", '{"m": 8.0, "n": [1]}'),
-        ("invariant", "--spec", '{"m": "08x", "n": [1]}'),
-        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": 2.5}}'),
-        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": "zero"}'),
-        ("invariant", "--spec", '{"m": 8, "n": [1], "junk": 3}'),
-        ("invariant", "--spec", "[1,2]"),
-        ("fullness", "--spec", '"m=8,n=1"'),
-        ("compare", "--a", '{"m": 8, "n": [" 1"]}', "--b", "m=8,n=1", "--mode", "exact"),
-        ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
-        ("compare", "--a", "m=8,m=9,n=3", "--b", "m=9,n=3", "--mode", "exact"),
-        ("compare", "--a", "[1,2]", "--b", "m=8,n=1", "--mode", "exact"),
-        ("invariant", "--spec", '{"m": 8, "m": 9, "n": [1]}'),
-        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "zero", "kind": "zero"}}'),
-        ("compare", "--a", '{"m": 8, "n": [1], "n": [2]}', "--b", "m=8,n=1", "--mode", "exact"),
-        ("invariant", "--m", "8", "--n", " +1,1_0"),
-        ("invariant", "--m", "8", "--n", "1, 2"),
-        ("invariant", "--m", "+8", "--n", "1"),
-        ("invariant", "--m", " inf", "--n", "1"),
-        ("invariant", "--m", "0", "--n", "1", "--tail", "constant:1_0"),
-        ("compare", "--a", "m=8,n=1_0", "--b", "m=8,n=1", "--mode", "exact"),
-        ("scan", "--max-m", "1_0"),
-        ("scan", "--max-m", " 10"),
-        ("compare", "--a", "m=8,n=[1,2", "--b", "m=8,n=1", "--mode", "exact"),
-        ("invariant", "--m", "8", "--n", "1", "--depth", " 1_0"),
-        ("invariant", "--m", "8", "--n", "1", "--depth", "+3"),
-        ("invariant", "--m", "0", "--n", "1", "--tail", "ZERO"),
-        ("invariant", "--m", "0", "--n", "1", "--tail", " Constant:2"),
-        ("invariant", "--m", "8", "--n", "1", "--tail", "zero:"),
-        ("compare", "--a", " m = 8 , n=1", "--b", "m=8,n=1", "--mode", "exact"),
-        ("compare", "--a", "n=[1],,m=8", "--b", "m=8,n=1", "--mode", "exact"),
-        ("invariant", "--spec", '{"m": 8, "n": [1], "tail": {"kind": "zero", "c": null}}'),
-        ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": null}}'),
-        ("invariant", "--spec", '{"m": 8, "n": ' + "[" * 10**5 + "]" * 10**5 + "}"),
-        ("compare", "--a", '{"m": ' + "[" * 10**5, "--b", "m=8,n=1", "--mode", "exact"),
-        ("compare", "--a", "m=8,n=1,", "--b", "m=8,n=[3]", "--mode", "stable"),
-        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=[3],", "--mode", "stable"),
-        ("compare", "--a", "n=[1]m=8", "--b", "m=8,n=[3]", "--mode", "stable"),
-        ("compare", "--a", "m=8,n=[1]tail=zero", "--b", "m=8,n=[3]", "--mode", "stable"),
-    ],
-)
+# Each case keeps the id pytest gave it by position before the ids were
+# written out, so removing a case renames no other; a new case takes a name
+# that says what is malformed.  The spec with a junk key, in JSON and in the
+# compact form, is an ERROR_LINES row, which pins its exact line.
+MALFORMED_SPECS = {
+    "argv0": ("invariant", "--spec", '{"m": 8, "n": "13"}'),
+    "argv1": ("invariant", "--spec", '{"m": 8, "n": [1.7]}'),
+    "argv2": ("invariant", "--spec", '{"m": 8, "n": [true]}'),
+    "argv3": ("invariant", "--spec", '{"m": 8.0, "n": [1]}'),
+    "argv4": ("invariant", "--spec", '{"m": "08x", "n": [1]}'),
+    "argv5": ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": 2.5}}'),
+    "argv6": ("invariant", "--spec", '{"m": 0, "n": [1], "tail": "zero"}'),
+    "argv8": ("invariant", "--spec", "[1,2]"),
+    "argv9": ("fullness", "--spec", '"m=8,n=1"'),
+    "argv10": ("compare", "--a", '{"m": 8, "n": [" 1"]}', "--b", "m=8,n=1", "--mode", "exact"),
+    "argv12": ("compare", "--a", "m=8,m=9,n=3", "--b", "m=9,n=3", "--mode", "exact"),
+    "argv13": ("compare", "--a", "[1,2]", "--b", "m=8,n=1", "--mode", "exact"),
+    "argv14": ("invariant", "--spec", '{"m": 8, "m": 9, "n": [1]}'),
+    "argv15": (
+        "invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "zero", "kind": "zero"}}',
+    ),
+    "argv16": (
+        "compare", "--a", '{"m": 8, "n": [1], "n": [2]}', "--b", "m=8,n=1", "--mode", "exact",
+    ),
+    "argv17": ("invariant", "--m", "8", "--n", " +1,1_0"),
+    "argv18": ("invariant", "--m", "8", "--n", "1, 2"),
+    "argv19": ("invariant", "--m", "+8", "--n", "1"),
+    "argv20": ("invariant", "--m", " inf", "--n", "1"),
+    "argv21": ("invariant", "--m", "0", "--n", "1", "--tail", "constant:1_0"),
+    "argv22": ("compare", "--a", "m=8,n=1_0", "--b", "m=8,n=1", "--mode", "exact"),
+    "argv23": ("scan", "--max-m", "1_0"),
+    "argv24": ("scan", "--max-m", " 10"),
+    "argv25": ("compare", "--a", "m=8,n=[1,2", "--b", "m=8,n=1", "--mode", "exact"),
+    "argv26": ("invariant", "--m", "8", "--n", "1", "--depth", " 1_0"),
+    "argv27": ("invariant", "--m", "8", "--n", "1", "--depth", "+3"),
+    "argv28": ("invariant", "--m", "0", "--n", "1", "--tail", "ZERO"),
+    "argv29": ("invariant", "--m", "0", "--n", "1", "--tail", " Constant:2"),
+    "argv30": ("invariant", "--m", "8", "--n", "1", "--tail", "zero:"),
+    "argv31": ("compare", "--a", " m = 8 , n=1", "--b", "m=8,n=1", "--mode", "exact"),
+    "argv32": ("compare", "--a", "n=[1],,m=8", "--b", "m=8,n=1", "--mode", "exact"),
+    "argv33": ("invariant", "--spec", '{"m": 8, "n": [1], "tail": {"kind": "zero", "c": null}}'),
+    "argv34": (
+        "invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": null}}',
+    ),
+    "argv35": ("invariant", "--spec", '{"m": 8, "n": ' + "[" * 10**5 + "]" * 10**5 + "}"),
+    "argv36": ("compare", "--a", '{"m": ' + "[" * 10**5, "--b", "m=8,n=1", "--mode", "exact"),
+    "argv37": ("compare", "--a", "m=8,n=1,", "--b", "m=8,n=[3]", "--mode", "stable"),
+    "argv38": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=[3],", "--mode", "stable"),
+    "argv39": ("compare", "--a", "n=[1]m=8", "--b", "m=8,n=[3]", "--mode", "stable"),
+    "argv40": ("compare", "--a", "m=8,n=[1]tail=zero", "--b", "m=8,n=[3]", "--mode", "stable"),
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_SPECS.values(), ids=list(MALFORMED_SPECS))
 def test_malformed_specs_exit_2_with_a_reason(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -3,7 +3,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oneideal import FamilyValidationError
+from oneideal import FamilyValidationError, exactlinalg
 from oneideal.exactlinalg import SparseMatrix, _invariant_factors, cokernel_invariants
 from oneideal.family import truncated_presentation, validate_family
 from oneideal.ktheory import stable_oracle_depth
@@ -96,7 +96,7 @@ def test_the_constructors_reject_a_malformed_dimension(build):
 
 def test_sparse_matrix_dense_view():
     m = SparseMatrix(3, (((0, 1), (2, -2)), (), ((1, 5),)))
-    assert m.cols == 3
+    assert len(m.columns) == 3
     assert dense(m) == sympy.Matrix([[1, 0, 0], [0, 0, 5], [-2, 0, 0]])
     assert sparse(dense(m)) == m
     assert cokernel_invariants(m) == sympy_cokernel(dense(m)) == (1, [5])
@@ -129,6 +129,16 @@ def test_diag_2_3_becomes_1_6():
         [[5]],
         # pivots 4, 6, 9 in that order: the chain pass must pair 4 with 9 too
         [[6, 0, 0], [0, 4, 0], [0, 0, 9]],
+        # a negative pivot that no step touches
+        [[0, -7], [5, 0]],
+        # Bezout steps on pairs that divide neither way: (6, 10) goes to
+        # (2, 0) in one step, and clearing the row of [[4, 6], [0, 5]]
+        # lowers the pivot 4 to 2 and refills its column with -5
+        [[6], [10]],
+        [[10], [-6]],
+        [[-6, 10]],
+        [[6, 10], [10, 15]],
+        [[4, 6], [0, 5]],
     ],
 )
 def test_snf_contract_on_fixed_cases(rows):
@@ -260,3 +270,75 @@ def test_cokernel_matches_the_dense_smith_form_on_truncations(v, odd, prefix, of
     full = dense_presentation(spec, depth)
     assert dense(m) == full
     assert cokernel_invariants(m) == sympy_cokernel(full)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """The cores that cokernel_invariants hands to _invariant_factors, each
+    copied as its list of rows, checked to hold no unit entry."""
+    seen = []
+
+    def recording(a):
+        assert not any(v in (1, -1) for row in a for v in row), "a unit pivot was left"
+        seen.append([row[:] for row in a])
+        return _invariant_factors(a)
+
+    monkeypatch.setattr(exactlinalg, "_invariant_factors", recording)
+    return seen
+
+
+def test_a_unit_made_in_a_passed_column_is_pivoted_on_its_revisit(cores):
+    # column 0 holds no unit at its turn; pivoting column 1 on row 0 leaves
+    # 3 - 2 = 1 in column 0, which is then pivoted too, so no core is left
+    assert cokernel_invariants(sparse(sympy.Matrix([[2, 1], [3, 1]]))) == (0, [])
+    assert cores == [[]]
+
+
+# The later columns hold units among small and large entries; the earlier
+# ones hold small entries and no unit, so they pass their turn, and the
+# later columns' pivots write into them, now and then leaving a unit to
+# revisit.  Large entries give Bezout steps whose pair divides neither way.
+late_entries = st.one_of(
+    st.just(0),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**6), max_value=10**6),
+)
+early_entries = st.sampled_from((0, 2, -2, 3, -3))
+
+
+def test_cokernel_matches_sympy_on_sparse_matrices_with_large_entries(cores, monkeypatch):
+    bezout = exactlinalg._bezout
+    proper = []  # the Bezout steps whose pair divides neither way
+
+    def counted(x, y):
+        if x % y and y % x:
+            proper.append((x, y))
+        return bezout(x, y)
+
+    monkeypatch.setattr(exactlinalg, "_bezout", counted)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6), st.data())
+    def check(rows, cols, data):
+        columns = [
+            data.draw(st.lists(early_entries if 2 * j < cols else late_entries,
+                               min_size=rows, max_size=rows))
+            for j in range(cols)
+        ]
+        m = sympy.Matrix(rows, cols, lambda i, j: columns[j][i])
+        assert cokernel_invariants(sparse(m)) == sympy_cokernel(m)
+
+    check()
+    assert len(proper) > 0
+
+
+@pytest.mark.parametrize("m", [3, 5, 9, 2**40 + 1, 3 * 2**61 + 1])
+@pytest.mark.parametrize("prefix", [(1,), (2, 0, 7), (4,) * 30, tuple(range(1, 101))])
+def test_the_core_of_a_truncated_presentation_is_at_most_2_by_1(cores, m, prefix):
+    spec = validate_family(m, prefix)
+    for depth in sorted({len(prefix), stable_oracle_depth(spec), 1000}):
+        cores.clear()
+        cokernel_invariants(truncated_presentation(spec, depth))
+        assert len(cores) == 1 and len(cores[0]) <= 2
+        assert all(len(row) <= 1 for row in cores[0])

@@ -186,7 +186,7 @@ def test_presentation_direct_transcription():
 def test_presentation_matrix_layout():
     spec = validate_family(4, [1, 0, 3])
     m = truncated_presentation(spec, 4)
-    assert (m.rows, m.cols) == (5, 4)
+    assert (m.rows, len(m.columns)) == (5, 4)
     assert m.columns[0] == ((0, 1), (1, -2))  # only the nonzero entries are stored
     assert dense(m) == sympy.Matrix([
         [1, 0, 0, 1],

@@ -38,6 +38,7 @@ def written(value) -> str:
 @example([])
 @example({"": {}, "b": [], "a": [[], {}, None, True, False]})
 @example([SPECIAL, {SPECIAL: SPECIAL}])
+@example({"n": ["1", SPECIAL, ""], "torsion": [["2"], []]})  # lists of strings, in one write
 @example(chr(0xDC00) + "x" + chr(0xD800))
 def test_write_json_is_byte_identical_to_json_dumps(value):
     assert written(value) == json.dumps(value, indent=2, sort_keys=True)
