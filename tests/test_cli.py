@@ -631,8 +631,9 @@ def test_text_and_json_carry_same_values(capsys):
 
 # Each case keeps the id pytest gave it by position before the ids were
 # written out, so removing a case renames no other; a new case takes a name
-# that says what is malformed.  The spec with a junk key, in JSON and in the
-# compact form, is an ERROR_LINES row, which pins its exact line.
+# that says what is malformed.  The spec with a junk key, in JSON (argv7) and
+# in the compact form (argv11), is also an ERROR_LINES row, which pins its
+# exact line.
 MALFORMED_SPECS = {
     "argv0": ("invariant", "--spec", '{"m": 8, "n": "13"}'),
     "argv1": ("invariant", "--spec", '{"m": 8, "n": [1.7]}'),
@@ -641,9 +642,11 @@ MALFORMED_SPECS = {
     "argv4": ("invariant", "--spec", '{"m": "08x", "n": [1]}'),
     "argv5": ("invariant", "--spec", '{"m": 0, "n": [1], "tail": {"kind": "constant", "c": 2.5}}'),
     "argv6": ("invariant", "--spec", '{"m": 0, "n": [1], "tail": "zero"}'),
+    "argv7": ("invariant", "--spec", '{"m": 8, "n": [1], "junk": 3}'),
     "argv8": ("invariant", "--spec", "[1,2]"),
     "argv9": ("fullness", "--spec", '"m=8,n=1"'),
     "argv10": ("compare", "--a", '{"m": 8, "n": [" 1"]}', "--b", "m=8,n=1", "--mode", "exact"),
+    "argv11": ("compare", "--a", "m=8,n=1,junk=3", "--b", "m=8,n=1", "--mode", "exact"),
     "argv12": ("compare", "--a", "m=8,m=9,n=3", "--b", "m=9,n=3", "--mode", "exact"),
     "argv13": ("compare", "--a", "[1,2]", "--b", "m=8,n=1", "--mode", "exact"),
     "argv14": ("invariant", "--spec", '{"m": 8, "m": 9, "n": [1]}'),
