@@ -2,21 +2,23 @@
 
 Everything here runs on plain Python integers, so entries may grow without
 bound and results are always exact.  :func:`cokernel_invariants` takes a
-:class:`SparseMatrix`, eliminates unit pivots on its columns (the
-preprocessing of Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001) from one worklist of columns,
-copying a column only when an update writes to it, and diagonalizes only the
-leftover core, on a plain list of its rows, with no transforms: pivot on the
-smallest nonzero entry, clear its column and row with one unimodular Bezout
-step per entry (Kannan and Bachem, 1979), repeat while that refills the
-column, then turn the pivots into a divisibility chain by gcd and lcm.  On a
-truncated presentation, whose chain columns each carry a unit, that costs a
-number of steps linear in the depth and one Bezout step on a 2x1 core.
+:class:`SparseMatrix` and eliminates unit pivots first (the preprocessing of
+Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
+normal form computations", 2001), in two phases.  Phase 1 reads each column
+once and turns a column holding one or two entries, one of them ±1, into a
+link that writes one generator in terms of another, or as 0; the links form
+a forest.  Phase 2 carries every other column's entries along the links, in
+the order they were made.  The leftover core is then diagonalized on a
+plain list of its rows, with no transforms: pivot on the smallest nonzero
+entry, clear its column and row with one unimodular Bezout step per entry
+(Kannan and Bachem, 1979), repeat while that refills the column, then turn
+the pivots into a divisibility chain by gcd and lcm.  On a truncated
+presentation every chain column becomes a link, carrying the relation
+column along them is Horner's rule, and the core is 2x1.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -28,8 +30,11 @@ class SparseMatrix:
     """Immutable integer matrix stored as its columns' entries.
 
     Column j is a tuple of ``(row, entry)`` pairs with increasing rows in
-    ``range(rows)``; a row it does not list holds 0 there.  Entries must
-    be ints, not bools.
+    ``range(rows)``; a row it does not list holds 0 there.  Entries are
+    ints, not bools.  The constructor checks only the row count and that
+    the columns are a tuple: the entries are the caller's duty, as they are
+    :func:`oneideal.family.truncated_presentation`'s, the one builder in
+    the library.
     """
 
     rows: int
@@ -40,19 +45,6 @@ class SparseMatrix:
             raise ValueError(f"matrix dimensions must be non-negative ints, got {self.rows!r}")
         if type(self.columns) is not tuple:
             raise ValueError(f"the columns must be a tuple, got {self.columns!r}")
-        for col in self.columns:
-            if type(col) is not tuple:
-                raise ValueError(f"each column must be a tuple, got {col!r}")
-            prev = -1
-            for pair in col:
-                if type(pair) is not tuple or len(pair) != 2:
-                    raise ValueError(f"column items must be (row, entry) pairs, got {pair!r}")
-                i, v = pair
-                if (type(i) is not int and not is_int(i)) or not prev < i < self.rows:
-                    raise ValueError(f"rows must increase within range({self.rows}): {col!r}")
-                if type(v) is not int and not is_int(v):  # the common case skips the call
-                    raise ValueError(f"matrix entries must be integers, got {v!r}")
-                prev = i
 
 
 def _bezout(x: int, y: int) -> tuple[int, int, int, int]:
@@ -117,56 +109,44 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
     Returns ``(free_rank, torsion)`` where torsion lists the invariant
     factors larger than 1 in divisibility order.
 
-    A ±1 entry at (r, c) contributes the invariant factor 1: subtracting
-    multiples of column c clears row r from every other column, after which
-    row r and column c split off as a unit block and are dropped.  Pivots
-    are taken from a worklist of the columns, where one that gains a ±1
-    after its turn is queued again; the invariant factors of what remains
-    are the other factors.  The row index is only appended to: a column
-    since taken as a pivot, or cleared in that row, is skipped there.
+    Phase 1 reads each column once.  A column with entries u = ±1 at row r
+    and e at row s says x_r = -u*e*x_s in the cokernel, and one holding u
+    alone says x_r = 0.  When neither row is linked yet, that link is kept,
+    and the column and the generator x_r are dropped.  So each row is
+    linked at most once, to a row not linked before it, and the links form
+    a forest that the order they were made in resolves.  Phase 2 writes
+    each other column out densely and carries its entries along the links
+    in that order; on a truncated presentation that is Horner's rule on the
+    relation column.  The invariant factors of what remains, which may
+    still hold a ±1, are the other factors.
     """
-    # each column is the matrix's tuple, a {row: entry} once written, None once a pivot
-    columns: list = list(m.columns)
-    in_row: dict[int, list[int]] = defaultdict(list)  # row -> columns that held an entry there
-    for j, col in enumerate(columns):
-        for i, _ in col:
-            in_row[i].append(j)
-    todo = list(range(len(columns)))
-    for turn, c in enumerate(todo):  # the list grows by the columns queued again
-        col = columns[c]
-        if col is None:
-            continue
-        pairs = col.items() if type(col) is dict else col
-        for r, unit in pairs:
-            if unit == 1 or unit == -1:
-                break
-        else:
-            continue
-        columns[c] = None
-        for j in in_row.pop(r):
-            target = columns[j]
-            if target is None or (type(target) is dict and r not in target):
+    link = {}  # r -> (s, f): x_r = f * x_s, in the order made
+    rest = []
+    for col in m.columns:
+        if len(col) == 2:
+            (r, u), (s, e) = col
+            if u != 1 and u != -1:
+                (s, e), (r, u) = col
+            if (u == 1 or u == -1) and r not in link and s not in link:
+                link[r] = s, -u * e
                 continue
-            if type(target) is tuple:
-                target = columns[j] = dict(target)
-            q = target.pop(r) * unit
-            for i, v in pairs:
-                if i == r:
-                    continue
-                w = target.get(i, 0) - q * v
-                if not w:
-                    del target[i]
-                    continue
-                if i not in target:
-                    in_row[i].append(j)
-                target[i] = w
-                if j < turn and (w == 1 or w == -1):
-                    todo.append(j)
-    live = [dict(col) for col in columns if col]
-    index = {i: t for t, i in enumerate({i for col in live for i in col})}  # row -> core row
-    core = [[0] * len(live) for _ in index]
-    for t, col in enumerate(live):
-        for i, v in col.items():
-            core[index[i]][t] = v
-    nonzero = _invariant_factors(core)
-    return m.rows - columns.count(None) - len(nonzero), [d for d in nonzero if d > 1]
+        elif len(col) == 1:
+            ((r, u),) = col
+            if (u == 1 or u == -1) and r not in link:
+                link[r] = r, 0
+                continue
+        rest.append(col)
+    live = []
+    for col in rest:
+        x = [0] * m.rows
+        for i, v in col:
+            x[i] = v
+        for r, (s, f) in link.items():
+            v = x[r]
+            if v:
+                x[s] += f * v
+                x[r] = 0
+        live.append(x)
+    used = {i for x in live for i, v in enumerate(x) if v}
+    nonzero = _invariant_factors([[x[i] for x in live] for i in used])
+    return m.rows - len(link) - len(nonzero), [d for d in nonzero if d > 1]

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter
 
 from .dyadic import INF, ExtendedRational, is_infinite, is_int
 from .errors import FamilyValidationError, RegimeError
@@ -143,6 +145,6 @@ def truncated_presentation(spec: FamilySpec, depth: int) -> SparseMatrix:
     k = len(spec.prefix)
     if depth < k:
         raise RegimeError(f"depth {depth} is below the prefix length {k}")
-    chain = tuple(((j, 1), (j + 1, -2)) for j in range(depth - 1))
-    last = tuple((i, n) for i, n in enumerate(spec.prefix) if n) + ((depth, spec.m - 1),)
+    chain = tuple(zip(zip(range(depth - 1), repeat(1)), zip(range(1, depth), repeat(-2))))
+    last = tuple(filter(itemgetter(1), enumerate(spec.prefix))) + ((depth, spec.m - 1),)
     return SparseMatrix(depth + 1, chain + (last,))

@@ -91,12 +91,42 @@ MUTANTS = (
     Mutant(
         "cokernel elimination that never revisits a passed column",
         "exactlinalg.py",
-        "todo.append(j)",
-        "pass",
+        "for r, (s, f) in link.items():",
+        "for r, (s, f) in ():",
         (
-            "tests/test_exactlinalg.py::test_a_unit_made_in_a_passed_column_is_pivoted_on_its_revisit",
-            "tests/test_exactlinalg.py::"
-            "test_cokernel_matches_sympy_on_sparse_matrices_with_large_entries",
+            "tests/test_exactlinalg.py::test_each_link_case_matches_sympy[unit row already linked]",
+            "tests/test_exactlinalg.py::test_cokernel_matches_sympy_on_every_link_case",
+            "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_truncations",
+        ),
+    ),
+    Mutant(
+        "cokernel link with the wrong sign",
+        "exactlinalg.py",
+        "link[r] = s, -u * e",
+        "link[r] = s, u * e",
+        (
+            "tests/test_exactlinalg.py::test_each_link_case_matches_sympy[unit row already linked]",
+            "tests/test_exactlinalg.py::test_cokernel_matches_sympy_on_every_link_case",
+        ),
+    ),
+    Mutant(
+        "cokernel carry along the links in reverse creation order",
+        "exactlinalg.py",
+        "for r, (s, f) in link.items():",
+        "for r, (s, f) in reversed(link.items()):",
+        (
+            "tests/test_exactlinalg.py::test_each_link_case_matches_sympy[chain read forwards]",
+            "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_truncations",
+        ),
+    ),
+    Mutant(
+        "cokernel link made from a row that is already linked",
+        "exactlinalg.py",
+        "r not in link and s not in link",
+        "s not in link",
+        (
+            "tests/test_exactlinalg.py::test_each_link_case_matches_sympy[unit row already linked]",
+            "tests/test_exactlinalg.py::test_cokernel_matches_sympy_on_every_link_case",
         ),
     ),
     Mutant(
@@ -332,8 +362,7 @@ MUTANTS = (
         tuple(
             f"tests/test_family.py::test_bools_and_floats_are_not_read_as_integers[{case}]"
             for case in ("bool m", "bool n", "bool c")
-        )
-        + ("tests/test_exactlinalg.py::test_the_constructor_rejects_an_entry_that_is_not_an_int[True]",),
+        ),
     ),
     Mutant(
         "family member that takes a list as its prefix",
@@ -357,8 +386,8 @@ MUTANTS = (
     Mutant(
         "cokernel elimination that ignores the pivot's sign",
         "exactlinalg.py",
-        "q = target.pop(r) * unit",
-        "q = target.pop(r)",
+        "link[r] = s, -u * e",
+        "link[r] = s, -e",
         (
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form_on_fixed_cases[rows3]",
             "tests/test_exactlinalg.py::test_cokernel_matches_the_dense_smith_form",
@@ -391,8 +420,8 @@ MUTANTS = (
     Mutant(
         "sparse presentation with the prefix one row off",
         "family.py",
-        "last = tuple((i, n) for i, n in enumerate(spec.prefix) if n)",
-        "last = tuple((i + 1, n) for i, n in enumerate(spec.prefix) if n)",
+        "filter(itemgetter(1), enumerate(spec.prefix))",
+        "filter(itemgetter(1), enumerate(spec.prefix, 1))",
         (
             "tests/test_family.py::test_presentation_matrix_layout",
             "tests/test_family.py::test_sparse_presentation_is_the_dense_layout",

@@ -1,0 +1,15 @@
+"""Complexity bounds as exact opcode counts (see ``cost.py``), which repeat
+on any host, unlike wall time."""
+
+from cost import opcodes
+
+
+def invariant_argv(k: int) -> list[str]:
+    # m - 1 = 3 * 2^10, so the default truncation depth is k + 11
+    return ["invariant", "--m", "3073", "--n", ",".join(str(i % 4) for i in range(1, k + 1))]
+
+
+def test_each_chain_column_of_the_truncation_costs_under_120_opcodes():
+    # depths 111 and 211: 100 more chain columns, each one link and one carry
+    per_column = (opcodes(invariant_argv(200)) - opcodes(invariant_argv(100))) / 100
+    assert per_column < 120
