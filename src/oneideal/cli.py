@@ -15,11 +15,11 @@ stripping, no case folding), into that schema object, so
 ``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``; the text
 view is rendered whole.
 
-The argument parser is built once per process, on the first query, and
-every later call of :func:`main` reuses it.  The command's own parser
-reads the arguments after the command name, in one pass; only an argv it
-cannot take whole goes through the top-level parser as well, which prints
-argparse's error.
+Each command's options are declared once, in :data:`COMMANDS`.  An argv
+``COMMAND (--flag VALUE)*`` with exact flags, plain values, valid choices
+and every required flag is read from that table in one pass; any other
+(help, an abbreviation, ``--flag=value``, ``--``, a usage error) goes
+through the argparse parser built from it, once per process.
 
 Exit codes: 0 = computed (negative verdicts included); else the status and
 stderr tag that the error's class in :mod:`.errors` carries (a bare
@@ -33,9 +33,9 @@ an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
 modulus it runs on is past ``dyadic.MAX_LOG_STEP`` squared;
 3 = internal consistency failure
 (the stable-isomorphism routes disagree, an exact witness fails
-re-substitution, the truncation shown by ``invariant`` contradicts the
-closed-form torsion order, or a ``scan`` row counts fewer exact than stable
-classes).
+re-substitution, the truncation shown by ``invariant`` contradicts its
+closed form gcd(2^(d-k) N, m - 1), or past saturation the torsion order, or
+a ``scan`` row counts fewer exact than stable classes).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import functools
 import json
 import os
 import sys
+from math import gcd
 
 from . import classify
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
@@ -129,7 +130,7 @@ def _spec_from_compact(text: str) -> FamilySpec:
 
 
 # One function per command, of plain values: main calls them with the
-# values argparse read, and Report.from_json_dict with those a report holds.
+# values of its argv, and Report.from_json_dict with those a report holds.
 
 
 def invariant_report(spec: FamilySpec, depth=None) -> Report:
@@ -147,12 +148,13 @@ def invariant_report(spec: FamilySpec, depth=None) -> Report:
             depth = max(len(spec.prefix) + 3, stable_depth)
         free_rank, torsion = truncated_k0(spec, depth)
         truncation = (depth, free_rank, tuple(torsion))
-        # past saturation the truncation is an independent check on x
-        x = scalars.x
-        if depth >= stable_depth and truncation[1:] != (1, (x,) if x > 1 else ()):
+        # at depth d: free rank 1, torsion y = gcd(2^(d-k) N, m - 1), and y = x
+        # past saturation
+        x, y = scalars.x, gcd(scalars.n_weight << (depth - scalars.k), spec.m - 1)
+        if truncation[1:] != (1, (y,) if y > 1 else ()) or depth >= stable_depth and y != x:
             raise InternalConsistencyError(
                 f"truncation at depth {depth} has free rank {free_rank} and torsion "
-                f"{list(torsion)}, but the closed-form torsion order is {x}"
+                f"{list(torsion)}, but the closed form gives {y} and torsion order {x}"
             )
     return Report(
         command="invariant",
@@ -203,74 +205,92 @@ def scan_report(max_m) -> Report:
     return Report(command="scan", inputs=inputs, verdict=verdict)
 
 
-def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", help="loop count: a non-negative integer or 'inf'")
-    parser.add_argument("--n", help="comma-separated edge multiplicities, e.g. 1,0,3")
-    parser.add_argument(
-        "--tail", help="tail rule: zero | constant:<c> | doubling:<c> (default zero)"
-    )
-    parser.add_argument("--spec", help="JSON family object instead of --m/--n/--tail")
+# Each command's help, its report function of the parsed arguments, and its
+# options in argparse's order: flag -> (dest, add_argument's other keywords).
+_SPEC_FLAGS = {
+    "--m": ("m", {"help": "loop count: a non-negative integer or 'inf'"}),
+    "--n": ("n", {"help": "comma-separated edge multiplicities, e.g. 1,0,3"}),
+    "--tail": ("tail", {"help": "tail rule: zero | constant:<c> | doubling:<c> (default zero)"}),
+    "--spec": ("spec", {"help": "JSON family object instead of --m/--n/--tail"}),
+}
+_FORMAT = {"--format": ("format", {"choices": ("text", "json"), "default": "text"})}
+COMMANDS = {
+    "invariant": (
+        "compute the six-term invariant",
+        lambda args: invariant_report(_spec_from_flags(args), args.depth),
+        {**_SPEC_FLAGS, "--depth": ("depth", {"help": "truncation oracle depth override"}),
+         **_FORMAT},
+    ),
+    "fullness": (
+        "decide fullness of the extension",
+        lambda args: fullness_report(_spec_from_flags(args)),
+        {**_SPEC_FLAGS, **_FORMAT},
+    ),
+    "compare": (
+        "decide exact or stable isomorphism",
+        lambda args: compare_report(
+            _spec_from_compact(args.a), _spec_from_compact(args.b), args.mode
+        ),
+        {
+            "--a": ("a", {"required": True, "help": "first member, e.g. m=8,n=1"}),
+            "--b": ("b", {"required": True, "help": "second member, e.g. m=8,n=3"}),
+            "--mode": ("mode", {"choices": ("exact", "stable"), "required": True}),
+            **_FORMAT,
+        },
+    ),
+    "scan": (
+        "tabulate class counts and find divergence",
+        lambda args: scan_report(args.max_m),
+        {"--max-m": ("max_m", {"required": True}), **_FORMAT},
+    ),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one shared parser, built on the first call.
-
-    Every caller gets the same object, so callers must not mutate it (add
-    arguments, set defaults); :func:`main` only parses with it and with
-    the command parsers in its ``commands`` map."""
+    """The process's one shared parser, built from :data:`COMMANDS` on the
+    first call; callers must not mutate it (add arguments, set defaults)."""
     parser = argparse.ArgumentParser(
         prog="oneideal",
         description="Ordered K-theory invariants and classification for the "
         "one-ideal graph family.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_inv = sub.add_parser("invariant", help="compute the six-term invariant")
-    _add_spec_flags(p_inv)
-    p_inv.add_argument("--depth", help="truncation oracle depth override")
-    p_inv.set_defaults(func=lambda args: invariant_report(_spec_from_flags(args), args.depth))
-
-    p_full = sub.add_parser("fullness", help="decide fullness of the extension")
-    _add_spec_flags(p_full)
-    p_full.set_defaults(func=lambda args: fullness_report(_spec_from_flags(args)))
-
-    p_cmp = sub.add_parser("compare", help="decide exact or stable isomorphism")
-    p_cmp.add_argument("--a", required=True, help="first member, e.g. m=8,n=1")
-    p_cmp.add_argument("--b", required=True, help="second member, e.g. m=8,n=3")
-    p_cmp.add_argument("--mode", choices=("exact", "stable"), required=True)
-    p_cmp.set_defaults(
-        func=lambda args: compare_report(
-            _spec_from_compact(args.a), _spec_from_compact(args.b), args.mode
-        )
-    )
-
-    p_scan = sub.add_parser("scan", help="tabulate class counts and find divergence")
-    p_scan.add_argument("--max-m", required=True)
-    p_scan.set_defaults(func=lambda args: scan_report(args.max_m))
-
-    for p in (p_inv, p_full, p_cmp, p_scan):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    # each command's own parser, which _parse_args hands the command's arguments
-    parser.commands = sub.choices
+    for name, (help_, func, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        for flag, (dest, keywords) in options.items():
+            command.add_argument(flag, dest=dest, **keywords)
+        command.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` read from :data:`COMMANDS` alone,
+    for an ``argv`` of the form ``COMMAND (--flag VALUE)*`` whose flags are
+    the command's exact option strings, whose values do not start with
+    ``-`` and lie in their choices, and which gives every required flag; a
+    repeated flag keeps its last value.  Any other ``argv`` gives None."""
+    entry = COMMANDS.get(argv[0]) if len(argv) % 2 else None
+    if entry is None:
+        return None
+    _, func, options = entry
+    args = {dest: keywords.get("default") for dest, keywords in options.values()}
+    args.update(command=argv[0], func=func)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest, keywords = options.get(flag, (None, None))
+        if dest is None or value.startswith("-") or value not in keywords.get("choices", (value,)):
+            return None
+        args[dest] = value
+    if any(keywords.get("required") and args[dest] is None for dest, keywords in options.values()):
+        return None
+    return argparse.Namespace(**args)
+
+
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)`` in one pass over ``argv``: the
-    command's own parser reads the arguments after the command's name.  An
-    ``argv`` it cannot take whole (none, an unknown command, arguments left
-    over) goes through the whole parser, so argparse's errors keep their
-    bytes."""
-    parser = build_parser()
+    """``build_parser().parse_args(argv)``; the parser is built only for an
+    ``argv`` that :func:`_read_argv` hands on."""
     argv = sys.argv[1:] if argv is None else argv
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    return _read_argv(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

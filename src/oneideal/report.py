@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
 from .dyadic import INF, format_extended, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
-from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, FamilySpec, TailSpec
+from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, ZERO_TAIL, FamilySpec, TailSpec
 from .groups import (
     ALL_POSITIVE,
     ALPHA_CONE,
@@ -79,18 +79,22 @@ def limited_int(v, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
-def _json_object(v, what: str, keys: set[str], optional: set[str] = frozenset()) -> dict:
-    """``v`` as a JSON object with every key in ``keys`` and besides them
-    only keys in ``optional``; else ValueError."""
+# the required and the allowed keys of a family spec and of its tail
+_SPEC_KEYS, _SPEC_ALLOWED = frozenset(("m", "n")), frozenset(("m", "n", "tail"))
+_TAIL_KEYS, _TAIL_ALLOWED = frozenset(("kind",)), frozenset(("kind", "c"))
+
+
+def _json_object(v, what: str, keys: frozenset[str], allowed: frozenset[str]) -> dict:
+    """``v`` as a JSON object with every key in ``keys`` and no key outside
+    ``allowed``; else ValueError."""
     if not isinstance(v, dict):
         raise ValueError(f"{what} must be a JSON object, got {v!r}")
-    unknown = sorted(set(v) - keys - optional)
+    if keys <= v.keys() <= allowed:
+        return v
+    unknown = sorted(v.keys() - allowed)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}")
-    missing = sorted(keys - set(v))
-    if missing:
-        raise ValueError(f"{what} is missing keys {missing}")
-    return v
+    raise ValueError(f"{what} is missing keys {sorted(keys - v.keys())}")
 
 
 def spec_from_json(d) -> FamilySpec:
@@ -98,7 +102,7 @@ def spec_from_json(d) -> FamilySpec:
     decimal string ("inf" also for m); nothing else is coerced.  A prefix
     longer than :data:`MAX_PREFIX_LENGTH`, or an integer with more than
     :data:`MAX_INTEGER_DIGITS` digits, raises :class:`WorkLimitError`."""
-    d = _json_object(d, "family spec", {"m", "n"}, {"tail"})
+    d = _json_object(d, "family spec", _SPEC_KEYS, _SPEC_ALLOWED)
     m = INF if d["m"] == "inf" else limited_int(d["m"], "m")
     ns = d["n"]
     if type(ns) is not list:
@@ -115,9 +119,9 @@ def spec_from_json(d) -> FamilySpec:
         prefix = tuple(map(int, ns))
     else:
         prefix = tuple(limited_int(n, "each entry of n") for n in ns)
-    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", {"kind"}, {"c"})
+    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", _TAIL_KEYS, _TAIL_ALLOWED)
     c = limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
-    tail = TailSpec(tail_d.get("kind"), c)
+    tail = ZERO_TAIL if c is None and tail_d["kind"] == "zero" else TailSpec(tail_d["kind"], c)
     return FamilySpec(m, prefix, tail)
 
 

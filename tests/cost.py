@@ -3,14 +3,16 @@
 :func:`opcodes` runs ``cli.main`` in-process under :func:`sys.settrace`,
 sets ``f_trace_opcodes`` on every frame of a module of the ``oneideal``
 package, and counts the opcodes those frames execute.  Frames of the
-standard library (argparse, json) and of builtins are not counted, and a
-builtin call counts as one opcode however long it runs, so the count
-measures the library's own Python work.  Unlike wall time it is exact and
-repeats from run to run on any host, so a complexity claim can be a tier-1
-assertion.
+standard library (argparse, json, fractions) are not counted, so the count
+measures the library's own Python work; with ``every_frame=True`` every
+Python frame under ``cli.main`` counts, so the count is the whole query's
+Python work.  A builtin call counts as one opcode however long it runs.
+Unlike wall time the count is exact and repeats from run to run on any
+host, so a complexity claim can be a tier-1 assertion.
 
-``python tests/cost.py ARGV...`` prints the count for one command line,
-for example ``python tests/cost.py invariant --m 3073 --n 1,2,3``.
+``python tests/cost.py ARGV...`` prints both counts for one command line,
+the library's and then every frame's, for example
+``python tests/cost.py invariant --m 3073 --n 1,2,3``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from oneideal import cli
 PACKAGE = os.path.dirname(oneideal.__file__)
 
 
-def opcodes(argv: list[str]) -> int:
-    """The opcodes ``oneideal`` frames execute while ``cli.main(argv)`` runs;
-    the command's output is discarded."""
+def opcodes(argv: list[str], every_frame: bool = False) -> int:
+    """The opcodes ``oneideal`` frames, or with ``every_frame`` all Python
+    frames, execute while ``cli.main(argv)`` runs; the command's output is
+    discarded."""
     count = 0
 
     def opcode(frame, event, arg):
@@ -38,12 +41,14 @@ def opcodes(argv: list[str]) -> int:
         return opcode
 
     def call(frame, event, arg):
-        if os.path.dirname(frame.f_code.co_filename) != PACKAGE:
+        if not every_frame and os.path.dirname(frame.f_code.co_filename) != PACKAGE:
             return None
         frame.f_trace_opcodes = True
         return opcode
 
-    cli.build_parser()  # built once per process, so not counted in any command
+    # built once per process, and only for an argv the table reader hands
+    # on, so not counted in any command
+    cli.build_parser()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         outer = sys.gettrace()
@@ -56,4 +61,4 @@ def opcodes(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    print(opcodes(sys.argv[1:]))
+    print(opcodes(sys.argv[1:]), opcodes(sys.argv[1:], every_frame=True))

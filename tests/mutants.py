@@ -246,9 +246,12 @@ MUTANTS = (
     Mutant(
         "invariant without the truncation cross-check",
         "cli.py",
-        "if depth >= stable_depth and truncation[1:] != (1, (x,) if x > 1 else ()):",
+        "if truncation[1:] != (1, (y,) if y > 1 else ()) or depth >= stable_depth and y != x:",
         "if False:",
-        ("tests/test_cli.py::test_wrong_torsion_order_is_caught_by_the_truncation",),
+        (
+            "tests/test_cli.py::test_wrong_torsion_order_is_caught_by_the_truncation",
+            "tests/test_cli.py::test_a_wrong_truncation_below_saturation_exits_3",
+        ),
     ),
     Mutant(
         "stable verdict without its gcd cross-check",
@@ -347,11 +350,44 @@ MUTANTS = (
     Mutant(
         "one-pass argv parse that drops the arguments left over",
         "cli.py",
-        "        if not rest:\n            return args\n",
-        "        return args\n",
+        "entry = COMMANDS.get(argv[0]) if len(argv) % 2 else None",
+        "entry = COMMANDS.get(argv[0]) if argv else None",
         (
             "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
             "[invariant --m 9 --n 1,2 extra]",
+        ),
+    ),
+    Mutant(
+        "table reader without the choices check",
+        "cli.py",
+        ' or value not in keywords.get("choices", (value,))',
+        "",
+        (
+            "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
+            "[compare --a m=8,n=1 --b m=8,n=3 --mode bogus]",
+            "tests/test_cli.py::test_the_table_reader_returns_what_the_parser_returns",
+        ),
+    ),
+    Mutant(
+        "table reader without the required-flag check",
+        "cli.py",
+        'keywords.get("required") and args[dest] is None',
+        "False and args[dest] is None",
+        (
+            "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
+            "[compare --a m=8,n=1 --mode exact]",
+            "tests/test_cli.py::test_the_table_reader_returns_what_the_parser_returns",
+        ),
+    ),
+    Mutant(
+        "table reader that takes a value starting with '-'",
+        "cli.py",
+        'value.startswith("-") or ',
+        "",
+        (
+            "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
+            "[invariant --n --m --m 8]",
+            "tests/test_cli.py::test_the_table_reader_returns_what_the_parser_returns",
         ),
     ),
     Mutant(

@@ -16,9 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oneideal
-from oneideal import INF, FamilySpec, IsoWitness, TailSpec, WorkLimitError
+from oneideal import INF, FamilySpec, IsoWitness, TailSpec, WorkLimitError, cli
 from oneideal.cli import main
-from oneideal.ktheory import MAX_TRUNCATION_DEPTH
+from oneideal.ktheory import MAX_TRUNCATION_DEPTH, stable_oracle_depth
 from oneideal.report import (
     MAX_INTEGER_DIGITS,
     MAX_PREFIX_LENGTH,
@@ -1091,11 +1091,34 @@ def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):
 
 
 def test_truncation_below_the_stable_depth_is_not_checked(capsys):
-    # m = 9, k = 1: the stable depth is 5, and depth 3 still shows Z/4 < Z/8
+    # m = 9, k = 1: the stable depth is 5, and depth 3 still shows Z/4 < Z/8,
+    # which the check takes: gcd(2^(3-1) * 1, 8) = 4, not x
     code, out, _ = run(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "3")
     assert code == 0
     assert "x=8" in out
     assert "truncation oracle: depth=3 free rank=1 torsion=[4]" in out
+
+
+def test_a_wrong_truncation_below_saturation_exits_3(capsys, monkeypatch):
+    # m = 9, k = 1, depth 1: the truncation is Z, torsion gcd(1, 8) = 1
+    monkeypatch.setattr(cli, "truncated_k0", lambda spec, depth: (1, [2]))
+    code, out, err = run(capsys, "invariant", "--m", "9", "--n", "1", "--depth", "1")
+    assert (code, out) == (3, "")
+    assert "[InternalConsistency]" in err
+
+
+def test_the_truncation_check_holds_at_every_depth():
+    # free rank 1 and torsion gcd(2^(d-k) N, m - 1) from the prefix length k
+    # to one past the stable depth
+    for prefix in ((1,), (2, 0, 3), (0, 6), (5, 1, 0, 4)):
+        k, weight = len(prefix), functools.reduce(lambda w, n: 2 * w + n, prefix)
+        for m in range(2, 130):
+            spec = FamilySpec(m, prefix)
+            for depth in range(k, stable_oracle_depth(spec) + 2):
+                y = math.gcd(weight << (depth - k), m - 1)
+                torsion = [str(y)] if y > 1 else []
+                expected = {"depth": str(depth), "freeRank": "1", "torsion": torsion}
+                assert cli.invariant_report(spec, depth).invariant["truncation"] == expected
 
 
 # Valid members with bounded work per query: m <= 10^4, at most 12 prefix entries.
@@ -1305,6 +1328,14 @@ PARSER_ARGV = (
         ("invariant", "--m=8", "--n", "1"),
         ("invariant", "--m", "8", "--n", "1", "--"),
         ("compare", "--", "--a", "m=8,n=1"),
+        ("scan", "--max-m", "7", "--max-m", "12"),
+        ("invariant", "--m", "9", "--n", "-1"),
+        ("scan", "--max-m", "12", "--format=json"),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mo", "exact"),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "bogus"),
+        ("compare", "--mode", "stable", "--a", "m=8,n=1"),
+        ("invariant", "--m", "9", "--n", ""),
+        ("invariant", "--n", "--m", "--m", "8"),
     ],
     ids=lambda argv: " ".join(argv) or "no arguments",
 )
@@ -1316,6 +1347,58 @@ def test_one_pass_over_argv_answers_as_the_whole_parser(capsys, monkeypatch, arg
     with monkeypatch.context() as patched:
         patched.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         assert got == run_exiting(capsys, *argv)
+
+
+# Tokens for argv the table reader may take or hand on: every option string
+# of every command, near misses that only argparse reads (abbreviations,
+# ``--flag=value``, ``--``, help, values that start with ``-``), the choice
+# values and junk.
+OPTION_STRINGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})
+ODD_TOKENS = ["--for", "--mo", "--max", "--m=8", "--", "-h", "-1", "-", "", " -1"]
+VALUES = ["text", "json", "exact", "stable", "bogus", "8", "1,2", "m=8,n=1"]
+ANY_TOKEN = st.sampled_from(OPTION_STRINGS + ODD_TOKENS + VALUES) | st.text(max_size=3)
+
+
+@st.composite
+def command_lines(draw):
+    """A command, then its own flags in any order, some left out or
+    repeated, each with a value it takes; then up to two tokens of any kind
+    put in anywhere or put in place of one."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[command][2]
+    flags = draw(st.permutations(list(options)))[: draw(st.integers(len(options) - 2, 9))]
+    argv = [command]
+    for flag in flags + draw(st.lists(st.sampled_from(list(options)), max_size=2)):
+        argv += [flag, draw(st.sampled_from(options[flag][1].get("choices", VALUES)))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv)))
+        argv[i : i + draw(st.integers(0, 1))] = [draw(ANY_TOKEN)]
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command_lines())
+def test_the_table_reader_returns_what_the_parser_returns(argv):
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_the_common_argv_never_reaches_argparse(capsys, monkeypatch):
+    from test_golden import ARGV, GOLDEN, SUFFIX
+
+    expected = [run_exiting(capsys, *argv) for argv in PARSER_ARGV[:4]]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("argparse read an argv of the common form")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [run_exiting(capsys, *argv) for argv in PARSER_ARGV[:4]] == expected
+    for name, argv in ARGV.items():
+        for fmt, suffix in SUFFIX.items():
+            golden = (GOLDEN / (name + suffix)).read_bytes().decode()
+            assert run_exiting(capsys, *argv, "--format", fmt) == (0, golden, ""), name
 
 
 def test_queries_reuse_one_parser(capsys, monkeypatch):

@@ -13,3 +13,11 @@ def test_each_chain_column_of_the_truncation_costs_under_120_opcodes():
     # depths 111 and 211: 100 more chain columns, each one link and one carry
     per_column = (opcodes(invariant_argv(200)) - opcodes(invariant_argv(100))) / 100
     assert per_column < 120
+
+
+def test_a_text_compare_runs_under_3000_opcodes_in_every_frame():
+    # argv, spec, decision and text view, the standard library included;
+    # reading the argv with argparse made it 5,603 (3,905 once warm)
+    argv = ["compare", "--a", "m=1024,n=[3,0,5]", "--b", "m=1024,n=[5,1]", "--mode", "exact"]
+    first = opcodes(argv, every_frame=True)
+    assert first == opcodes(argv, every_frame=True) < 3000

@@ -3,8 +3,9 @@
 The gate runs a fixed corpus through ``cli.main`` and
 ``Report.from_json_dict`` with a profile function installed, and records
 each code object that is entered.  The corpus is every golden argv in text
-and JSON, every error line, the ``--spec`` and compact-JSON spec forms, and
-the reader on each golden JSON report.  Every function, method and property
+and JSON, every error line, the ``--spec`` and compact-JSON spec forms, a
+help and a usage error (the argv that argparse reads), and the reader on
+each golden JSON report.  Every function, method and property
 defined in ``src/oneideal`` (bar ``__main__``, whose import runs the command
 line) must be entered, or be listed in :data:`UNREACHED` with its reason.
 An entry that the corpus reaches, or that names nothing, fails too, so the
@@ -54,6 +55,8 @@ SPEC_FORMS = (
     ("fullness", "--spec", '{"m": "inf", "n": ["2"], "tail": {"kind": "constant", "c": 4}}'),
     ("compare", "--a", '{"m": 8, "n": [1]}', "--b", "m=8,n=[3]", "--mode", "stable"),
 )
+# argv the table reader hands to argparse, which exits
+ARGPARSE_FORMS = (("--help",), ("compare", "--a", "m=8,n=1", "--mode", "exact"))
 
 
 def _defined() -> dict:
@@ -98,6 +101,9 @@ def _entered_by_the_corpus() -> set:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             for argv in argvs:
                 cli.main(argv)
+            for argv in ARGPARSE_FORMS:
+                with contextlib.suppress(SystemExit):
+                    cli.main(list(argv))
             for report in reports:
                 Report.from_json_dict(report)
     finally:
