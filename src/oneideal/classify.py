@@ -31,7 +31,6 @@ from .dyadic import factorize, is_infinite, odd_part, two_adic_valuation, two_po
 from .dyadic import residue_cycle  # noqa: F401
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
-from .groups import ALL_POSITIVE
 # unused here, but perfbench resolves invariant_of in this module to trace it
 from .ktheory import DerivedScalars, SixTermInvariant, invariant_of  # noqa: F401
 from .ordered import is_k_lexicographic
@@ -95,20 +94,6 @@ def decide_fullness(invariant: SixTermInvariant, scalars: DerivedScalars) -> Ful
         stabilized_full=k_lex,
         unstabilized=unstabilized,
     )
-
-
-def permanence_check(candidate: SixTermInvariant) -> bool:
-    """Necessary-condition filter for a candidate invariant to be realized.
-
-    Requires a vanishing index map, and an everything-positive middle cone
-    whenever the quotient cone is everything-positive.  A necessary filter
-    only; it does not characterize the realizable range.
-    """
-    if not candidate.index_map_zero:
-        return False
-    if candidate.quotient.cone.tag == ALL_POSITIVE and candidate.middle.cone.tag != ALL_POSITIVE:
-        return False
-    return True
 
 
 # --------------------------------------------------------------------------

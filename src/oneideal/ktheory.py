@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .dyadic import ExtendedRational, factorize, is_infinite, odd_part, two_adic_valuation
+from .dyadic import ExtendedRational, is_infinite, odd_part, two_adic_valuation
 from .errors import RegimeError, WorkLimitError
 from .exactlinalg import cokernel_invariants
 from .family import (
@@ -131,17 +131,6 @@ def torsion_order(spec: FamilySpec) -> int:
     _, n_weight = weight_of(spec)
     b = spec.m - 1
     return (1 << two_adic_valuation(b)) * gcd(odd_part(b), n_weight)
-
-
-def torsion_range(m: int) -> set[int]:
-    """All values the middle torsion order can take for this loop count:
-    the exact two-part of m-1 times any divisor of its odd part."""
-    if is_infinite(m) or m < 2:
-        raise RegimeError("torsion range requires 1 < m < infinity")
-    values = [1 << two_adic_valuation(m - 1)]
-    for p, e in factorize(odd_part(m - 1)).items():
-        values = [v * p**k for v in values for k in range(e + 1)]
-    return set(values)
 
 
 def invariant_of(spec: FamilySpec) -> tuple[SixTermInvariant, DerivedScalars]:

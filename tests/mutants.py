@@ -308,7 +308,6 @@ MUTANTS = (
             "test_an_order_past_the_logarithm_table_exits_2_in_bounded_time_and_memory[31 digits]",
             "tests/test_classify.py::"
             "test_an_exact_witness_past_the_logarithm_table_is_a_work_limit",
-            "tests/test_ordered.py::test_alpha_iso_past_the_logarithm_table_is_a_work_limit",
             "tests/test_dyadic.py::test_two_power_log_prices_the_order_at_its_own_modulus",
         ),
     ),
@@ -442,16 +441,6 @@ MUTANTS = (
         "if is_int(alpha):",
         "if isinstance(alpha, int):",
         ("tests/test_ordered.py::test_alpha_cone_rejects_a_parameter_that_is_not_exact[True]",),
-    ),
-    Mutant(
-        "alpha cone isomorphism that coerces its parameters",
-        "ordered.py",
-        "    a, b = alpha_cone(a).alpha, alpha_cone(b).alpha\n",
-        "",
-        (
-            "tests/test_ordered.py::test_alpha_iso_refuses_what_alpha_cone_refuses[bool]",
-            "tests/test_ordered.py::test_alpha_iso_refuses_what_alpha_cone_refuses[floats]",
-        ),
     ),
     Mutant(
         "sparse presentation with the prefix one row off",

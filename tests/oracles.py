@@ -14,6 +14,8 @@ more literal route, a quantity the library computes in closed form.
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
 * :func:`truncation_torsion_order` - the middle torsion order read off the
   Smith form of the truncated presentation at two consecutive stable depths;
+* :func:`in_torsion_range` - whether a torsion order occurs at a loop count,
+  by two divisibility tests and no factorisation;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
 * :func:`two_power_orbit`, :func:`unit_residues` - a doubling orbit and the
   units of a modulus, computed here rather than by the library's walk and
@@ -52,7 +54,13 @@ from sympy.matrices.normalforms import invariant_factors
 
 from oneideal import FamilySpec, InternalConsistencyError
 from oneideal.classify import IsoWitness
-from oneideal.dyadic import ExtendedRational, is_infinite, odd_part, residue_cycle
+from oneideal.dyadic import (
+    ExtendedRational,
+    is_infinite,
+    odd_part,
+    residue_cycle,
+    two_adic_valuation,
+)
 from oneideal.exactlinalg import SparseMatrix
 from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
@@ -140,6 +148,13 @@ def truncation_torsion_order(spec: FamilySpec) -> int:
     return first[1][0] if first[1] else 1
 
 
+def in_torsion_range(m: int, x: int) -> bool:
+    """Whether some member with loop count 1 < m < infinity has middle
+    torsion order x: the two-part of m-1 times a divisor of its odd part."""
+    two = 1 << two_adic_valuation(m - 1)
+    return x % two == 0 and odd_part(m - 1) % (x // two) == 0
+
+
 # --------------------------------------------------------------------------
 # alpha-cone order isomorphism by bounded map search
 
@@ -192,7 +207,8 @@ def find_order_isomorphism(
     candidate is tested on probe points straddling both cone boundaries at a
     precision fine enough that every wrong candidate in the search box is
     rejected.  Returns the first witness found, or None when the whole box
-    fails.  Independent of :func:`alpha_cones_isomorphic` by construction.
+    fails.  Independent of :func:`walked_alpha_cones_isomorphic` by
+    construction.
     """
 
     def den_bits(v) -> int:
@@ -265,10 +281,22 @@ def walked_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     return None if total is None else IsoWitness(l=la, l_prime=total - la, unit=1)
 
 
-def walked_alpha_cones_isomorphic(a: Fraction, b: Fraction) -> bool:
-    """The alpha-cone criterion for finite parameters: the odd parts of the
-    denominators agree and the numerator of ``a`` lies on the orbit of the
-    numerator of ``b`` modulo that odd part."""
+def walked_alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> bool:
+    """The alpha-cone criterion: two cones with parameters a and b are
+    order-isomorphic iff b lies in 2^Z * a + Z[1/2], infinity matching only
+    infinity.
+
+    Every isomorphism of the underlying group restricts to x -> 2^k x on the
+    divisible summand (the free quotient admits no nonzero map from it) and
+    so has the triangular shape (x, n) -> (2^k x + s n, n) once cone
+    preservation fixes the signs; :func:`find_order_isomorphism` searches
+    that family directly as an independent check on the criterion.  For
+    finite parameters it reads: the odd parts of the denominators agree and
+    the numerator of ``a`` lies on the orbit of the numerator of ``b``
+    modulo that odd part.
+    """
+    if is_infinite(a) or is_infinite(b):
+        return a == b
     m0 = odd_part(a.denominator)
     return m0 == odd_part(b.denominator) and a.numerator % m0 in residue_cycle(m0, b.numerator)
 

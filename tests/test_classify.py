@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from oneideal import (
     InternalConsistencyError,
     IsoWitness,
     OutOfScopeComparison,
-    PreorderedGroup,
     TailSpec,
     WorkLimitError,
     decide_fullness,
@@ -27,7 +25,6 @@ from oneideal import (
 from oneideal.classify import (
     class_counts,
     exact_orbit_witness,
-    permanence_check,
     stable_gcd_equivalent,
     stable_orbit_equivalent,
     stable_orbit_witness,
@@ -35,7 +32,6 @@ from oneideal.classify import (
 )
 from oneideal.dyadic import odd_part, residue_cycle
 from oneideal.family import validate_family
-from oneideal.groups import DYADIC_PLUS_FREE, GroupDescriptor, alpha_cone
 from oneideal.ktheory import torsion_order
 from oracles import (
     burnside_exact_class_count,
@@ -361,19 +357,3 @@ def test_a_small_logarithm_table_prices_the_order_at_its_own_modulus(monkeypatch
                 assert order <= 64 and got == walked_exact_witness(modulus, a, b), (modulus, a, b)
                 outcomes.add(type(got))
     assert outcomes == {IsoWitness, WorkLimitError, type(None)}
-
-
-def test_permanence_check():
-    inv, _ = invariant_of(spec_mn(8, 1))
-    assert permanence_check(inv)
-    assert not permanence_check(replace(inv, index_map_zero=False))
-
-    bad_middle = replace(
-        inv,
-        middle=PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(1)),
-    )
-    assert not permanence_check(bad_middle)
-
-    # a proper quotient cone places no all-positive demand on the middle
-    inv0, _ = invariant_of(spec_mn(0, 2))
-    assert permanence_check(inv0)

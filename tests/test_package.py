@@ -1,9 +1,11 @@
 """The public names: ``__all__`` lists each exactly once, only names the
 package binds, and no function that merely calls a constructor; and the
-library imports nothing outside the standard library and itself."""
+library imports nothing outside the standard library and itself, and
+nothing it does not use."""
 
 import ast
 import inspect
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -46,6 +48,36 @@ def test_the_library_imports_only_the_standard_library_and_itself():
                 if top != "oneideal" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno}: {name}")
     assert outside == []
+
+
+def test_every_library_import_is_used():
+    # __init__ re-exports what it imports; elsewhere an unused import is dead
+    # code, unless perfbench looks the name up in that module to trace it
+    tracing = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    unmarked, untraced = [], []
+    for path in sorted(Path(oneideal.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree = ast.parse(source, str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        lines = source.splitlines()
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            marked = "# noqa: F401" in lines[node.end_lineno - 1]
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name in used:
+                    continue
+                if not marked:
+                    unmarked.append(f"{path.name}:{node.lineno}: {name}")
+                elif not re.search(rf"\b{name}\b", tracing):
+                    untraced.append(f"{path.name}:{node.lineno}: {name}")
+    assert unmarked == [], "imported and never used"
+    assert untraced == [], "marked as traced, but perfbench/tracing.py never names it"
 
 
 def test_no_public_function_only_returns_a_library_class():

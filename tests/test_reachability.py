@@ -39,15 +39,12 @@ CITED = {
 
 # Library functions that no command enters, each with the reason it stays.
 UNREACHED = {
-    "classify.permanence_check": "ROADMAP item 10 gives it a caller; " + ACCEPTANCE,
     "classify.units_mod": PERFBENCH + "; only perfbench reads it",
     "classify._unit_multiples": PERFBENCH + "; only perfbench reads it",
     "classify.class_counts": PERFBENCH + "; test_sympy_reference.py checks it",
-    "dyadic.factorize": "class_counts and torsion_range factorise with it",
+    "dyadic.factorize": "class_counts factorises with it",
     "dyadic.residue_cycle": PERFBENCH + "; the tests check two_power_log against it",
     "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
-    "ktheory.torsion_range": ACCEPTANCE,
-    "ordered.alpha_cones_isomorphic": "ROADMAP item 5 gives it a caller; " + ACCEPTANCE,
 }
 
 SPEC_FORMS = (

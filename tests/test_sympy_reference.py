@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from oneideal import FamilySpec, divergence_table
 from oneideal.classify import class_counts
-from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_adic_valuation, two_power_log
+from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_power_log
 from oneideal.exactlinalg import cokernel_invariants
-from oneideal.ktheory import stable_oracle_depth, torsion_order, torsion_range, truncated_k0
+from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
 from oracles import dense_presentation, sparse, sympy_cokernel
 
 REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
@@ -27,13 +27,6 @@ REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factorize_matches_sympy_factorint(n):
     assert factorize(n) == sympy.factorint(n)
-
-
-@REFERENCE
-@given(st.integers(min_value=2, max_value=10**9))
-def test_torsion_range_is_the_two_part_times_each_odd_divisor(m):
-    two_part = 1 << two_adic_valuation(m - 1)
-    assert torsion_range(m) == {two_part * d for d in sympy.divisors(odd_part(m - 1))}
 
 
 @st.composite
