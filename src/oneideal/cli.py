@@ -8,11 +8,11 @@ JSON object matching the input schema
 replaces the flags, so giving it with ``--m``, ``--n`` or ``--tail`` is an
 error.  The flag and compact forms are rewritten, values verbatim (no
 stripping, no case folding), into that schema object, so
-:func:`.report.spec_from_json` is the one reader of every form.
+:func:`.report.spec_from_json` is the one reader, and echo, of every form.
 
-``--format json`` streams the report's sections, scan rows as ints, through
-:func:`.report.write_json` to stdout as it is generated, in the bytes of
-``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)``; the text
+``--format json`` writes the report, scan rows as ints, through
+:func:`.report.write_json` to stdout, in the bytes of
+``json.dumps(report.to_json_dict(), indent=2, sort_keys=True)`` and a newline; the text
 view is rendered whole.
 
 Each command's options are declared once, in :data:`COMMANDS`.  An argv
@@ -53,8 +53,8 @@ from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import FamilySpec, validate_family  # noqa: F401
 from .ktheory import invariant_of, stable_oracle_depth, truncated_k0
 from .report import (
-    MAX_SCAN_M, Report, comparison_to_json, fullness_to_json, invariant_to_json, limited_int,
-    scalars_to_json, scan_to_json, spec_from_json, spec_to_json, write_json,
+    MAX_SCAN_M, Report, comparison_to_json, fullness_to_json, invariant_to_json, read_int,
+    scalars_to_json, scan_to_json, spec_from_json, write_json,
 )
 
 
@@ -80,13 +80,15 @@ def _decode(text: str):
 
 def _schema_object(m: str, n: str, tail: str | None) -> dict:
     """The input-schema object for flag or compact-form text, values
-    verbatim; no tail text means the tail ``zero``."""
-    kind, colon, c = ("zero" if tail is None else tail).partition(":")
-    tail_d = {"kind": kind, "c": c} if colon else {"kind": kind}
-    return {"m": m, "n": n.split(",") if n else [], "tail": tail_d}
+    verbatim; no tail text means no tail, which is the tail ``zero``."""
+    d = {"m": m, "n": n.split(",") if n else []}
+    if tail is not None:
+        kind, colon, c = tail.partition(":")
+        d["tail"] = {"kind": kind, "c": c} if colon else {"kind": kind}
+    return d
 
 
-def _spec_from_flags(args) -> FamilySpec:
+def _spec_from_flags(args) -> tuple[FamilySpec, dict]:
     if args.spec is not None:
         given = [flag for flag in ("m", "n", "tail") if getattr(args, flag) is not None]
         if given:
@@ -98,7 +100,7 @@ def _spec_from_flags(args) -> FamilySpec:
     return spec_from_json(_schema_object(args.m, args.n, args.tail))
 
 
-def _spec_from_compact(text: str) -> FamilySpec:
+def _spec_from_compact(text: str) -> tuple[FamilySpec, dict]:
     """Parse ``m=8,n=[1,0,3],tail=constant:2`` (or a JSON object)."""
     if text.lstrip().startswith("{"):
         return spec_from_json(_decode(text))
@@ -131,15 +133,16 @@ def _spec_from_compact(text: str) -> FamilySpec:
 
 # One function per command, of plain values: main calls them with the
 # values of its argv, and Report.from_json_dict with those a report holds.
+# Each spec comes with its inputs entry, as spec_from_json returns them.
 
 
-def invariant_report(spec: FamilySpec, depth=None) -> Report:
+def invariant_report(spec: FamilySpec, entry: dict, depth=None) -> Report:
     """The ``invariant`` report of ``spec``, with the truncation at ``depth``
     (an integer or decimal digits, as ``--depth`` takes it) or by default
     past saturation."""
     if depth is not None and not spec.has_finite_loops:
         raise ValueError("--depth applies only when 1 < m < infinity")
-    depth = None if depth is None else limited_int(depth, "--depth")
+    depth = None if depth is None else read_int(depth, "--depth")[0]
     invariant, scalars = invariant_of(spec)
     truncation = None
     if spec.has_finite_loops:
@@ -158,29 +161,30 @@ def invariant_report(spec: FamilySpec, depth=None) -> Report:
             )
     return Report(
         command="invariant",
-        inputs=[spec_to_json(spec)],
+        inputs=[entry],
         scalars=scalars_to_json(scalars),
         invariant=invariant_to_json(invariant, truncation),
     )
 
 
-def fullness_report(spec: FamilySpec) -> Report:
+def fullness_report(spec: FamilySpec, entry: dict) -> Report:
     invariant, scalars = invariant_of(spec)
     return Report(
         command="fullness",
-        inputs=[spec_to_json(spec)],
+        inputs=[entry],
         scalars=scalars_to_json(scalars),
         invariant=invariant_to_json(invariant),
         verdict=fullness_to_json(classify.decide_fullness(invariant, scalars)),
     )
 
 
-def compare_report(spec_a: FamilySpec, spec_b: FamilySpec, mode: str) -> Report:
+def compare_report(spec_a: FamilySpec, entry_a: dict, spec_b: FamilySpec, entry_b: dict,
+                   mode: str) -> Report:
     decide = {"exact": classify.exact_iso, "stable": classify.stable_iso}[mode]
     verdict, witness = comparison_to_json(mode, decide(spec_a, spec_b))
     return Report(
         command="compare",
-        inputs=[spec_to_json(spec_a), spec_to_json(spec_b)],
+        inputs=[entry_a, entry_b],
         verdict=verdict,
         witness=witness,
     )
@@ -189,7 +193,7 @@ def compare_report(spec_a: FamilySpec, spec_b: FamilySpec, mode: str) -> Report:
 def scan_report(max_m) -> Report:
     """The ``scan`` report up to ``max_m`` (an integer or decimal digits, as
     ``--max-m`` takes it)."""
-    max_m = limited_int(max_m, "--max-m")
+    max_m = read_int(max_m, "--max-m")[0]
     if max_m < 2:
         raise ValueError("--max-m must be at least 2")
     if max_m > MAX_SCAN_M:
@@ -217,19 +221,19 @@ _FORMAT = {"--format": ("format", {"choices": ("text", "json"), "default": "text
 COMMANDS = {
     "invariant": (
         "compute the six-term invariant",
-        lambda args: invariant_report(_spec_from_flags(args), args.depth),
+        lambda args: invariant_report(*_spec_from_flags(args), args.depth),
         {**_SPEC_FLAGS, "--depth": ("depth", {"help": "truncation oracle depth override"}),
          **_FORMAT},
     ),
     "fullness": (
         "decide fullness of the extension",
-        lambda args: fullness_report(_spec_from_flags(args)),
+        lambda args: fullness_report(*_spec_from_flags(args)),
         {**_SPEC_FLAGS, **_FORMAT},
     ),
     "compare": (
         "decide exact or stable isomorphism",
         lambda args: compare_report(
-            _spec_from_compact(args.a), _spec_from_compact(args.b), args.mode
+            *_spec_from_compact(args.a), *_spec_from_compact(args.b), args.mode
         ),
         {
             "--a": ("a", {"required": True, "help": "first member, e.g. m=8,n=1"}),
@@ -244,6 +248,10 @@ COMMANDS = {
         {"--max-m": ("max_m", {"required": True}), **_FORMAT},
     ),
 }
+# each command's values before its argv is read, from COMMANDS once; a required one is _REQUIRED
+_REQUIRED = object()
+_DEFAULTS = {name: {dest: _REQUIRED if kw.get("required") else kw.get("default")
+                    for dest, kw in options.values()} for name, (_, _, options) in COMMANDS.items()}
 
 
 @functools.cache
@@ -274,16 +282,17 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     if entry is None:
         return None
     _, func, options = entry
-    args = {dest: keywords.get("default") for dest, keywords in options.values()}
-    args.update(command=argv[0], func=func)
+    args = {**_DEFAULTS[argv[0]], "command": argv[0], "func": func}
     for flag, value in zip(argv[1::2], argv[2::2]):
         dest, keywords = options.get(flag, (None, None))
         if dest is None or value.startswith("-") or value not in keywords.get("choices", (value,)):
             return None
         args[dest] = value
-    if any(keywords.get("required") and args[dest] is None for dest, keywords in options.values()):
+    if _REQUIRED in args.values():
         return None
-    return argparse.Namespace(**args)
+    namespace = argparse.Namespace()  # filled without Namespace.__init__'s setattr loop
+    vars(namespace).update(args)
+    return namespace
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -304,7 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "json":
             write_json(vars(report), sys.stdout.write)
-            sys.stdout.write("\n")
         else:
             print(report.to_text())
         sys.stdout.flush()

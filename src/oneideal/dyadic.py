@@ -39,8 +39,8 @@ def is_infinite(value) -> bool:
 
 
 def format_extended(value) -> str:
-    """"inf" for infinity, else the exact value as "p/q" (or "p" when whole)."""
-    return "inf" if is_infinite(value) else str(Fraction(value))
+    """"inf" for infinity, the one float it can be, else "p/q" (or "p" when whole)."""
+    return "inf" if isinstance(value, float) else str(value)
 
 
 def two_adic_valuation(n: int) -> int:

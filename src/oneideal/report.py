@@ -12,13 +12,14 @@ follows from its inputs, so ``Report.from_json_dict`` reads only those (the
 family specs, the compare mode, the truncation depth, the scan limit),
 recomputes the report with the command line's own code, and accepts the
 dict iff that report emits exactly it; otherwise it raises ``ValueError``.
-:func:`write_json` writes a report's sections in pieces, as it is
-generated, with the bytes of ``json.dumps(..., indent=2, sort_keys=True)``
-of the JSON object but without building the whole string.
+:func:`write_json` writes a report in the bytes of
+``json.dumps(..., indent=2, sort_keys=True)`` of the JSON object and a
+newline: the whole text in one piece, bar a scan table, which it streams.
 
 Family specs, which users also write by hand, are read by
 :func:`spec_from_json`, with explicit checks and messages and within the
-input-size limits :data:`MAX_PREFIX_LENGTH` and :data:`MAX_INTEGER_DIGITS`.
+input-size limits :data:`MAX_PREFIX_LENGTH` and :data:`MAX_INTEGER_DIGITS`,
+and echoed in a report's ``inputs`` in their own digits.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
 from .dyadic import INF, format_extended, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, ZERO_TAIL, FamilySpec, TailSpec
-from .groups import (
-    ALL_POSITIVE,
-    ALPHA_CONE,
-    STANDARD_DYADIC_CONE,
-    ConeDescriptor,
-    GroupDescriptor,
-)
+from .groups import ALL_POSITIVE, ALPHA_CONE, STANDARD_DYADIC_CONE, ConeDescriptor, GroupDescriptor
 from .ktheory import DerivedScalars, SixTermInvariant
 from .version import __version__
 
@@ -52,36 +47,31 @@ def _int_str(v: int | None) -> str | None:
     return None if v is None else str(v)
 
 
-def spec_to_json(spec: FamilySpec) -> dict:
-    tail: dict = {"kind": spec.tail.kind}
-    if spec.tail.c is not None:
-        tail["c"] = str(spec.tail.c)
-    return {"m": format_extended(spec.m), "n": list(map(str, spec.prefix)), "tail": tail}
-
-
-def limited_int(v, what: str) -> int:
-    """A JSON integer (not a bool) or a string of decimal digits; past
-    :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError.
-
-    A string is measured before it is converted, an int by its size, so
-    neither meets Python's own limit on converting between the two."""
+def read_int(v, what: str) -> tuple[int, str]:
+    """A JSON integer (not a bool) or a string of decimal digits, as an int and
+    its decimal text: the string without its leading zeros, or ``str`` of the
+    int.  Past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError: a string is
+    measured before it is converted, an int by its size, so neither meets
+    Python's own limit on converting between the two."""
     if isinstance(v, str):
         if len(v) > MAX_INTEGER_DIGITS:
             raise WorkLimitError(
                 f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
             )
         if v.isascii() and v.isdigit():
-            return int(v)
+            return int(v), v.lstrip("0") or "0"
     elif is_int(v):
         if abs(v) >= _DIGIT_BOUND:
             raise WorkLimitError(f"{what} has more digits than the limit {MAX_INTEGER_DIGITS}")
-        return v
+        return v, str(v)
     raise ValueError(f"{what} must be an integer or a string of decimal digits, got {v!r}")
 
 
-# the required and the allowed keys of a family spec and of its tail
+# the required and the allowed keys of a family spec and of its tail; a spec's default tail
 _SPEC_KEYS, _SPEC_ALLOWED = frozenset(("m", "n")), frozenset(("m", "n", "tail"))
 _TAIL_KEYS, _TAIL_ALLOWED = frozenset(("kind",)), frozenset(("kind", "c"))
+_NO_TAIL = {"kind": "zero"}
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7" -> b"\x07"
 
 
 def _json_object(v, what: str, keys: frozenset[str], allowed: frozenset[str]) -> dict:
@@ -97,32 +87,40 @@ def _json_object(v, what: str, keys: frozenset[str], allowed: frozenset[str]) ->
     raise ValueError(f"{what} is missing keys {sorted(keys - v.keys())}")
 
 
-def spec_from_json(d) -> FamilySpec:
+def spec_from_json(d) -> tuple[FamilySpec, dict]:
     """Parse the input schema strictly: every integer is a JSON integer or a
     decimal string ("inf" also for m); nothing else is coerced.  A prefix
     longer than :data:`MAX_PREFIX_LENGTH`, or an integer with more than
-    :data:`MAX_INTEGER_DIGITS` digits, raises :class:`WorkLimitError`."""
+    :data:`MAX_INTEGER_DIGITS` digits, raises :class:`WorkLimitError`.
+    Returns the spec and its entry in a report's ``inputs``, whose integers
+    are the input's digits without leading zeros (``str`` of a Python int)."""
     d = _json_object(d, "family spec", _SPEC_KEYS, _SPEC_ALLOWED)
-    m = INF if d["m"] == "inf" else limited_int(d["m"], "m")
+    m, m_text = (INF, "inf") if d["m"] == "inf" else read_int(d["m"], "m")
     ns = d["n"]
     if type(ns) is not list:
         raise ValueError(f"n must be a JSON list, got {ns!r}")
     if len(ns) > MAX_PREFIX_LENGTH:
         raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
-    # the common prefix, decimal digit strings, is checked in bulk and
-    # converted once; any other reads entry by entry, which names the bad one
+    # digit strings are checked and converted in bulk, one-digit ones (the common prefix) as
+    # their own text and bytes less b"0"; any other reads entry by entry, naming the bad one
     try:
-        digits = all(map(str.isascii, ns)) and all(map(str.isdigit, ns))
+        joined = "".join(ns)
     except TypeError:  # an entry that is not a string
-        digits = False
-    if digits and max(map(len, ns), default=0) <= MAX_INTEGER_DIGITS:
-        prefix = tuple(map(int, ns))
+        joined = ""
+    digits = joined.isascii() and joined.isdigit() and "" not in ns
+    if digits and len(joined) == len(ns):
+        prefix, n_text = tuple(joined.encode().translate(_DIGIT_VALUES)), ns[:]
+    elif digits and max(map(len, ns)) <= MAX_INTEGER_DIGITS:
+        prefix, n_text = tuple(map(int, ns)), [s.lstrip("0") or "0" for s in ns]
     else:
-        prefix = tuple(limited_int(n, "each entry of n") for n in ns)
-    tail_d = _json_object(d.get("tail", {"kind": "zero"}), "tail", _TAIL_KEYS, _TAIL_ALLOWED)
-    c = limited_int(tail_d["c"], "tail c") if "c" in tail_d else None
-    tail = ZERO_TAIL if c is None and tail_d["kind"] == "zero" else TailSpec(tail_d["kind"], c)
-    return FamilySpec(m, prefix, tail)
+        read = [read_int(n, "each entry of n") for n in ns]
+        prefix, n_text = tuple(n for n, _ in read), [text for _, text in read]
+    tail_d = _json_object(d["tail"], "tail", _TAIL_KEYS, _TAIL_ALLOWED) if "tail" in d else _NO_TAIL
+    c, c_text = read_int(tail_d["c"], "tail c") if "c" in tail_d else (None, None)
+    kind = tail_d["kind"]
+    tail_text = {"kind": kind} if c is None else {"kind": kind, "c": c_text}
+    tail = ZERO_TAIL if c is None and kind == "zero" else TailSpec(kind, c)
+    return FamilySpec(m, prefix, tail), {"m": m_text, "n": n_text, "tail": tail_text}
 
 
 def _cone_to_json(cone: ConeDescriptor) -> dict:
@@ -204,67 +202,63 @@ def scan_to_json(max_m: int, table: list[tuple[int, int, int]]) -> tuple[list, d
 _ESCAPE = json.encoder.encode_basestring_ascii  # json.dumps's default string escape
 
 
-def write_json(value, write, indent: str = "\n") -> None:
-    """Pass ``value`` to ``write`` in pieces whose concatenation is exactly
-    ``json.dumps(value, indent=2, sort_keys=True)``, without building that
-    string.  ``indent`` is the newline and indentation of ``value``'s own
-    level.  Only what the builders emit is accepted: dicts with ``str``
-    keys, lists, ``str``, ``True``, ``False``, ``None`` and a scan table,
-    which is written as the list of its row objects, each from its ints by
-    one ``%`` template, 1,024 rows to a ``write``; anything else raises
-    ``TypeError``.
+def write_json(value, write) -> None:
+    """Pass ``value`` to ``write`` as exactly ``json.dumps(value, indent=2,
+    sort_keys=True)`` and a newline, in one piece but for a scan table.  Only
+    what the builders emit is accepted: dicts with ``str`` keys, lists,
+    ``str``, ``True``, ``False``, ``None`` and a scan table; else TypeError.
+    The encoder is a module-level function, not a closure that calls itself:
+    such a closure is a reference cycle, which keeps each call's locals
+    alive until the cyclic garbage collector runs."""
+    out: list[str] = []
+    _encode(value, "\n", out, write)
+    out.append("\n")
+    text = "".join(out)
+    out.clear()  # before the write, which may copy the text once more
+    write(text)
 
-    This is a module-level function, not a closure that calls itself: such a
-    closure is a reference cycle, which keeps each call's locals alive until
-    the cyclic garbage collector runs."""
-    if isinstance(value, str):
-        write(_ESCAPE(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            item = value[key]
-            if isinstance(item, str):  # the common leaf, in one write
-                write(f"{sep}{_ESCAPE(key)}: {_ESCAPE(item)}")
+
+def _encode(value, indent: str, out: list, write) -> None:
+    """Append ``value``'s text, indented from ``indent``, to ``out`` in pieces,
+    each byte copied once, not once per level.  A scan table is written as
+    its row objects, each by one ``%`` template: ``out``, then 1,024 rows to
+    a ``write``."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        sep, comma = "{" + inner, "," + inner
+        # a key that is not a str fails in _ESCAPE, or in sorted among str keys
+        for key, item in sorted(value.items()):
+            if isinstance(item, str):  # the common leaf, in one piece
+                out.append(f"{sep}{_ESCAPE(key)}: {_ESCAPE(item)}")
             else:
-                write(f"{sep}{_ESCAPE(key)}: ")
-                write_json(item, write, inner)
-            sep = "," + inner
-        write(indent + "}")
+                out.append(f"{sep}{_ESCAPE(key)}: ")
+                _encode(item, inner, out, write)
+            sep = comma
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, list):
+        if value and all(map(str.__instancecheck__, value)):  # a prefix or a torsion: all str
+            out += "[" + inner, (',' + inner).join(map(_ESCAPE, value)), indent + "]"
+            return
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _encode(item, inner, out, write)
+            sep = comma
+        out.append(indent + "]" if value else "[]")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, str):
+        out.append(_ESCAPE(value))
     elif isinstance(value, _ScanTable):
-        inner = indent + "  "
+        write("".join(out))
+        out.clear()
         row = (f'{inner}{{{inner}  "exactClasses": "%d",{inner}  "m": "%d",'
                f'{inner}  "stableClasses": "%d"{inner}}}')
         sep = "["
         for start in range(0, len(value), 1024):
             write(sep + ",".join([row % (e, m, s) for m, e, s in value[start : start + 1024]]))
             sep = ","
-        write(indent + "]" if value else "[]")
-    elif isinstance(value, list):
-        if not value:
-            write("[]")
-            return
-        inner = indent + "  "
-        if all(isinstance(item, str) for item in value):  # a prefix or a torsion, in one write
-            write(f"[{inner}{(',' + inner).join(map(_ESCAPE, value))}{indent}]")
-            return
-        sep = "[" + inner
-        for item in value:
-            write(sep)
-            write_json(item, write, inner)
-            sep = "," + inner
-        write(indent + "]")
+        out.append(indent + "]" if value else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -313,18 +307,16 @@ class Report:
 
         try:
             command, inputs = d["command"], d["inputs"]
-            specs = () if command == "scan" else tuple(spec_from_json(e) for e in inputs)
+            # each spec and its entry; a wrong number of them is a TypeError
+            read = () if command == "scan" else [x for e in inputs for x in spec_from_json(e)]
             if command == "invariant":
-                (spec,) = specs
                 inv = d["invariant"]
                 t = inv["truncation"] if isinstance(inv, dict) and "truncation" in inv else None
-                report = cli.invariant_report(spec, None if t is None else t["depth"])
+                report = cli.invariant_report(*read, None if t is None else t["depth"])
             elif command == "fullness":
-                (spec,) = specs
-                report = cli.fullness_report(spec)
+                report = cli.fullness_report(*read)
             elif command == "compare":
-                spec_a, spec_b = specs
-                report = cli.compare_report(spec_a, spec_b, d["verdict"]["mode"])
+                report = cli.compare_report(*read, d["verdict"]["mode"])
             elif command == "scan":
                 (entry,) = inputs
                 report = cli.scan_report(entry["maxM"])

@@ -370,8 +370,8 @@ MUTANTS = (
     Mutant(
         "table reader without the required-flag check",
         "cli.py",
-        'keywords.get("required") and args[dest] is None',
-        "False and args[dest] is None",
+        "if _REQUIRED in args.values():",
+        "if False:",
         (
             "tests/test_cli.py::test_one_pass_over_argv_answers_as_the_whole_parser"
             "[compare --a m=8,n=1 --mode exact]",
@@ -463,8 +463,8 @@ MUTANTS = (
     Mutant(
         "JSON writer that leaves the keys unsorted",
         "report.py",
-        "for key in sorted(value):",
-        "for key in value:",
+        "for key, item in sorted(value.items()):",
+        "for key, item in value.items():",
         (
             "tests/test_golden.py::test_output_matches_the_golden_bytes[invariant-m9-json]",
             "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
@@ -478,6 +478,39 @@ MUTANTS = (
         (
             "tests/test_golden.py::test_output_matches_the_golden_bytes[fullness-unknown-json]",
             "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
+        ),
+    ),
+    Mutant(
+        "JSON writer that drops the indentation inside a nested list",
+        "report.py",
+        "out.append(sep)\n            _encode(item, inner, out, write)",
+        "out.append(sep)\n            _encode(item, indent, out, write)",
+        (
+            "tests/test_golden.py::test_output_matches_the_golden_bytes[compare-exact-yes-json]",
+            "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
+            "tests/test_corpus.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
+        ),
+    ),
+    Mutant(
+        "spec echo that keeps the leading zeros of the prefix entries",
+        "report.py",
+        '[s.lstrip("0") or "0" for s in ns]',
+        "ns[:]",
+        (
+            "tests/test_golden.py::"
+            "test_output_matches_the_golden_bytes[invariant-leading-zeros-json]",
+            "tests/test_cli.py::test_every_spelling_of_a_member_prints_the_same_bytes",
+            "tests/test_corpus.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
+        ),
+    ),
+    Mutant(
+        "spec reader that echoes a prefix entry past the digit limit instead of refusing it",
+        "report.py",
+        "elif digits and max(map(len, ns)) <= MAX_INTEGER_DIGITS:",
+        "elif digits:",
+        (
+            "tests/test_cli.py::"
+            "test_input_past_the_size_limits_exits_2_before_any_arithmetic[argv8]",
         ),
     ),
     Mutant(

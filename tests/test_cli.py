@@ -25,7 +25,6 @@ from oneideal.report import (
     Report,
     UNKNOWN_NOTE,
     spec_from_json,
-    spec_to_json,
 )
 
 # A fresh interpreter imports the package from where this one found it.
@@ -1074,7 +1073,7 @@ def test_a_python_int_past_the_digit_limit_is_a_work_limit(m):
     with pytest.raises(WorkLimitError, match="more digits than the limit"):
         spec_from_json({"m": m, "n": [1]})
     largest = 10**MAX_INTEGER_DIGITS - 1
-    assert spec_from_json({"m": largest, "n": [1]}).m == largest
+    assert spec_from_json({"m": largest, "n": [1]})[0].m == largest
 
 
 def test_wrong_torsion_order_is_caught_by_the_truncation(capsys, monkeypatch):
@@ -1110,12 +1109,12 @@ def test_the_truncation_check_holds_at_every_depth():
     for prefix in ((1,), (2, 0, 3), (0, 6), (5, 1, 0, 4)):
         k, weight = len(prefix), functools.reduce(lambda w, n: 2 * w + n, prefix)
         for m in range(2, 130):
-            spec = FamilySpec(m, prefix)
-            for depth in range(k, stable_oracle_depth(spec) + 2):
+            member = spec_from_json({"m": m, "n": list(prefix)})
+            for depth in range(k, stable_oracle_depth(member[0]) + 2):
                 y = math.gcd(weight << (depth - k), m - 1)
                 torsion = [str(y)] if y > 1 else []
                 expected = {"depth": str(depth), "freeRank": "1", "torsion": torsion}
-                assert cli.invariant_report(spec, depth).invariant["truncation"] == expected
+                assert cli.invariant_report(*member, depth).invariant["truncation"] == expected
 
 
 # Valid members with bounded work per query: m <= 10^4, at most 12 prefix entries.
@@ -1137,14 +1136,24 @@ def run_captured(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def schema_of(spec: FamilySpec) -> dict:
+    """The input-schema object of ``spec`` with every integer in canonical
+    decimal text: the inputs entry a report echoes for it."""
+    tail = {"kind": spec.tail.kind}
+    if spec.tail.c is not None:
+        tail["c"] = str(spec.tail.c)
+    m = "inf" if spec.m == INF else str(spec.m)
+    return {"m": m, "n": list(map(str, spec.prefix)), "tail": tail}
+
+
 @given(family_specs())
 def test_spec_json_round_trips(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert spec_from_json(schema_of(spec)) == (spec, schema_of(spec))
 
 
 @given(family_specs(), st.sampled_from(["text", "json"]))
 def test_flag_compact_and_json_forms_read_alike(spec, fmt):
-    d = spec_to_json(spec)
+    d = schema_of(spec)
     tail = d["tail"]["kind"] + (":" + d["tail"]["c"] if "c" in d["tail"] else "")
     n = ",".join(d["n"])
     flags = ("--m", d["m"], "--n", n, "--tail", tail)
@@ -1158,6 +1167,56 @@ def test_flag_compact_and_json_forms_read_alike(spec, fmt):
     assert compare[0] == (0 if spec.has_finite_loops else 2)
     assert run_captured("compare", "--a", spec_json, "--b", spec_json, "--mode", "exact",
                         "--format", fmt) == compare
+
+
+# Zeros to put before m, each of up to 12 prefix entries and the tail c.
+LEADING_ZEROS = st.lists(st.integers(0, 3), min_size=14, max_size=14)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(family_specs(), LEADING_ZEROS)
+def test_every_spelling_of_a_member_prints_the_same_bytes(spec, zeros):
+    # flags or the compact form, and --spec with digit strings or JSON ints,
+    # with and without leading zeros or the default tail: one output, whose
+    # inputs echo the canonical text and whose text view is the one
+    # Report.from_json_dict gives of its JSON
+    d = schema_of(spec)
+    kind, c = d["tail"]["kind"], d["tail"].get("c")
+
+    def spelled(m, n, c, tail=True):
+        """(the spec's argv, the compact form) and (--spec, its JSON object)."""
+        tail_text = kind if c is None else f"{kind}:{c}"
+        flags, compact = ("--m", m, "--n", ",".join(n)), f"m={m},n=[{','.join(n)}]"
+        obj = {"m": m, "n": n}
+        if tail:
+            flags, compact = (*flags, "--tail", tail_text), f"{compact},tail={tail_text}"
+            obj["tail"] = {"kind": kind} if c is None else {"kind": kind, "c": c}
+        return [(flags, compact), (("--spec", json.dumps(obj)), json.dumps(obj))]
+
+    padded = (
+        d["m"] if spec.m == INF else "0" * zeros[0] + d["m"],
+        ["0" * zeros[i + 1] + x for i, x in enumerate(d["n"])],
+        None if c is None else "0" * zeros[13] + c,
+    )
+    spellings = spelled(d["m"], d["n"], c) + spelled(*padded)
+    if kind == "zero":
+        spellings += spelled(*padded, tail=False)
+    ints = json.dumps({"m": d["m"] if spec.m == INF else spec.m, "n": list(spec.prefix),
+                       "tail": {"kind": kind, **({} if c is None else {"c": spec.tail.c})}})
+    spellings.append((("--spec", ints), ints))
+    canonical = spellings[0][1]
+    for fmt in ("text", "json"):
+        for command in ("invariant", "fullness"):
+            runs = {run_captured(command, *argv, "--format", fmt) for argv, _ in spellings}
+            assert len(runs) == 1
+        runs = {run_captured("compare", "--a", a, "--b", canonical, "--mode", "exact",
+                             "--format", fmt) for _, a in spellings}
+        assert len(runs) == 1
+    for command in ("invariant", "fullness"):
+        code, out, _ = run_captured(command, *spellings[0][0], "--format", "json")
+        assert code == 0 and json.loads(out)["inputs"] == [d]
+        text = run_captured(command, *spellings[0][0], "--format", "text")[1]
+        assert text == Report.from_json_dict(json.loads(out)).to_text() + "\n"
 
 
 # Padding a member with one zero maps its weight data (k, N) to (k + 1, 2N),

@@ -15,9 +15,20 @@ def test_each_chain_column_of_the_truncation_costs_under_120_opcodes():
     assert per_column < 120
 
 
+COMPARE = ["compare", "--a", "m=1024,n=[3,0,5]", "--b", "m=1024,n=[5,1]", "--mode", "exact"]
+
+
 def test_a_text_compare_runs_under_3000_opcodes_in_every_frame():
     # argv, spec, decision and text view, the standard library included;
     # reading the argv with argparse made it 5,603 (3,905 once warm)
-    argv = ["compare", "--a", "m=1024,n=[3,0,5]", "--b", "m=1024,n=[5,1]", "--mode", "exact"]
+    first = opcodes(COMPARE, every_frame=True)
+    assert first == opcodes(COMPARE, every_frame=True) < 3000
+
+
+def test_a_json_compare_runs_under_2900_opcodes_in_every_frame():
+    # the same, with the report echoing its inputs and written in one piece:
+    # 2,855; converting the specs back to text and writing the report key by
+    # key made it 3,502
+    argv = [*COMPARE, "--format", "json"]
     first = opcodes(argv, every_frame=True)
-    assert first == opcodes(argv, every_frame=True) < 3000
+    assert first == opcodes(argv, every_frame=True) < 2900

@@ -41,7 +41,7 @@ def written(value) -> str:
 @example({"n": ["1", SPECIAL, ""], "torsion": [["2"], []]})  # lists of strings, in one write
 @example(chr(0xDC00) + "x" + chr(0xD800))
 def test_write_json_is_byte_identical_to_json_dumps(value):
-    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [1, 1.5, ("a",), {"a": 1}, ["a", 2.0], {1: "a"}], ids=repr)
