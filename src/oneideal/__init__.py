@@ -4,7 +4,7 @@ graph family.
 The family is parameterized by a loop count m (0, an integer >= 2, or
 infinity) and edge multiplicities into an infinite doubling chain.  This
 package computes the ordered six-term invariant, decides fullness via the
-combined lexicographic ordering test, and decides exact and stable
+combined lexicographic ordering condition, and decides exact and stable
 isomorphism within the finite-loop regime by congruence arithmetic, all in
 exact integer/rational arithmetic.
 
@@ -27,18 +27,15 @@ from .classify import (
 )
 from .dyadic import INF
 from .errors import (
-    ConeShapeError,
     FamilyValidationError,
     InternalConsistencyError,
     OneIdealError,
     OutOfScopeComparison,
     RegimeError,
-    UnsupportedConeCombination,
     WorkLimitError,
 )
 from .family import FamilySpec, TailSpec, ZERO_TAIL
-from .groups import ConeDescriptor, GroupDescriptor, PreorderedGroup
-from .ktheory import DerivedScalars, SixTermInvariant, invariant_of
+from .ktheory import DerivedScalars, invariant_of
 from .report import Report
 from .version import __version__
 
@@ -53,11 +50,7 @@ __all__ = [
     "exact_iso",
     "stable_iso",
     "divergence_table",
-    "SixTermInvariant",
     "DerivedScalars",
-    "PreorderedGroup",
-    "GroupDescriptor",
-    "ConeDescriptor",
     "FullnessVerdict",
     "FULL",
     "UNKNOWN",
@@ -67,8 +60,6 @@ __all__ = [
     "OneIdealError",
     "FamilyValidationError",
     "RegimeError",
-    "ConeShapeError",
-    "UnsupportedConeCombination",
     "OutOfScopeComparison",
     "InternalConsistencyError",
     "WorkLimitError",

@@ -1,10 +1,12 @@
 """Fullness and isomorphism decisions for the one-ideal family.
 
-Fullness of the stabilized extension reduces to the combined ordering test
-on the invariant; the unstabilized extension is full whenever the algebra is
-not approximately finite, and in the AF regime the two notions genuinely
-split, so the unstabilized verdict is only reported when the theory decides
-it.
+A full extension is one that is stenotic and K-lexicographic.  Every member
+is stenotic, and on the family's three invariant shapes K-lexicographic
+holds exactly when m != 0 or alpha = infinity (:func:`is_k_lexicographic`),
+so fullness of the stabilized extension is decided from m and alpha alone.
+The unstabilized extension is full whenever the algebra is not
+approximately finite; in the AF regime the two notions genuinely split, so
+the unstabilized verdict is only reported when the theory decides it.
 
 Isomorphism within a fixed finite loop count m is governed by congruences on
 the weight N modulo m-1: exact isomorphism is a shared value in the
@@ -32,8 +34,7 @@ from .dyadic import residue_cycle  # noqa: F401
 from .errors import InternalConsistencyError, OutOfScopeComparison
 from .family import FamilySpec, weight_of
 # unused here, but perfbench resolves invariant_of in this module to trace it
-from .ktheory import DerivedScalars, SixTermInvariant, invariant_of  # noqa: F401
-from .ordered import is_k_lexicographic
+from .ktheory import invariant_of  # noqa: F401
 
 FULL = "Full"
 UNKNOWN = "Unknown"
@@ -67,27 +68,36 @@ class IsoVerdict:
     reason: str | None = None
 
 
-def decide_fullness(invariant: SixTermInvariant, scalars: DerivedScalars) -> FullnessVerdict:
-    """Fullness verdicts for the stabilized and unstabilized extensions,
-    from the member's invariant and scalars (as :func:`invariant_of` returns
-    them).
+def is_k_lexicographic(m, alpha) -> bool:
+    """The paper's combined ordering condition on the invariant of the member
+    with loop count ``m`` and alpha ``alpha``.
 
-    The stabilized extension is full exactly when the invariant passes the
-    combined ordering test.  The unstabilized one is full whenever m != 0
-    (the algebra is not AF, i.e. the case is not AF-AF), and when m = 0 with
+    Clause (1): when the quotient cone is proper, which happens at m = 0
+    alone, the cone sequence must be lexicographic; the alpha cone is the
+    lexicographic cone over the standard dyadic and integer cones exactly at
+    alpha = infinity.  Clause (2): when the quotient is all-positive with a
+    full class, as at every m != 0, so must the middle be, and it is.
+    perfbench resolves this function in this module to trace it.
+    """
+    return m != 0 or is_infinite(alpha)
+
+
+def decide_fullness(m, alpha) -> FullnessVerdict:
+    """Fullness verdicts for the stabilized and unstabilized extensions of
+    the member with loop count ``m`` and alpha ``alpha``.
+
+    The stabilized extension is full exactly when the invariant is
+    K-lexicographic (:func:`is_k_lexicographic`).  The unstabilized one is
+    full whenever m != 0 (the algebra is not AF), and when m = 0 with
     divergent alpha (the ideal is then stable, so the two notions coincide).
     For m = 0 with finite alpha the ideal is not stable and the even
     K-theory cannot decide the unstabilized question, so it is reported
     unknown rather than guessed.  Every member is stenotic: the family has a
     single nontrivial ideal, so its ideal lattice is linear.
     """
-    k_lex = is_k_lexicographic(invariant)
-    if invariant.case_tag != "AF-AF":
-        unstabilized = FULL
-    elif is_infinite(scalars.alpha):
-        unstabilized = FULL
-    else:
-        unstabilized = UNKNOWN
+    k_lex = is_k_lexicographic(m, alpha)
+    # the same condition as k_lex in this family, but by another argument
+    unstabilized = FULL if m != 0 or is_infinite(alpha) else UNKNOWN
     return FullnessVerdict(
         stenotic=True,
         k_lexicographic=k_lex,

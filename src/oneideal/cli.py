@@ -143,7 +143,7 @@ def invariant_report(spec: FamilySpec, entry: dict, depth=None) -> Report:
     if depth is not None and not spec.has_finite_loops:
         raise ValueError("--depth applies only when 1 < m < infinity")
     depth = None if depth is None else read_int(depth, "--depth")[0]
-    invariant, scalars = invariant_of(spec)
+    scalars = invariant_of(spec)
     truncation = None
     if spec.has_finite_loops:
         stable_depth = stable_oracle_depth(spec)
@@ -163,18 +163,18 @@ def invariant_report(spec: FamilySpec, entry: dict, depth=None) -> Report:
         command="invariant",
         inputs=[entry],
         scalars=scalars_to_json(scalars),
-        invariant=invariant_to_json(invariant, truncation),
+        invariant=invariant_to_json(spec.m, scalars, truncation),
     )
 
 
 def fullness_report(spec: FamilySpec, entry: dict) -> Report:
-    invariant, scalars = invariant_of(spec)
+    scalars = invariant_of(spec)
     return Report(
         command="fullness",
         inputs=[entry],
         scalars=scalars_to_json(scalars),
-        invariant=invariant_to_json(invariant),
-        verdict=fullness_to_json(classify.decide_fullness(invariant, scalars)),
+        invariant=invariant_to_json(spec.m, scalars),
+        verdict=fullness_to_json(classify.decide_fullness(spec.m, scalars.alpha)),
     )
 
 

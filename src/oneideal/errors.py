@@ -29,14 +29,6 @@ class RegimeError(OneIdealError):
     """Operation not defined for this loop count / tail regime."""
 
 
-class ConeShapeError(OneIdealError):
-    """A cone is attached to a group that cannot carry it."""
-
-
-class UnsupportedConeCombination(OneIdealError):
-    """Cone shapes outside the supported case analysis; never silently false."""
-
-
 class OutOfScopeComparison(OneIdealError):
     """Isomorphism comparison requested outside the finite-loop regime."""
 

@@ -1,4 +1,4 @@
-"""Ordered K-theory invariants of the one-ideal family.
+"""The scalars of the one-ideal family's ordered K-theory invariants.
 
 For every family member the odd K-groups vanish and the even part sits in a
 short exact sequence whose outer terms are the dyadic line and either Z (no
@@ -12,6 +12,11 @@ truncation at chain depth d presents the torsion as gcd(2^(d-k) * N, m-1),
 which saturates once d - k reaches v2(m-1).  :func:`truncated_k0` reads that
 cokernel off a Smith form at any depth, and :func:`stable_oracle_depth` is a
 depth past saturation, where the truncation must show exactly Z/x.
+
+The invariant has three shapes, one per regime (m = 0, finite m > 1,
+m = infinity), whose only parameters are alpha, x and m - 1.  This module
+computes the scalars alone (:func:`invariant_of`); :mod:`.report` holds the
+three shapes, as the JSON section every report prints, and fills them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .dyadic import ExtendedRational, is_infinite, odd_part, two_adic_valuation
+from .dyadic import ExtendedRational, odd_part, two_adic_valuation
 from .errors import RegimeError, WorkLimitError
 from .exactlinalg import cokernel_invariants
 from .family import (
@@ -30,27 +35,6 @@ from .family import (
     truncated_presentation,
     weight_of,
 )
-from .groups import (
-    ALL_POSITIVE,
-    CYCLIC_MOD,
-    DYADIC_LINE,
-    DYADIC_PLUS_FREE,
-    FREE_Z,
-    STANDARD_DYADIC_CONE,
-    STANDARD_INTEGER_CONE,
-    ConeDescriptor,
-    GroupDescriptor,
-    PreorderedGroup,
-    alpha_cone,
-    dyadic_plus_torsion,
-)
-
-CASE_TAGS = ("AF-AF", "AF-PI")
-
-# The descriptors are frozen, so the parts members share are built once: the
-# ideal of every member, and the cone of every m != 0 middle and quotient.
-_IDEAL = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(STANDARD_DYADIC_CONE))
-_POSITIVE = ConeDescriptor(ALL_POSITIVE, with_full_class=True)
 
 # Deepest truncation :func:`truncated_k0` builds: the largest default depth,
 # max(k + 3, k + v2(m-1) + 1), of a spec the reader accepts.  There
@@ -59,25 +43,6 @@ _POSITIVE = ConeDescriptor(ALL_POSITIVE, with_full_class=True)
 # linearly with depth: at this depth (k = 10000, m = 2**3321 + 1) `invariant`
 # takes about 0.03 s and 23 MB (Python 3.11, 2-core x86).
 MAX_TRUNCATION_DEPTH = MAX_PREFIX_LENGTH + (10**MAX_INTEGER_DIGITS - 2).bit_length()
-
-
-@dataclass(frozen=True)
-class SixTermInvariant:
-    """Six-term exact sequence data with ordered even-degree groups.
-
-    The odd-degree groups vanish for the whole family; ``index_map_zero``
-    records that the connecting map out of the quotient is zero.
-    """
-
-    ideal: PreorderedGroup
-    middle: PreorderedGroup
-    quotient: PreorderedGroup
-    index_map_zero: bool
-    case_tag: str
-
-    def __post_init__(self) -> None:
-        if self.case_tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.case_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -133,33 +98,13 @@ def torsion_order(spec: FamilySpec) -> int:
     return (1 << two_adic_valuation(b)) * gcd(odd_part(b), n_weight)
 
 
-def invariant_of(spec: FamilySpec) -> tuple[SixTermInvariant, DerivedScalars]:
-    """The ordered six-term invariant and derived scalars of a family member.
-
-    Regimes: m = 0 gives the split AF-AF sequence with the alpha cone in the
-    middle; m = infinity gives the split AF-PI sequence with everything
-    positive in the middle; finite m > 1 gives the AF-PI sequence with
-    torsion Z/x in the middle and quotient Z/(m-1).
-    """
+def invariant_of(spec: FamilySpec) -> DerivedScalars:
+    """The scalars of a family member, from which, with m,
+    :func:`.report.invariant_to_json` fills its ordered six-term invariant."""
     alpha = alpha_of(spec)
     x = m_odd = None
-    if spec.m == 0:
-        middle = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(alpha))
-        quotient = PreorderedGroup(GroupDescriptor(FREE_Z), ConeDescriptor(STANDARD_INTEGER_CONE))
-    elif is_infinite(spec.m):
-        middle = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), _POSITIVE)
-        quotient = PreorderedGroup(GroupDescriptor(FREE_Z), _POSITIVE)
-    else:
+    if spec.has_finite_loops:
         x, m_odd = torsion_order(spec), odd_part(spec.m - 1)
-        middle = PreorderedGroup(dyadic_plus_torsion(x), _POSITIVE)
-        quotient = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=spec.m - 1), _POSITIVE)
     # k and N exist only for zero tails, the only tail a finite m > 1 takes
     k, n_weight = weight_of(spec) if spec.tail.kind == "zero" else (None, None)
-    invariant = SixTermInvariant(
-        ideal=_IDEAL,
-        middle=middle,
-        quotient=quotient,
-        index_map_zero=True,
-        case_tag="AF-AF" if spec.m == 0 else "AF-PI",
-    )
-    return invariant, DerivedScalars(alpha=alpha, k=k, n_weight=n_weight, x=x, m_odd=m_odd)
+    return DerivedScalars(alpha=alpha, k=k, n_weight=n_weight, x=x, m_odd=m_odd)

@@ -16,6 +16,10 @@ dict iff that report emits exactly it; otherwise it raises ``ValueError``.
 ``json.dumps(..., indent=2, sort_keys=True)`` of the JSON object and a
 newline: the whole text in one piece, bar a scan table, which it streams.
 
+The ordered six-term invariant lives here only as its JSON section:
+:func:`invariant_to_json` fills one of three templates, one per regime,
+whose only parameters are alpha, the torsion order x and m - 1.
+
 Family specs, which users also write by hand, are read by
 :func:`spec_from_json`, with explicit checks and messages and within the
 input-size limits :data:`MAX_PREFIX_LENGTH` and :data:`MAX_INTEGER_DIGITS`,
@@ -28,11 +32,10 @@ import json
 from dataclasses import dataclass, replace
 
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
-from .dyadic import INF, format_extended, is_int
+from .dyadic import INF, format_extended, is_infinite, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, ZERO_TAIL, FamilySpec, TailSpec
-from .groups import ALL_POSITIVE, ALPHA_CONE, STANDARD_DYADIC_CONE, ConeDescriptor, GroupDescriptor
-from .ktheory import DerivedScalars, SixTermInvariant
+from .ktheory import DerivedScalars
 from .version import __version__
 
 UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
@@ -123,31 +126,51 @@ def spec_from_json(d) -> tuple[FamilySpec, dict]:
     return FamilySpec(m, prefix, tail), {"m": m_text, "n": n_text, "tail": tail_text}
 
 
-def _cone_to_json(cone: ConeDescriptor) -> dict:
-    out: dict = {"tag": cone.tag}
-    if cone.tag == ALL_POSITIVE:
-        out["withFullClass"] = cone.with_full_class
-    elif cone.tag == ALPHA_CONE:
-        out["alpha"] = format_extended(cone.alpha)
-    return out
+# The invariant section in its three shapes, one per regime: m = 0 (the alpha
+# cone in the middle), finite m > 1 (torsion Z/x in the middle, quotient
+# Z/(m - 1)) and m = infinity.  Every member's ideal is the dyadic line with
+# its standard cone, and every cone of a member with loops is all-positive
+# with a full class.
+_DYADIC_LINE = {"symbol": "Z[1/2]", "tag": "DyadicLine"}
+_DYADIC_PLUS_Z = {"symbol": "Z[1/2] (+) Z", "tag": "DyadicPlusFree"}
+_Z = {"symbol": "Z", "tag": "FreeZ"}
+_IDEAL = {"cone": {"tag": "StandardDyadicCone"}, "group": _DYADIC_LINE}
+_FULL_CLASS = {"tag": "AllPositive", "withFullClass": True}
+_NO_LOOPS = {
+    "caseTag": "AF-AF", "ideal": _IDEAL, "indexMapZero": True,
+    "quotient": {"cone": {"tag": "StandardIntegerCone"}, "group": _Z},
+}
+_FINITE_LOOPS = {"caseTag": "AF-PI", "ideal": _IDEAL, "indexMapZero": True}
+_INFINITE_LOOPS = {
+    **_FINITE_LOOPS,
+    "middle": {"cone": _FULL_CLASS, "group": _DYADIC_PLUS_Z},
+    "quotient": {"cone": _FULL_CLASS, "group": _Z},
+}
 
 
-def _group_to_json(group: GroupDescriptor) -> dict:
-    out: dict = {"tag": group.tag, "symbol": group.render()}
-    if group.torsion_order is not None:
-        out["torsion"] = str(group.torsion_order)
-    if group.modulus is not None:
-        out["modulus"] = str(group.modulus)
-    return out
-
-
-def invariant_to_json(inv: SixTermInvariant, truncation: tuple | None = None) -> dict:
-    """The invariant section, with a truncation (depth, free rank, torsion) if given."""
-    out = {
-        key: {"group": _group_to_json(pg.group), "cone": _cone_to_json(pg.cone)}
-        for key, pg in (("ideal", inv.ideal), ("middle", inv.middle), ("quotient", inv.quotient))
-    }
-    out.update(caseTag=inv.case_tag, indexMapZero=inv.index_map_zero)
+def invariant_to_json(m, scalars: DerivedScalars, truncation: tuple | None = None) -> dict:
+    """The invariant section of the member with loop count ``m`` and
+    ``scalars`` (as :func:`.ktheory.invariant_of` returns them), with a
+    truncation (depth, free rank, torsion) if given: its regime's template,
+    filled in with alpha, or with x and m - 1.  The torsion summand Z/1 is
+    trivial, so x = 1 gives the dyadic line.  The templates' parts are
+    shared, so callers must not mutate the section below its top level."""
+    if m == 0:
+        alpha_cone = {"alpha": format_extended(scalars.alpha), "tag": "AlphaCone"}
+        out = {**_NO_LOOPS, "middle": {"cone": alpha_cone, "group": _DYADIC_PLUS_Z}}
+    elif is_infinite(m):
+        out = dict(_INFINITE_LOOPS)
+    else:
+        x, b = scalars.x, str(m - 1)
+        middle = _DYADIC_LINE if x == 1 else {
+            "symbol": f"Z[1/2] (+) Z/{x}", "tag": "DyadicPlusTorsion", "torsion": str(x)
+        }
+        quotient = {"modulus": b, "symbol": f"Z/{b}", "tag": "CyclicMod"}
+        out = {
+            **_FINITE_LOOPS,
+            "middle": {"cone": _FULL_CLASS, "group": middle},
+            "quotient": {"cone": _FULL_CLASS, "group": quotient},
+        }
     if truncation is not None:
         depth, free_rank, torsion = truncation
         torsion = [str(t) for t in torsion]
@@ -263,13 +286,16 @@ def _encode(value, indent: str, out: list, write) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_CONE_TEXT = {
+    "AllPositive": "all-positive (full class)",
+    "StandardDyadicCone": "standard dyadic cone",
+    "StandardIntegerCone": "standard integer cone",
+}
+
+
 def _cone_text(cone: dict) -> str:
     tag = cone["tag"]
-    if tag == ALL_POSITIVE:
-        return "all-positive (full class)" if cone["withFullClass"] else "all-positive"
-    if tag == ALPHA_CONE:
-        return f"alpha-cone({cone['alpha']})"
-    return "standard dyadic cone" if tag == STANDARD_DYADIC_CONE else "standard integer cone"
+    return f"alpha-cone({cone['alpha']})" if tag == "AlphaCone" else _CONE_TEXT[tag]
 
 
 @dataclass(frozen=True)

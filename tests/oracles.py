@@ -17,6 +17,9 @@ more literal route, a quantity the library computes in closed form.
 * :func:`in_torsion_range` - whether a torsion order occurs at a loop count,
   by two divisibility tests and no factorisation;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
+* :func:`k_lexicographic_by_clauses` - the paper's two-clause ordering
+  condition read from a printed invariant section's tags, clause 1 by
+  :func:`cone_contains` on a box of elements (:func:`cone_box`);
 * :func:`two_power_orbit`, :func:`unit_residues` - a doubling orbit and the
   units of a modulus, computed here rather than by the library's walk and
   unit list, so that a fault in those is not shared with these oracles;
@@ -229,6 +232,56 @@ def find_order_isomorphism(
             if _candidate_consistent(a, b, k, shift, precision):
                 return k, shift
     return None
+
+
+# --------------------------------------------------------------------------
+# the paper's fullness condition, read from a printed invariant section
+
+
+def cone_contains(cone: dict, *element) -> bool:
+    """Whether a printed cone holds ``element``: (x,) of Z[1/2], (n,) of Z,
+    or (x, n) of Z[1/2] (+) Z; an unknown tag is a ValueError."""
+    tag = cone["tag"]
+    if tag == "AlphaCone":
+        alpha = math.inf if cone["alpha"] == "inf" else Fraction(cone["alpha"])
+        return _slice_contains(alpha, *element)
+    if tag not in ("AllPositive", "StandardDyadicCone", "StandardIntegerCone"):
+        raise ValueError(f"no membership rule for the cone {tag!r}")
+    return tag == "AllPositive" or element[0] >= 0
+
+
+def cone_box(alpha: str) -> list[tuple[Fraction, int]]:
+    """The elements (x, n) with |n| <= 2 and x in Z/4, |x| <= 2 (alpha + 1),
+    or 2 at alpha = infinity: they include (-n alpha - 1, n) for n = 1, 2.
+    An alpha past 64 is a ValueError, which keeps the box small."""
+    reach = 0 if alpha == "inf" else math.ceil(Fraction(alpha))
+    if reach > 64:
+        raise ValueError(f"alpha {alpha} is past the box")
+    width = 8 * (reach + 1)
+    return [(Fraction(c, 4), n) for n in range(-2, 3) for c in range(-width, width + 1)]
+
+
+def k_lexicographic_by_clauses(section: dict) -> bool:
+    """The paper's two-clause ordering condition on a printed invariant
+    section, read from its tags; a clause whose hypothesis fails holds.
+    (1) If the quotient cone is proper, the cone sequence is lexicographic:
+    on :func:`cone_box`, the middle cone holds (x, n) iff n != 0 lies in the
+    quotient cone, or n = 0 and x lies in the ideal cone.  It is decided on
+    the split sequence Z[1/2] -> Z[1/2] (+) Z -> Z alone, else ValueError.
+    (2) If the quotient is all-positive with a full class, so is the middle."""
+    ideal, middle, quotient = (section[key]["cone"] for key in ("ideal", "middle", "quotient"))
+    if quotient["tag"] != "AllPositive":
+        groups = tuple(section[key]["group"]["tag"] for key in ("ideal", "middle", "quotient"))
+        if groups != ("DyadicLine", "DyadicPlusFree", "FreeZ"):
+            raise ValueError(f"no lexicographic rule for the groups {groups}")
+        lexicographic = all(
+            cone_contains(middle, x, n) == cone_contains(*((quotient, n) if n else (ideal, x)))
+            for x, n in cone_box(middle.get("alpha", "inf"))
+        )
+        if not lexicographic:
+            return False
+    full = {"tag": "AllPositive", "withFullClass": True}
+    return quotient != full or middle == full
 
 
 # --------------------------------------------------------------------------

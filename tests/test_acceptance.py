@@ -32,12 +32,12 @@ from oneideal.classify import (
 from oneideal.dyadic import is_infinite, two_adic_valuation
 from oneideal.exactlinalg import cokernel_invariants
 from oneideal.family import alpha_of, validate_family, weight_of
-from oneideal.groups import ALL_POSITIVE
 from oneideal.ktheory import torsion_order, truncated_k0
-from oneideal.ordered import is_k_lexicographic
+from oneideal.report import invariant_to_json
 from oracles import (
     find_order_isomorphism,
     in_torsion_range,
+    k_lexicographic_by_clauses,
     sparse,
     stable_partition_disagreements,
     sympy_cokernel,
@@ -146,9 +146,12 @@ def test_criterion_05_fullness_dichotomy_at_m0():
     assert len(finite_specs) == 20
     for spec in finite_specs + infinite_specs:
         divergent = is_infinite(alpha_of(spec))
-        verdict = decide_fullness(*invariant_of(spec))
+        scalars = invariant_of(spec)
+        verdict = decide_fullness(spec.m, scalars.alpha)
         assert verdict.stabilized_full == divergent
         assert verdict.k_lexicographic == divergent
+        # the paper's two clauses, read from the printed section, agree
+        assert k_lexicographic_by_clauses(invariant_to_json(spec.m, scalars)) == divergent
     ok(5, "m=0 corpus (20 finite, 5 divergent): stabilized fullness iff alpha diverges")
 
 
@@ -164,11 +167,13 @@ def test_criterion_06_everything_positive_regimes_pass_clause_two():
         specs.append(validate_family(INF, prefix, TailSpec("constant", 1)))
     for _ in range(15):
         specs.append(random_valid_spec(rng))
+    full = {"tag": "AllPositive", "withFullClass": True}
     for spec in specs:
-        invariant, _ = invariant_of(spec)
-        assert is_k_lexicographic(invariant)
-        assert invariant.middle.cone.tag == ALL_POSITIVE
-        assert invariant.middle.cone.with_full_class
+        scalars = invariant_of(spec)
+        section = invariant_to_json(spec.m, scalars)
+        assert decide_fullness(spec.m, scalars.alpha).k_lexicographic
+        assert k_lexicographic_by_clauses(section)
+        assert section["middle"]["cone"] == section["quotient"]["cone"] == full
     ok(6, "all m = inf and 1 < m < inf specs: combined ordering test passes, middle all-positive")
 
 
@@ -290,8 +295,8 @@ def test_criterion_10_permanence_filter():
         validate_family(INF, [1]),
     ] + [random_valid_spec(rng, m_high=60) for _ in range(20)]
     for spec in specs:
-        invariant, _ = invariant_of(spec)
-        assert invariant.index_map_zero
-        if invariant.quotient.cone.tag == ALL_POSITIVE:
-            assert invariant.middle.cone.tag == ALL_POSITIVE
+        section = invariant_to_json(spec.m, invariant_of(spec))
+        assert section["indexMapZero"]
+        if section["quotient"]["cone"]["tag"] == "AllPositive":
+            assert section["middle"]["cone"]["tag"] == "AllPositive"
     ok(10, "24 invariants: zero index map; an all-positive quotient has an all-positive middle")

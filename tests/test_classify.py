@@ -52,8 +52,12 @@ def spec_mn(m, n):
     return validate_family(m, [n])
 
 
+def fullness_of(spec):
+    return decide_fullness(spec.m, invariant_of(spec).alpha)
+
+
 def test_fullness_m8():
-    v = decide_fullness(*invariant_of(spec_mn(8, 1)))
+    v = fullness_of(spec_mn(8, 1))
     assert (v.stenotic, v.k_lexicographic, v.stabilized_full, v.unstabilized) == (
         True,
         True,
@@ -63,7 +67,7 @@ def test_fullness_m8():
 
 
 def test_fullness_m0_finite_alpha():
-    v = decide_fullness(*invariant_of(spec_mn(0, 2)))
+    v = fullness_of(spec_mn(0, 2))
     assert (v.stenotic, v.k_lexicographic, v.stabilized_full, v.unstabilized) == (
         True,
         False,
@@ -80,7 +84,7 @@ def test_fullness_verdict_refuses_an_unknown_unstabilized_verdict():
 
 
 def test_fullness_m0_divergent_alpha():
-    v = decide_fullness(*invariant_of(validate_family(0, [1], TailSpec("doubling", 1))))
+    v = fullness_of(validate_family(0, [1], TailSpec("doubling", 1)))
     assert (v.k_lexicographic, v.stabilized_full, v.unstabilized) == (True, True, FULL)
 
 

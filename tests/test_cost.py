@@ -32,3 +32,15 @@ def test_a_json_compare_runs_under_2900_opcodes_in_every_frame():
     argv = [*COMPARE, "--format", "json"]
     first = opcodes(argv, every_frame=True)
     assert first == opcodes(argv, every_frame=True) < 2900
+
+
+def test_a_json_fullness_at_m0_runs_under_3750_opcodes_in_every_frame():
+    # the invariant filled into its regime's template and the condition read
+    # from m and alpha: 3,693; building and validating group and cone
+    # descriptors, then converting them to JSON, made it 4,448
+    argv = ["fullness", "--m", "0", "--n", "2", "--format", "json"]
+    # the first comparison of a Fraction with a float in a process fills
+    # the ABC caches of isinstance, 30 opcodes that no later query runs
+    opcodes(argv)
+    first = opcodes(argv, every_frame=True)
+    assert first == opcodes(argv, every_frame=True) < 3750

@@ -5,15 +5,9 @@ import pytest
 
 from oneideal import INF, FamilyValidationError, RegimeError, TailSpec, invariant_of
 from oneideal.family import validate_family, weight_of
-from oneideal.groups import (
-    ALL_POSITIVE,
-    ALPHA_CONE,
-    DYADIC_LINE,
-    GroupDescriptor,
-    dyadic_plus_torsion,
-)
 from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
-from oracles import in_torsion_range, truncation_torsion_order
+from oneideal.report import invariant_to_json
+from oracles import in_torsion_range, k_lexicographic_by_clauses, truncation_torsion_order
 
 
 def test_torsion_order_anchors():
@@ -27,14 +21,6 @@ def test_torsion_order_anchors():
 def test_the_finite_loop_routes_refuse_other_regimes(route, m):
     with pytest.raises(RegimeError):
         route(validate_family(m, [1]))
-
-
-def test_an_unknown_case_tag_is_refused():
-    from dataclasses import replace
-
-    invariant, _ = invariant_of(validate_family(8, [1]))
-    with pytest.raises(ValueError, match="unknown case tag 'PI-AF'"):
-        replace(invariant, case_tag="PI-AF")
 
 
 def test_truncated_k0_examples():
@@ -98,51 +84,65 @@ def test_stable_oracle_depth_reads_k_without_computing_the_weight(monkeypatch):
     assert stable_oracle_depth(validate_family(129, [1, 0, 3])) == 3 + 8
 
 
+def invariant_and_scalars(spec):
+    """The printed invariant section of ``spec`` and its scalars."""
+    scalars = invariant_of(spec)
+    return invariant_to_json(spec.m, scalars), scalars
+
+
 def test_invariant_m0():
-    inv, scalars = invariant_of(validate_family(0, [2]))
-    assert inv.case_tag == "AF-AF"
-    assert inv.middle.cone.tag == ALPHA_CONE
-    assert inv.middle.cone.alpha == 1
-    assert inv.quotient.group.render() == "Z"
-    assert inv.index_map_zero
+    inv, scalars = invariant_and_scalars(validate_family(0, [2]))
+    assert inv["caseTag"] == "AF-AF"
+    assert inv["middle"]["cone"] == {"alpha": "1", "tag": "AlphaCone"}
+    assert inv["quotient"] == {
+        "cone": {"tag": "StandardIntegerCone"}, "group": {"symbol": "Z", "tag": "FreeZ"}
+    }
+    assert inv["indexMapZero"]
     assert scalars.alpha == 1 and scalars.k == 1 and scalars.n_weight == 2
     assert scalars.x is None and scalars.m_odd is None
+    assert not k_lexicographic_by_clauses(inv)
 
 
 def test_invariant_m_infinite():
-    inv, scalars = invariant_of(validate_family(INF, [1]))
-    assert inv.case_tag == "AF-PI"
-    assert inv.middle.cone.tag == ALL_POSITIVE and inv.middle.cone.with_full_class
-    assert inv.quotient.cone.tag == ALL_POSITIVE
+    inv, scalars = invariant_and_scalars(validate_family(INF, [1]))
+    assert inv["caseTag"] == "AF-PI"
+    full = {"tag": "AllPositive", "withFullClass": True}
+    assert inv["middle"]["cone"] == inv["quotient"]["cone"] == full
+    assert inv["middle"]["group"]["symbol"] == "Z[1/2] (+) Z"
     assert scalars.alpha == Fraction(1, 2)
+    assert k_lexicographic_by_clauses(inv)
 
 
 def test_invariant_m8_torsion_canonicalizes():
-    inv, scalars = invariant_of(validate_family(8, [1]))
+    inv, scalars = invariant_and_scalars(validate_family(8, [1]))
     # gcd(7, 1) = 1, so the middle torsion part is trivial
     assert scalars.x == 1
-    assert inv.middle.group == GroupDescriptor(DYADIC_LINE)
-    assert inv.quotient.group.render() == "Z/7"
+    assert inv["middle"]["group"] == {"symbol": "Z[1/2]", "tag": "DyadicLine"}
+    assert inv["quotient"]["group"] == {"modulus": "7", "symbol": "Z/7", "tag": "CyclicMod"}
     assert scalars.m_odd == 7
-    assert inv.case_tag == "AF-PI"
+    assert inv["caseTag"] == "AF-PI"
 
 
 def test_invariant_torsion_group_when_nontrivial():
-    inv, scalars = invariant_of(validate_family(3, [1]))
+    inv, scalars = invariant_and_scalars(validate_family(3, [1]))
     assert scalars.x == 2
-    assert inv.middle.group == dyadic_plus_torsion(2)
+    assert inv["middle"]["group"] == {
+        "symbol": "Z[1/2] (+) Z/2", "tag": "DyadicPlusTorsion", "torsion": "2"
+    }
+    assert k_lexicographic_by_clauses(inv)
 
 
 def test_invariant_alpha_infinite_middle_cone():
-    inv, scalars = invariant_of(validate_family(0, [1], TailSpec("doubling", 1)))
-    assert inv.middle.cone.tag == ALPHA_CONE
+    inv, scalars = invariant_and_scalars(validate_family(0, [1], TailSpec("doubling", 1)))
+    assert inv["middle"]["cone"] == {"alpha": "inf", "tag": "AlphaCone"}
     assert scalars.alpha == INF
     assert scalars.k is None and scalars.n_weight is None
+    assert k_lexicographic_by_clauses(inv)
 
 
 def test_scalars_m_odd_invariants():
     for m in (3, 8, 13, 40):
-        _, scalars = invariant_of(validate_family(m, [2]))
+        scalars = invariant_of(validate_family(m, [2]))
         assert scalars.m_odd % 2 == 1
         assert (m - 1) % scalars.m_odd == 0
         quotient = (m - 1) // scalars.m_odd
@@ -157,5 +157,5 @@ def test_index_map_zero_always():
         validate_family(6, [1, 2]),
     ]
     for spec in specs:
-        inv, _ = invariant_of(spec)
-        assert inv.index_map_zero
+        inv, _ = invariant_and_scalars(spec)
+        assert inv["indexMapZero"]

@@ -1,150 +1,153 @@
+"""The ordered side: the paper's fullness condition against the library's,
+and the alpha-cone isomorphism oracles against each other.
+
+``oracles.k_lexicographic_by_clauses`` reads the two clauses off the printed
+invariant section's cone tags, clause 1 by cone membership on a box; the
+library decides the same condition from m and alpha alone
+(``classify.is_k_lexicographic``).
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneideal import (
-    INF,
-    ConeShapeError,
-    PreorderedGroup,
-    TailSpec,
-    UnsupportedConeCombination,
-    invariant_of,
-)
+from oneideal import INF, TailSpec, invariant_of
+from oneideal.classify import is_k_lexicographic
+from oneideal.cli import fullness_report, main
 from oneideal.family import validate_family
-from oneideal.groups import (
-    ALL_POSITIVE,
-    ALPHA_CONE,
-    CYCLIC_MOD,
-    DYADIC_LINE,
-    DYADIC_PLUS_FREE,
-    DYADIC_PLUS_TORSION,
-    FREE_Z,
-    STANDARD_DYADIC_CONE,
-    STANDARD_INTEGER_CONE,
-    ConeDescriptor,
-    GroupDescriptor,
-    alpha_cone,
-    dyadic_plus_torsion,
+from oneideal.report import invariant_to_json, spec_from_json
+from oracles import (
+    cone_box,
+    cone_contains,
+    find_order_isomorphism,
+    k_lexicographic_by_clauses,
+    walked_alpha_cones_isomorphic,
 )
-from oneideal.ordered import is_k_lexicographic, is_lexicographic_sequence
-from oracles import find_order_isomorphism, walked_alpha_cones_isomorphic
+from test_corpus import rows
+from test_golden import GOLDEN
 
-DYADIC = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(STANDARD_DYADIC_CONE))
-INTEGERS = PreorderedGroup(GroupDescriptor(FREE_Z), ConeDescriptor(STANDARD_INTEGER_CONE))
-POSITIVE = ConeDescriptor(ALL_POSITIVE, with_full_class=True)
+FULL = {"tag": "AllPositive", "withFullClass": True}
 
 
-def alpha_pg(a):
-    return PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), alpha_cone(a))
+def section(middle_cone: dict, quotient: str = "FreeZ", quotient_cone=None) -> dict:
+    """A printed invariant section over the dyadic ideal, by default the split
+    sequence with the standard cones."""
+    return {
+        "ideal": {"cone": {"tag": "StandardDyadicCone"}, "group": {"tag": "DyadicLine"}},
+        "middle": {"cone": middle_cone, "group": {"tag": "DyadicPlusFree"}},
+        "quotient": {"cone": quotient_cone or {"tag": "StandardIntegerCone"},
+                     "group": {"tag": quotient}},
+    }
 
 
-def test_shape_mismatch_raises():
-    with pytest.raises(ConeShapeError):
-        PreorderedGroup(GroupDescriptor(FREE_Z), alpha_cone(1))
+def alpha_cone(alpha: str) -> dict:
+    return {"alpha": alpha, "tag": "AlphaCone"}
 
 
-@pytest.mark.parametrize(
-    "build, message",
-    [
-        (lambda: GroupDescriptor("Nope"), "unknown group tag"),
-        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=1), "needs an int order >= 2"),
-        (lambda: GroupDescriptor(DYADIC_LINE, torsion_order=3), "only applies to DyadicPlusT"),
-        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=0), "needs an int modulus >= 1"),
-        (lambda: GroupDescriptor(FREE_Z, modulus=3), "only applies to CyclicMod"),
-        (lambda: dyadic_plus_torsion(0), "must be an int >= 1"),
-        (lambda: ConeDescriptor("Nope"), "unknown cone tag"),
-        (lambda: ConeDescriptor(STANDARD_DYADIC_CONE, alpha=Fraction(1)), "only applies to the"),
-        (lambda: ConeDescriptor(ALPHA_CONE, alpha=INF, with_full_class=True), "applies to AllPos"),
-        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=True), "needs an int modulus"),
-        (lambda: GroupDescriptor(CYCLIC_MOD, modulus=7.0), "needs an int modulus"),
-        (lambda: GroupDescriptor(CYCLIC_MOD, modulus="7"), "needs an int modulus"),
-        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order=2.5), "needs an int order"),
-        (lambda: GroupDescriptor(DYADIC_PLUS_TORSION, torsion_order="3"), "needs an int order"),
-        (lambda: dyadic_plus_torsion(True), "must be an int"),
-        (lambda: dyadic_plus_torsion(1.0), "must be an int"),
-        (lambda: dyadic_plus_torsion("3"), "must be an int"),
-        (lambda: ConeDescriptor(ALL_POSITIVE, with_full_class=1), "must be a bool"),
-        (lambda: ConeDescriptor(STANDARD_INTEGER_CONE, with_full_class=None), "must be a bool"),
-    ],
-    ids=[
-        "unknown group tag",
-        "torsion order 1",
-        "torsion order on the dyadic line",
-        "modulus 0",
-        "modulus on Z",
-        "torsion factory at 0",
-        "unknown cone tag",
-        "alpha on a standard cone",
-        "full class on the alpha cone",
-        "bool modulus",
-        "float modulus",
-        "string modulus",
-        "float torsion order",
-        "string torsion order",
-        "bool torsion factory",
-        "float torsion factory",
-        "string torsion factory",
-        "int full class",
-        "None full class",
-    ],
-)
-def test_a_descriptor_with_a_malformed_field_is_refused(build, message):
-    with pytest.raises(ValueError, match=message):
-        build()
-
-
-@pytest.mark.parametrize("alpha", [0.1, True, "1/2"])
-def test_alpha_cone_rejects_a_parameter_that_is_not_exact(alpha):
-    with pytest.raises(ValueError):
-        alpha_cone(alpha)
-    with pytest.raises(ValueError):
-        ConeDescriptor(ALPHA_CONE, alpha=alpha)
+@pytest.mark.parametrize("alpha", ["inf", "0", "1/1024", "1/2", "1", "3/2", "7107/4096", "64"])
+def test_the_alpha_cone_is_the_lexicographic_cone_exactly_at_infinity(alpha):
+    # the lexicographic cone, written out: n > 0, or n = 0 and x >= 0
+    same = all(
+        cone_contains(alpha_cone(alpha), x, n) == (n > 0 or n == 0 and x >= 0)
+        for x, n in cone_box(alpha)
+    )
+    assert same == (alpha == "inf")
 
 
 def test_lexicographic_sequence_decisions():
-    assert is_lexicographic_sequence(DYADIC, alpha_pg(INF), INTEGERS)
-    assert not is_lexicographic_sequence(DYADIC, alpha_pg(1), INTEGERS)
-    assert not is_lexicographic_sequence(DYADIC, alpha_pg(0), INTEGERS)
-
-    # everything-positive middle over a proper quotient cone cannot match
-    middle_all = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), POSITIVE)
-    assert not is_lexicographic_sequence(DYADIC, middle_all, INTEGERS)
+    # over the standard cones clause 2 is vacuous, so clause 1 decides
+    assert k_lexicographic_by_clauses(section(alpha_cone("inf")))
+    assert not k_lexicographic_by_clauses(section(alpha_cone("1")))
+    assert not k_lexicographic_by_clauses(section(alpha_cone("0")))
+    # an everything-positive middle over a proper quotient cone holds (-1, 0)
+    assert not k_lexicographic_by_clauses(section(FULL))
 
 
 def test_lexicographic_sequence_unsupported_combination():
-    ideal = PreorderedGroup(GroupDescriptor(DYADIC_LINE), ConeDescriptor(ALL_POSITIVE))
-    with pytest.raises(UnsupportedConeCombination):
-        is_lexicographic_sequence(ideal, alpha_pg(1), INTEGERS)
-    # an everything-positive quotient: is_k_lexicographic's clause 1 skips it
-    middle_all = PreorderedGroup(GroupDescriptor(DYADIC_PLUS_FREE), POSITIVE)
-    q_all = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), POSITIVE)
-    for ideal in (PreorderedGroup(GroupDescriptor(DYADIC_LINE), POSITIVE), DYADIC):
-        with pytest.raises(UnsupportedConeCombination):
-            is_lexicographic_sequence(ideal, middle_all, q_all)
+    # clause 1 is decided on the split sequence only; any other is refused
+    with pytest.raises(ValueError, match="no lexicographic rule"):
+        k_lexicographic_by_clauses(section(alpha_cone("1"), quotient="CyclicMod"))
+    with pytest.raises(ValueError, match="no membership rule"):
+        k_lexicographic_by_clauses(section({"tag": "SomeCone"}))
 
 
 def test_k_lexicographic_on_family_invariants():
-    inv_inf, _ = invariant_of(validate_family(0, [1], TailSpec("doubling", 1)))
-    assert is_k_lexicographic(inv_inf)
-    inv_fin, _ = invariant_of(validate_family(0, [2]))
-    assert not is_k_lexicographic(inv_fin)
-    inv_m8, _ = invariant_of(validate_family(8, [1]))
-    assert is_k_lexicographic(inv_m8)
-    inv_minf, _ = invariant_of(validate_family(INF, [3]))
-    assert is_k_lexicographic(inv_minf)
+    for spec, expected in [
+        (validate_family(0, [1], TailSpec("doubling", 1)), True),
+        (validate_family(0, [2]), False),
+        (validate_family(8, [1]), True),
+        (validate_family(INF, [3]), True),
+    ]:
+        scalars = invariant_of(spec)
+        assert is_k_lexicographic(spec.m, scalars.alpha) == expected
+        assert k_lexicographic_by_clauses(invariant_to_json(spec.m, scalars)) == expected
 
 
 def test_k_lexicographic_vacuous_when_neither_clause_applies():
-    # quotient cone covers the whole group but without a full class: neither
-    # the lexicographic clause nor the full-class clause has its hypothesis
-    from dataclasses import replace
+    # a quotient cone that is the whole group but without a full class:
+    # neither clause has its hypothesis, so even an alpha-cone middle passes
+    positive = {"tag": "AllPositive", "withFullClass": False}
+    assert k_lexicographic_by_clauses(section(alpha_cone("1"), "CyclicMod", positive))
+    # with the full class, clause 2 asks the middle for it too
+    assert not k_lexicographic_by_clauses(section(alpha_cone("1"), "CyclicMod", FULL))
+    assert k_lexicographic_by_clauses(section(FULL, "CyclicMod", FULL))
 
-    inv, _ = invariant_of(validate_family(8, [1]))
-    quotient = PreorderedGroup(GroupDescriptor(CYCLIC_MOD, modulus=7), ConeDescriptor(ALL_POSITIVE))
-    weakened = replace(inv, quotient=quotient)
-    assert is_k_lexicographic(weakened)
+
+def json_report(argv: list[str]) -> dict:
+    """The JSON report of a command line: the last ``--format`` wins."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def assert_fullness_agrees_with_the_clauses(report: dict) -> None:
+    verdict = report["verdict"]
+    k_lex = k_lexicographic_by_clauses(report["invariant"])
+    assert verdict["kLexicographic"] == verdict["stabilizedFull"] == k_lex, report["inputs"]
+    assert verdict["stenotic"]
+
+
+def test_every_fullness_golden_and_corpus_row_agrees_with_the_clauses():
+    reports = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("fullness-*.json"))]
+    reports += [
+        json_report(row["argv"]) for row in rows()
+        if row["argv"][0] == "fullness" and row["status"] == 0
+    ]
+    verdicts = set()
+    for report in reports:
+        assert_fullness_agrees_with_the_clauses(report)
+        verdicts.add((report["inputs"][0]["m"] == "0", report["verdict"]["kLexicographic"]))
+    # every outcome occurs: m = 0 either way, and m != 0
+    assert verdicts == {(True, True), (True, False), (False, True)}
+
+
+TAILS = st.sampled_from([{"kind": "zero"}, {"kind": "constant", "c": 5},
+                         {"kind": "doubling", "c": 3}])
+PREFIX = st.lists(st.integers(0, 9), max_size=5)
+MEMBERS = st.one_of(
+    st.tuples(st.just(0), PREFIX, TAILS),
+    st.tuples(st.integers(2, 200), PREFIX, st.just({"kind": "zero"})),
+    st.tuples(st.just("inf"), PREFIX, TAILS),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(MEMBERS)
+@example((0, [2], {"kind": "zero"}))
+@example((0, [], {"kind": "constant", "c": 3}))
+@example((0, [1], {"kind": "doubling", "c": 1}))
+def test_fullness_agrees_with_the_clauses_in_every_regime(member):
+    m, prefix, tail = member
+    if tail["kind"] == "zero" and not any(prefix):
+        prefix = [*prefix, 1]  # some edge into the chain
+    report = fullness_report(*spec_from_json({"m": m, "n": prefix, "tail": tail}))
+    assert_fullness_agrees_with_the_clauses(report.to_json_dict())
 
 
 def test_alpha_iso_examples():

@@ -1,11 +1,13 @@
 """The public names: ``__all__`` lists each exactly once, only names the
-package binds, and no function that merely calls a constructor; and the
+package binds, and no function that merely calls a constructor; the
 library imports nothing outside the standard library and itself, and
-nothing it does not use."""
+nothing it does not use; and a query loads exactly the pinned modules."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -98,3 +100,22 @@ def test_no_public_function_only_returns_a_library_class():
                 found.append(name)
     # an entry that is no longer a pass-through fails too, so the table only shrinks
     assert sorted(found) == sorted(PASS_THROUGHS)
+
+
+# The library modules in a process that has run one text ``fullness`` query.
+# A change that loads another module at start-up adds it here and says why.
+STARTUP_MODULES = ["oneideal"] + [f"oneideal.{name}" for name in (
+    "classify", "cli", "dyadic", "errors", "exactlinalg", "family", "ktheory", "report", "version"
+)]
+
+
+def test_a_fullness_query_loads_exactly_the_pinned_library_modules():
+    script = (
+        "import sys; from oneideal.cli import main; "
+        "assert main(['fullness', '--m', '0', '--n', '2']) == 0; "
+        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'oneideal'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == STARTUP_MODULES
