@@ -24,7 +24,7 @@ exact or stable, by re-substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
@@ -39,33 +39,13 @@ from .ktheory import invariant_of  # noqa: F401
 FULL = "Full"
 UNKNOWN = "Unknown"
 
-
-@dataclass(frozen=True)
-class FullnessVerdict:
-    stenotic: bool
-    k_lexicographic: bool
-    stabilized_full: bool
-    unstabilized: str  # FULL or UNKNOWN
-
-    def __post_init__(self) -> None:
-        if self.unstabilized not in (FULL, UNKNOWN):
-            raise ValueError(f"unknown unstabilized verdict {self.unstabilized!r}")
-
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """Exponents (l, l_prime) and unit u with 2^l N == u 2^l' N' mod m-1."""
-
-    l: int
-    l_prime: int
-    unit: int
-
-
-@dataclass(frozen=True)
-class IsoVerdict:
-    isomorphic: bool
-    witness: IsoWitness | None = None
-    reason: str | None = None
+# unstabilized is FULL or UNKNOWN
+FullnessVerdict = namedtuple(
+    "FullnessVerdict", "stenotic k_lexicographic stabilized_full unstabilized"
+)
+# Exponents (l, l_prime) and unit u with 2^l N == u 2^l' N' mod m-1.
+IsoWitness = namedtuple("IsoWitness", "l l_prime unit")
+IsoVerdict = namedtuple("IsoVerdict", "isomorphic witness reason", defaults=(None, None))
 
 
 def is_k_lexicographic(m, alpha) -> bool:
@@ -92,12 +72,13 @@ def decide_fullness(m, alpha) -> FullnessVerdict:
     divergent alpha (the ideal is then stable, so the two notions coincide).
     For m = 0 with finite alpha the ideal is not stable and the even
     K-theory cannot decide the unstabilized question, so it is reported
-    unknown rather than guessed.  Every member is stenotic: the family has a
-    single nontrivial ideal, so its ideal lattice is linear.
+    unknown rather than guessed.  In this family that argument gives full
+    exactly where the invariant is K-lexicographic.  Every member is
+    stenotic: the family has a single nontrivial ideal, so its ideal
+    lattice is linear.
     """
     k_lex = is_k_lexicographic(m, alpha)
-    # the same condition as k_lex in this family, but by another argument
-    unstabilized = FULL if m != 0 or is_infinite(alpha) else UNKNOWN
+    unstabilized = FULL if k_lex else UNKNOWN
     return FullnessVerdict(
         stenotic=True,
         k_lexicographic=k_lex,

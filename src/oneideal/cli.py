@@ -40,12 +40,12 @@ a ``scan`` row counts fewer exact than stable classes).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 
 from . import classify
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
@@ -255,9 +255,13 @@ _DEFAULTS = {name: {dest: _REQUIRED if kw.get("required") else kw.get("default")
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one shared parser, built from :data:`COMMANDS` on the
-    first call; callers must not mutate it (add arguments, set defaults)."""
+def build_parser():
+    """The process's one shared ``argparse`` parser, built from
+    :data:`COMMANDS` on the first call; callers must not mutate it (add
+    arguments, set defaults).  Only help and usage errors need it, so
+    ``argparse`` is imported here."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oneideal",
         description="Ordered K-theory invariants and classification for the "
@@ -272,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """``build_parser().parse_args(argv)`` read from :data:`COMMANDS` alone,
     for an ``argv`` of the form ``COMMAND (--flag VALUE)*`` whose flags are
     the command's exact option strings, whose values do not start with
@@ -290,12 +294,10 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         args[dest] = value
     if _REQUIRED in args.values():
         return None
-    namespace = argparse.Namespace()  # filled without Namespace.__init__'s setattr loop
-    vars(namespace).update(args)
-    return namespace
+    return SimpleNamespace(**args)
 
 
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+def _parse_args(argv: list[str] | None):
     """``build_parser().parse_args(argv)``; the parser is built only for an
     ``argv`` that :func:`_read_argv` hands on."""
     argv = sys.argv[1:] if argv is None else argv
@@ -312,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         return getattr(err, "exit_status", 2)
     try:
         if args.format == "json":
-            write_json(vars(report), sys.stdout.write)
+            write_json(report._asdict(), sys.stdout.write)
         else:
             print(report.to_text())
         sys.stdout.flush()

@@ -35,7 +35,8 @@ def is_int(value) -> bool:
 
 
 def is_infinite(value) -> bool:
-    return value == INF
+    # the type test first, so a Fraction is never compared with a float
+    return isinstance(value, float) and value == INF
 
 
 def format_extended(value) -> str:

@@ -19,14 +19,13 @@ column along them is Horner's rule, and the core is 2x1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .dyadic import is_int
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(namedtuple("SparseMatrix", "rows columns")):
     """Immutable integer matrix stored as its columns' entries.
 
     Column j is a tuple of ``(row, entry)`` pairs with increasing rows in
@@ -37,14 +36,21 @@ class SparseMatrix:
     the library.
     """
 
-    rows: int
-    columns: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_int(self.rows) or self.rows < 0:
-            raise ValueError(f"matrix dimensions must be non-negative ints, got {self.rows!r}")
-        if type(self.columns) is not tuple:
-            raise ValueError(f"the columns must be a tuple, got {self.columns!r}")
+    def __new__(cls, rows: int, columns: tuple[tuple[tuple[int, int], ...], ...]):
+        return cls._make((rows, columns))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, not __new__, so the checks live here
+        self = tuple.__new__(cls, iterable)
+        rows, columns = self
+        if not is_int(rows) or rows < 0:
+            raise ValueError(f"matrix dimensions must be non-negative ints, got {rows!r}")
+        if type(columns) is not tuple:
+            raise ValueError(f"the columns must be a tuple, got {columns!r}")
+        return self
 
 
 def _bezout(x: int, y: int) -> tuple[int, int, int, int]:

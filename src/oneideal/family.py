@@ -18,7 +18,7 @@ multiplicity sum when ``1 < m < infinity`` (InfiniteSum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
@@ -37,62 +37,70 @@ MAX_PREFIX_LENGTH = 10_000
 MAX_INTEGER_DIGITS = 1_000
 
 
-@dataclass(frozen=True)
-class TailSpec:
-    kind: str
-    c: int | None = None
+class TailSpec(namedtuple("TailSpec", "kind c", defaults=(None,))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in TAIL_KINDS:
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "zero":
-            if self.c is not None:
+    def __new__(cls, kind: str, c: int | None = None):
+        return cls._make((kind, c))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, not __new__, so the checks live here
+        self = tuple.__new__(cls, iterable)
+        kind, c = self
+        if kind not in TAIL_KINDS:
+            raise ValueError(f"unknown tail kind {kind!r}")
+        if kind == "zero":
+            if c is not None:
                 raise ValueError("zero tail takes no parameter")
-        elif self.c is not None and not is_int(self.c):
-            raise ValueError(f"tail c must be an int, got {self.c!r}")
-        elif self.c is None or self.c < 1:
-            raise ValueError(f"{self.kind} tail requires c >= 1")
+        elif c is not None and not is_int(c):
+            raise ValueError(f"tail c must be an int, got {c!r}")
+        elif c is None or c < 1:
+            raise ValueError(f"{kind} tail requires c >= 1")
+        return self
 
 
 ZERO_TAIL = TailSpec("zero")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A validated family member (m, prefix, tail)."""
+class FamilySpec(namedtuple("FamilySpec", "m prefix tail", defaults=(ZERO_TAIL,))):
+    """A validated family member (m, prefix, tail).  The weight N, built by
+    Horner's rule in the pass that checks the entries, is kept outside the
+    tuple, as ``_weight``."""
 
-    m: int | float
-    prefix: tuple[int, ...]
-    tail: TailSpec = ZERO_TAIL
-    # the weight N, built by Horner's rule in the pass that checks the entries
-    _weight: int = field(init=False, repr=False, compare=False)
+    def __new__(cls, m: int | float, prefix: tuple[int, ...], tail: TailSpec = ZERO_TAIL):
+        return cls._make((m, prefix, tail))
 
-    def __post_init__(self) -> None:
-        m = self.m
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, not __new__, so the checks live here
+        self = tuple.__new__(cls, iterable)
+        m, prefix, tail = self
         if not (is_infinite(m) or (is_int(m) and m >= 0)):
             raise ValueError("m must be a non-negative integer or infinity")
-        if type(self.prefix) is not tuple:
-            raise ValueError(f"the prefix must be a tuple, got {self.prefix!r}")
+        if type(prefix) is not tuple:
+            raise ValueError(f"the prefix must be a tuple, got {prefix!r}")
         weight = 0
-        for n in self.prefix:
+        for n in prefix:
             if not (type(n) is int or is_int(n)) or n < 0:
                 raise ValueError("edge multiplicities must be non-negative integers")
             weight = 2 * weight + n
-        object.__setattr__(self, "_weight", weight)
+        self._weight = weight
         if m == 1:
             raise FamilyValidationError(
                 "ConditionK", "m = 1 is excluded: the loop structure must satisfy condition (K)"
             )
         # every entry is non-negative, so N = 0 exactly when all are zero
-        if self.tail.kind == "zero" and weight == 0:
+        if tail.kind == "zero" and weight == 0:
             raise FamilyValidationError(
                 "NoIdealEdge", "at least one edge multiplicity n_i must be nonzero"
             )
-        if not is_infinite(m) and m > 1 and self.tail.kind != "zero":
+        if not is_infinite(m) and m > 1 and tail.kind != "zero":
             raise FamilyValidationError(
                 "InfiniteSum",
                 "for finite m > 1 the multiplicity sum must be finite (tail must be zero)",
             )
+        return self
 
     @property
     def has_finite_loops(self) -> bool:
@@ -103,7 +111,7 @@ def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
     """Build a :class:`FamilySpec`, raising :class:`FamilyValidationError`.
 
     Violations are reported in the fixed order ConditionK, NoIdealEdge,
-    InfiniteSum (the dataclass checks them in that order).
+    InfiniteSum (:class:`FamilySpec` checks them in that order).
     """
     return FamilySpec(m, tuple(prefix), tail)
 

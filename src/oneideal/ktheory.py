@@ -21,10 +21,10 @@ three shapes, as the JSON section every report prints, and fills them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
-from .dyadic import ExtendedRational, odd_part, two_adic_valuation
+from .dyadic import odd_part, two_adic_valuation
 from .errors import RegimeError, WorkLimitError
 from .exactlinalg import cokernel_invariants
 from .family import (
@@ -45,20 +45,10 @@ from .family import (
 MAX_TRUNCATION_DEPTH = MAX_PREFIX_LENGTH + (10**MAX_INTEGER_DIGITS - 2).bit_length()
 
 
-@dataclass(frozen=True)
-class DerivedScalars:
-    """Scalar data derived from a family spec.
-
-    ``k`` and ``n_weight`` exist only for zero tails; ``x`` (middle torsion
-    order) and ``m_odd`` (largest odd factor of m-1) only when
-    1 < m < infinity.
-    """
-
-    alpha: ExtendedRational
-    k: int | None = None
-    n_weight: int | None = None
-    x: int | None = None
-    m_odd: int | None = None
+# Scalar data derived from a family spec: ``alpha`` always; ``k`` and
+# ``n_weight`` only for zero tails; ``x`` (middle torsion order) and ``m_odd``
+# (largest odd factor of m-1) only when 1 < m < infinity.
+DerivedScalars = namedtuple("DerivedScalars", "alpha k n_weight x m_odd", defaults=(None,) * 4)
 
 
 def truncated_k0(spec: FamilySpec, depth: int) -> tuple[int, list[int]]:

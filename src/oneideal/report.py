@@ -29,7 +29,7 @@ and echoed in a report's ``inputs`` in their own digits.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
 from .dyadic import INF, format_extended, is_infinite, is_int
@@ -298,8 +298,8 @@ def _cone_text(cone: dict) -> str:
     return f"alpha-cone({cone['alpha']})" if tag == "AlphaCone" else _CONE_TEXT[tag]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(namedtuple("Report", "command inputs scalars invariant verdict witness version",
+                        defaults=(None, None, None, None, __version__))):
     """A command's report: one field per top-level key of its JSON object,
     as the report functions in :mod:`.cli` build it.  Every section is in
     JSON form except a scan verdict's table, which holds the sieve's int
@@ -307,16 +307,10 @@ class Report:
     row dicts.  It shares the other sections, so callers must not mutate
     them, and a report, whose sections are dicts, is not hashable."""
 
-    command: str
-    inputs: list[dict]
-    scalars: dict | None = None
-    invariant: dict | None = None
-    verdict: dict | None = None
-    witness: dict | None = None
-    version: str = __version__
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        d = dict(vars(self))
+        d = self._asdict()
         if self.command == "scan":
             rows = [{"m": str(m), "exactClasses": str(e), "stableClasses": str(s)}
                     for m, e, s in self.verdict["table"]]
@@ -348,7 +342,7 @@ class Report:
                 report = cli.scan_report(entry["maxM"])
             else:
                 raise ValueError(f"unknown command {command!r}")
-            report = replace(report, version=str(d["version"]))
+            report = report._replace(version=str(d["version"]))
             emitted = json.dumps(report.to_json_dict(), sort_keys=True)
             same = emitted == json.dumps(d, sort_keys=True)
         except InternalConsistencyError:

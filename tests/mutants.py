@@ -234,14 +234,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "fullness rule with the m = 0 case inverted",
+        "unstabilized fullness rule that leaves m = 0 with divergent alpha unknown",
         "classify.py",
-        "FULL if m != 0 or is_infinite(alpha) else UNKNOWN",
-        "FULL if m != 0 or not is_infinite(alpha) else UNKNOWN",
-        (
-            "tests/test_classify.py::test_fullness_m0_finite_alpha",
-            "tests/test_classify.py::test_fullness_m0_divergent_alpha",
-        ),
+        "FULL if k_lex else UNKNOWN",
+        "FULL if m != 0 else UNKNOWN",
+        ("tests/test_classify.py::test_fullness_m0_divergent_alpha",),
     ),
     Mutant(
         "K-lexicographic condition with its m = 0 case flipped",
@@ -426,15 +423,28 @@ MUTANTS = (
     Mutant(
         "family member that takes a list as its prefix",
         "family.py",
-        "if type(self.prefix) is not tuple:",
+        "if type(prefix) is not tuple:",
         "if False:",
         ("tests/test_family.py::test_a_prefix_that_is_not_a_tuple_is_refused",),
     ),
     Mutant(
+        "family member whose _replace skips the constructor's checks",
+        "family.py",
+        "return cls._make((m, prefix, tail))\n\n    @classmethod\n    def _make(cls, iterable):",
+        "return cls._checked((m, prefix, tail))\n\n    @classmethod\n    def _checked(cls, iterable):",
+        (
+            "tests/test_family.py::"
+            "test_replacing_a_field_raises_what_the_constructor_raises[spec m]",
+            "tests/test_family.py::"
+            "test_replacing_a_field_raises_what_the_constructor_raises[spec prefix zero]",
+            "tests/test_family.py::test_a_new_prefix_gets_its_own_weight",
+        ),
+    ),
+    Mutant(
         "sparse matrix that takes a bool or a float as its row count",
         "exactlinalg.py",
-        "if not is_int(self.rows) or self.rows < 0:",
-        "if self.rows < 0:",
+        "if not is_int(rows) or rows < 0:",
+        "if rows < 0:",
         (
             "tests/test_exactlinalg.py::"
             "test_the_constructors_reject_a_malformed_dimension[sparse bool rows]",

@@ -10,7 +10,6 @@ from oneideal import (
     INF,
     UNKNOWN,
     FamilySpec,
-    FullnessVerdict,
     InternalConsistencyError,
     IsoWitness,
     OutOfScopeComparison,
@@ -74,13 +73,6 @@ def test_fullness_m0_finite_alpha():
         False,
         UNKNOWN,
     )
-
-
-def test_fullness_verdict_refuses_an_unknown_unstabilized_verdict():
-    with pytest.raises(ValueError, match="unknown unstabilized verdict"):
-        FullnessVerdict(
-            stenotic=True, k_lexicographic=True, stabilized_full=True, unstabilized="Maybe"
-        )
 
 
 def test_fullness_m0_divergent_alpha():

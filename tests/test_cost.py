@@ -19,28 +19,26 @@ COMPARE = ["compare", "--a", "m=1024,n=[3,0,5]", "--b", "m=1024,n=[5,1]", "--mod
 
 
 def test_a_text_compare_runs_under_3000_opcodes_in_every_frame():
-    # argv, spec, decision and text view, the standard library included;
-    # reading the argv with argparse made it 5,603 (3,905 once warm)
+    # argv, spec, decision and text view, the standard library included:
+    # 1,684; reading the argv with argparse made it 5,603 (3,905 once warm)
     first = opcodes(COMPARE, every_frame=True)
     assert first == opcodes(COMPARE, every_frame=True) < 3000
 
 
 def test_a_json_compare_runs_under_2900_opcodes_in_every_frame():
     # the same, with the report echoing its inputs and written in one piece:
-    # 2,855; converting the specs back to text and writing the report key by
+    # 2,757; converting the specs back to text and writing the report key by
     # key made it 3,502
     argv = [*COMPARE, "--format", "json"]
     first = opcodes(argv, every_frame=True)
     assert first == opcodes(argv, every_frame=True) < 2900
 
 
-def test_a_json_fullness_at_m0_runs_under_3750_opcodes_in_every_frame():
+def test_a_json_fullness_at_m0_runs_under_3490_opcodes_in_every_frame():
     # the invariant filled into its regime's template and the condition read
-    # from m and alpha: 3,693; building and validating group and cone
-    # descriptors, then converting them to JSON, made it 4,448
+    # from m and alpha once: 3,431, the first query in a process included;
+    # building and validating group and cone descriptors, then converting
+    # them to JSON, made it 4,448
     argv = ["fullness", "--m", "0", "--n", "2", "--format", "json"]
-    # the first comparison of a Fraction with a float in a process fills
-    # the ABC caches of isinstance, 30 opcodes that no later query runs
-    opcodes(argv)
     first = opcodes(argv, every_frame=True)
-    assert first == opcodes(argv, every_frame=True) < 3750
+    assert first == opcodes(argv, every_frame=True) < 3490

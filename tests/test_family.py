@@ -1,4 +1,4 @@
-import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oneideal import INF, FamilySpec, FamilyValidationError, RegimeError, TailSpec
-from oneideal.exactlinalg import cokernel_invariants
+from oneideal.exactlinalg import SparseMatrix, cokernel_invariants
 from oneideal.family import alpha_of, truncated_presentation, validate_family, weight_of
 from oracles import dense, dense_presentation, summed_alpha
 
@@ -113,6 +113,25 @@ def test_a_prefix_that_is_not_a_tuple_is_refused():
     assert hash(spec) == hash(FamilySpec(0, (1,)))
 
 
+@pytest.mark.parametrize(
+    "value, field, bad",
+    [
+        (validate_family(8, [1]), "m", 1),
+        (validate_family(8, [1]), "prefix", [1]),
+        (validate_family(0, [1]), "prefix", (0, 0)),
+        (validate_family(8, [1]), "tail", TailSpec("constant", 1)),
+        (TailSpec("constant", 2), "c", 0),
+        (SparseMatrix(2, ()), "rows", True),
+    ],
+    ids=["spec m", "spec prefix list", "spec prefix zero", "spec tail", "tail c", "matrix rows"],
+)
+def test_replacing_a_field_raises_what_the_constructor_raises(value, field, bad):
+    with pytest.raises(Exception) as built:
+        type(value)(**{**value._asdict(), field: bad})
+    with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+        value._replace(**{field: bad})
+
+
 def test_alpha_examples():
     assert alpha_of(validate_family(0, [2])) == 1
     assert alpha_of(validate_family(0, [1, 1])) == Fraction(3, 4)
@@ -162,7 +181,7 @@ def test_padding_doubles_weight(prefix):
 @given(prefixes, prefixes, st.integers(min_value=0, max_value=3))
 def test_a_new_prefix_gets_its_own_weight(prefix, other, zeros):
     assume(any(prefix) and any(other))
-    spec = dataclasses.replace(validate_family(7, prefix), prefix=tuple(other))
+    spec = validate_family(7, prefix)._replace(prefix=tuple(other))
     k, n = weight_of(spec)
     assert (k, n) == (len(other), summed_alpha(spec) * 2**k)
     padded = FamilySpec(spec.m, spec.prefix + (0,) * zeros, spec.tail)

@@ -1,7 +1,8 @@
 """The public names: ``__all__`` lists each exactly once, only names the
 package binds, and no function that merely calls a constructor; the
 library imports nothing outside the standard library and itself, and
-nothing it does not use; and a query loads exactly the pinned modules."""
+nothing it does not use; and a query loads exactly the pinned library
+modules, and neither ``dataclasses`` nor ``inspect`` nor ``argparse``."""
 
 import ast
 import inspect
@@ -102,6 +103,18 @@ def test_no_public_function_only_returns_a_library_class():
     assert sorted(found) == sorted(PASS_THROUGHS)
 
 
+def _modules_after(argv: list[str]) -> list[str]:
+    """The modules loaded in a fresh process that has run ``cli.main(argv)``."""
+    script = (
+        "import sys; from oneideal.cli import main; "
+        f"assert main({argv!r}) == 0; print(*sorted(sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1].split()
+
+
 # The library modules in a process that has run one text ``fullness`` query.
 # A change that loads another module at start-up adds it here and says why.
 STARTUP_MODULES = ["oneideal"] + [f"oneideal.{name}" for name in (
@@ -110,12 +123,12 @@ STARTUP_MODULES = ["oneideal"] + [f"oneideal.{name}" for name in (
 
 
 def test_a_fullness_query_loads_exactly_the_pinned_library_modules():
-    script = (
-        "import sys; from oneideal.cli import main; "
-        "assert main(['fullness', '--m', '0', '--n', '2']) == 0; "
-        "print(*sorted(name for name in sys.modules if name.split('.')[0] == 'oneideal'))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1].split() == STARTUP_MODULES
+    loaded = _modules_after(["fullness", "--m", "0", "--n", "2"])
+    assert [name for name in loaded if name.split(".")[0] == "oneideal"] == STARTUP_MODULES
+
+
+def test_a_text_compare_loads_neither_dataclasses_nor_inspect_nor_argparse():
+    # dataclasses (which imports inspect) cost a process about 25 ms of start-up,
+    # and only help and usage errors build the argparse parser
+    loaded = _modules_after(["compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"])
+    assert sorted({"argparse", "dataclasses", "inspect"}.intersection(loaded)) == []

@@ -58,7 +58,8 @@ ARGPARSE_FORMS = (("--help",), ("compare", "--a", "m=8,n=1", "--mode", "exact"))
 
 def _defined() -> dict:
     """Qualified name -> code object of each function, method and property
-    whose source is in the library (dataclass-made methods are not)."""
+    whose source is in the library (the methods that ``namedtuple`` makes
+    are not)."""
     package = Path(oneideal.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
