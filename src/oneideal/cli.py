@@ -23,7 +23,8 @@ through the argparse parser built from it, once per process.
 
 Exit codes: 0 = computed (negative verdicts included); else the status and
 stderr tag that the error's class in :mod:`.errors` carries (a bare
-``error:`` and 2 for a ``ValueError`` or ``KeyError`` of the input).
+``error:`` and 2 for a ``ValueError`` of the input; any other exception is
+a bug and propagates).
 2 = input or validation error, an out-of-scope comparison, or (``WorkLimit``)
 an input past ``family.MAX_PREFIX_LENGTH`` or ``family.MAX_INTEGER_DIGITS``
 (``--depth`` and ``--max-m`` included), a truncation deeper than
@@ -308,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     try:
         report = args.func(args)
-    except (OneIdealError, ValueError, KeyError) as err:
+    except (OneIdealError, ValueError) as err:
         code = getattr(err, "code", None)
         print(f"error [{code}]: {err}" if code else f"error: {err}", file=sys.stderr)
         return getattr(err, "exit_status", 2)

@@ -53,15 +53,16 @@ def _int_str(v: int | None) -> str | None:
 def read_int(v, what: str) -> tuple[int, str]:
     """A JSON integer (not a bool) or a string of decimal digits, as an int and
     its decimal text: the string without its leading zeros, or ``str`` of the
-    int.  Past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError: a string is
-    measured before it is converted, an int by its size, so neither meets
-    Python's own limit on converting between the two."""
+    int.  Past :data:`MAX_INTEGER_DIGITS` digits a WorkLimitError: a digit
+    string is measured before it is converted, an int by its size, so neither
+    meets Python's own limit on converting between the two.  Any other text,
+    however long, is a ValueError."""
     if isinstance(v, str):
-        if len(v) > MAX_INTEGER_DIGITS:
-            raise WorkLimitError(
-                f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
-            )
         if v.isascii() and v.isdigit():
+            if len(v) > MAX_INTEGER_DIGITS:
+                raise WorkLimitError(
+                    f"{what} has {len(v)} digits, more than the limit {MAX_INTEGER_DIGITS}"
+                )
             return int(v), v.lstrip("0") or "0"
     elif is_int(v):
         if abs(v) >= _DIGIT_BOUND:

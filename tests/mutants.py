@@ -189,7 +189,10 @@ MUTANTS = (
         "cli.py",
         "if exact < stable:",
         "if False:",
-        ("tests/test_cli.py::test_scan_row_with_fewer_exact_than_stable_classes_exits_3",),
+        (
+            "tests/test_cli.py::test_each_error_kind_prints_its_line_and_exit_status"
+            "[InternalConsistency]",
+        ),
     ),
     Mutant(
         "internal consistency failure that exits 2",

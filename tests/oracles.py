@@ -12,8 +12,6 @@ more literal route, a quantity the library computes in closed form.
 * :func:`dense_presentation` - the truncated presentation written out as a
   dense (depth+1) x depth ``sympy.Matrix``, entry by entry;
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
-* :func:`truncation_torsion_order` - the middle torsion order read off the
-  Smith form of the truncated presentation at two consecutive stable depths;
 * :func:`in_torsion_range` - whether a torsion order occurs at a loop count,
   by two divisibility tests and no factorisation;
 * :func:`find_order_isomorphism` - a bounded search for an alpha-cone map;
@@ -55,7 +53,7 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
-from oneideal import FamilySpec, InternalConsistencyError
+from oneideal import FamilySpec
 from oneideal.classify import IsoWitness
 from oneideal.dyadic import (
     ExtendedRational,
@@ -65,7 +63,6 @@ from oneideal.dyadic import (
     two_adic_valuation,
 )
 from oneideal.exactlinalg import SparseMatrix
-from oneideal.ktheory import stable_oracle_depth, truncated_k0
 
 # --------------------------------------------------------------------------
 # dense matrices and the cokernel by sympy
@@ -126,29 +123,7 @@ def summed_alpha(spec: FamilySpec) -> ExtendedRational:
 
 
 # --------------------------------------------------------------------------
-# torsion order via the truncation Smith form
-
-
-def truncation_torsion_order(spec: FamilySpec) -> int:
-    """Order x of the torsion summand of the middle group (1 <= x).
-
-    Defined operationally: the truncation oracle is run at the stable depth
-    and re-run one level deeper; the two must agree.
-    """
-    depth = stable_oracle_depth(spec)
-    first = truncated_k0(spec, depth)
-    second = truncated_k0(spec, depth + 1)
-    for free_rank, torsion in (first, second):
-        if free_rank != 1 or len(torsion) > 1:
-            raise InternalConsistencyError(
-                f"unexpected truncated K0 shape (free rank {free_rank}, torsion {torsion})"
-            )
-    if first[1] != second[1]:
-        # unreachable by the saturation bound; kept as a loud guard
-        raise InternalConsistencyError(
-            f"torsion not stable at depths {depth}, {depth + 1}"
-        )
-    return first[1][0] if first[1] else 1
+# the torsion orders that occur
 
 
 def in_torsion_range(m: int, x: int) -> bool:

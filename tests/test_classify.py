@@ -9,7 +9,6 @@ from oneideal import (
     FULL,
     INF,
     UNKNOWN,
-    FamilySpec,
     InternalConsistencyError,
     IsoWitness,
     OutOfScopeComparison,
@@ -41,7 +40,6 @@ from oracles import (
     partitions_agree,
     stable_class_partition,
     stable_gcd_partition,
-    stable_partition_disagreements,
     stable_witness_table,
     walked_exact_witness,
 )
@@ -123,24 +121,6 @@ def test_out_of_scope_regimes_raise():
         stable_iso(validate_family(INF, [1]), validate_family(INF, [1]))
 
 
-def test_padding_never_changes_verdicts():
-    rng = random.Random(3)
-    for _ in range(40):
-        m = rng.randint(3, 20)
-        n_a = rng.randint(1, m - 2) if m > 3 else 1
-        n_b = rng.randint(1, m - 2) if m > 3 else 1
-        a, b = spec_mn(m, n_a), spec_mn(m, n_b)
-        padded = FamilySpec(a.m, a.prefix + (0,), a.tail)
-        assert exact_iso(a, b).isomorphic == exact_iso(padded, b).isomorphic
-        assert stable_iso(a, b).isomorphic == stable_iso(padded, b).isomorphic
-    # padding is itself an exact isomorphism, witnessed by one doubling
-    spec = spec_mn(9, 3)
-    verdict = exact_iso(spec, FamilySpec(spec.m, spec.prefix + (0,), spec.tail))
-    assert verdict.isomorphic
-    assert (verdict.witness.l, verdict.witness.l_prime) == (1, 0)
-    assert witness_holds(8, 3, 6, verdict.witness)
-
-
 def test_equivalence_relations_small_range():
     for m in range(3, 13):
         modulus = m - 1
@@ -189,10 +169,6 @@ def test_partitions_match_pairwise_semantics():
         assert (parts[a] == parts[b]) == (stable_orbit_equivalent(modulus, a, b) is not None)
         eparts = exact_class_partition(modulus)
         assert (eparts[a] == eparts[b]) == (exact_orbit_witness(modulus, a, b) is not None)
-
-
-def test_stable_partition_routes_agree_small():
-    assert stable_partition_disagreements(60) == []
 
 
 def test_partitions_agree_helper():

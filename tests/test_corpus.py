@@ -15,16 +15,13 @@ deliberate change of the output rewrites it with
 names the rows that changed.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
 
-from oneideal.cli import main
 from test_cli import ERROR_LINES
-from test_golden import ARGV, SUFFIX
+from test_golden import ARGV, SUFFIX, run
 
 CORPUS = Path(__file__).parent / "corpus.jsonl"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -38,13 +35,8 @@ def digest(text: str) -> str:
 def outcome(argv: list[str]) -> tuple[int, str, str]:
     """The exit status of ``cli.main(argv)`` and the digests of its stdout
     and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            status = main(argv)
-        except SystemExit as exit_:  # argparse's help and usage errors
-            status = exit_.code
-    return status, digest(out.getvalue()), digest(err.getvalue())
+    status, out, err = run(*argv)
+    return status, digest(out), digest(err)
 
 
 def rows() -> list[dict]:

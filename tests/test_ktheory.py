@@ -1,19 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from oneideal import INF, FamilyValidationError, RegimeError, TailSpec, invariant_of
+from oneideal import INF, RegimeError, TailSpec, invariant_of
 from oneideal.family import validate_family, weight_of
 from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
 from oneideal.report import invariant_to_json
-from oracles import in_torsion_range, k_lexicographic_by_clauses, truncation_torsion_order
-
-
-def test_torsion_order_anchors():
-    assert torsion_order(validate_family(3, [1])) == 2
-    assert torsion_order(validate_family(4, [1])) == 1
-    assert torsion_order(validate_family(4, [3])) == 3
+from oracles import in_torsion_range, k_lexicographic_by_clauses
 
 
 @pytest.mark.parametrize("m", [0, INF], ids=["m = 0", "m = infinity"])
@@ -51,20 +44,6 @@ def test_free_rank_is_one_at_every_depth():
     for depth in range(3, 9):
         free, _ = truncated_k0(spec, depth)
         assert free == 1
-
-
-def test_torsion_matches_formula_and_range_randomized():
-    rng = random.Random(7)
-    for _ in range(60):
-        m = rng.randint(2, 60)
-        prefix = [rng.randint(0, 50) for _ in range(rng.randint(1, 6))]
-        try:
-            spec = validate_family(m, prefix)
-        except FamilyValidationError:
-            continue
-        x = torsion_order(spec)
-        assert in_torsion_range(m, x)
-        assert x == truncation_torsion_order(spec)
 
 
 def test_stable_oracle_depth_bound():

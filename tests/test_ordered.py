@@ -7,9 +7,7 @@ library decides the same condition from m and alpha alone
 (``classify.is_k_lexicographic``).
 """
 
-import io
 import json
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from oneideal import INF, TailSpec, invariant_of
 from oneideal.classify import is_k_lexicographic
-from oneideal.cli import fullness_report, main
+from oneideal.cli import fullness_report
 from oneideal.family import validate_family
 from oneideal.report import invariant_to_json, spec_from_json
 from oracles import (
@@ -29,7 +27,7 @@ from oracles import (
     walked_alpha_cones_isomorphic,
 )
 from test_corpus import rows
-from test_golden import GOLDEN
+from test_golden import GOLDEN, run
 
 FULL = {"tag": "AllPositive", "withFullClass": True}
 
@@ -100,10 +98,9 @@ def test_k_lexicographic_vacuous_when_neither_clause_applies():
 
 def json_report(argv: list[str]) -> dict:
     """The JSON report of a command line: the last ``--format`` wins."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main([*argv, "--format", "json"]) == 0
-    return json.loads(out.getvalue())
+    status, out, _ = run(*argv, "--format", "json")
+    assert status == 0
+    return json.loads(out)
 
 
 def assert_fullness_agrees_with_the_clauses(report: dict) -> None:

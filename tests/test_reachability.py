@@ -13,10 +13,8 @@ table can only shrink.  A reason that cites the acceptance tests or
 perfbench's lookups is checked against the files it cites.
 """
 
-import contextlib
 import importlib
 import inspect
-import io
 import json
 import re
 import sys
@@ -26,7 +24,7 @@ import oneideal
 from oneideal import cli
 from oneideal.report import Report
 from test_cli import ERROR_LINES
-from test_golden import ARGV, GOLDEN
+from test_golden import ARGV, GOLDEN, run
 
 ROOT = Path(__file__).resolve().parents[1]
 ACCEPTANCE = "test_acceptance.py imports it"
@@ -80,9 +78,9 @@ def _defined() -> dict:
 
 
 def _entered_by_the_corpus() -> set:
-    argvs = [[*argv, "--format", fmt] for argv in ARGV.values() for fmt in ("text", "json")]
-    argvs += [list(argv) for argv, _, _ in ERROR_LINES.values()]
-    argvs += [list(argv) for argv in SPEC_FORMS]
+    argvs = [(*argv, "--format", fmt) for argv in ARGV.values() for fmt in ("text", "json")]
+    argvs += [argv for argv, _, _ in ERROR_LINES.values()]
+    argvs += SPEC_FORMS + ARGPARSE_FORMS
     reports = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))]
     entered = set()
 
@@ -93,17 +91,12 @@ def _entered_by_the_corpus() -> set:
     # the parser is built once per process; a fresh one is built in the corpus
     cli.build_parser.cache_clear()
     previous = sys.getprofile()
-    sink = io.StringIO()
     sys.setprofile(profile)
     try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            for argv in argvs:
-                cli.main(argv)
-            for argv in ARGPARSE_FORMS:
-                with contextlib.suppress(SystemExit):
-                    cli.main(list(argv))
-            for report in reports:
-                Report.from_json_dict(report)
+        for argv in argvs:
+            run(*argv)
+        for report in reports:
+            Report.from_json_dict(report)
     finally:
         sys.setprofile(previous)
     return entered

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oneideal.cli import scan_report
 from oneideal.report import Report, write_json
 from oracles import scan_text_from_json
-from test_golden import stdout_of
+from test_golden import run
 
 # Characters whose escapes differ between encoders: a quote, a backslash,
 # control characters, non-ASCII text (two bytes, three bytes, past the BMP)
@@ -69,7 +69,7 @@ def test_scan_rows_from_ints_render_as_their_json_row_dicts(max_m):
     table = d["verdict"]["table"]
     assert type(table) is list and all(type(row) is dict for row in table)
     argv = ("scan", "--max-m", str(max_m))
-    streamed = stdout_of(argv, "json")
-    assert streamed == json.dumps(d, indent=2, sort_keys=True) + "\n"
-    assert stdout_of(argv, "text") == scan_text_from_json(d) + "\n"
+    status, streamed, err = run(*argv, "--format", "json")
+    assert (status, streamed, err) == (0, json.dumps(d, indent=2, sort_keys=True) + "\n", "")
+    assert run(*argv, "--format", "text") == (0, scan_text_from_json(d) + "\n", "")
     assert Report.from_json_dict(json.loads(streamed)) == report

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from oneideal import FamilySpec, divergence_table
 from oneideal.classify import class_counts
 from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_power_log
-from oneideal.exactlinalg import cokernel_invariants
 from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
-from oracles import dense_presentation, sparse, sympy_cokernel
+from oracles import dense_presentation, sympy_cokernel
 
 REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
 
@@ -93,19 +92,6 @@ def scan_table():
 @given(st.integers(min_value=2, max_value=10**5))
 def test_divergence_table_rows_match_the_sympy_coset_count(m):
     assert scan_table()[m - 2] == (m, *sympy_class_counts(m))
-
-
-@st.composite
-def small_matrices(draw):
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entries = draw(st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols))
-    return sympy.Matrix(rows, cols, entries)
-
-
-@REFERENCE
-@given(small_matrices())
-def test_smith_diagonal_matches_sympy_on_random_matrices(m):
-    assert cokernel_invariants(sparse(m)) == sympy_cokernel(m)
 
 
 @st.composite
