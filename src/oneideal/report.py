@@ -105,17 +105,14 @@ def spec_from_json(d) -> tuple[FamilySpec, dict]:
         raise ValueError(f"n must be a JSON list, got {ns!r}")
     if len(ns) > MAX_PREFIX_LENGTH:
         raise WorkLimitError(f"n has {len(ns)} entries, more than the limit {MAX_PREFIX_LENGTH}")
-    # digit strings are checked and converted in bulk, one-digit ones (the common prefix) as
-    # their own text and bytes less b"0"; any other reads entry by entry, naming the bad one
+    # one-digit strings (the common prefix) are checked and converted in bulk, as their own
+    # text and bytes less b"0"; any other prefix reads entry by entry, naming the bad one
     try:
         joined = "".join(ns)
     except TypeError:  # an entry that is not a string
         joined = ""
-    digits = joined.isascii() and joined.isdigit() and "" not in ns
-    if digits and len(joined) == len(ns):
+    if len(joined) == len(ns) and joined.isascii() and joined.isdigit() and "" not in ns:
         prefix, n_text = tuple(joined.encode().translate(_DIGIT_VALUES)), ns[:]
-    elif digits and max(map(len, ns)) <= MAX_INTEGER_DIGITS:
-        prefix, n_text = tuple(map(int, ns)), [s.lstrip("0") or "0" for s in ns]
     else:
         read = [read_int(n, "each entry of n") for n in ns]
         prefix, n_text = tuple(n for n, _ in read), [text for _, text in read]

@@ -511,27 +511,29 @@ MUTANTS = (
         (
             "tests/test_golden.py::test_output_matches_the_golden_bytes[compare-exact-yes-json]",
             "tests/test_report.py::test_write_json_is_byte_identical_to_json_dumps",
-            "tests/test_corpus.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
+            "tests/test_golden.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
         ),
     ),
     Mutant(
-        "spec echo that keeps the leading zeros of the prefix entries",
+        "integer reader that echoes a digit string with its leading zeros",
         "report.py",
-        '[s.lstrip("0") or "0" for s in ns]',
-        "ns[:]",
+        'return int(v), v.lstrip("0") or "0"',
+        "return int(v), v",
         (
             "tests/test_golden.py::"
             "test_output_matches_the_golden_bytes[invariant-leading-zeros-json]",
             "tests/test_cli.py::test_every_spelling_of_a_member_prints_the_same_bytes",
-            "tests/test_corpus.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
+            "tests/test_golden.py::test_every_corpus_row_prints_the_bytes_it_printed_when_written",
         ),
     ),
     Mutant(
-        "spec reader that echoes a prefix entry past the digit limit instead of refusing it",
+        "integer reader that takes a digit string past the digit limit instead of refusing it",
         "report.py",
-        "elif digits and max(map(len, ns)) <= MAX_INTEGER_DIGITS:",
-        "elif digits:",
+        "if len(v) > MAX_INTEGER_DIGITS:",
+        "if False:",
         (
+            "tests/test_cli.py::"
+            "test_input_past_the_size_limits_exits_2_before_any_arithmetic[argv7]",
             "tests/test_cli.py::"
             "test_input_past_the_size_limits_exits_2_before_any_arithmetic[argv8]",
         ),

@@ -22,9 +22,8 @@ more literal route, a quantity the library computes in closed form.
   units of a modulus, computed here rather than by the library's walk and
   unit list, so that a fault in those is not shared with these oracles;
 * :func:`walked_exact_witness`, :func:`walked_alpha_cones_isomorphic` - the
-  exact witness and the alpha-cone criterion by the library's orbit walk,
-  :func:`oneideal.dyadic.residue_cycle`, in time and memory linear in the
-  orbit length;
+  exact witness and the alpha-cone criterion by a walk along
+  :func:`two_power_orbit`, in time and memory linear in the orbit length;
 * :func:`enumerated_exact_witness`, :func:`enumerated_stable_witness` - the
   minimal witnesses by a pair scan over both two-power orbits (and, for the
   stable one, over every unit);
@@ -59,7 +58,6 @@ from oneideal.dyadic import (
     ExtendedRational,
     is_infinite,
     odd_part,
-    residue_cycle,
     two_adic_valuation,
 )
 from oneideal.exactlinalg import SparseMatrix
@@ -303,8 +301,9 @@ def walked_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     """Smallest (by l + l', then l) exponent pair with 2^l n_a == 2^l' n_b,
     by one walk along the orbit of n_a against an index of the orbit of n_b;
     linear in the orbit length, so it reaches moduli the pair scan cannot."""
-    index = {r: lb for lb, r in enumerate(residue_cycle(modulus, n_b))}
-    meets = ((la + index[r], la) for la, r in enumerate(residue_cycle(modulus, n_a)) if r in index)
+    index = {r: lb for lb, r in enumerate(two_power_orbit(modulus, n_b))}
+    orbit_a = two_power_orbit(modulus, n_a)
+    meets = ((la + index[r], la) for la, r in enumerate(orbit_a) if r in index)
     total, la = min(meets, default=(None, None))
     return None if total is None else IsoWitness(l=la, l_prime=total - la, unit=1)
 
@@ -326,7 +325,7 @@ def walked_alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> b
     if is_infinite(a) or is_infinite(b):
         return a == b
     m0 = odd_part(a.denominator)
-    return m0 == odd_part(b.denominator) and a.numerator % m0 in residue_cycle(m0, b.numerator)
+    return m0 == odd_part(b.denominator) and a.numerator % m0 in two_power_orbit(m0, b.numerator)
 
 
 def enumerated_exact_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:

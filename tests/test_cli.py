@@ -360,7 +360,7 @@ def test_an_exact_witness_that_fails_re_substitution_exits_3(monkeypatch, bad):
 
 # Each error kind: its argv, exit status and stderr line.  The
 # InternalConsistency line needs a swapped scan row, which the test below
-# patches in; test_reachability.py runs every argv here unpatched.
+# patches in; the corpus runs every argv here unpatched.
 ERROR_LINES = {
     "ConditionK": (
         ("invariant", "--m", "1", "--n", "1"),
@@ -641,18 +641,6 @@ def test_congruence_routes_enumerate_no_units(monkeypatch):
     assert code == 0
     assert data["verdict"]["smallestDivergentM"] == "8"
     assert len(data["verdict"]["table"]) == 399
-
-
-def test_scan_text_columns_stay_apart_past_m_100():
-    code, out, _ = run("scan", "--max-m", "120")
-    assert code == 0
-    _, data, _ = run_json("scan", "--max-m", "120")
-    lines = out.splitlines()
-    start = lines.index("m  exact-classes  stable-classes") + 1
-    rows = data["verdict"]["table"]
-    assert len(rows) == 119
-    for line, row in zip(lines[start:], rows):
-        assert line.split()[:3] == [row["m"], row["exactClasses"], row["stableClasses"]]
 
 
 @pytest.mark.parametrize("max_m", [str(MAX_SCAN_M + 1), "1" + "0" * 29])
@@ -1001,15 +989,6 @@ def test_wrong_torsion_order_is_caught_by_the_truncation(monkeypatch):
     assert code == 3
     assert out == ""
     assert "[InternalConsistency]" in err
-
-
-def test_truncation_below_the_stable_depth_is_checked_against_its_own_closed_form():
-    # m = 9, k = 1: the stable depth is 5, and depth 3 still shows Z/4 < Z/8,
-    # which the check takes: gcd(2^(3-1) * 1, 8) = 4, not x
-    code, out, _ = run("invariant", "--m", "9", "--n", "1", "--depth", "3")
-    assert code == 0
-    assert "x=8" in out
-    assert "truncation oracle: depth=3 free rank=1 torsion=[4]" in out
 
 
 def test_a_wrong_truncation_below_saturation_exits_3(monkeypatch):

@@ -168,16 +168,6 @@ def test_weight_requires_zero_tail():
         weight_of(validate_family(0, [1], TailSpec("constant", 1)))
 
 
-@given(prefixes)
-def test_padding_doubles_weight(prefix):
-    try:
-        spec = validate_family(7, prefix)
-    except FamilyValidationError:
-        return
-    k, n = weight_of(spec)
-    assert weight_of(FamilySpec(spec.m, spec.prefix + (0,), spec.tail)) == (k + 1, 2 * n)
-
-
 @given(prefixes, prefixes, st.integers(min_value=0, max_value=3))
 def test_a_new_prefix_gets_its_own_weight(prefix, other, zeros):
     assume(any(prefix) and any(other))

@@ -1,59 +1,70 @@
-"""The exact bytes each command prints, text and JSON, for one argv per
-command and section shape.
+"""The golden master: every command line in ``corpus.jsonl``, run once,
+its output pinned byte for byte.
 
-The expected output of ``<name>`` lives in ``golden/<name>.txt`` (text) and
-``golden/<name>.json`` (JSON).  A deliberate change of either format
-rewrites them with ``PYTHONPATH=src python tests/test_golden.py``, and the
-diff shows what changed.
+A corpus row holds a tag, an argv, and the exit status and sha256 of stdout
+and stderr when the row was written.  The tag's first word names the row's
+source: ``golden NAME FORMAT``, one argv per command and section shape,
+whose bytes ``golden/NAME.txt`` and ``golden/NAME.json`` also hold (x = 1
+without a torsion summand, leading zeros dropped from the echo, the minimal
+witness of each branch, a scan without divergence and one past m = 100);
+``error NAME``, each row of ``test_cli.ERROR_LINES``; ``scan``, ``scan
+--max-m 100000``; a perfbench workload, its first three blocks at seeds 11
+and 12; ``spec``, the ``--spec`` and compact-JSON spec forms; ``argparse``,
+a help and a usage error, which the table reader hands to argparse; and
+``cost``, the command lines whose opcodes ``test_cost.py`` bounds.
+
+:func:`one_pass` runs every row through ``cli.main`` in this process, each
+golden argv also without ``--format`` (so in text), and each golden JSON
+report back through ``Report.from_json_dict``.  It pins ``COLUMNS`` to 80,
+as argparse wraps its help to the terminal width, and a profile function
+records each code object entered.  From that pass the tests check each
+row's status and digests, each golden file's bytes, and that every
+function, method and property in ``src/oneideal`` (bar ``__main__``, whose
+import runs the command line) is entered or listed in :data:`UNREACHED`
+with its reason.  An entry that the corpus reaches, or that names nothing,
+fails too, so the table can only shrink.
+
+``PYTHONPATH=src python tests/test_golden.py --regenerate`` reruns every
+row and rewrites its status and digests and the golden files; the diff
+names what changed.  To add a command line, append a row with its tag and
+argv, any status and digests, and regenerate.
 """
 
 import contextlib
+import hashlib
+import importlib
+import inspect
 import io
+import json
+import os
+import re
+import sys
+from functools import cache
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
-from oneideal.cli import main
+import oneideal
+from oneideal import cli
+from oneideal.report import Report
 
-GOLDEN = Path(__file__).parent / "golden"
-ARGV = {
-    "invariant-m9": ("invariant", "--m", "9", "--n", "1"),
-    "invariant-m9-depth3": ("invariant", "--m", "9", "--n", "1", "--depth", "3"),
-    "invariant-m0-zero": ("invariant", "--m", "0", "--n", "1,1"),
-    "invariant-m0-constant": ("invariant", "--m", "0", "--n", "1,0,3", "--tail", "constant:2"),
-    "invariant-m0-doubling": ("invariant", "--m", "0", "--n", "1", "--tail", "doubling:1"),
-    "invariant-minf": ("invariant", "--m", "inf", "--n", "2", "--tail", "constant:4"),
-    # x = 1: no torsion summand, an empty torsion list
-    "invariant-m2-no-torsion": ("invariant", "--m", "2", "--n", "1"),
-    # the echoed inputs drop the leading zeros
-    "invariant-leading-zeros": ("invariant", "--m", "009", "--n", "001,0,3"),
-    "fullness-full": ("fullness", "--m", "8", "--n", "1"),
-    "fullness-unknown": ("fullness", "--m", "0", "--n", "2"),
-    "fullness-m0-doubling": ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1"),
-    "compare-exact-yes": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=2", "--mode", "exact"),
-    "compare-exact-no": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"),
-    "compare-stable-unit": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
-    "compare-m-mismatch": ("compare", "--a", "m=4,n=1", "--b", "m=8,n=1", "--mode", "stable"),
-    # the minimal witnesses of each branch: (1, 0) from the shared-valuation
-    # candidate; unit 5, lifted past the non-unit 2; (10, 3), after the
-    # logarithm's table grows once and its giant steps find the order 100 of
-    # 2 modulo 125; and the gcds with 7 differ, so no witness at all
-    "compare-exact-shared-valuation": (
-        "compare", "--a", "m=5,n=1", "--b", "m=5,n=2", "--mode", "exact"),
-    "compare-stable-lifted-unit": (
-        "compare", "--a", "m=7,n=1", "--b", "m=7,n=4", "--mode", "stable"),
-    "compare-exact-giant-steps": (
-        "compare", "--a", "m=1001,n=1", "--b", "m=1001,n=3", "--mode", "exact"),
-    "compare-exact-gcd-differs": ("compare", "--a", "m=8,n=1", "--b", "m=8,n=7", "--mode", "exact"),
-    "compare-stable-gcd-differs": (
-        "compare", "--a", "m=8,n=1", "--b", "m=8,n=7", "--mode", "stable"),
-    # no m up to 7 diverges: a null smallest m and no marker
-    "scan-7": ("scan", "--max-m", "7"),
-    "scan-12": ("scan", "--max-m", "12"),
-    # past m = 100 the m column widens
-    "scan-120": ("scan", "--max-m", "120"),
-}
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "tests" / "corpus.jsonl"
+GOLDEN = ROOT / "tests" / "golden"
 SUFFIX = {"text": ".txt", "json": ".json"}
+ROWS = [json.loads(line) for line in CORPUS.read_text().splitlines()]
+
+
+def tagged(source: str) -> dict[str, list[str]]:
+    """The argv of each row whose tag's first word is ``source``, by the rest of its tag."""
+    return {row["tag"].partition(" ")[2]: row["argv"] for row in ROWS
+            if row["tag"].partition(" ")[0] == source}
+
+
+# each golden argv, without its --format, by the golden file name
+ARGV = {tag[:-5]: argv[:-2] for tag, argv in tagged("golden").items() if tag.endswith(" text")}
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -63,23 +74,161 @@ def run(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            status = main(list(argv))
+            status = cli.main(list(argv))
         except SystemExit as exit_:
             status = exit_.code
     return status, out.getvalue(), err.getvalue()
 
 
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+class Pass(NamedTuple):
+    outcomes: list  # (status, stdout digest, stderr digest) of each row, in order
+    printed: dict  # (golden name, format or None for the default) -> run(argv)
+    entered: set  # the code objects entered
+
+
+@cache
+def one_pass() -> Pass:
+    """Every corpus row, and each golden argv without its format, run once
+    under a profile function; a row that raises names its tag."""
+    outcomes, printed, entered = [], {}, set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    # the parser is built once per process; a fresh one is built in the pass
+    cli.build_parser.cache_clear()
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            for row in ROWS:
+                try:
+                    status, out, err = run(*row["argv"])
+                    if row["tag"].startswith("golden "):
+                        _, name, fmt = row["tag"].split()
+                        printed[name, fmt] = status, out, err
+                        if fmt == "text":
+                            printed[name, None] = run(*ARGV[name])
+                        else:
+                            Report.from_json_dict(json.loads(out))
+                except Exception as error:
+                    error.add_note(f"corpus row {row['tag']!r}")
+                    raise
+                outcomes.append((status, digest(out), digest(err)))
+    finally:
+        sys.setprofile(previous)
+    return Pass(outcomes, printed, entered)
+
+
 @pytest.mark.parametrize("fmt", SUFFIX)
 @pytest.mark.parametrize("name", ARGV)
 def test_output_matches_the_golden_bytes(name, fmt):
-    expected = (GOLDEN / (name + SUFFIX[fmt])).read_bytes().decode()
-    assert run(*ARGV[name], "--format", fmt) == (0, expected, "")
+    expected = (0, (GOLDEN / (name + SUFFIX[fmt])).read_bytes().decode(), "")
+    printed = one_pass().printed
+    assert printed[name, fmt] == expected
+    if fmt == "text":  # the default format
+        assert printed[name, None] == expected
+
+
+def test_every_corpus_row_prints_the_bytes_it_printed_when_written():
+    changed = [
+        row["tag"] for row, got in zip(ROWS, one_pass().outcomes)
+        if got != (row["status"], row["stdout"], row["stderr"])
+    ]
+    assert changed == []
+
+
+def test_the_corpus_holds_every_golden_and_error_line_argv():
+    from test_cli import ERROR_LINES
+
+    files = sorted(path.name for path in GOLDEN.iterdir())
+    assert files == sorted(name + suffix for name in ARGV for suffix in SUFFIX.values())
+    held = {tuple(row["argv"]) for row in ROWS}
+    assert [name for name, (argv, _, _) in ERROR_LINES.items() if argv not in held] == []
+
+
+ACCEPTANCE = "test_acceptance.py imports it"
+PERFBENCH = "perfbench's POINTS or worker.py looks it up (item 1 drops the point)"
+# The files a reason cites, which must name the function it is given for.
+CITED = {
+    ACCEPTANCE: ("tests/test_acceptance.py",),
+    PERFBENCH: ("perfbench/tracing.py", "perfbench/worker.py"),
+}
+
+# Library functions that no command enters, each with the reason it stays.
+UNREACHED = {
+    "classify.units_mod": PERFBENCH + "; only perfbench reads it",
+    "classify._unit_multiples": PERFBENCH + "; only perfbench reads it",
+    "classify.class_counts": PERFBENCH + "; test_sympy_reference.py checks it",
+    "dyadic.factorize": "class_counts factorises with it",
+    "dyadic.residue_cycle": PERFBENCH + "; the tests check two_power_log against it",
+    "family.validate_family": ACCEPTANCE + "; " + PERFBENCH,
+}
+
+
+def _defined() -> dict:
+    """Qualified name -> code object of each function, method and property
+    whose source is in the library (the methods that ``namedtuple`` makes
+    are not)."""
+    package = Path(oneideal.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        name = "oneideal" if path.stem == "__init__" else f"oneideal.{path.stem}"
+        module = importlib.import_module(name)
+        objects = list(vars(module).values())
+        for cls in [v for v in objects if inspect.isclass(v)]:
+            for attr in vars(cls).values():
+                attr = getattr(attr, "fget", None) or getattr(attr, "__func__", attr)
+                objects.append(attr)
+        for obj in objects:
+            code = getattr(inspect.unwrap(obj), "__code__", None)
+            if code is not None and code.co_filename == str(path):
+                found[f"{path.stem}.{code.co_qualname}"] = code
+    return found
+
+
+def test_every_library_function_is_entered_or_listed_as_unreached():
+    defined = _defined()
+    entered = one_pass().entered
+    unreached = {name for name, code in defined.items() if code not in entered}
+    assert sorted(unreached - UNREACHED.keys()) == [], "entered by no command"
+    assert sorted(UNREACHED.keys() - defined.keys()) == [], "defined nowhere"
+    assert sorted(UNREACHED.keys() & (defined.keys() - unreached)) == [], "entered by the corpus"
+
+
+def test_no_unreached_function_is_exported():
+    # a function no command enters is no part of what users call
+    exported = [name for name in UNREACHED if name.split(".")[1] in oneideal.__all__]
+    assert exported == []
+
+
+def test_each_reason_that_cites_a_file_is_borne_out_by_that_file():
+    stale = []
+    for reason, paths in CITED.items():
+        text = "".join((ROOT / path).read_text() for path in paths)
+        for name, why in UNREACHED.items():
+            short = name.rsplit(".", 1)[1]
+            if reason in why and not re.search(rf"\b{re.escape(short)}\b", text):
+                stale.append(f"{name}: no {short} in {', '.join(paths)}")
+    assert stale == []
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, argv in ARGV.items():
-        for fmt, suffix in SUFFIX.items():
-            status, out, err = run(*argv, "--format", fmt)
-            assert (status, err) == (0, ""), argv
-            (GOLDEN / (name + suffix)).write_bytes(out.encode())
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate")
+    done = one_pass()
+    with CORPUS.open("w") as out:
+        for row, (status, stdout, stderr) in zip(ROWS, done.outcomes):
+            out.write(json.dumps({**row, "status": status, "stdout": stdout, "stderr": stderr}))
+            out.write("\n")
+    for (name, fmt), (status, text, err) in done.printed.items():
+        if fmt is not None:
+            assert (status, err) == (0, ""), (name, fmt)
+            (GOLDEN / (name + SUFFIX[fmt])).write_bytes(text.encode())

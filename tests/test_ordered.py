@@ -26,8 +26,7 @@ from oracles import (
     k_lexicographic_by_clauses,
     walked_alpha_cones_isomorphic,
 )
-from test_corpus import rows
-from test_golden import GOLDEN, run
+from test_golden import GOLDEN, ROWS, run
 
 FULL = {"tag": "AllPositive", "withFullClass": True}
 
@@ -113,7 +112,7 @@ def assert_fullness_agrees_with_the_clauses(report: dict) -> None:
 def test_every_fullness_golden_and_corpus_row_agrees_with_the_clauses():
     reports = [json.loads(path.read_text()) for path in sorted(GOLDEN.glob("fullness-*.json"))]
     reports += [
-        json_report(row["argv"]) for row in rows()
+        json_report(row["argv"]) for row in ROWS
         if row["argv"][0] == "fullness" and row["status"] == 0
     ]
     verdicts = set()
