@@ -15,6 +15,9 @@ dict iff that report emits exactly it; otherwise it raises ``ValueError``.
 :func:`write_json` writes a report in the bytes of
 ``json.dumps(..., indent=2, sort_keys=True)`` of the JSON object and a
 newline: the whole text in one piece, bar a scan table, which it streams.
+A constant section is one shared dict whose text the writer encodes once,
+at import, at the one indent where every report places it, and then copies
+instead of walking the dict; so a shared section must never be mutated.
 
 The ordered six-term invariant lives here only as its JSON section:
 :func:`invariant_to_json` fills one of three templates, one per regime,
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .classify import UNKNOWN, FullnessVerdict, IsoVerdict
+from .classify import FULL, UNKNOWN, FullnessVerdict, IsoVerdict
 from .dyadic import INF, format_extended, is_infinite, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, ZERO_TAIL, FamilySpec, TailSpec
@@ -44,6 +47,13 @@ UNKNOWN_NOTE = "see Example (α finite): K-theory does not decide"
 MAX_SCAN_M = 100_000
 
 _DIGIT_BOUND = 10**MAX_INTEGER_DIGITS  # the smallest int past the digit limit
+
+
+class _Shared(dict):
+    """A section that reports share, never to be mutated: ``text`` is what
+    :func:`_encode` appends for it at ``indent``, both set at import."""
+
+    __slots__ = ("indent", "text")
 
 
 def _int_str(v: int | None) -> str | None:
@@ -74,7 +84,7 @@ def read_int(v, what: str) -> tuple[int, str]:
 # the required and the allowed keys of a family spec and of its tail; a spec's default tail
 _SPEC_KEYS, _SPEC_ALLOWED = frozenset(("m", "n")), frozenset(("m", "n", "tail"))
 _TAIL_KEYS, _TAIL_ALLOWED = frozenset(("kind",)), frozenset(("kind", "c"))
-_NO_TAIL = {"kind": "zero"}
+_NO_TAIL = _Shared({"kind": "zero"})  # also the echo of every zero tail
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # b"7" -> b"\x07"
 
 
@@ -119,8 +129,9 @@ def spec_from_json(d) -> tuple[FamilySpec, dict]:
     tail_d = _json_object(d["tail"], "tail", _TAIL_KEYS, _TAIL_ALLOWED) if "tail" in d else _NO_TAIL
     c, c_text = read_int(tail_d["c"], "tail c") if "c" in tail_d else (None, None)
     kind = tail_d["kind"]
-    tail_text = {"kind": kind} if c is None else {"kind": kind, "c": c_text}
-    tail = ZERO_TAIL if c is None and kind == "zero" else TailSpec(kind, c)
+    zero = c is None and kind == "zero"
+    tail_text = _NO_TAIL if zero else {"kind": kind} if c is None else {"kind": kind, "c": c_text}
+    tail = ZERO_TAIL if zero else TailSpec(kind, c)
     return FamilySpec(m, prefix, tail), {"m": m_text, "n": n_text, "tail": tail_text}
 
 
@@ -128,36 +139,37 @@ def spec_from_json(d) -> tuple[FamilySpec, dict]:
 # cone in the middle), finite m > 1 (torsion Z/x in the middle, quotient
 # Z/(m - 1)) and m = infinity.  Every member's ideal is the dyadic line with
 # its standard cone, and every cone of a member with loops is all-positive
-# with a full class.
-_DYADIC_LINE = {"symbol": "Z[1/2]", "tag": "DyadicLine"}
-_DYADIC_PLUS_Z = {"symbol": "Z[1/2] (+) Z", "tag": "DyadicPlusFree"}
-_Z = {"symbol": "Z", "tag": "FreeZ"}
-_IDEAL = {"cone": {"tag": "StandardDyadicCone"}, "group": _DYADIC_LINE}
-_FULL_CLASS = {"tag": "AllPositive", "withFullClass": True}
+# with a full class.  The m = inf section has no parameters, so it is shared whole.
+_DYADIC_LINE = _Shared({"symbol": "Z[1/2]", "tag": "DyadicLine"})
+_DYADIC_PLUS_Z = _Shared({"symbol": "Z[1/2] (+) Z", "tag": "DyadicPlusFree"})
+_Z = _Shared({"symbol": "Z", "tag": "FreeZ"})
+_IDEAL = _Shared({"cone": {"tag": "StandardDyadicCone"}, "group": _DYADIC_LINE})
+_FULL_CLASS = _Shared({"tag": "AllPositive", "withFullClass": True})
 _NO_LOOPS = {
     "caseTag": "AF-AF", "ideal": _IDEAL, "indexMapZero": True,
-    "quotient": {"cone": {"tag": "StandardIntegerCone"}, "group": _Z},
+    "quotient": _Shared({"cone": {"tag": "StandardIntegerCone"}, "group": _Z}),
 }
 _FINITE_LOOPS = {"caseTag": "AF-PI", "ideal": _IDEAL, "indexMapZero": True}
-_INFINITE_LOOPS = {
+_INFINITE_LOOPS = _Shared({
     **_FINITE_LOOPS,
     "middle": {"cone": _FULL_CLASS, "group": _DYADIC_PLUS_Z},
     "quotient": {"cone": _FULL_CLASS, "group": _Z},
-}
+})
 
 
 def invariant_to_json(m, scalars: DerivedScalars, truncation: tuple | None = None) -> dict:
     """The invariant section of the member with loop count ``m`` and
     ``scalars`` (as :func:`.ktheory.invariant_of` returns them), with a
-    truncation (depth, free rank, torsion) if given: its regime's template,
-    filled in with alpha, or with x and m - 1.  The torsion summand Z/1 is
-    trivial, so x = 1 gives the dyadic line.  The templates' parts are
-    shared, so callers must not mutate the section below its top level."""
+    truncation (depth, free rank, torsion) if given, which only 1 < m < inf
+    has: its regime's template, filled in with alpha, or with x and m - 1.
+    The torsion summand Z/1 is trivial, so x = 1 gives the dyadic line.  The
+    templates' parts are shared, and at m = inf so is the whole section, so
+    callers must not mutate it."""
     if m == 0:
         alpha_cone = {"alpha": format_extended(scalars.alpha), "tag": "AlphaCone"}
         out = {**_NO_LOOPS, "middle": {"cone": alpha_cone, "group": _DYADIC_PLUS_Z}}
     elif is_infinite(m):
-        out = dict(_INFINITE_LOOPS)
+        return _INFINITE_LOOPS
     else:
         x, b = scalars.x, str(m - 1)
         middle = _DYADIC_LINE if x == 1 else {
@@ -186,16 +198,18 @@ def scalars_to_json(s: DerivedScalars) -> dict:
     }
 
 
+# the sections of the two verdicts that classify.decide_fullness returns
+_FULLNESS = {
+    FullnessVerdict(True, True, True, FULL): _Shared(
+        {"stenotic": True, "kLexicographic": True, "stabilizedFull": True, "unstabilized": FULL}),
+    FullnessVerdict(True, False, False, UNKNOWN): _Shared(
+        {"stenotic": True, "kLexicographic": False, "stabilizedFull": False,
+         "unstabilized": UNKNOWN, "note": UNKNOWN_NOTE}),
+}
+
+
 def fullness_to_json(f: FullnessVerdict) -> dict:
-    verdict = {
-        "stenotic": f.stenotic,
-        "kLexicographic": f.k_lexicographic,
-        "stabilizedFull": f.stabilized_full,
-        "unstabilized": f.unstabilized,
-    }
-    if f.unstabilized == UNKNOWN:
-        verdict["note"] = UNKNOWN_NOTE
-    return verdict
+    return _FULLNESS[f]
 
 
 def comparison_to_json(mode: str, c: IsoVerdict) -> tuple[dict, dict | None]:
@@ -251,6 +265,8 @@ def _encode(value, indent: str, out: list, write) -> None:
         for key, item in sorted(value.items()):
             if isinstance(item, str):  # the common leaf, in one piece
                 out.append(f"{sep}{_ESCAPE(key)}: {_ESCAPE(item)}")
+            elif type(item) is _Shared and item.indent == inner:
+                out.append(f"{sep}{_ESCAPE(key)}: {item.text}")
             else:
                 out.append(f"{sep}{_ESCAPE(key)}: ")
                 _encode(item, inner, out, write)
@@ -282,6 +298,16 @@ def _encode(value, indent: str, out: list, write) -> None:
         out.append(indent + "]" if value else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# Each shared section's text at the nesting depth where reports place it, inner ones first.
+for _shared, _depth in ((_DYADIC_LINE, 3), (_DYADIC_PLUS_Z, 3), (_Z, 3), (_FULL_CLASS, 3),
+                        (_NO_TAIL, 3), (_IDEAL, 2), (_NO_LOOPS["quotient"], 2),
+                        (_INFINITE_LOOPS, 1), *zip(_FULLNESS.values(), (1, 1))):
+    _shared.indent, _text = "\n" + "  " * _depth, []
+    _encode(_shared, _shared.indent, _text, None)
+    _shared.text = "".join(_text)
+del _shared, _depth, _text
 
 
 _CONE_TEXT = {

@@ -12,7 +12,9 @@ host, so a complexity claim can be a tier-1 assertion.
 
 ``python tests/cost.py ARGV...`` prints both counts for one command line,
 the library's and then every frame's, for example
-``python tests/cost.py invariant --m 3073 --n 1,2,3``.
+``python tests/cost.py invariant --m 3073 --n 1,2,3``.  With
+``--by-function`` first it prints every frame's count per function, largest
+first, as count, ``file:line`` and qualified name, then the total.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import contextlib
 import io
 import os
 import sys
+from collections import Counter
 
 import oneideal
 from oneideal import cli
@@ -32,12 +35,16 @@ def opcodes(argv: list[str], every_frame: bool = False) -> int:
     """The opcodes ``oneideal`` frames, or with ``every_frame`` all Python
     frames, execute while ``cli.main(argv)`` runs; the command's output is
     discarded."""
-    count = 0
+    return sum(opcodes_by_function(argv, every_frame).values())
+
+
+def opcodes_by_function(argv: list[str], every_frame: bool = False) -> Counter:
+    """:func:`opcodes`, counted by the code object whose frame executes them."""
+    counts = Counter()
 
     def opcode(frame, event, arg):
-        nonlocal count
         if event == "opcode":
-            count += 1
+            counts[frame.f_code] += 1
         return opcode
 
     def call(frame, event, arg):
@@ -57,8 +64,15 @@ def opcodes(argv: list[str], every_frame: bool = False) -> int:
             cli.main(argv)
         finally:
             sys.settrace(outer)
-    return count
+    return counts
 
 
 if __name__ == "__main__":
-    print(opcodes(sys.argv[1:]), opcodes(sys.argv[1:], every_frame=True))
+    if sys.argv[1:2] == ["--by-function"]:
+        counts = opcodes_by_function(sys.argv[2:], every_frame=True)
+        for code, count in counts.most_common():
+            where = f"{os.path.basename(code.co_filename)}:{code.co_firstlineno}"
+            print(f"{count:8d}  {where:<24} {code.co_qualname}")
+        print(f"{counts.total():8d}  total")
+    else:
+        print(opcodes(sys.argv[1:]), opcodes(sys.argv[1:], every_frame=True))

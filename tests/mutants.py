@@ -515,6 +515,24 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "shared section encoded one indent level off, so every report walks it",
+        "report.py",
+        "(_IDEAL, 2)",
+        "(_IDEAL, 1)",
+        (
+            "tests/test_report.py::"
+            "test_each_shared_section_holds_the_text_of_its_contents_after_every_report",
+            "tests/test_cost.py::test_a_json_fullness_at_m0_runs_under_2490_opcodes_in_every_frame",
+        ),
+    ),
+    Mutant(
+        "JSON writer that copies a shared section's text at any indent",
+        "report.py",
+        "elif type(item) is _Shared and item.indent == inner:",
+        "elif type(item) is _Shared:",
+        ("tests/test_report.py::test_a_shared_section_placed_at_another_depth_is_encoded_there",),
+    ),
+    Mutant(
         "integer reader that echoes a digit string with its leading zeros",
         "report.py",
         'return int(v), v.lstrip("0") or "0"',

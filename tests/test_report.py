@@ -1,5 +1,6 @@
 """``report.write_json`` against ``json.dumps(..., indent=2, sort_keys=True)``,
-and the scan rows rendered from ints against the JSON row dicts."""
+the text each shared section holds against its contents, and the scan rows
+rendered from ints against the JSON row dicts."""
 
 import json
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneideal.cli import scan_report
-from oneideal.report import Report, write_json
+from oneideal import report as report_module
+from oneideal.cli import compare_report, fullness_report, invariant_report, scan_report
+from oneideal.report import Report, _Shared, spec_from_json, write_json
 from oracles import scan_text_from_json
 from test_golden import run
 
@@ -48,6 +50,57 @@ def test_write_json_is_byte_identical_to_json_dumps(value):
 def test_write_json_rejects_what_the_builders_never_emit(value):
     with pytest.raises(TypeError):
         written(value)
+
+
+def shared_in(value) -> list:
+    """Each shared section in ``value``'s dicts and lists, by identity."""
+    found, todo = {}, [value]
+    while todo:
+        value = todo.pop()
+        if type(value) is _Shared:
+            found[id(value)] = value
+        if isinstance(value, dict):
+            todo += value.values()
+        elif isinstance(value, list):
+            todo += value
+    return list(found.values())
+
+
+# every shared section of the module, each one once
+SECTIONS = shared_in([v for name, v in vars(report_module).items() if name != "__builtins__"])
+
+
+def test_each_shared_section_holds_the_text_of_its_contents_after_every_report():
+    # one report of each regime for each command: x = 1 and x > 1 at finite m,
+    # both fullness verdicts at m = 0; a builder that mutates a shared section
+    # while building or writing one leaves its stored text stale
+    specs = [spec_from_json(json.loads(text)) for text in (
+        '{"m": 0, "n": [2]}', '{"m": 0, "n": [1], "tail": {"kind": "doubling", "c": 1}}',
+        '{"m": 2, "n": [1]}', '{"m": 9, "n": [1]}', '{"m": "inf", "n": [2]}',
+    )]
+    reports = [build(*spec) for spec in specs for build in (invariant_report, fullness_report)]
+    reports += [compare_report(*specs[3], *spec_from_json({"m": 9, "n": [3]}), mode)
+                for mode in ("exact", "stable")]
+    reports.append(scan_report(12))
+    texts = [written(report._asdict()) for report in reports]  # what cli.main writes
+    for report, text in zip(reports, texts):
+        assert text == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    held = shared_in([report._asdict() for report in reports])
+    assert sorted(map(id, held)) == sorted(map(id, SECTIONS))
+    for section in SECTIONS:
+        # a fresh encoding of its contents at its indent, where some report places it
+        fresh = json.dumps(section, indent=2, sort_keys=True).replace("\n", section.indent)
+        assert section.text == fresh
+        assert any(section.text in text for text in texts)
+
+
+@pytest.mark.parametrize("depth", range(4))
+def test_a_shared_section_placed_at_another_depth_is_encoded_there(depth):
+    for section in SECTIONS:
+        value = section
+        for _ in range(depth):
+            value = {"key": value}
+        assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 # the examples are where the text m column widens
