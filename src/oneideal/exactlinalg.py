@@ -5,16 +5,16 @@ bound and results are always exact.  :func:`cokernel_invariants` takes a
 :class:`SparseMatrix` and eliminates unit pivots first (the preprocessing of
 Dumas, Saunders and Villard, "On efficient sparse integer matrix Smith
 normal form computations", 2001), in two phases.  Phase 1 reads each column
-once and turns a column holding one or two entries, one of them ±1, into a
-link that writes one generator in terms of another, or as 0; the links form
-a forest.  Phase 2 carries every other column's entries along the links, in
-the order they were made.  The leftover core is then diagonalized on a
-plain list of its rows, with no transforms: pivot on the smallest nonzero
-entry, clear its column and row with one unimodular Bezout step per entry
-(Kannan and Bachem, 1979), repeat while that refills the column, then turn
-the pivots into a divisibility chain by gcd and lcm.  On a truncated
-presentation every chain column becomes a link, carrying the relation
-column along them is Horner's rule, and the core is 2x1.
+once and turns a column holding two entries, one of them ±1, into a link
+that writes one generator in terms of another; the links form a forest.
+Phase 2 carries every other column's entries along the links, in the order
+they were made.  The leftover core is then diagonalized on a plain list of
+its rows, with no transforms: pivot on the smallest nonzero entry, clear
+its column and row with one unimodular Bezout step per entry (Kannan and
+Bachem, 1979), repeat while that refills the column, then turn the pivots
+into a divisibility chain by gcd and lcm.  On a truncated presentation
+every chain column becomes a link, carrying the relation column along them
+is Horner's rule, and the core is 2x1.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
     factors larger than 1 in divisibility order.
 
     Phase 1 reads each column once.  A column with entries u = ±1 at row r
-    and e at row s says x_r = -u*e*x_s in the cokernel, and one holding u
-    alone says x_r = 0.  When neither row is linked yet, that link is kept,
-    and the column and the generator x_r are dropped.  So each row is
-    linked at most once, to a row not linked before it, and the links form
-    a forest that the order they were made in resolves.  Phase 2 writes
-    each other column out densely and carries its entries along the links
-    in that order; on a truncated presentation that is Horner's rule on the
+    and e at row s says x_r = -u*e*x_s in the cokernel.  When neither row
+    is linked yet, that link is kept, and the column and the generator x_r
+    are dropped.  So each row is linked at most once, to a row not linked
+    before it, and the links form a forest that the order they were made in
+    resolves.  Phase 2 writes each other column out densely, one holding a
+    single entry too, and carries its entries along the links in that
+    order; on a truncated presentation that is Horner's rule on the
     relation column.  The invariant factors of what remains, which may
     still hold a ±1, are the other factors.
     """
@@ -135,11 +135,6 @@ def cokernel_invariants(m: SparseMatrix) -> tuple[int, list[int]]:
                 (s, e), (r, u) = col
             if (u == 1 or u == -1) and r not in link and s not in link:
                 link[r] = s, -u * e
-                continue
-        elif len(col) == 1:
-            ((r, u),) = col
-            if (u == 1 or u == -1) and r not in link:
-                link[r] = r, 0
                 continue
         rest.append(col)
     live = []

@@ -4,9 +4,10 @@ sense of DeMillo, Lipton and Sayward, "Hints on test data selection", 1978).
 
 A mutant replaces one exact text in one module of ``src/oneideal`` with
 another.  ``python tests/mutants.py`` applies each mutant to a fresh copy of
-``src/`` in a temporary directory, never to ``src/`` itself, and runs each
-of its tests against that copy, one after another.  A mutant is killed when
-every one of its tests fails within :data:`TIMEOUT_S`; the command prints
+``src/`` in a temporary directory, never to ``src/`` itself, and runs all
+of its tests against that copy in one pytest process.  A mutant is killed
+when pytest reports every one of its tests FAILED within :data:`TIMEOUT_S`;
+a run that times out or collects nothing catches none.  The command prints
 one line per mutant, ends with "mutants killed k/n in t s", t its wall time
 in seconds, and exits 1 if any mutant survives.  It is too slow for the
 tier-1 suite, where ``test_mutants.py`` only checks that each old text still
@@ -27,7 +28,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oneideal"
-# A test still running after this long has not caught its mutant.
+# A mutant's pytest run still going after this long has caught nothing.
 TIMEOUT_S = 300
 
 
@@ -580,7 +581,8 @@ MUTANTS = (
 
 
 def surviving_tests(mutant: Mutant) -> list[str]:
-    """The tests of ``mutant`` that pass on a copy of ``src/`` with it applied."""
+    """The tests of ``mutant`` that pytest does not report FAILED on a copy
+    of ``src/`` with it applied."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(PACKAGE.parent, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -589,20 +591,23 @@ def surviving_tests(mutant: Mutant) -> list[str]:
         if text.count(mutant.old) != 1:
             raise SystemExit(f"{mutant.name}: the old text does not occur exactly once")
         path.write_text(text.replace(mutant.old, mutant.new))
-        # the copy comes first on the path; pytest runs in the temporary
-        # directory, so Hypothesis keeps the failing examples there
+        # the copy comes first on the path; pytest runs at the repository
+        # root, so its -rf lines name each test as the catalogue does; it
+        # keeps no cache, and Hypothesis, derandomized, no example database
         env = {**os.environ, "PYTHONPATH": str(src)}
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-        return [test for test in mutant.tests if not _fails(command + [str(ROOT / test)], tmp, env)]
-
-
-def _fails(command: list[str], cwd: str, env: dict) -> bool:
-    """Whether pytest exits 1 (the test ran and failed) within the timeout."""
-    try:
-        result = subprocess.run(command, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return False
-    return result.returncode == 1
+        command = [sys.executable, "-m", "pytest", "-q", "-rf", "--color=no",
+                   "-p", "no:cacheprovider", *mutant.tests]
+        try:
+            result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True,
+                                    timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return list(mutant.tests)
+    # "FAILED <id>", then " - <message>" if one fits; an id that names a
+    # parametrized test is caught by any of its cases
+    failed = [line.partition(" ")[2] for line in result.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return [test for test in mutant.tests
+            if not any(f == test or f.startswith((test + " - ", test + "[")) for f in failed)]
 
 
 def main() -> int:

@@ -37,7 +37,6 @@ more literal route, a quantity the library computes in closed form.
 * :func:`stable_gcd_partition`, :func:`partitions_agree`,
   :func:`stable_partition_disagreements` - whole-modulus comparison of the
   unit-enumeration and gcd stable partitions;
-* :func:`dyadic_strictly_between` - a dyadic witness inside an interval;
 * :func:`scan_text_from_json` - the text view of a ``scan`` report rendered
   from its JSON row dicts, not from the sieve's ints.
 """
@@ -501,23 +500,6 @@ def stable_partition_disagreements(max_modulus: int) -> list[int]:
         if not partitions_agree(stable_class_partition(modulus), stable_gcd_partition(modulus)):
             bad.append(modulus)
     return bad
-
-
-# --------------------------------------------------------------------------
-# dyadic rationals
-
-
-def dyadic_strictly_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Some dyadic rational (a power-of-two denominator) in the open interval (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    gap = hi - lo
-    e = 0
-    while Fraction(1, 1 << e) >= gap:
-        e += 1
-    d = Fraction(math.floor(lo * (1 << e)) + 1, 1 << e)
-    assert lo < d < hi
-    return d
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,6 @@ test.
 
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
@@ -43,6 +41,7 @@ from oracles import (
     sympy_cokernel,
     walked_alpha_cones_isomorphic,
 )
+from test_golden import spawn
 
 
 def ok(criterion: int, message: str) -> None:
@@ -60,15 +59,9 @@ def random_valid_spec(rng: random.Random, m_low=2, m_high=200, max_len=6, max_en
 
 
 def test_criterion_01_divergence_point_via_cli():
-    start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-m", "oneideal", "scan", "--max-m", "20", "--format", "json"],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    elapsed = time.perf_counter() - start
-    data = json.loads(result.stdout)
+    code, out, err, elapsed = spawn("scan", "--max-m", "20", "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
     assert data["verdict"]["smallestDivergentM"] == "8"
     assert elapsed < 1.0, f"scan took {elapsed:.2f}s"
     ok(1, f"scan --max-m 20 reports smallest divergent m = 8 in {elapsed:.2f}s")

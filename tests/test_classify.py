@@ -244,7 +244,7 @@ def lifted_weight_triples(draw):
     return modulus, *draw(st.permutations((n_a, n_b)))
 
 
-@settings(max_examples=300, derandomize=True)
+@settings(max_examples=300)
 @given(lifted_weight_triples())
 def test_the_exact_witness_matches_the_orbit_walk_up_to_2_to_the_20(triple):
     assert exact_orbit_witness(*triple) == walked_exact_witness(*triple)

@@ -2,11 +2,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import subprocess
 import sys
-import time
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,10 +19,7 @@ from oneideal.report import (
     Report,
     spec_from_json,
 )
-from test_golden import ARGV, GOLDEN, SUFFIX, run
-
-# A fresh interpreter imports the package from where this one found it.
-SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
+from test_golden import ARGV, GOLDEN, SUFFIX, child_env, run, spawn
 
 
 def run_json(*argv):
@@ -303,7 +297,7 @@ def _containers(v, path=()):
             yield from _containers(child, path + (key,))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=200)
 @given(st.sampled_from(READER_ARGV), st.data())
 def test_reader_rejects_or_re_emits_any_single_key_mutation(argv, data):
     d = json.loads(_emitted(argv))
@@ -532,6 +526,21 @@ ERROR_LINES = {
         "error [WorkLimit]: the order of 2 modulo 4194371 is more than 4194304, "
         "past the 2048-entry table of the discrete logarithm",
     ),
+    "unknown tail kind": (
+        ("fullness", "--m", "0", "--n", "1", "--tail", "bogus"),
+        2,
+        "error: unknown tail kind 'bogus'",
+    ),
+    "zero tail with a parameter": (
+        ("invariant", "--m", "0", "--n", "1", "--tail", "zero:3"),
+        2,
+        "error: zero tail takes no parameter",
+    ),
+    "constant tail below 1": (
+        ("invariant", "--m", "inf", "--n", "1", "--tail", "constant:0"),
+        2,
+        "error: constant tail requires c >= 1",
+    ),
 }
 
 
@@ -673,6 +682,7 @@ def test_closed_reader_pipe_is_not_an_error():
         [sys.executable, "-m", "oneideal", "scan", "--max-m", "40"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
+        env=child_env(),
     )
     proc.stdout.close()  # before the command writes anything
     err = proc.stderr.read()
@@ -686,7 +696,7 @@ def test_a_reader_that_leaves_mid_stream_is_not_an_error():
         [sys.executable, "-m", "oneideal", "scan", "--max-m", str(MAX_SCAN_M), "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=SUBPROCESS_ENV,
+        env=child_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()  # with almost all of the 9.8 MB report still to write
@@ -712,29 +722,25 @@ sys.exit(code)
 
 
 def _exact_compare_in_a_subprocess(m):
-    argv = ("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact")
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
-                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
-    return proc, time.perf_counter() - start
+    return spawn("compare", "--a", f"m={m},n=[1]", "--b", f"m={m},n=[3]", "--mode", "exact",
+                 probe=PEAK_RSS_PROBE)
 
 
 @pytest.mark.parametrize("m", [10**30 + 58, 10**999 + 2], ids=["31 digits", "1000 digits"])
 def test_an_order_past_the_logarithm_table_exits_2_in_bounded_time_and_memory(m):
-    proc, seconds = _exact_compare_in_a_subprocess(m)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error [WorkLimit]: the order of 2 modulo {m - 1} is ")
+    code, out, err, seconds = _exact_compare_in_a_subprocess(m)
+    assert code == 2, err
+    assert err.startswith(f"error [WorkLimit]: the order of 2 modulo {m - 1} is ")
     assert seconds < 5
-    assert int(proc.stdout) < 300 * 1024  # peak RSS in KiB
+    assert int(out) < 300 * 1024  # peak RSS in KiB
 
 
 def _scan_at_the_limit_in_a_subprocess(fmt):
     """The report of ``scan --max-m MAX_SCAN_M`` and the peak RSS in KiB."""
-    argv = ("scan", "--max-m", str(MAX_SCAN_M), "--format", fmt)
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
-                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
-    assert proc.returncode == 0, proc.stderr
-    report, peak_rss = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    code, out, err, _ = spawn("scan", "--max-m", str(MAX_SCAN_M), "--format", fmt,
+                              probe=PEAK_RSS_PROBE)
+    assert code == 0, err
+    report, peak_rss = out.rstrip("\n").rsplit("\n", 1)
     return report, int(peak_rss)
 
 
@@ -759,9 +765,9 @@ def test_scan_at_the_limit_renders_its_text_in_bounded_memory():
 
 def test_an_orbit_of_a_million_residues_is_decided():
     # m - 1 = 1000003 is prime and 2 has order 1000002 modulo it
-    proc, _ = _exact_compare_in_a_subprocess(1000004)
-    assert proc.returncode == 0, proc.stderr
-    assert "witness: l=254277 l'=0 unit=1" in proc.stdout
+    code, out, err, _ = _exact_compare_in_a_subprocess(1000004)
+    assert code == 0, err
+    assert "witness: l=254277 l'=0 unit=1" in out
 
 
 # The discrete logarithm's table of MAX_LOG_STEP = 2048 entries finds an
@@ -807,10 +813,8 @@ def test_no_verdict_walks_an_orbit(monkeypatch):
 
 
 def test_importing_the_package_leaves_the_cli_unimported():
-    probe = "import sys, oneideal; print('oneideal.cli' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          timeout=60, env=SUBPROCESS_ENV)
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    code, out, err, _ = spawn(probe="import sys, oneideal; print('oneideal.cli' in sys.modules)")
+    assert (code, out) == (0, "False\n"), err
 
 
 def _smith_forms(monkeypatch, *argv):
@@ -896,14 +900,11 @@ def test_truncation_at_the_depth_limit_is_computed():
 def test_the_deepest_default_truncation_is_computed_in_bounded_time_and_memory():
     # k = MAX_PREFIX_LENGTH and v2(m - 1) = 3321, the largest below 10**1000
     argv = ("invariant", "--m", str(2**3321 + 1), "--n", ",".join(["1"] * MAX_PREFIX_LENGTH))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
-                          capture_output=True, text=True, timeout=60, env=SUBPROCESS_ENV)
-    seconds = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    assert f"truncation oracle: depth={MAX_TRUNCATION_DEPTH} free rank=1 " in proc.stdout
+    code, out, err, seconds = spawn(*argv, probe=PEAK_RSS_PROBE)
+    assert code == 0, err
+    assert f"truncation oracle: depth={MAX_TRUNCATION_DEPTH} free rank=1 " in out
     assert seconds < 5
-    assert int(proc.stdout.splitlines()[-1]) < 300 * 1024  # peak RSS in KiB
+    assert int(out.splitlines()[-1]) < 300 * 1024  # peak RSS in KiB
 
 
 LONG_PREFIX = ",".join(["1"] * (MAX_PREFIX_LENGTH + 1))
@@ -1061,7 +1062,7 @@ def test_flag_compact_and_json_forms_read_alike(spec, fmt):
 LEADING_ZEROS = st.lists(st.integers(0, 3), min_size=14, max_size=14)
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
+@settings(max_examples=30)
 @given(family_specs(), LEADING_ZEROS)
 def test_every_spelling_of_a_member_prints_the_same_bytes(spec, zeros):
     # flags or the compact form, and --spec with digit strings or JSON ints,
@@ -1112,7 +1113,7 @@ def test_every_spelling_of_a_member_prints_the_same_bytes(spec, zeros):
 # minimal one has l + l' <= 1: (0, 0) when N == 0 and (0, 1) when 3N == 0
 # modulo m - 1.  A relation between two runs of the exact route, no oracle;
 # m - 1 in {1, 3, 6, 9} reaches all three witnesses.
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.one_of(st.sampled_from([2, 4, 7, 10]), st.integers(min_value=2, max_value=10**4)),
        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=8))
 def test_padding_a_zero_is_an_exact_isomorphism(m, prefix):
@@ -1138,7 +1139,7 @@ def test_padding_a_zero_is_an_exact_isomorphism(m, prefix):
 # the stable verdict.  N_b is drawn as N_a times a power of 2 or another
 # factor, as a multiple of m - 1, or at random, so every pair of verdicts
 # occurs.
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=10**4),
        st.sampled_from(["power", "factor", "zero", "random"]),
        st.integers(min_value=1, max_value=10**4), st.integers(min_value=1, max_value=10**4))
@@ -1163,7 +1164,7 @@ def test_compare_verdicts_keep_the_relation_laws(m, n_a, kind, x, unit):
 # and keeps alpha = N / 2^k and, M being odd, x = 2^v2(m-1) gcd(M, N), so
 # the invariant does not move: the same groups, cones and case tag, and the
 # same truncation, which each run reads off the cokernel at its own depth.
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=10**4),
        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=8))
 def test_appending_a_zero_keeps_the_invariant_and_doubles_the_weight(m, prefix):
@@ -1187,7 +1188,7 @@ def test_appending_a_zero_keeps_the_invariant_and_doubles_the_weight(m, prefix):
 # gcd(M, N).  This ties the stable route to torsion_order across two
 # commands.  The second prefix is the first scaled entrywise, or drawn
 # alone, so both verdicts occur.
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=10**4),
        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=4),
        st.one_of(st.integers(min_value=1, max_value=10**4),
@@ -1212,7 +1213,7 @@ def test_a_stable_yes_is_an_equal_invariant(m, prefix_a, scale_or_prefix):
 
 # Doubling every prefix entry doubles the weight N and keeps k, so
 # (l, l') = (1, 0) is an exact witness and the minimal one has l + l' <= 1.
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=10**4),
        st.lists(st.integers(min_value=0, max_value=10**4), min_size=1, max_size=8))
 def test_doubling_every_entry_keeps_the_exact_class(m, prefix):
@@ -1310,7 +1311,7 @@ def command_lines(draw):
     return argv
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(command_lines())
 def test_the_table_reader_returns_what_the_parser_returns(argv):
     args = cli._read_argv(argv)
@@ -1361,6 +1362,4 @@ def test_no_state_is_carried_between_queries(monkeypatch):
     assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0, 0, 0]
     assert in_process[0] != in_process[1]
     for argv, seen in zip(sequence, in_process):
-        fresh = subprocess.run([sys.executable, "-m", "oneideal", *argv],
-                               capture_output=True, text=True, timeout=60)
-        assert seen == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert seen == spawn(*argv)[:3], argv

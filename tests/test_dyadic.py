@@ -1,12 +1,7 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oneideal import WorkLimitError
 from oneideal.dyadic import odd_part, residue_cycle, two_adic_valuation, two_power_log
-from oracles import dyadic_strictly_between
 
 
 def test_two_adic_valuation_and_odd_part():
@@ -17,20 +12,6 @@ def test_two_adic_valuation_and_odd_part():
     assert odd_part(128) == 1
     with pytest.raises(ValueError):
         odd_part(0)
-
-
-@given(
-    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
-    st.fractions(min_value=-100, max_value=100, max_denominator=10**6),
-)
-def test_strictly_between(lo, hi):
-    if lo == hi:
-        return
-    lo, hi = min(lo, hi), max(lo, hi)
-    d = dyadic_strictly_between(lo, hi)
-    assert isinstance(d, Fraction)
-    assert d.denominator & (d.denominator - 1) == 0
-    assert lo < d < hi
 
 
 def test_two_power_log_matches_the_orbit_walk_on_every_small_odd_modulus():

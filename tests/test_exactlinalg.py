@@ -352,7 +352,7 @@ def link_case_columns(rows: int, data) -> tuple[list[dict[int, int]], set[str]]:
 def test_cokernel_matches_sympy_on_every_link_case(cores):
     hit = set()
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(min_value=2, max_value=6), st.data())
     def check(rows, data):
         columns, seen = link_case_columns(rows, data)
@@ -391,7 +391,7 @@ def test_cokernel_matches_sympy_on_sparse_matrices_with_large_entries(cores, mon
 
     monkeypatch.setattr(exactlinalg, "_bezout", counted)
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
+    @settings(max_examples=150)
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6), st.data())
     def check(rows, cols, data):
         columns = [

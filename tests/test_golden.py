@@ -38,7 +38,9 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
+import time
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -78,6 +80,24 @@ def run(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exit_:
             status = exit_.code
     return status, out.getvalue(), err.getvalue()
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment, with ``PYTHONPATH`` pinned to the
+    directory this process imported the package from."""
+    return {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
+
+
+def spawn(*argv: str, probe: str | None = None) -> tuple[int, str, str, float]:
+    """The exit status, stdout, stderr and wall seconds of ``python -m
+    oneideal ARGV``, or of ``python -c probe ARGV``, in a fresh interpreter
+    under :func:`child_env`, stopped after 60 s.  The tests that need a
+    process of their own run it here."""
+    command = ["-m", "oneideal"] if probe is None else ["-c", probe]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
 
 
 def digest(text: str) -> str:

@@ -133,7 +133,7 @@ MEMBERS = st.one_of(
 )
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=150)
 @given(MEMBERS)
 @example((0, [2], {"kind": "zero"}))
 @example((0, [], {"kind": "constant", "c": 3}))

@@ -2,18 +2,21 @@
 package binds, and no function that merely calls a constructor; the
 library imports nothing outside the standard library and itself, and
 nothing it does not use; and a query loads exactly the pinned library
-modules, and neither ``dataclasses`` nor ``inspect`` nor ``argparse``."""
+modules, and neither ``dataclasses`` nor ``inspect`` nor ``argparse``;
+and every Hypothesis setting but a test's ``max_examples`` comes from the
+one profile, which derandomizes every property."""
 
 import ast
 import inspect
-import os
 import re
-import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+from hypothesis import settings
+
 import oneideal
+from test_golden import spawn
 
 # Public functions whose body is one call to a library class, each with the
 # reason it stays; callers use the class itself otherwise.
@@ -103,16 +106,12 @@ def test_no_public_function_only_returns_a_library_class():
     assert sorted(found) == sorted(PASS_THROUGHS)
 
 
-def _modules_after(argv: list[str]) -> list[str]:
+def _modules_after(*argv: str) -> list[str]:
     """The modules loaded in a fresh process that has run ``cli.main(argv)``."""
-    script = (
-        "import sys; from oneideal.cli import main; "
-        f"assert main({argv!r}) == 0; print(*sorted(sys.modules))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1].split()
+    code, out, err, _ = spawn(*argv, probe="import sys; from oneideal.cli import main; "
+                              "assert main(sys.argv[1:]) == 0; print(*sorted(sys.modules))")
+    assert code == 0, err
+    return out.splitlines()[-1].split()
 
 
 # The library modules in a process that has run one text ``fullness`` query.
@@ -123,12 +122,25 @@ STARTUP_MODULES = ["oneideal"] + [f"oneideal.{name}" for name in (
 
 
 def test_a_fullness_query_loads_exactly_the_pinned_library_modules():
-    loaded = _modules_after(["fullness", "--m", "0", "--n", "2"])
+    loaded = _modules_after("fullness", "--m", "0", "--n", "2")
     assert [name for name in loaded if name.split(".")[0] == "oneideal"] == STARTUP_MODULES
 
 
 def test_a_text_compare_loads_neither_dataclasses_nor_inspect_nor_argparse():
     # dataclasses (which imports inspect) cost a process about 25 ms of start-up,
     # and only help and usage errors build the argparse parser
-    loaded = _modules_after(["compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"])
+    loaded = _modules_after("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact")
     assert sorted({"argparse", "dataclasses", "inspect"}.intersection(loaded)) == []
+
+
+def test_every_hypothesis_setting_but_max_examples_comes_from_the_profile():
+    # conftest.py's profile runs fixed examples with no deadline; a test's own
+    # settings(...) only sizes its run
+    assert (settings.default.derandomize, settings.default.deadline) == (True, None)
+    other = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "settings":
+                other += [f"{path.name}:{node.lineno}: {kw.arg}" for kw in node.keywords
+                          if kw.arg != "max_examples"]
+    assert other == []

@@ -34,7 +34,7 @@ def written(value) -> str:
     return "".join(chunks)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
+@settings(max_examples=100)
 @given(JSON_VALUES)
 @example({})
 @example([])
@@ -104,7 +104,7 @@ def test_a_shared_section_placed_at_another_depth_is_encoded_there(depth):
 
 
 # the examples are where the text m column widens
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(2, 3000))
 @example(2)
 @example(9)

@@ -19,7 +19,7 @@ from oneideal.dyadic import MAX_LOG_STEP, factorize, odd_part, two_power_log
 from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
 from oracles import dense_presentation, sympy_cokernel
 
-REFERENCE = settings(max_examples=300, derandomize=True, deadline=None)
+REFERENCE = settings(max_examples=300)
 
 
 @REFERENCE
