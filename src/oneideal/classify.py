@@ -126,23 +126,26 @@ def exact_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
     g = gcd(a, m_odd)
     if gcd(b, m_odd) != g:
         return None
-    alpha, beta = (min(v, two_adic_valuation(n or modulus)) for n in (a, b))
+    alpha = min(v, two_adic_valuation(a or modulus))
+    beta = min(v, two_adic_valuation(b or modulus))
     pre_a, pre_b = v - alpha, v - beta
     unit_modulus = m_odd // g
     r = b // g * pow(a // g, -1, unit_modulus)
     order, t = two_power_log(unit_modulus, r)
     if t is None:
         return None
+    # of the values of l - l' congruent to t, below is the largest at most
+    # pre_a - pre_b, which puts l at pre_a, and above the next, which puts l'
+    # at pre_b; witnesses compare by (l + l', l)
     below = pre_a - pre_b - (pre_a - pre_b - t) % order
-    candidates = []
-    for d in (below, below + order):
-        l = max(pre_a, pre_b + d)
-        candidates.append((l, l - d))
+    above = below + order
+    l, l_prime = pre_a, pre_a - below
+    if (2 * pre_b + above, pre_b + above) < (l + l_prime, l):
+        l, l_prime = pre_b + above, pre_b
     if max(alpha, beta) < v and (beta - alpha - t) % order == 0:
         s = max(alpha, beta, v - two_adic_valuation((a >> alpha) - (b >> beta) or modulus))
-        if s < v:
-            candidates.append((s - alpha, s - beta))
-    l, l_prime = min(candidates, key=lambda w: (w[0] + w[1], w[0]))
+        if s < v and (2 * s - alpha - beta, s - alpha) < (l + l_prime, l):
+            l, l_prime = s - alpha, s - beta
     return IsoWitness(l=l, l_prime=l_prime, unit=1)
 
 
@@ -172,11 +175,13 @@ def stable_orbit_witness(modulus: int, n_a: int, n_b: int) -> IsoWitness | None:
 
 
 def witness_holds(modulus: int, n_a: int, n_b: int, w: IsoWitness) -> bool:
-    """Re-substitution check: u is a unit and 2^l n_a == u 2^l' n_b mod modulus."""
+    """Re-substitution check: l, l' >= 0, u is a unit and 2^l n_a == u 2^l' n_b
+    mod modulus, with the powers taken mod modulus."""
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    unit = gcd(w.unit, modulus) == 1
-    return unit and ((1 << w.l) * n_a - w.unit * (1 << w.l_prime) * n_b) % modulus == 0
+    if min(w.l, w.l_prime) < 0 or gcd(w.unit, modulus) != 1:
+        return False
+    return (pow(2, w.l, modulus) * n_a - w.unit * pow(2, w.l_prime, modulus) * n_b) % modulus == 0
 
 
 def stable_gcd_equivalent(modulus: int, n_a: int, n_b: int) -> bool:

@@ -351,7 +351,7 @@ MUTANTS = (
     Mutant(
         "exact witness without the shared-valuation candidate",
         "classify.py",
-        "            candidates.append((s - alpha, s - beta))\n",
+        "            l, l_prime = s - alpha, s - beta\n",
         "            pass\n",
         (
             "tests/test_classify.py::test_witnesses_match_the_enumerated_oracles"
@@ -363,8 +363,8 @@ MUTANTS = (
     Mutant(
         "exact witness without the nearest candidate above",
         "classify.py",
-        "for d in (below, below + order):",
-        "for d in (below,):",
+        "if (2 * pre_b + above, pre_b + above) < (l + l_prime, l):",
+        "if False:",
         (
             "tests/test_classify.py::test_exact_iso_examples",
             "tests/test_classify.py::"

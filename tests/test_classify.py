@@ -264,6 +264,7 @@ def test_class_counts_match_union_find():
     [
         (7, 1, 3, IsoWitness(0, 0, 3)),  # 1 != 3 * 3 mod 7
         (6, 2, 2, IsoWitness(0, 0, 4)),  # 2 == 4 * 2 mod 6, but 4 is no unit
+        (7, 4, 1, IsoWitness(-2, 0, 1)),  # 4 / 2^2 == 1 mod 7, but l < 0
         (7, 1, 3, None),  # no witness, but the gcd route finds 1 == 5 * 3 mod 7
     ],
 )

@@ -1,4 +1,3 @@
-import argparse
 import functools
 import json
 import math
@@ -19,7 +18,7 @@ from oneideal.report import (
     Report,
     spec_from_json,
 )
-from test_golden import ARGV, GOLDEN, SUFFIX, child_env, run, spawn
+from test_golden import ROWS, child_env, entered, one_pass, run, spawn
 
 
 def run_json(*argv):
@@ -631,37 +630,10 @@ def test_malformed_specs_exit_2_with_a_reason(argv):
     assert err.startswith("error") and "Traceback" not in err
 
 
-def test_congruence_routes_enumerate_no_units(monkeypatch):
-    from oneideal import classify
-
-    def refuse(*args):
-        raise AssertionError("the congruence layer enumerated the units")
-
-    monkeypatch.setattr(classify, "units_mod", refuse)
-    monkeypatch.setattr(classify, "_unit_multiples", refuse)
-    # m - 1 = 262143 = 3^3 * 7 * 19 * 73
-    for n_b, isomorphic in (("5", True), ("3", False)):
-        code, data, _ = run_json(
-            "compare", "--a", "m=262144,n=1", "--b", f"m=262144,n={n_b}", "--mode", "stable"
-        )
-        assert code == 0
-        assert data["verdict"]["isomorphic"] is isomorphic
-    code, data, _ = run_json("scan", "--max-m", "400")
-    assert code == 0
-    assert data["verdict"]["smallestDivergentM"] == "8"
-    assert len(data["verdict"]["table"]) == 399
-
-
 @pytest.mark.parametrize("max_m", [str(MAX_SCAN_M + 1), "1" + "0" * 29])
-def test_scan_past_the_limit_exits_2_before_any_class_count(monkeypatch, max_m):
-    import oneideal.classify
-
-    def refuse(limit_m):
-        raise AssertionError(f"counted the classes up to m = {limit_m}")
-
-    monkeypatch.setattr(oneideal.classify, "divergence_table", refuse)
-    code, out, err = run("scan", "--max-m", max_m)
-    assert (code, out) == (2, "")
+def test_scan_past_the_limit_exits_2_before_any_class_count(max_m):
+    code, out, err, calls = entered("scan", "--max-m", max_m)
+    assert (code, out, calls["classify.divergence_table"]) == (2, "", 0)
     assert err == f"error [WorkLimit]: --max-m is {max_m}, more than the limit {MAX_SCAN_M}\n"
 
 
@@ -798,39 +770,9 @@ def test_the_logarithm_table_admits_its_worst_case_and_refuses_the_next(m, line)
     assert line in out.splitlines()
 
 
-def test_no_verdict_walks_an_orbit(monkeypatch):
-    import oneideal.classify
-    import oneideal.dyadic
-
-    def refuse(*args):
-        raise AssertionError("a verdict walked a two-power orbit")
-
-    monkeypatch.setattr(oneideal.dyadic, "residue_cycle", refuse)
-    monkeypatch.setattr(oneideal.classify, "residue_cycle", refuse)
-    code, out, _ = run("compare", "--a", "m=1597830,n=[1]", "--b", "m=1597830,n=[3]",
-                       "--mode", "exact")
-    assert code == 0 and "isomorphic: True" in out
-
-
 def test_importing_the_package_leaves_the_cli_unimported():
     code, out, err, _ = spawn(probe="import sys, oneideal; print('oneideal.cli' in sys.modules)")
     assert (code, out) == (0, "False\n"), err
-
-
-def _smith_forms(monkeypatch, *argv):
-    import oneideal.ktheory
-
-    calls = []
-    cokernel_invariants = oneideal.ktheory.cokernel_invariants
-
-    def counted(matrix):
-        calls.append(matrix)
-        return cokernel_invariants(matrix)
-
-    monkeypatch.setattr(oneideal.ktheory, "cokernel_invariants", counted)
-    code, _, _ = run(*argv)
-    assert code == 0
-    return len(calls)
 
 
 @pytest.mark.parametrize(
@@ -847,8 +789,9 @@ def _smith_forms(monkeypatch, *argv):
         (("scan", "--max-m", "12"), 0),
     ],
 )
-def test_smith_forms_per_command(monkeypatch, argv, expected):
-    assert _smith_forms(monkeypatch, *argv) == expected
+def test_smith_forms_per_command(argv, expected):
+    code, _, _, calls = entered(*argv)
+    assert (code, calls["exactlinalg.cokernel_invariants"]) == (0, expected)
 
 
 @pytest.mark.parametrize(
@@ -858,17 +801,9 @@ def test_smith_forms_per_command(monkeypatch, argv, expected):
         ("invariant", "--m", "9", "--n", "1", "--depth", str(MAX_TRUNCATION_DEPTH + 1)),
     ],
 )
-def test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix(monkeypatch, argv):
-    import oneideal.family
-    import oneideal.ktheory
-
-    def refuse(spec, depth):
-        raise AssertionError(f"built a depth-{depth} presentation")
-
-    monkeypatch.setattr(oneideal.ktheory, "truncated_presentation", refuse)
-    monkeypatch.setattr(oneideal.family, "truncated_presentation", refuse)
-    code, out, err = run(*argv)
-    assert (code, out) == (2, "")
+def test_truncation_depth_past_the_limit_exits_2_before_building_the_matrix(argv):
+    code, out, err, calls = entered(*argv)
+    assert (code, out, calls["family.truncated_presentation"]) == (2, "", 0)
     assert err.startswith("error [WorkLimit]: truncation depth ")
     assert err.rstrip().endswith(f"exceeds the limit {MAX_TRUNCATION_DEPTH}")
 
@@ -935,21 +870,11 @@ LONG_INT = "1" + "0" * MAX_INTEGER_DIGITS
         ("invariant", "--m", "9", "--n", "1", "--depth", "9" * 5000),
     ],
 )
-def test_input_past_the_size_limits_exits_2_before_any_arithmetic(monkeypatch, argv):
-    import oneideal.classify
-    import oneideal.family
-    import oneideal.ktheory
-
-    def refuse(*args):
-        raise AssertionError("computed with an input past the size limits")
-
-    for module in (oneideal.family, oneideal.ktheory, oneideal.classify):
-        monkeypatch.setattr(module, "weight_of", refuse)
-    for module in (oneideal.family, oneideal.ktheory):
-        monkeypatch.setattr(module, "alpha_of", refuse)
-    monkeypatch.setattr(oneideal.classify, "divergence_table", refuse)
-    code, out, err = run(*argv)
+def test_input_past_the_size_limits_exits_2_before_any_arithmetic(argv):
+    code, out, err, calls = entered(*argv)
     assert (code, out) == (2, "")
+    arithmetic = {"family.weight_of", "family.alpha_of", "classify.divergence_table"}
+    assert calls.keys() & arithmetic == set()
     assert err.startswith("error [WorkLimit]: ") and "more than the limit" in err
 
 
@@ -1239,20 +1164,15 @@ def test_scan_rows_depend_only_on_the_odd_part_of_m_minus_1():
     assert [m for m in range(2, 2001) if rows[m] != rows[2 * m - 1]] == []
 
 
-PARSER_ARGV = (
-    ("invariant", "--m", "9", "--n", "1,2"),
-    ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1", "--format", "json"),
-    ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
-    ("scan", "--max-m", "12"),
-    ("compare", "--a", "m=8,n=1", "--mode", "exact"),
-    ("--help",),
-)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        *PARSER_ARGV,
+        ("invariant", "--m", "9", "--n", "1,2"),
+        ("fullness", "--m", "0", "--n", "1", "--tail", "doubling:1", "--format", "json"),
+        ("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "stable"),
+        ("scan", "--max-m", "12"),
+        ("compare", "--a", "m=8,n=1", "--mode", "exact"),
+        ("--help",),
         (),
         ("bogus",),
         ("--",),
@@ -1319,30 +1239,24 @@ def test_the_table_reader_returns_what_the_parser_returns(argv):
         assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
-def test_the_common_argv_never_reaches_argparse(monkeypatch):
-    expected = [run(*argv) for argv in PARSER_ARGV[:4]]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("argparse read an argv of the common form")
-
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
-    assert [run(*argv) for argv in PARSER_ARGV[:4]] == expected
-    for name, argv in ARGV.items():
-        for fmt, suffix in SUFFIX.items():
-            golden = (GOLDEN / (name + suffix)).read_bytes().decode()
-            assert run(*argv, "--format", fmt) == (0, golden, ""), name
+def test_the_common_argv_never_reaches_argparse():
+    # every corpus row that gives a verdict, but argparse's own help, between
+    # them spelling every option of every command
+    done = one_pass()
+    rows = [(row, calls) for row, calls, (code, _, _) in zip(ROWS, done.calls, done.outcomes)
+            if code == 0 and not row["tag"].startswith("argparse ")]
+    reached = [row["tag"] for row, calls in rows if any(n.startswith("argparse.") for n in calls)]
+    assert reached == []
+    assert set(OPTION_STRINGS) <= {token for row, _ in rows for token in row["argv"]}
 
 
-def test_queries_reuse_one_parser(monkeypatch):
-    expected = [run(*argv) for argv in PARSER_ARGV]
-    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 2, 0]
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("built a second argument parser")
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
-    assert [run(*argv) for argv in PARSER_ARGV] == expected
+def test_queries_reuse_one_parser():
+    # the corpus pass starts with no parser built: the first row that argparse
+    # reads builds it, and the later ones reuse it
+    calls = one_pass().calls
+    parsed = [c for c in calls if c["argparse.ArgumentParser.parse_known_args"]]
+    built = [c["cli.build_parser"] for c in calls if c["argparse.ArgumentParser.__init__"]]
+    assert len(parsed) > 1 and built == [1]
 
 
 def test_no_state_is_carried_between_queries(monkeypatch):

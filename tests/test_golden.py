@@ -1,5 +1,5 @@
 """The golden master: every command line in ``corpus.jsonl``, run once,
-its output pinned byte for byte.
+its output pinned byte for byte, and what it entered.
 
 A corpus row holds a tag, an argv, and the exit status and sha256 of stdout
 and stderr when the row was written.  The tag's first word names the row's
@@ -10,26 +10,34 @@ witness of each branch, a scan without divergence and one past m = 100);
 ``error NAME``, each row of ``test_cli.ERROR_LINES``; ``scan``, ``scan
 --max-m 100000``; a perfbench workload, its first three blocks at seeds 11
 and 12; ``spec``, the ``--spec`` and compact-JSON spec forms; ``argparse``,
-a help and a usage error, which the table reader hands to argparse; and
-``cost``, the command lines whose opcodes ``test_cost.py`` bounds.
+a help and a usage error, which the table reader hands to argparse;
+``cost``, the command lines whose opcodes ``test_cost.py`` bounds; and
+``unreached``, verdicts whose textbook route would enter a function of
+:data:`UNREACHED` (the units of the modulus, a two-power orbit).
 
 :func:`one_pass` runs every row through ``cli.main`` in this process, each
 golden argv also without ``--format`` (so in text), and each golden JSON
 report back through ``Report.from_json_dict``.  It pins ``COLUMNS`` to 80,
 as argparse wraps its help to the terminal width, and a profile function
-records each code object entered.  From that pass the tests check each
-row's status and digests, each golden file's bytes, and that every
-function, method and property in ``src/oneideal`` (bar ``__main__``, whose
-import runs the command line) is entered or listed in :data:`UNREACHED`
-with its reason.  An entry that the corpus reaches, or that names nothing,
-fails too, so the table can only shrink.
+counts, for each row, the code objects it enters, named as the library's
+functions or argparse's; :func:`entered` runs any other argv under the same
+profile function.  From that pass the tests check each row's status and
+digests, each golden file's bytes, and that every function, method and
+property in ``src/oneideal`` (bar ``__main__``, whose import runs the
+command line) is entered or listed in :data:`UNREACHED` with its reason.
+An entry that the corpus reaches, or that names nothing, fails too, so the
+table can only shrink.  ``test_cli.py`` reads what a command line entered
+from the same records.
 
 ``PYTHONPATH=src python tests/test_golden.py --regenerate`` reruns every
 row and rewrites its status and digests and the golden files; the diff
 names what changed.  To add a command line, append a row with its tag and
-argv, any status and digests, and regenerate.
+argv, any status and digests, and regenerate.  ``PYTHONPATH=src python
+tests/test_golden.py --entered ARGV...`` prints the functions one command
+line enters, most entries first, as count and qualified name.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -41,6 +49,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -53,6 +62,8 @@ from oneideal import cli
 from oneideal.report import Report
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path(oneideal.__file__).parent
+ARGPARSE = Path(argparse.__file__)
 CORPUS = ROOT / "tests" / "corpus.jsonl"
 GOLDEN = ROOT / "tests" / "golden"
 SUFFIX = {"text": ".txt", "json": ".json"}
@@ -85,7 +96,7 @@ def run(*argv: str) -> tuple[int, str, str]:
 def child_env() -> dict[str, str]:
     """This process's environment, with ``PYTHONPATH`` pinned to the
     directory this process imported the package from."""
-    return {**os.environ, "PYTHONPATH": str(Path(oneideal.__file__).parents[1])}
+    return {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
 
 
 def spawn(*argv: str, probe: str | None = None) -> tuple[int, str, str, float]:
@@ -104,45 +115,82 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
+@cache
+def _name(code) -> str | None:
+    """``module.qualname`` of a code object of the library, as :func:`_defined`
+    names it, or of argparse; None for any other."""
+    path = Path(code.co_filename)
+    return f"{path.stem}.{code.co_qualname}" if path.parent == PACKAGE or path == ARGPARSE else None
+
+
+def _named(calls: Counter) -> Counter:
+    """The entries in ``calls`` of the library's and argparse's code objects, by name."""
+    named = Counter()
+    for code, count in calls.items():
+        name = _name(code)
+        if name is not None:
+            named[name] += count
+    return named
+
+
+def observed(calls: Counter, call, *args):
+    """``call(*args)`` under a profile function that counts in ``calls`` each
+    code object entered (a generator's each time it resumes)."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return call(*args)
+    finally:
+        sys.setprofile(previous)
+
+
+def entered(*argv: str) -> tuple[int, str, str, Counter]:
+    """:func:`run`'s status, stdout and stderr, and the functions the command
+    line entered, qualified name -> entries, counted as :func:`one_pass`
+    counts a row."""
+    calls = Counter()
+    status, out, err = observed(calls, run, *argv)
+    return status, out, err, _named(calls)
+
+
 class Pass(NamedTuple):
     outcomes: list  # (status, stdout digest, stderr digest) of each row, in order
     printed: dict  # (golden name, format or None for the default) -> run(argv)
-    entered: set  # the code objects entered
+    calls: list  # the functions each row entered, qualified name -> entries, in order
+    reached: set  # the qualified names entered anywhere in the pass
 
 
 @cache
 def one_pass() -> Pass:
     """Every corpus row, and each golden argv without its format, run once
-    under a profile function; a row that raises names its tag."""
-    outcomes, printed, entered = [], {}, set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
+    under :func:`observed`; a row that raises names its tag."""
+    outcomes, printed, calls, reached = [], {}, [], Counter()
     # the parser is built once per process; a fresh one is built in the pass
     cli.build_parser.cache_clear()
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
-            for row in ROWS:
-                try:
-                    status, out, err = run(*row["argv"])
-                    if row["tag"].startswith("golden "):
-                        _, name, fmt = row["tag"].split()
-                        printed[name, fmt] = status, out, err
-                        if fmt == "text":
-                            printed[name, None] = run(*ARGV[name])
-                        else:
-                            Report.from_json_dict(json.loads(out))
-                except Exception as error:
-                    error.add_note(f"corpus row {row['tag']!r}")
-                    raise
-                outcomes.append((status, digest(out), digest(err)))
-    finally:
-        sys.setprofile(previous)
-    return Pass(outcomes, printed, entered)
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for row in ROWS:
+            row_calls = Counter()
+            try:
+                status, out, err = observed(row_calls, run, *row["argv"])
+                if row["tag"].startswith("golden "):
+                    _, name, fmt = row["tag"].split()
+                    printed[name, fmt] = status, out, err
+                    if fmt == "text":
+                        printed[name, None] = observed(reached, run, *ARGV[name])
+                    else:
+                        observed(reached, Report.from_json_dict, json.loads(out))
+            except Exception as error:
+                error.add_note(f"corpus row {row['tag']!r}")
+                raise
+            outcomes.append((status, digest(out), digest(err)))
+            calls.append(_named(row_calls))
+            reached.update(row_calls)
+    return Pass(outcomes, printed, calls, set(_named(reached)))
 
 
 @pytest.mark.parametrize("fmt", SUFFIX)
@@ -195,9 +243,8 @@ def _defined() -> dict:
     """Qualified name -> code object of each function, method and property
     whose source is in the library (the methods that ``namedtuple`` makes
     are not)."""
-    package = Path(oneideal.__file__).parent
     found = {}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "__main__":
             continue
         name = "oneideal" if path.stem == "__init__" else f"oneideal.{path.stem}"
@@ -216,8 +263,7 @@ def _defined() -> dict:
 
 def test_every_library_function_is_entered_or_listed_as_unreached():
     defined = _defined()
-    entered = one_pass().entered
-    unreached = {name for name, code in defined.items() if code not in entered}
+    unreached = defined.keys() - one_pass().reached
     assert sorted(unreached - UNREACHED.keys()) == [], "entered by no command"
     assert sorted(UNREACHED.keys() - defined.keys()) == [], "defined nowhere"
     assert sorted(UNREACHED.keys() & (defined.keys() - unreached)) == [], "entered by the corpus"
@@ -241,8 +287,14 @@ def test_each_reason_that_cites_a_file_is_borne_out_by_that_file():
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--entered"]:
+        status, _, _, calls = entered(*sys.argv[2:])
+        for name, count in calls.most_common():
+            print(f"{count:8d}  {name}")
+        print(f"{calls.total():8d}  total, exit status {status}")
+        sys.exit()
     if sys.argv[1:] != ["--regenerate"]:
-        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate")
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]} --regenerate | --entered ARGV...")
     done = one_pass()
     with CORPUS.open("w") as out:
         for row, (status, stdout, stderr) in zip(ROWS, done.outcomes):

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from oneideal.family import validate_family, weight_of
 from oneideal.ktheory import stable_oracle_depth, torsion_order, truncated_k0
 from oneideal.report import invariant_to_json
 from oracles import in_torsion_range, k_lexicographic_by_clauses
+from test_golden import observed
 
 
 @pytest.mark.parametrize("m", [0, INF], ids=["m = 0", "m = infinity"])
@@ -53,14 +55,10 @@ def test_stable_oracle_depth_bound():
     assert torsion_order(spec) == 128
 
 
-def test_stable_oracle_depth_reads_k_without_computing_the_weight(monkeypatch):
-    import oneideal.ktheory
-
-    def refuse(spec):
-        raise AssertionError("the weight was computed")
-
-    monkeypatch.setattr(oneideal.ktheory, "weight_of", refuse)
-    assert stable_oracle_depth(validate_family(129, [1, 0, 3])) == 3 + 8
+def test_stable_oracle_depth_reads_k_without_computing_the_weight():
+    calls = Counter()
+    assert observed(calls, stable_oracle_depth, validate_family(129, [1, 0, 3])) == 3 + 8
+    assert weight_of.__code__ not in calls
 
 
 def invariant_and_scalars(spec):

@@ -21,8 +21,9 @@ SPECIAL = '"\\/\x00\b\t\n\x1f\x7f\xe9' + "".join(
     map(chr, (0x3B1, 0x2028, 0xD800, 0xDFFF, 0x1F600))
 )
 TEXT = st.text(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=8)
+# leaves, and lists of strings, which the writer joins in one piece
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | TEXT,
+    st.none() | st.booleans() | TEXT | st.lists(TEXT, max_size=4),
     lambda children: st.lists(children, max_size=4) | st.dictionaries(TEXT, children, max_size=4),
     max_leaves=12,
 )
@@ -44,6 +45,25 @@ def written(value) -> str:
 @example(chr(0xDC00) + "x" + chr(0xD800))
 def test_write_json_is_byte_identical_to_json_dumps(value):
     assert written(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def with_an_int(value, data):
+    """``value`` with one leaf, or one empty list or dict, drawn from ``data``
+    and replaced by an int."""
+    if isinstance(value, list) and value:
+        i = data.draw(st.integers(0, len(value) - 1))
+        return [*value[:i], with_an_int(value[i], data), *value[i + 1 :]]
+    if isinstance(value, dict) and value:
+        key = data.draw(st.sampled_from(sorted(value)))
+        return {**value, key: with_an_int(value[key], data)}
+    return data.draw(st.integers())
+
+
+@settings(max_examples=100)
+@given(JSON_VALUES, st.data())
+def test_write_json_rejects_an_int_wherever_it_stands(value, data):
+    with pytest.raises(TypeError):
+        written(with_an_int(value, data))
 
 
 @pytest.mark.parametrize("value", [1, 1.5, ("a",), {"a": 1}, ["a", 2.0], {1: "a"}], ids=repr)
