@@ -10,8 +10,9 @@ weight), which :func:`torsion_order` evaluates in closed form.
 The defining route is the cokernel of the truncated presentation:
 truncation at chain depth d presents the torsion as gcd(2^(d-k) * N, m-1),
 which saturates once d - k reaches v2(m-1).  :func:`truncated_k0` reads that
-cokernel off a Smith form at any depth, and :func:`stable_oracle_depth` is a
-depth past saturation, where the truncation must show exactly Z/x.
+cokernel at any depth by linking the chain columns and taking one gcd of the
+relation column, and :func:`stable_oracle_depth` is a depth past saturation,
+where the truncation must show exactly Z/x.
 
 The invariant has three shapes, one per regime (m = 0, finite m > 1,
 m = infinity), whose only parameters are alpha, x and m - 1.  This module
@@ -54,9 +55,10 @@ DerivedScalars = namedtuple("DerivedScalars", "alpha k n_weight x m_odd", defaul
 def truncated_k0(spec: FamilySpec, depth: int) -> tuple[int, list[int]]:
     """Free rank and torsion of the depth-truncated even K-group.
 
-    Builds the relation matrix and reads the cokernel off its Smith form,
-    independently of the closed form in :func:`torsion_order`.  The free
-    rank is 1 at every depth >= k (one chain generator survives truncation).
+    Builds the relation matrix and reads its cokernel by
+    :func:`.exactlinalg.cokernel_invariants`, independently of the closed
+    form in :func:`torsion_order`.  The free rank is 1 at every depth >= k
+    (one chain generator survives truncation).
     A depth above :data:`MAX_TRUNCATION_DEPTH` raises :class:`WorkLimitError`
     before the matrix is built.
     """

@@ -6,9 +6,8 @@ more literal route, a quantity the library computes in closed form.
 * :func:`sympy_cokernel` - the cokernel read off sympy's invariant factors
   of the whole dense matrix, a separate implementation that eliminates no
   unit pivots first; it is the one dense reference;
-* :func:`sparse`, :func:`dense` - the conversions between the library's
-  :class:`SparseMatrix` and a dense ``sympy.Matrix``, that only the tests
-  build;
+* :func:`dense` - the library's :class:`SparseMatrix` written out as a
+  dense ``sympy.Matrix``;
 * :func:`dense_presentation` - the truncated presentation written out as a
   dense (depth+1) x depth ``sympy.Matrix``, entry by entry;
 * :func:`summed_alpha` - alpha = sum(n_i / 2^i), summed term by term;
@@ -70,14 +69,6 @@ def sympy_cokernel(m: sympy.Matrix) -> tuple[int, list[int]]:
     Z^rows / (column span of ``m``), by sympy's ``invariant_factors``."""
     nonzero = [int(d) for d in invariant_factors(m, domain=sympy.ZZ) if d]
     return m.rows - len(nonzero), [d for d in nonzero if d > 1]
-
-
-def sparse(m: sympy.Matrix) -> SparseMatrix:
-    """The same matrix with only its nonzero entries stored, column by column."""
-    return SparseMatrix(
-        m.rows,
-        tuple(tuple((i, int(m[i, j])) for i in range(m.rows) if m[i, j]) for j in range(m.cols)),
-    )
 
 
 def dense(m: SparseMatrix) -> sympy.Matrix:

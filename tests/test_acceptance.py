@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import sympy
-
 from oneideal import (
     INF,
     FamilySpec,
@@ -28,15 +26,14 @@ from oneideal.classify import (
     witness_holds,
 )
 from oneideal.dyadic import is_infinite, two_adic_valuation
-from oneideal.exactlinalg import cokernel_invariants
 from oneideal.family import alpha_of, validate_family, weight_of
 from oneideal.ktheory import torsion_order, truncated_k0
 from oneideal.report import invariant_to_json
 from oracles import (
+    dense_presentation,
     find_order_isomorphism,
     in_torsion_range,
     k_lexicographic_by_clauses,
-    sparse,
     stable_partition_disagreements,
     sympy_cokernel,
     walked_alpha_cones_isomorphic,
@@ -270,18 +267,17 @@ def test_criterion_08_alpha_cone_isomorphism_suite():
     ok(8, "alpha-cone isomorphism, oracle against oracle; no library route until ROADMAP item 5")
 
 
-def test_criterion_09_smith_form_contract_on_1000_random_matrices():
+def test_criterion_09_truncated_cokernel_matches_sympy_on_1000_random_truncations():
     rng = random.Random(9)
     for _ in range(1000):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 8)
-        m = sympy.Matrix(rows, cols, [rng.randint(-30, 30) for _ in range(rows * cols)])
-        free_rank, torsion = cokernel_invariants(sparse(m))
-        assert (free_rank, torsion) == sympy_cokernel(m)
+        spec = random_valid_spec(rng, m_high=100, max_len=4)
+        depth = rng.randint(len(spec.prefix), 8)
+        free_rank, torsion = truncated_k0(spec, depth)
+        assert (free_rank, torsion) == sympy_cokernel(dense_presentation(spec, depth))
         assert all(d > 1 for d in torsion)
         for a, b in zip(torsion, torsion[1:]):
             assert b % a == 0
-    ok(9, "1000 random matrices up to 8x8: cokernel free rank and torsion = sympy's, divisibility chain")
+    ok(9, "1000 random truncations up to 9x8: truncated_k0 = sympy's cokernel, divisibility chain")
 
 
 def test_criterion_10_permanence_filter():
