@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
-from .dyadic import factorize, is_infinite, odd_part, two_adic_valuation, two_power_log
+from .dyadic import INF, factorize, odd_part, two_adic_valuation, two_power_log
 # unused here, but perfbench resolves residue_cycle in this module to trace it
 from .dyadic import residue_cycle  # noqa: F401
 from .errors import InternalConsistencyError, OutOfScopeComparison
@@ -59,7 +59,7 @@ def is_k_lexicographic(m, alpha) -> bool:
     full class, as at every m != 0, so must the middle be, and it is.
     perfbench resolves this function in this module to trace it.
     """
-    return m != 0 or is_infinite(alpha)
+    return m != 0 or alpha == INF
 
 
 def decide_fullness(m, alpha) -> FullnessVerdict:

@@ -1,21 +1,19 @@
-"""Dyadic rationals, extended rationals, and the number theory of doubling.
+"""Dyadic rationals, infinity, and the number theory of doubling.
 
 The module every layer imports (it imports only the errors), so it owns
 what several layers need: the integer rule :func:`is_int`, the discrete
 logarithm to base 2 (:func:`two_power_log`, which finds orders of 2 up
 to :data:`MAX_LOG_STEP` squared), prime factorisation and extended-value text.
 
-A dyadic rational (an element of Z[1/2]) is a :class:`~fractions.Fraction`
-whose denominator is a power of two; there is no separate type for it.
-Extended rationals (a ``Fraction`` or ``math.inf``) appear wherever a
-quantity may diverge; ``math.inf`` compares correctly against exact
-fractions.
+A dyadic rational p/2^e (an element of Z[1/2]) is the reduced pair
+``(p, e)`` of ints, p odd or e = 0; there is no separate type for it.  A
+quantity that may diverge is such a pair or :data:`INF`, and ``== INF``
+tells the two apart, since a tuple never equals a float.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import WorkLimitError
 
@@ -25,23 +23,18 @@ INF = math.inf
 # refuses the rest.  The slowest refusal, at 1000 digits, takes 50-85 ms (Python 3.11, 2-core x86).
 MAX_LOG_STEP = 2048
 
-# A finite exact value or +infinity.
-ExtendedRational = Fraction | float
-
 
 def is_int(value) -> bool:
     """An int that is not a bool: the one integer rule every layer checks."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def is_infinite(value) -> bool:
-    # the type test first, so a Fraction is never compared with a float
-    return isinstance(value, float) and value == INF
-
-
 def format_extended(value) -> str:
-    """"inf" for infinity, the one float it can be, else "p/q" (or "p" when whole)."""
-    return "inf" if isinstance(value, float) else str(value)
+    """"inf" for infinity, else the reduced pair (p, e) as "p/q", q = 2^e (or "p" when e = 0)."""
+    if value == INF:
+        return "inf"
+    p, e = value
+    return f"{p}/{1 << e}" if e else str(p)
 
 
 def two_adic_valuation(n: int) -> int:

@@ -19,11 +19,10 @@ multiplicity sum when ``1 < m < infinity`` (InfiniteSum).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import repeat
 from operator import itemgetter
 
-from .dyadic import INF, ExtendedRational, is_infinite, is_int
+from .dyadic import INF, is_int, two_adic_valuation
 from .errors import FamilyValidationError, RegimeError
 from .exactlinalg import SparseMatrix
 
@@ -76,7 +75,7 @@ class FamilySpec(namedtuple("FamilySpec", "m prefix tail", defaults=(ZERO_TAIL,)
         # _replace builds through _make, not __new__, so the checks live here
         self = tuple.__new__(cls, iterable)
         m, prefix, tail = self
-        if not (is_infinite(m) or (is_int(m) and m >= 0)):
+        if not (m == INF or (is_int(m) and m >= 0)):
             raise ValueError("m must be a non-negative integer or infinity")
         if type(prefix) is not tuple:
             raise ValueError(f"the prefix must be a tuple, got {prefix!r}")
@@ -95,7 +94,7 @@ class FamilySpec(namedtuple("FamilySpec", "m prefix tail", defaults=(ZERO_TAIL,)
             raise FamilyValidationError(
                 "NoIdealEdge", "at least one edge multiplicity n_i must be nonzero"
             )
-        if not is_infinite(m) and m > 1 and tail.kind != "zero":
+        if m != INF and m > 1 and tail.kind != "zero":
             raise FamilyValidationError(
                 "InfiniteSum",
                 "for finite m > 1 the multiplicity sum must be finite (tail must be zero)",
@@ -104,7 +103,7 @@ class FamilySpec(namedtuple("FamilySpec", "m prefix tail", defaults=(ZERO_TAIL,)
 
     @property
     def has_finite_loops(self) -> bool:
-        return not is_infinite(self.m) and self.m > 1
+        return self.m != INF and self.m > 1
 
 
 def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
@@ -116,16 +115,21 @@ def validate_family(m, prefix, tail: TailSpec = ZERO_TAIL) -> FamilySpec:
     return FamilySpec(m, tuple(prefix), tail)
 
 
-def alpha_of(spec: FamilySpec) -> ExtendedRational:
-    """The exact value of sum(n_i / 2^i), or infinity for a doubling tail.
+def alpha_of(spec: FamilySpec) -> tuple[int, int] | float:
+    """The exact value of sum(n_i / 2^i) as the reduced pair (p, e) meaning
+    p / 2^e, p odd or e = 0; or :data:`INF` for a doubling tail.
 
     Over a length-k prefix the sum is N / 2^k with N the weight; a constant
     tail c adds c / 2^k, and a doubling tail a constant per term, so the sum
-    diverges.
+    diverges.  s = N + c is at least 1 for every spec, and dividing it and
+    2^k by 2^min(v2(s), k) reduces s / 2^k.
     """
     if spec.tail.kind == "doubling":
         return INF
-    return Fraction(spec._weight + (spec.tail.c or 0), 1 << len(spec.prefix))
+    k = len(spec.prefix)
+    s = spec._weight + (spec.tail.c or 0)
+    v = min(two_adic_valuation(s), k)
+    return s >> v, k - v
 
 
 def weight_of(spec: FamilySpec) -> tuple[int, int]:

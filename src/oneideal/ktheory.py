@@ -46,9 +46,10 @@ from .family import (
 MAX_TRUNCATION_DEPTH = MAX_PREFIX_LENGTH + (10**MAX_INTEGER_DIGITS - 2).bit_length()
 
 
-# Scalar data derived from a family spec: ``alpha`` always; ``k`` and
-# ``n_weight`` only for zero tails; ``x`` (middle torsion order) and ``m_odd``
-# (largest odd factor of m-1) only when 1 < m < infinity.
+# Scalar data derived from a family spec: ``alpha`` always, as INF or the
+# reduced dyadic pair (p, e) meaning p / 2^e; ``k`` and ``n_weight`` only for
+# zero tails; ``x`` (middle torsion order) and ``m_odd`` (largest odd factor
+# of m-1) only when 1 < m < infinity.
 DerivedScalars = namedtuple("DerivedScalars", "alpha k n_weight x m_odd", defaults=(None,) * 4)
 
 

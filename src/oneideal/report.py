@@ -35,7 +35,7 @@ import json
 from collections import namedtuple
 
 from .classify import FULL, UNKNOWN, FullnessVerdict, IsoVerdict
-from .dyadic import INF, format_extended, is_infinite, is_int
+from .dyadic import INF, format_extended, is_int
 from .errors import InternalConsistencyError, OneIdealError, WorkLimitError
 from .family import MAX_INTEGER_DIGITS, MAX_PREFIX_LENGTH, ZERO_TAIL, FamilySpec, TailSpec
 from .ktheory import DerivedScalars
@@ -168,7 +168,7 @@ def invariant_to_json(m, scalars: DerivedScalars, truncation: tuple | None = Non
     if m == 0:
         alpha_cone = {"alpha": format_extended(scalars.alpha), "tag": "AlphaCone"}
         out = {**_NO_LOOPS, "middle": {"cone": alpha_cone, "group": _DYADIC_PLUS_Z}}
-    elif is_infinite(m):
+    elif m == INF:
         return _INFINITE_LOOPS
     else:
         x, b = scalars.x, str(m - 1)

@@ -52,13 +52,12 @@ from sympy.matrices.normalforms import invariant_factors
 
 from oneideal import FamilySpec
 from oneideal.classify import IsoWitness
-from oneideal.dyadic import (
-    ExtendedRational,
-    is_infinite,
-    odd_part,
-    two_adic_valuation,
-)
+from oneideal.dyadic import odd_part, two_adic_valuation
 from oneideal.exactlinalg import SparseMatrix
+
+# An alpha as the oracles hold it: an exact fraction, or math.inf.  The
+# library holds a reduced dyadic pair instead; differing is the point.
+ExtendedRational = Fraction | float
 
 # --------------------------------------------------------------------------
 # dense matrices and the cokernel by sympy
@@ -127,14 +126,14 @@ def in_torsion_range(m: int, x: int) -> bool:
 
 def _slice_contains(alpha: ExtendedRational, x: Fraction, n: int) -> bool:
     if n > 0:
-        return True if is_infinite(alpha) else x > -n * alpha
+        return True if alpha == math.inf else x > -n * alpha
     if n == 0:
         return x >= 0
     return False
 
 
 def _boundary_probes(alpha: ExtendedRational, n: int, precision: int) -> list[Fraction]:
-    if is_infinite(alpha):
+    if alpha == math.inf:
         return [Fraction(-(1 << 20)), Fraction(-1), Fraction(0), Fraction(1)]
     scale = 1 << precision
     base = math.floor(-n * alpha * scale)
@@ -178,7 +177,7 @@ def find_order_isomorphism(
     """
 
     def den_bits(v) -> int:
-        return 1 if is_infinite(v) else Fraction(v).denominator.bit_length()
+        return 1 if v == math.inf else Fraction(v).denominator.bit_length()
 
     precision = den_bits(a) + den_bits(b) + k_bound + exp_bound + 2
 
@@ -312,7 +311,7 @@ def walked_alpha_cones_isomorphic(a: ExtendedRational, b: ExtendedRational) -> b
     the numerator of ``a`` lies on the orbit of the numerator of ``b``
     modulo that odd part.
     """
-    if is_infinite(a) or is_infinite(b):
+    if math.inf in (a, b):
         return a == b
     m0 = odd_part(a.denominator)
     return m0 == odd_part(b.denominator) and a.numerator % m0 in two_power_orbit(m0, b.numerator)

@@ -25,7 +25,7 @@ from oneideal.classify import (
     stable_orbit_equivalent,
     witness_holds,
 )
-from oneideal.dyadic import is_infinite, two_adic_valuation
+from oneideal.dyadic import two_adic_valuation
 from oneideal.family import alpha_of, validate_family, weight_of
 from oneideal.ktheory import torsion_order, truncated_k0
 from oneideal.report import invariant_to_json
@@ -135,7 +135,7 @@ def test_criterion_05_fullness_dichotomy_at_m0():
     ]
     assert len(finite_specs) == 20
     for spec in finite_specs + infinite_specs:
-        divergent = is_infinite(alpha_of(spec))
+        divergent = alpha_of(spec) == INF
         scalars = invariant_of(spec)
         verdict = decide_fullness(spec.m, scalars.alpha)
         assert verdict.stabilized_full == divergent
@@ -257,7 +257,7 @@ def test_criterion_08_alpha_cone_isomorphism_suite():
     for j in range(n):
         assert related[(inf_index, j)] == (j == inf_index)
     for a in corpus:
-        if is_infinite(a):
+        if a == INF:
             continue
         assert walked_alpha_cones_isomorphic(a, 2 * a)
         for shift in (Fraction(1), Fraction(3, 8), Fraction(-5, 4)):

@@ -21,7 +21,8 @@ def test_each_chain_column_of_the_truncation_costs_under_97_opcodes():
 
 def test_a_text_compare_runs_under_3000_opcodes_in_every_frame():
     # argv, spec, decision and text view, the standard library included:
-    # 1,684; reading the argv with argparse made it 5,603 (3,905 once warm)
+    # 1,634, or 1,684 while validation called a function to test m for
+    # infinity; reading the argv with argparse made it 5,603 (3,905 once warm)
     argv = ARGV["compare text"]
     first = opcodes(argv, every_frame=True)
     assert first == opcodes(argv, every_frame=True) < 3000
@@ -29,7 +30,8 @@ def test_a_text_compare_runs_under_3000_opcodes_in_every_frame():
 
 def test_a_json_compare_runs_under_2900_opcodes_in_every_frame():
     # the same, with the report echoing its inputs and written in one piece,
-    # the zero tails' echo copied as text encoded at import: 2,683; walking
+    # the zero tails' echo copied as text encoded at import: 2,633 (2,683
+    # while validation called a function to test m for infinity); walking
     # that echo made it 2,753, and converting the specs back to text and
     # writing the report key by key 3,502
     argv = ARGV["compare json"]
@@ -37,24 +39,28 @@ def test_a_json_compare_runs_under_2900_opcodes_in_every_frame():
     assert first == opcodes(argv, every_frame=True) < 2900
 
 
-def test_a_json_fullness_at_m0_runs_under_2490_opcodes_in_every_frame():
-    # the invariant filled into its regime's template, the condition read
-    # from m and alpha once, and the constant sections (ideal, quotient,
-    # groups, verdict, tail) copied as text encoded at import: 2,444, the
-    # first query in a process included; walking those sections key by key
-    # made it 3,429, and building and validating group and cone descriptors,
-    # then converting them to JSON, 4,448
+def test_a_json_fullness_at_m0_runs_under_2410_opcodes_in_every_frame():
+    # the invariant filled into its regime's template, alpha a reduced
+    # dyadic pair, the condition read from m and alpha once, and the constant
+    # sections (ideal, quotient, groups, verdict, tail) copied as text encoded
+    # at import: 2,362, the first query in a process included; alpha as a
+    # fractions.Fraction, whose constructor and str ran in the count, and m
+    # and alpha tested for infinity by a function call made it 2,444; walking
+    # those sections key by key 3,429, and building and validating group and
+    # cone descriptors, then converting them to JSON, 4,448
     argv = ARGV["fullness json"]
     first = opcodes(argv, every_frame=True)
-    assert first == opcodes(argv, every_frame=True) < 2490
+    assert first == opcodes(argv, every_frame=True) < 2410
 
 
-def test_a_json_invariant_of_100_entries_runs_under_14050_opcodes_in_every_frame():
+def test_a_json_invariant_of_100_entries_runs_under_13550_opcodes_in_every_frame():
     # the finite-m template with its ideal, cone and tail copied as text
-    # encoded at import, and the truncation's cokernel finished by one gcd:
-    # 13,380, the first query in a process included; finishing it with the
-    # general Smith-form core made it 15,199, and walking the template's
-    # sections key by key 15,729
+    # encoded at import, the truncation's cokernel finished by one gcd, and
+    # alpha a reduced dyadic pair: 13,271, the first query in a process
+    # included; alpha as a fractions.Fraction, whose constructor and str ran
+    # in the count, and m tested for infinity by a function call made it 13,380;
+    # finishing the cokernel with the general Smith-form core 15,199, and
+    # walking the template's sections key by key 15,729
     argv = ARGV["invariant json"]
     first = opcodes(argv, every_frame=True)
-    assert first == opcodes(argv, every_frame=True) < 14050
+    assert first == opcodes(argv, every_frame=True) < 13550

@@ -79,7 +79,7 @@ def test_an_all_zero_prefix_needs_a_tail(m, length):
     assert code_of(m, [0] * length) == "NoIdealEdge"
     if not 1 < m < INF:  # a finite m > 1 takes only the zero tail
         spec = validate_family(m, [0] * length, TailSpec("constant", 1))
-        assert alpha_of(spec) == Fraction(1, 2**length)
+        assert alpha_of(spec) == (1, length)
 
 
 @pytest.mark.parametrize(
@@ -133,13 +133,17 @@ def test_replacing_a_field_raises_what_the_constructor_raises(value, field, bad)
 
 
 def test_alpha_examples():
-    assert alpha_of(validate_family(0, [2])) == 1
-    assert alpha_of(validate_family(0, [1, 1])) == Fraction(3, 4)
+    # alpha is the reduced pair (p, e) meaning p / 2^e, p odd or e = 0
+    assert alpha_of(validate_family(0, [2])) == (1, 0)
+    assert alpha_of(validate_family(0, [1, 1])) == (3, 2)
     assert alpha_of(validate_family(0, [1], TailSpec("doubling", 1))) == INF
-    # constant tail beyond a length-k prefix contributes c / 2^k
+    # constant tail beyond a length-k prefix contributes c / 2^k: 1/2 + 3/2
     spec = validate_family(0, [1], TailSpec("constant", 3))
-    assert alpha_of(spec) == Fraction(1, 2) + Fraction(3, 2)
-    assert alpha_of(validate_family(0, [], TailSpec("constant", 1))) == 1
+    assert alpha_of(spec) == (2, 0)
+    assert alpha_of(validate_family(0, [], TailSpec("constant", 1))) == (1, 0)
+    # the reduction stops at e = 0, so an even whole alpha keeps its twos
+    assert alpha_of(validate_family(0, [], TailSpec("constant", 4))) == (4, 0)
+    assert alpha_of(validate_family(0, [4])) == (2, 0)
 
 
 @settings(max_examples=100)
@@ -154,7 +158,12 @@ def test_alpha_matches_the_summed_series(m, prefix, kind, c):
         kind = "zero"  # the only tail with a finite multiplicity sum
     assume(kind != "zero" or any(prefix))
     spec = FamilySpec(m, tuple(prefix), TailSpec(kind, None if kind == "zero" else c))
-    assert alpha_of(spec) == summed_alpha(spec)
+    if kind == "doubling":
+        assert alpha_of(spec) == summed_alpha(spec) == INF
+        return
+    p, e = alpha_of(spec)
+    assert p % 2 == 1 or e == 0, "the pair is reduced"
+    assert Fraction(p, 2**e) == summed_alpha(spec)
 
 
 def test_weight_examples():

@@ -2,8 +2,8 @@
 package binds, and no function that merely calls a constructor; the
 library imports nothing outside the standard library and itself, and
 nothing it does not use; and a query loads exactly the pinned library
-modules, and neither ``dataclasses`` nor ``inspect`` nor ``argparse``;
-and every Hypothesis setting but a test's ``max_examples`` comes from the
+modules, and none of ``dataclasses``, ``inspect``, ``argparse``,
+``fractions``, ``decimal`` and ``numbers``; and every Hypothesis setting but a test's ``max_examples`` comes from the
 one profile, which derandomizes every property."""
 
 import ast
@@ -128,9 +128,13 @@ def test_a_fullness_query_loads_exactly_the_pinned_library_modules():
 
 def test_a_text_compare_loads_neither_dataclasses_nor_inspect_nor_argparse():
     # dataclasses (which imports inspect) cost a process about 25 ms of start-up,
-    # and only help and usage errors build the argparse parser
-    loaded = _modules_after("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact")
-    assert sorted({"argparse", "dataclasses", "inspect"}.intersection(loaded)) == []
+    # and only help and usage errors build the argparse parser; fractions, with
+    # decimal and numbers, cost 2-3 ms, and alpha is a pair of ints, so a
+    # fullness query at m = 0, which builds alpha as compare never does, runs too
+    slow = {"argparse", "dataclasses", "decimal", "fractions", "inspect", "numbers"}
+    for argv in (("compare", "--a", "m=8,n=1", "--b", "m=8,n=3", "--mode", "exact"),
+                 ("fullness", "--m", "0", "--n", "2")):
+        assert sorted(slow.intersection(_modules_after(*argv))) == [], argv
 
 
 def test_every_hypothesis_setting_but_max_examples_comes_from_the_profile():
